@@ -2,8 +2,9 @@
 """Anatomy of one example's span chart.
 
 Runs the inside pass (bottom-up composition over all spans and split points,
-fused with region/pitch/voice features), the outside pass (top-down context
-vectors), then prints span marginals and the decoded tree.
+fused with region/pitch/voice features, one span length at a time), the
+outside pass (top-down context vectors), then prints span marginals and the
+decoded tree.
 """
 
 import numpy as np
@@ -28,7 +29,8 @@ params = build_params(cfg, len(vocab), np.random.default_rng(0))
 chart, ctx = run_chart(example, params, cfg, vocab_index, pair)
 n = chart.n
 print("tokens:", example.tokens)
-print(f"chart holds {len(chart.h_in)} cells = n(n+1)/2 with n={n}")
+print(f"chart holds {chart.h_in.shape[0]} cells = n(n+1)/2 with n={n}, "
+      f"stored length by length: {len(chart.split_in) + 1} blocks")
 
 dump = chart_dump(chart)
 print("\nper-span inside/outside scores and marginals:")

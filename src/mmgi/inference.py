@@ -7,7 +7,7 @@ from .chart import build_context, chart_dump, inside_pass, outside_pass
 from .config import RunConfig
 from .corpus import ExampleBundle
 from .decode import cky_decode
-from .errors import CheckpointError
+from .errors import DataValidationError
 from .features import PairRelevanceMatrix
 from .metrics import bracketing_f1
 from .trees import Tree, baseline_tree
@@ -18,7 +18,6 @@ __all__ = [
     "parse_example",
     "parse_corpus",
     "heldout_sent_f1",
-    "ground_span",
     "check_dims",
 ]
 
@@ -88,23 +87,16 @@ def heldout_sent_f1(examples: list[ExampleBundle], params: dict[str, Tensor],
     return bracketing_f1(preds, golds, mode="sentence")
 
 
-def ground_span(chart, ctx, i: int, j: int) -> int:
-    """Region index a span grounds to: argmax of region/span similarity."""
-    from .metrics import grounding_argmax
-
-    return grounding_argmax(chart.h_in[(i, j)].data, ctx.v_proj.data)
-
-
 def check_dims(cfg: RunConfig, examples: list[ExampleBundle]) -> None:
-    """Fail fast when a checkpoint's dims cannot consume a corpus's features."""
-    for ex in examples[:1]:
+    """Fail fast, naming the example, when a model's dims cannot consume its features."""
+    for ex in examples:
         d_s = ex.speech.clip_features.shape[1]
         d_v = ex.regions.features.shape[1]
         if d_s != cfg.d_s:
-            raise CheckpointError(
-                f"checkpoint expects clip features of dim {cfg.d_s}, corpus has {d_s}"
+            raise DataValidationError(
+                f"example {ex.id}: clip features have dim {d_s}, the model expects {cfg.d_s}"
             )
         if d_v != cfg.d_v:
-            raise CheckpointError(
-                f"checkpoint expects region features of dim {cfg.d_v}, corpus has {d_v}"
+            raise DataValidationError(
+                f"example {ex.id}: region features have dim {d_v}, the model expects {cfg.d_v}"
             )

@@ -49,7 +49,7 @@ def reconstruction_loss(chart: Chart, ctx: ExampleContext,
     if ctx.token_ids is None:
         raise ValueError("reconstruction loss requires tokens (full setting)")
     n = chart.n
-    h_out = ad.stack([chart.h_out[(i, i)] for i in range(1, n + 1)])
+    h_out = ad.slice_axis0(chart.h_out, 0, n)  # terminals lead the storage order
     logits = ad.matmul(
         ad.matmul(h_out, ad.transpose(params["word_projection"])),
         ad.transpose(params["word_embeddings"]),
@@ -59,8 +59,10 @@ def reconstruction_loss(chart: Chart, ctx: ExampleContext,
     return -ad.tensor_mean(picked)
 
 
-def _span_list(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+def _span_list(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the spans longer than one position, start-major."""
+    i, j = np.triu_indices(n, k=1)
+    return i + 1, j + 1
 
 
 def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
@@ -85,11 +87,12 @@ def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
     proj_t = [ad.transpose(ctx.v_proj) for _, ctx in batch]
 
     for e, (chart, _) in enumerate(batch):
-        if not span_keys[e]:
+        starts, ends = span_keys[e]
+        if not starts.size:
             span_vecs.append(None)
             continue
-        vecs = ad.stack([chart.h_in[k] + chart.h_out[k] for k in span_keys[e]])
-        marginals = ad.stack([span_marginal(chart, i, j) for i, j in span_keys[e]])
+        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends))
+        marginals = span_marginal(chart, starts, ends)
         span_vecs.append(vecs)
         for img in range(count):
             sim = ad.tensor_max(ad.matmul(vecs, proj_t[img]), axis=1)
@@ -101,10 +104,10 @@ def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
         others = [f for f in range(count) if f != e and span_vecs[f] is not None]
         if span_vecs[e] is not None and others:
             positives = rel[e][e]
-            n_spans = len(span_keys[e])
+            n_spans = span_keys[e][0].size
             # one negative span and one negative image per positive
             flat = ad.concat([rel[f][e] for f in others])
-            sizes = [len(span_keys[f]) for f in others]
+            sizes = [span_keys[f][0].size for f in others]
             offsets = np.cumsum([0] + sizes)
             src = rng.integers(0, len(others), size=n_spans)
             within = np.array([rng.integers(0, sizes[s]) for s in src])
@@ -119,7 +122,7 @@ def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
             parts.append(ad.tensor_sum(ad.relu(neg_span - positives + margin)))
             parts.append(ad.tensor_sum(ad.relu(neg_img - positives + margin)))
 
-        terminals = ad.stack([chart.h_in[(i, i)] for i in range(1, chart.n + 1)])
+        terminals = ad.slice_axis0(chart.h_in, 0, chart.n)
         cols = [ad.tensor_max(ad.matmul(terminals, proj_t[f]), axis=1)
                 for f in range(count)]
         log_probs = ad.log_softmax(ad.stack(cols, axis=1), axis=1)

@@ -14,7 +14,7 @@ from .config import RunConfig
 from .corpus import ExampleBundle
 from .errors import ChartError, TrainingError
 from .features import PairRelevanceMatrix
-from .inference import build_vocab, corpus_pair_matrix, heldout_sent_f1
+from .inference import build_vocab, check_dims, corpus_pair_matrix, heldout_sent_f1
 from .losses import batch_loss
 from .optim import Adam
 from .params import build_params, save_checkpoint
@@ -50,6 +50,7 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
     usable = usable_examples(cfg, examples)
     if not usable:
         raise TrainingError("no usable examples after length filtering")
+    check_dims(cfg, usable + (heldout or []))
 
     vocab: list[str] | None = None
     vocab_index = None

@@ -65,11 +65,12 @@ def test_criterion_2_chart_oracle():
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 key = (i, j)
+                row = chart.row(i, j)
                 for got, want in (
-                    (chart.h_in[key].data, oracle["h_in"][key]),
-                    (chart.h_out[key].data, oracle["h_out"][key]),
-                    (np.asarray(chart.s_in[key].data), oracle["s_in"][key]),
-                    (np.asarray(chart.s_out[key].data), oracle["s_out"][key]),
+                    (chart.h_in.data[row], oracle["h_in"][key]),
+                    (chart.h_out.data[row], oracle["h_out"][key]),
+                    (np.asarray(chart.s_in.data[row]), oracle["s_in"][key]),
+                    (np.asarray(chart.s_out.data[row]), oracle["s_out"][key]),
                 ):
                     gap = np.max(np.abs(got - want))
                     worst = max(worst, float(gap))
@@ -157,14 +158,15 @@ def test_criterion_5_fusion_reduction():
                              PairRelevanceMatrix(np.zeros((5, 5))))
         cfg_off = tiny_config(use_visual=False, use_pitch=False, use_voice=False)
         plain, _ = run_chart(bundle, params, cfg_off, vocab_index, None)
-        for key in fused.h_in:
-            assert np.array_equal(fused.h_in[key].data, plain.h_in[key].data)
-            assert np.array_equal(fused.s_in[key].data, plain.s_in[key].data)
-            assert np.array_equal(fused.h_out[key].data, plain.h_out[key].data)
-            assert np.array_equal(fused.s_out[key].data, plain.s_out[key].data)
-        for key in fused.split_in:
-            assert np.array_equal(fused.split_in[key].data,
-                                  plain.split_in[key].data)
+        for key in fused.spans():
+            row = fused.row(*key)
+            assert np.array_equal(fused.h_in.data[row], plain.h_in.data[row])
+            assert np.array_equal(fused.s_in.data[row], plain.s_in.data[row])
+            assert np.array_equal(fused.h_out.data[row], plain.h_out.data[row])
+            assert np.array_equal(fused.s_out.data[row], plain.s_out.data[row])
+        for length in fused.split_in:
+            assert np.array_equal(fused.split_in[length].data,
+                                  plain.split_in[length].data)
     _report(5, "fusion terms are additive-only (5 seeds, bit-for-bit)")
 
 

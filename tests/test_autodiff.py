@@ -66,6 +66,16 @@ OPS = {
     "concat": (lambda t: ad.concat([t["a"], t["b"]], axis=0), {"a": (2, 3), "b": (4, 3)}),
     "stack": (lambda t: ad.stack([t["a"], t["b"], t["a"]]), {"a": (4,), "b": (4,)}),
     "gather_rows": (lambda t: ad.gather_rows(t["a"], np.array([0, 2, 2, 1])), {"a": (4, 3)}),
+    "gather_rows_2d_index": (lambda t: ad.gather_rows(t["a"], np.array([[0, 2], [2, 2], [3, 0]])),
+                             {"a": (4, 3)}),
+    "gather_rows_vector": (lambda t: ad.gather_rows(t["a"], np.array([[4, 1, 1], [0, 4, 1]])),
+                           {"a": (5,)}),
+    "gather_rows_scalar": (lambda t: ad.gather_rows(t["a"], 3) * t["a"], {"a": (5,)}),
+    "concat_many": (lambda t: ad.concat([t["a"], t["b"], t["a"]]), {"a": (2, 3), "b": (1, 3)}),
+    "mul_broadcast_3d": (lambda t: t["a"] * t["b"], {"a": (2, 3, 1), "b": (2, 3, 4)}),
+    "sum_axis1_3d": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (2, 3, 4)}),
+    "sum_last_axis": (lambda t: ad.tensor_sum(t["a"], axis=-1), {"a": (3, 4)}),
+    "reshape_3d": (lambda t: ad.reshape(t["a"], (2, 3, 4)), {"a": (6, 4)}),
     "take_pairs": (lambda t: ad.take_pairs(t["a"], np.array([0, 1, 1]),
                                            np.array([2, 0, 0])), {"a": (3, 4)}),
     "slice_axis0": (lambda t: ad.slice_axis0(t["a"], 1, 3), {"a": (5, 3)}),

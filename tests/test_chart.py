@@ -6,8 +6,8 @@ import pytest
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
 from mmgi.chart import (build_context, chart_dump, init_terminals, inside_pass,
-                        region_composition_score, run_chart, span_marginal,
-                        visual_span_feature, voice_activity_score)
+                        outside_pass, region_composition_score, run_chart,
+                        span_marginal, visual_span_feature, voice_activity_table)
 from mmgi.errors import AlignmentError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
 from mmgi.nn import mlp_compose
@@ -131,14 +131,15 @@ def test_region_composition_matches_double_loop():
 
 
 def test_voice_activity_score_values():
+    # voice_activity_table(n, length, ...)[i - 1] scores span (i, i + length - 1)
     voice = np.array([0.5, 0.5])
     silence = np.zeros(2)
-    assert voice_activity_score(1, 2, voice, silence) == pytest.approx(-0.5)
+    assert voice_activity_table(2, 2, voice, silence)[0] == pytest.approx(-0.5)
     # worked case: single clip in range, nonvoice 0.5 vs voice 0.5
-    got = voice_activity_score(1, 2, np.array([0.5, 0.5]), np.array([0.5, 0.0]))
+    got = voice_activity_table(2, 2, np.array([0.5, 0.5]), np.array([0.5, 0.0]))[0]
     assert got == pytest.approx(-np_sigmoid(0.5 / (0.5 + 1e-6)))
     assert got == pytest.approx(-0.7311, abs=1e-4)
-    assert voice_activity_score(2, 2, voice, silence) == 0.0
+    assert voice_activity_table(2, 1, voice, silence)[1] == 0.0
 
 
 def test_voice_activity_score_range_and_monotonicity():
@@ -146,10 +147,10 @@ def test_voice_activity_score_range_and_monotonicity():
     voice = rng.uniform(0.1, 0.5, size=6)
     for _ in range(50):
         nonvoice = rng.uniform(0.0, 1.0, size=6)
-        value = voice_activity_score(1, 6, voice, nonvoice)
+        value = voice_activity_table(6, 6, voice, nonvoice)[0]
         assert -1.0 < value < 0.0
     # non-increasing in the largest pause, holding voice fixed
-    values = [voice_activity_score(1, 6, voice, np.full(6, level))
+    values = [voice_activity_table(6, 6, voice, np.full(6, level))[0]
               for level in np.linspace(0.0, 1.0, 20)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -167,13 +168,14 @@ def test_chart_matches_naive_oracle(seed, n):
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             key = (i, j)
-            assert np.allclose(chart.h_in[key].data, oracle["h_in"][key],
+            row = chart.row(i, j)
+            assert np.allclose(chart.h_in.data[row], oracle["h_in"][key],
                                atol=1e-8, rtol=1e-8), ("h_in", key)
-            assert np.allclose(float(chart.s_in[key].data), oracle["s_in"][key],
+            assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
                                atol=1e-8, rtol=1e-8), ("s_in", key)
-            assert np.allclose(chart.h_out[key].data, oracle["h_out"][key],
+            assert np.allclose(chart.h_out.data[row], oracle["h_out"][key],
                                atol=1e-8, rtol=1e-8), ("h_out", key)
-            assert np.allclose(float(chart.s_out[key].data), oracle["s_out"][key],
+            assert np.allclose(float(chart.s_out.data[row]), oracle["s_out"][key],
                                atol=1e-8, rtol=1e-8), ("s_out", key)
             if n >= 2:
                 assert np.allclose(float(span_marginal(chart, i, j).data),
@@ -189,48 +191,52 @@ def test_chart_matches_naive_oracle_textless():
     chart, _ = run_chart(bundle, params, cfg, None, pair)
     oracle = naive_chart(bundle, {k: p.data for k, p in params.items()},
                          cfg, pair.values, None)
-    for key in chart.s_in:
-        assert np.allclose(float(chart.s_in[key].data), oracle["s_in"][key],
+    for key in chart.spans():
+        row = chart.row(*key)
+        assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
                            atol=1e-8)
-        assert np.allclose(chart.h_out[key].data, oracle["h_out"][key], atol=1e-8)
+        assert np.allclose(chart.h_out.data[row], oracle["h_out"][key], atol=1e-8)
 
 
 def test_inside_two_tokens_single_split():
     cfg, bundle, vocab_index, params, pair = _setup(31, 2)
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
     chart = inside_pass(ctx, params, cfg)
-    assert np.allclose(ad.softmax(chart.split_in[(1, 2)]).data, [1.0])
+    assert np.allclose(ad.softmax(chart.split_in[2].data[0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
     pooled = ctx.pitch_seq.data[0:2].mean(axis=0)
-    left = chart.h_in[(1, 1)].data + cfg.gamma * chart.u[(1, 1)].data \
-        + cfg.lam * pooled
-    right = chart.h_in[(2, 2)].data + cfg.gamma * chart.u[(2, 2)].data \
-        + cfg.lam * pooled
+    terminals = ad.slice_axis0(chart.h_in, 0, 2)
+    u, _ = visual_span_feature(terminals, ctx.v_proj, ctx.region_sum)
+    left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
+    right = terminals.data[1] + cfg.gamma * u.data[1] + cfg.lam * pooled
     expect = mlp_compose(Tensor(left), Tensor(right), params["compose_in_w1"],
                          params["compose_in_b1"], params["compose_in_w2"],
                          params["compose_in_b2"]).data
-    assert np.allclose(chart.h_in[(1, 2)].data, expect, atol=1e-12)
+    assert np.allclose(chart.h_in.data[chart.row(1, 2)], expect, atol=1e-12)
 
 
 def test_chart_shape_invariants():
     cfg, bundle, vocab_index, params, pair = _setup(32, 4)
     chart, _ = run_chart(bundle, params, cfg, vocab_index, pair)
-    assert len(chart.h_in) == 4 * 5 // 2
-    assert len(chart.h_out) == 4 * 5 // 2
-    assert chart.split_in[(1, 4)].data.shape == (3,)
-    for key, scores in chart.split_in.items():
-        assert abs(ad.softmax(scores).data.sum() - 1.0) <= 1e-12
+    assert chart.h_in.shape[0] == 4 * 5 // 2
+    assert chart.h_out.shape[0] == 4 * 5 // 2
+    assert chart.split_in[4].data[0].shape == (3,)
+    for scores in chart.split_in.values():
+        for row in scores.data:
+            assert abs(ad.softmax(Tensor(row)).data.sum() - 1.0) <= 1e-12
 
 
 def test_outside_two_tokens_context_formula():
     cfg, bundle, vocab_index, params, pair = _setup(33, 2)
     chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
-    expect = mlp_compose(params["root_outside_bias"], chart.h_in[(2, 2)],
+    expect = mlp_compose(params["root_outside_bias"],
+                         Tensor(chart.h_in.data[chart.row(2, 2)]),
                          params["compose_out_w1"], params["compose_out_b1"],
                          params["compose_out_w2"], params["compose_out_b2"]).data
-    assert np.allclose(chart.h_out[(1, 1)].data, expect, atol=1e-12)
-    assert float(chart.s_out[(1, 2)].data) == 0.0
-    assert np.array_equal(chart.h_out[(1, 2)].data, params["root_outside_bias"].data)
+    assert np.allclose(chart.h_out.data[chart.row(1, 1)], expect, atol=1e-12)
+    assert float(chart.s_out.data[chart.row(1, 2)]) == 0.0
+    assert np.array_equal(chart.h_out.data[chart.row(1, 2)],
+                          params["root_outside_bias"].data)
 
 
 def test_span_marginal_contract():
@@ -247,7 +253,7 @@ def test_span_marginal_contract():
         assert q == pytest.approx(dump["s_in"][key] * dump["s_out"][key] / root,
                                   abs=1e-12)
 
-    chart.s_in[(1, 3)] = Tensor(0.0)
+    chart.s_in.data[chart.row(1, 3)] = 0.0
     with pytest.raises(DegenerateChartError):
         span_marginal(chart, 1, 2)
 
@@ -264,24 +270,52 @@ def test_fusion_terms_are_additive_only():
 
     cfg_off = tiny_config(use_visual=False, use_pitch=False, use_voice=False)
     plain, _ = run_chart(bundle, params, cfg_off, vocab_index, None)
-    for key in fused.h_in:
-        assert np.array_equal(fused.h_in[key].data, plain.h_in[key].data), key
-        assert np.array_equal(fused.s_in[key].data, plain.s_in[key].data), key
-        assert np.array_equal(fused.h_out[key].data, plain.h_out[key].data), key
-        assert np.array_equal(fused.s_out[key].data, plain.s_out[key].data), key
+    for key in fused.spans():
+        row = fused.row(*key)
+        assert np.array_equal(fused.h_in.data[row], plain.h_in.data[row]), key
+        assert np.array_equal(fused.s_in.data[row], plain.s_in.data[row]), key
+        assert np.array_equal(fused.h_out.data[row], plain.h_out.data[row]), key
+        assert np.array_equal(fused.s_out.data[row], plain.s_out.data[row]), key
 
 
 def test_chart_deterministic_given_inputs():
     cfg, bundle, vocab_index, params, pair = _setup(37, 3)
     a, _ = run_chart(bundle, params, cfg, vocab_index, pair)
     b, _ = run_chart(bundle, params, cfg, vocab_index, pair)
-    for key in a.h_in:
-        assert np.array_equal(a.h_in[key].data, b.h_in[key].data)
+    for key in a.spans():
+        assert np.array_equal(a.h_in.data[a.row(*key)], b.h_in.data[b.row(*key)])
 
 
-def test_ground_span_matches_raw_argmax():
-    from mmgi.inference import ground_span
-    cfg, bundle, vocab_index, params, pair = _setup(38, 3)
-    chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
-    got = ground_span(chart, ctx, 1, 3)
-    assert got == int(np.argmax(ctx.v_proj.data @ chart.h_in[(1, 3)].data))
+
+def test_training_dropout_draws_one_uniform_per_hidden_unit_in_cell_order():
+    n = 6
+    cfg, bundle, vocab_index, params, pair = _setup(39, n, tiny_config(dropout=0.3))
+    rng = np.random.default_rng(5)
+    run_chart(bundle, params, cfg, vocab_index, pair, training=True, rng=rng)
+    hidden = params["compose_in_w1"].data.shape[1]
+    inside = sum((n - length + 1) * (length - 1) for length in range(1, n + 1))
+    outside = sum((n - length + 1) * (n - length) for length in range(1, n + 1))
+    fresh = np.random.default_rng(5)
+    fresh.random((inside + outside) * hidden)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+def test_graph_nodes_grow_linearly_in_sentence_length(monkeypatch):
+    counts = {}
+    for n in (8, 16):
+        cfg, bundle, vocab_index, params, pair = _setup(40, n, tiny_config(dropout=0.1))
+        ctx = build_context(bundle, params, cfg, vocab_index, pair)
+        built = []
+        original = ad._from_op
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_from_op", counted)
+        rng = np.random.default_rng(0)
+        chart = inside_pass(ctx, params, cfg, training=True, rng=rng)
+        outside_pass(chart, ctx, params, cfg, training=True, rng=rng)
+        monkeypatch.undo()
+        counts[n] = len(built)
+    assert counts[16] <= 2.5 * counts[8], counts

@@ -155,6 +155,21 @@ def test_checkpoint_dim_mismatch_fails(workdir, tmp_path, capsys):
     assert "dim" in capsys.readouterr().err
 
 
+def test_parse_mixed_dims_names_example(workdir, tmp_path, capsys):
+    from mmgi.corpus import save_corpus
+
+    corpus = load_corpus(workdir / "corpus.jsonl", "full")
+    odd = corpus[3]
+    odd.speech.clip_features = np.hstack([odd.speech.clip_features,
+                                          odd.speech.clip_features[:, :1]])
+    mixed = tmp_path / "mixed.jsonl"
+    save_corpus(corpus, mixed)
+    code = main(["parse", "--checkpoint", str(workdir / "run" / "checkpoint.npz"),
+                 "--corpus", str(mixed), "--out", str(tmp_path / "x.txt")])
+    assert code == 1
+    assert f"example {odd.id}: clip features have dim 6" in capsys.readouterr().err
+
+
 def test_parse_single_token_emits_leaf(workdir, tmp_path):
     import numpy as np
     from mmgi.corpus import save_corpus

@@ -23,9 +23,7 @@ def _identity_params(v, d):
 
 def _fake_chart_ctx(h_rows, token_ids):
     n = len(token_ids)
-    chart = Chart(n=n)
-    for i in range(1, n + 1):
-        chart.h_out[(i, i)] = Tensor(h_rows[i - 1])
+    chart = Chart(n=n, h_out=Tensor(h_rows))  # the terminal rows lead the chart
     ctx = ExampleContext(
         n=n, token_ids=np.array(token_ids), word_rows=None,
         clip_rows=Tensor(np.zeros((n, 2))), region_rows=Tensor(np.zeros((1, 2))),
@@ -91,10 +89,11 @@ def test_contrastive_two_span_two_image_manual_expansion():
     vp = [ctx.v_proj.data for _, ctx in batch]
     for e, (chart, ctx) in enumerate(batch):
         other = 1 - e
-        vec = chart.h_in[(1, 2)].data + chart.h_out[(1, 2)].data
+        vec = chart.h_in.data[chart.row(1, 2)] + chart.h_out.data[chart.row(1, 2)]
         q = float(span_marginal(chart, 1, 2).data)
         other_chart = batch[other][0]
-        other_vec = other_chart.h_in[(1, 2)].data + other_chart.h_out[(1, 2)].data
+        other_vec = other_chart.h_in.data[other_chart.row(1, 2)] \
+            + other_chart.h_out.data[other_chart.row(1, 2)]
         other_q = float(span_marginal(other_chart, 1, 2).data)
         pos = (vp[e] @ vec).max() * q
         neg_span = (vp[e] @ other_vec).max() * other_q  # other span, this image
@@ -102,7 +101,7 @@ def test_contrastive_two_span_two_image_manual_expansion():
         l_span = max(0.0, neg_span - pos + margin) + max(0.0, neg_img - pos + margin)
         l_word = 0.0
         for i in (1, 2):
-            term = chart.h_in[(i, i)].data
+            term = chart.h_in.data[chart.row(i, i)]
             sims = np.array([(vp[f] @ term).max() for f in range(2)])
             l_word += -(sims[e] - np.log(np.exp(sims - sims.max()).sum())
                         - sims.max())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmgi.errors import TrainingError
+from mmgi.errors import DataValidationError, TrainingError
 from mmgi.inference import build_vocab, corpus_pair_matrix, heldout_sent_f1, parse_corpus
 from mmgi.synth import SynthConfig, generate_synthetic
 from mmgi.train import train, usable_examples
@@ -81,6 +81,16 @@ def test_nonfinite_input_aborts_with_example_id():
     cfg = _cfg(epochs=1, batch=4)
     with pytest.raises(TrainingError, match=corpus[2].id):
         train(cfg, corpus)
+
+
+def test_mixed_feature_dims_fail_before_training():
+    corpus = _corpus(count=6)
+    wide = corpus[3].speech.clip_features
+    corpus[3].speech.clip_features = np.hstack([wide, wide[:, :1]])
+    with pytest.raises(DataValidationError, match=f"example {corpus[3].id}: clip"):
+        train(_cfg(epochs=1), corpus[:2], heldout=corpus[2:])
+    with pytest.raises(DataValidationError, match=f"example {corpus[3].id}: clip"):
+        train(_cfg(epochs=1), corpus)
 
 
 def test_checkpoint_written(tmp_path):
