@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Anatomy of one example's span chart.
+"""Anatomy of a batch's span chart.
 
-Runs the inside pass (bottom-up composition over all spans and split points,
-fused with region/pitch/voice features, one span length at a time), the
-outside pass (top-down context vectors), then prints span marginals and the
-decoded tree.
+Charts three sentences together: the inside pass (bottom-up composition over
+all spans and split points, fused with region/pitch/voice features, one span
+length of every sentence at a time) and the outside pass (top-down context
+vectors, one distance to the root at a time). Then prints the first
+sentence's span marginals and decoded tree.
 """
 
 import numpy as np
@@ -26,11 +27,13 @@ vocab_index = {t: i for i, t in enumerate(vocab)}
 pair = corpus_pair_matrix(corpus)
 params = build_params(cfg, len(vocab), np.random.default_rng(0))
 
-chart, ctx = run_chart(example, params, cfg, vocab_index, pair)
-n = chart.n
+chart, ctx = run_chart(corpus[:3], params, cfg, vocab_index, pair)
+lengths = chart.lengths
+n = lengths[0]
 print("tokens:", example.tokens)
-print(f"chart holds {chart.h_in.shape[0]} cells = n(n+1)/2 with n={n}, "
-      f"stored length by length: {len(chart.split_in) + 1} blocks")
+print(f"one chart for {len(chart)} sentences of lengths {lengths}: "
+      f"{chart.h_in.shape[0]} cells = sum of n(n+1)/2, stored length by length in "
+      f"{len(chart.split_in) + 1} blocks shared by the sentences")
 
 dump = chart_dump(chart)
 print("\nper-span inside/outside scores and marginals:")

@@ -27,6 +27,7 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "bmm",
     "tensor_sum",
     "tensor_mean",
     "tensor_max",
@@ -43,6 +44,7 @@ __all__ = [
     "gather_rows",
     "take_pairs",
     "slice_axis0",
+    "select",
     "transpose",
     "reshape",
 ]
@@ -51,7 +53,7 @@ __all__ = [
 class Tensor:
     """Dense float64 array with optional reverse-mode gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -119,14 +121,15 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjp = None
+    for parent in parents:
+        if parent.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._vjp = vjp
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._vjp = None
     return out
 
 
@@ -144,7 +147,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(root: Tensor) -> None:
-    """Reverse sweep from a scalar root, accumulating into ``.grad``."""
+    """Reverse sweep from a scalar root, accumulating into ``.grad``.
+
+    Leaves (parameters, inputs) keep their gradients; an interior node's
+    gradient is dropped once its vjp has passed it on, so a step's graph
+    does not hold a second copy of every activation.
+    """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
     if not root.requires_grad:
@@ -179,6 +187,8 @@ def backward(root: Tensor) -> None:
                 parent.grad = grad.copy() if grad.base is not None else grad
             else:
                 parent.grad = parent.grad + grad
+        if node is not root:
+            node.grad = None
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -260,6 +270,22 @@ def matmul(a, b) -> Tensor:
         if a_nd == 2 and b_nd == 1:
             return np.outer(g, b.data), a.data.T @ g
         return g * b.data, g * a.data  # 1-D dot
+
+    return _from_op(data, (a, b), vjp)
+
+
+def bmm(a, b) -> Tensor:
+    """Batched matrix product over a shared leading axis: (B, n, k) @ (B, k, m)."""
+    a, b = astensor(a), astensor(b)
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]:
+        raise ShapeError(f"bmm needs (B, n, k) @ (B, k, m), got {a.shape} @ {b.shape}")
+    try:
+        data = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"bmm shape mismatch: {a.shape} @ {b.shape}") from exc
+
+    def vjp(g):
+        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
 
     return _from_op(data, (a, b), vjp)
 
@@ -393,14 +419,10 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [astensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
+        bounds = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+        return tuple(np.split(g, bounds, axis=axis))
 
     return _from_op(data, tuple(tensors), vjp)
 
@@ -445,20 +467,27 @@ def take_pairs(a, rows, cols) -> Tensor:
 
 
 def slice_axis0(a, start: int, stop: int) -> Tensor:
+    return select(a, slice(start, stop))
+
+
+def select(a, key) -> Tensor:
+    """Basic (slice/integer) indexing `a[key]`; zero-filled scatter on backward."""
     a = astensor(a)
-    data = a.data[start:stop]
+    data = a.data[key]
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        out[start:stop] = g
+        out[key] = g
         return (out,)
 
     return _from_op(data, (a,), vjp)
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes (the matrix transpose of a 2-D or batched 3-D tensor)."""
     a = astensor(a)
-    return _from_op(a.data.T, (a,), lambda g: (g.T,))
+    return _from_op(np.swapaxes(a.data, -1, -2), (a,),
+                    lambda g: (np.swapaxes(g, -1, -2),))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:

@@ -1,19 +1,26 @@
-"""Differentiable span chart: terminal init, fused inside pass, outside pass.
+"""Differentiable span chart of a batch of sentences: terminal init, fused
+inside pass, outside pass.
 
-The chart holds, for every span (i, j) with 1 <= i <= j <= n, an inside
-vector/score pair built bottom-up from its decompositions and an outside
-vector/score pair built top-down from its contexts. Region, pitch, and
-voice-activity features enter the inside pass only, and only additively:
-with zero fusion weights, a zero pair matrix, and the voice term disabled,
-the pass is exactly the text-only chart.
+The chart holds, for every span (i, j) with 1 <= i <= j <= n of every
+sentence, an inside vector/score pair built bottom-up from its decompositions
+and an outside vector/score pair built top-down from its contexts. Region,
+pitch, and voice-activity features enter the inside pass only, and only
+additively: with zero fusion weights, a zero pair matrix, and the voice term
+disabled, the pass is exactly the text-only chart.
 
-Both passes fill the chart one span length at a time. Every span of length
-l has exactly l-1 splits and exactly n-l outside contexts, so all spans of
-one length are composed, scored and normalized together: their children (or
-parents and siblings) are gathered from the shorter (or longer) spans with
-index arrays that depend only on (n, l).
+The sentences of a batch share one chart. Every span of length l has exactly
+l-1 splits in every sentence, so the inside pass composes, scores and
+normalizes the spans of one length of all sentences together. Every span at
+distance r = n - l from its root has exactly r outside contexts, so the
+outside pass takes one step per distance. Children, parents and siblings are
+gathered with index arrays that depend only on the sentence lengths (see
+`_Plan`). Work that involves one sentence's own image or speech (region
+attention, pair scores, pitch pooling, word-to-clip attention) runs on
+per-sentence blocks padded to a common size, with a -inf mask where padding
+would otherwise be attended to, so its cost stays per sentence.
 
-Span indices are 1-based inclusive throughout.
+A single example is a batch of one. Span indices are 1-based inclusive
+throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -32,16 +38,14 @@ from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
 from .features import (PairRelevanceMatrix, normalize_bbox, pitch_features,
                        vad_aggregate)
-from .nn import mlp_compose
+from .nn import dropout_mask, mlp_compose
 
 __all__ = [
-    "ExampleContext",
+    "BatchContext",
     "Chart",
-    "span_row",
     "build_context",
     "init_terminals",
     "visual_span_feature",
-    "region_composition_score",
     "voice_activity_table",
     "inside_pass",
     "outside_pass",
@@ -51,127 +55,325 @@ __all__ = [
 ]
 
 ROOT_EPS = 1e-12
+PLAN_CACHE = 32   # index plans kept, keyed by the batch's sentence lengths
 
 
 @dataclass
-class ExampleContext:
-    """Per-example tensors the passes consume; rebuilt per optimization step
-    because projections are functions of the current parameters."""
+class BatchContext:
+    """Per-batch tensors the passes consume; rebuilt per optimization step
+    because projections are functions of the current parameters.
 
-    n: int
-    token_ids: np.ndarray | None
-    word_rows: Tensor | None        # (n, d_w) embedding rows
-    clip_rows: Tensor               # (T, d_s) constants
-    region_rows: Tensor             # (M, d_v) constants
-    v_proj: Tensor                  # (M, d) projected region features
-    region_sum: Tensor | None       # (M, d) v_proj + bbox embeds; None = fusion off
-    pair_sub: Tensor | None         # (M, M) pair relevance for this image
-    pitch_seq: Tensor | None        # (T, d)
-    voice_time: np.ndarray | None   # (T,)
-    nonvoice_time: np.ndarray | None
-
-
-def span_row(n: int, i, j):
-    """Row of span (i, j) in a chart's length-major storage.
-
-    Spans are stored by length, and within a length by start: the spans of
-    length l occupy n-l+1 consecutive rows. Works elementwise on integer
-    arrays.
+    Position fields concatenate the sentences in batch order. Region fields
+    are padded per image to the batch's largest region count M; pitch and
+    voice fields are padded per sentence to its largest clip count T.
     """
-    length = j - i + 1
-    return (length - 1) * (n + 1) - (length - 1) * length // 2 + i - 1
+
+    ids: list[str]
+    lengths: tuple[int, ...]        # n per sentence
+    token_ids: np.ndarray | None    # (sum n,)
+    word_rows: Tensor | None        # (sum n, d_w) embedding rows
+    clip_rows: Tensor               # (sum T, d_s) constants
+    clip_counts: tuple[int, ...]    # T per sentence
+    region_rows: Tensor             # (B*M, d_v) constants, zero rows as padding
+    region_counts: np.ndarray       # (B,) regions kept per image
+    v_proj: Tensor | None = None    # (B, M, d) projected region features
+    region_mask: np.ndarray | None = None   # (B, M): 0 for a region, -inf for padding
+    region_sum: Tensor | None = None        # (B, M, d) v_proj + bbox embeds; None = fusion off
+    pair_sub: np.ndarray | None = None      # (B, M, M) pair relevance within each image
+    pitch_seq: Tensor | None = None         # (B, T, d)
+    voice: np.ndarray | None = None         # (B, T, T) voice_activity_table per sentence
+
+
+class _Plan:
+    """Index arrays of one batch's chart; they depend only on the lengths.
+
+    Inside storage is length-major: the block of length l holds the n-l+1
+    spans of every sentence with n >= l, sentence by sentence, by start
+    within a sentence. Outside storage is the same by distance r = n - l to
+    the root. Per-sentence blocks of length l are (B, n_max - l + 1): each
+    sentence's spans padded with copies of its last one (of row 0 when it is
+    shorter than l), rows that `_unpad` drops again. Padding thus never
+    feeds a real row of another sentence, and a non-finite input stays in
+    its own sentence's rows.
+    """
+
+    def __init__(self, lengths: tuple[int, ...]):
+        n = np.array(lengths, dtype=np.intp)
+        count, n_max = n.size, int(n.max())
+        self.lengths, self.n_max = lengths, n_max
+        self.uniform = bool(np.all(n == n_max))
+        sentences = np.arange(count)
+
+        span_len = np.arange(n_max + 1)
+        cells = np.maximum(n - span_len[:, None] + 1, 0)
+        cells[0] = 0
+        flat = cells.ravel()
+        self.offsets = (np.cumsum(flat) - flat).reshape(cells.shape)
+        self.block_start = np.concatenate([[0], np.cumsum(cells.sum(axis=1))])
+        self.span_sentence = np.repeat(np.tile(sentences, n_max + 1), flat)
+        self.span_start = np.arange(flat.sum()) - np.repeat(self.offsets.ravel(), flat) + 1
+        span_length = np.repeat(np.repeat(span_len, count), flat)
+        self.span_end = self.span_start + span_length - 1
+        self.root_rows = self.offsets[n, sentences]
+        self.position_owner = np.repeat(sentences, n)
+        self.position_mask = None if self.uniform else \
+            np.where(np.arange(n_max) < n[:, None], 0.0, -np.inf)
+
+        self.pad, self.unpad, self.pool, self.inside = {}, {}, {}, {}
+        for length in range(1, n_max + 1):
+            rows = slice(self.block_start[length], self.block_start[length + 1])
+            sent, start = self.span_sentence[rows], self.span_start[rows]
+            width = n_max - length + 1
+            padded_row = sent * width + start - 1
+            if not self.uniform:
+                first = np.where(cells[length] > 0,
+                                 self.offsets[length] - self.block_start[length], 0)
+                last = np.maximum(cells[length] - 1, 0)
+                self.pad[length] = first[:, None] + np.minimum(np.arange(width), last[:, None])
+                self.unpad[length] = padded_row
+            clip = np.arange(n_max)
+            self.pool[length] = ((clip >= np.arange(width)[:, None])
+                                 & (clip < np.arange(width)[:, None] + length)) / length
+            if length == 1:
+                continue
+            splits = length - 1
+            sent, start = np.repeat(sent, splits), np.repeat(start, splits)
+            s = np.tile(np.arange(splits), rows.stop - rows.start)
+            left = self.offsets[s + 1, sent] + start - 1          # (i, k), k = i + s
+            right = self.offsets[splits - s, sent] + start + s     # (k + 1, j)
+            self.inside[length] = (left, right, np.repeat(padded_row, splits))
+
+        distance = np.arange(n_max)
+        out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
+        out_flat = out_cells.ravel()
+        out_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
+        self.out_perm = out_offsets[n[self.span_sentence] - span_length,
+                                    self.span_sentence] + self.span_start - 1
+        self.outside = {}
+        for r in range(1, n_max):
+            members = np.flatnonzero(n > r)
+            cell_sent = np.repeat(members, r + 1)
+            cell_start = np.tile(np.arange(1, r + 2), members.size)
+            cell_end = cell_start + n[cell_sent] - r - 1
+            sent, i, j = (np.repeat(a, r) for a in (cell_sent, cell_start, cell_end))
+            t = np.tile(np.arange(r), cell_sent.size)
+            before = t < i - 1   # contexts k < i first, then k > j, each ascending
+            k = np.where(before, t + 1, j + 1 + t - (i - 1))
+            p_start, p_end = np.where(before, k, i), np.where(before, j, k)
+            s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
+            parent = out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1
+            sibling = self.offsets[s_end - s_start + 1, sent] + s_start - 1
+            self.outside[r] = (parent, sibling, cell_sent, cell_start, cell_end)
+
+        # spans longer than one position, sentence by sentence, start-major
+        pairs = [np.triu_indices(m, k=1) for m in lengths]
+        self.long_sizes = np.array([i.size for i, _ in pairs], dtype=np.intp)
+        self.long_owner = np.repeat(sentences, self.long_sizes)
+        self.long_start = np.concatenate([i for i, _ in pairs]) + 1
+        self.long_end = np.concatenate([j for _, j in pairs]) + 1
+        _freeze(vars(self))
+
+    def sentence_rows(self, sentence: int) -> np.ndarray:
+        """Storage rows of one sentence's spans, by length then start."""
+        return np.flatnonzero(self.span_sentence == sentence)
+
+
+def _freeze(value) -> None:
+    """Make every array inside `value` read-only: cached plans are shared."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (dict, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _freeze(item)
+
+
+@lru_cache(maxsize=PLAN_CACHE)
+def _plan(lengths: tuple[int, ...]) -> _Plan:
+    return _Plan(lengths)
+
+
+def _pad(block: Tensor, plan: _Plan, length: int) -> Tensor:
+    """(cells, ...) rows of one length -> (B, n_max - length + 1, ...) blocks."""
+    if plan.uniform:
+        shape = (len(plan.lengths), plan.n_max - length + 1) + block.data.shape[1:]
+        return ad.reshape(block, shape)
+    return ad.gather_rows(block, plan.pad[length])
+
+
+def _unpad(blocks: Tensor, plan: _Plan, length: int) -> Tensor:
+    """Inverse of `_pad`: the rows of the real spans, in storage order."""
+    count, width = blocks.data.shape[:2]
+    flat = ad.reshape(blocks, (count * width,) + blocks.data.shape[2:])
+    return flat if plan.uniform else ad.gather_rows(flat, plan.unpad[length])
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count), concatenated."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _dropout_masks(plan: _Plan, hidden: int, rate: float,
+                   rng: np.random.Generator, inside: bool) -> tuple[dict, dict]:
+    """Dropout masks of the batched inside (if `inside`) and outside steps.
+
+    They are drawn in one call, sentence by sentence in batch order: a
+    sentence's inside lengths 2..n (span by span, split by split), then its
+    outside lengths n-1..1 (span by span, context by context). That is the
+    order in which a sentence charted on its own draws them, so a seeded run
+    consumes the same stream at any batch size. Returns {length: mask} and
+    {distance: mask}.
+    """
+    n = np.array(plan.lengths, dtype=np.intp)
+    in_rows = (n - 1) * n * (n + 1) // 6 if inside else np.zeros_like(n)
+    out_rows = (n - 1) * n * (n + 1) // 3
+    first = np.cumsum(in_rows + out_rows) - (in_rows + out_rows)
+    keep = dropout_mask(rng, (int(in_rows.sum() + out_rows.sum()), hidden), rate)
+    inside_masks = {}
+    if inside:
+        for length in range(2, plan.n_max + 1):
+            m, member = length - 2, n >= length
+            drawn = n * m * (m + 1) // 2 - m * (m + 1) * (2 * m + 1) // 6
+            rows = (n - length + 1) * (length - 1)
+            inside_masks[length] = keep[_concat_ranges(first[member] + drawn[member],
+                                                       rows[member])]
+    outside_masks = {}
+    for r in range(1, plan.n_max):
+        member = n > r
+        starts = first[member] + in_rows[member] + (r - 1) * r * (r + 1) // 3
+        outside_masks[r] = keep[_concat_ranges(starts, np.full(starts.size, r * (r + 1)))]
+    return inside_masks, outside_masks
 
 
 @dataclass
 class Chart:
-    """Inside and outside blocks of one sentence, stacked length by length.
+    """Inside and outside charts of a batch of sentences, stored length-major.
 
-    Row ``span_row(n, i, j)`` of ``h_in``/``s_in``/``h_out``/``s_out`` holds
-    span (i, j); the n-l+1 rows of length l are that length's block.
-    ``split_in[l]`` holds the (n-l+1, l-1) decomposition scores of length l
-    >= 2, column k-i for split point k. The outside fields stay None until
-    the outside pass runs.
+    Row ``row(i, j, b)`` of ``h_in``/``s_in``/``h_out``/``s_out`` holds span
+    (i, j) of sentence b; the spans of one length of all sentences form one
+    block. ``split_in[l]`` holds that block's (cells, l-1) decomposition
+    scores, column k-i for split point k. The outside fields stay None until
+    the outside pass runs. ``len(chart)`` is the number of sentences.
     """
 
-    n: int
-    h_in: Tensor | None = None      # (n(n+1)/2, d)
-    s_in: Tensor | None = None      # (n(n+1)/2,)
+    lengths: tuple[int, ...]
+    h_in: Tensor | None = None      # (spans, d)
+    s_in: Tensor | None = None      # (spans,)
     split_in: dict = field(default_factory=dict)
     h_out: Tensor | None = None
     s_out: Tensor | None = None
+    outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
+    plan: _Plan = field(init=False, repr=False)
 
-    def row(self, i, j):
-        return span_row(self.n, i, j)
+    def __post_init__(self):
+        self.plan = _plan(tuple(self.lengths))
 
-    def spans(self) -> list[tuple[int, int]]:
-        """Every span, in storage order."""
-        n = self.n
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def row(self, i, j, sentence=0):
+        """Storage row of span (i, j) of a sentence; elementwise on arrays."""
+        return self.plan.offsets[np.asarray(j) - i + 1, sentence] + np.asarray(i) - 1
+
+    def spans(self, sentence: int = 0) -> list[tuple[int, int]]:
+        """Every span of one sentence, in storage order."""
+        n = self.lengths[sentence]
         return [(i, i + length - 1) for length in range(1, n + 1)
                 for i in range(1, n - length + 2)]
 
-    def split_tables(self) -> tuple[dict, dict]:
-        """Plain-float decomposition and span score tables for decoding."""
+    def split_tables(self, sentence: int = 0) -> tuple[dict, dict]:
+        """Plain-float decomposition and span score tables of one sentence."""
+        plan = self.plan
         splits = {}
         for length, scores in self.split_in.items():
-            for c, row in enumerate(scores.data.tolist()):
+            if length > self.lengths[sentence]:
+                continue
+            first = plan.offsets[length, sentence] - plan.block_start[length]
+            block = scores.data[first:first + self.lengths[sentence] - length + 1]
+            for c, row in enumerate(block.tolist()):
                 splits[(c + 1, c + length)] = row
-        spans = dict(zip(self.spans(), self.s_in.data.tolist()))
-        return splits, spans
+        values = self.s_in.data[plan.sentence_rows(sentence)].tolist()
+        return splits, dict(zip(self.spans(sentence), values))
 
 
-def build_context(example: ExampleBundle, params: dict[str, Tensor],
-                  cfg: RunConfig, vocab_index: dict[str, int] | None,
-                  pair_matrix: PairRelevanceMatrix | None) -> ExampleContext:
-    """Project raw modalities once per example; regions are capped at roi_count."""
+def build_context(examples: ExampleBundle | list[ExampleBundle],
+                  params: dict[str, Tensor], cfg: RunConfig,
+                  vocab_index: dict[str, int] | None,
+                  pair_matrix: PairRelevanceMatrix | None) -> BatchContext:
+    """Project the raw modalities of one example or a batch once; regions are
+    capped at roi_count."""
+    if isinstance(examples, ExampleBundle):
+        examples = [examples]
     textless = cfg.mode == "textless"
-    n = example.speech.count if textless else len(example.tokens or [])
+    lengths = tuple(ex.speech.count if textless else len(ex.tokens or [])
+                    for ex in examples)
 
     token_ids = None
     word_rows = None
     if not textless:
-        if example.tokens is None:
-            raise AlignmentError(f"example {example.id}: full mode requires tokens")
-        try:
-            token_ids = np.array([vocab_index[t] for t in example.tokens], dtype=np.intp)
-        except KeyError as exc:
-            raise DataValidationError(
-                f"example {example.id}: token {exc.args[0]!r} outside the vocabulary"
-            ) from exc
+        ids = []
+        for ex in examples:
+            if ex.tokens is None:
+                raise AlignmentError(f"example {ex.id}: full mode requires tokens")
+            try:
+                ids.extend(vocab_index[t] for t in ex.tokens)
+            except KeyError as exc:
+                raise DataValidationError(
+                    f"example {ex.id}: token {exc.args[0]!r} outside the vocabulary"
+                ) from exc
+        token_ids = np.array(ids, dtype=np.intp)
         word_rows = ad.gather_rows(params["word_embeddings"], token_ids)
 
-    clip_rows = ad.constant(example.speech.clip_features)
+    clip_rows = ad.constant(np.concatenate([ex.speech.clip_features for ex in examples]))
 
-    keep = min(example.regions.count, cfg.roi_count)
-    region_rows = ad.constant(example.regions.features[:keep])
-    v_proj = ad.matmul(region_rows, params["vision_projection"])
+    count = len(examples)
+    keep = np.array([min(ex.regions.count, cfg.roi_count) for ex in examples])
+    most = int(keep.max())
+    features = np.zeros((count, most, examples[0].regions.features.shape[1]))
+    for b, ex in enumerate(examples):
+        features[b, :keep[b]] = ex.regions.features[:keep[b]]
+    region_rows = ad.constant(features.reshape(count * most, -1))
+    region_mask = None
+    if np.any(keep != most):
+        region_mask = np.where(np.arange(most) < keep[:, None], 0.0, -np.inf)
+    v_proj = ad.reshape(ad.matmul(region_rows, params["vision_projection"]),
+                        (count, most, cfg.d))
     region_sum = pair_sub = None
     if cfg.use_visual:
-        width, height = example.regions.image_size
-        units = np.stack([
-            normalize_bbox(example.regions.bboxes[m], width, height, index=m)
-            for m in range(keep)
-        ])
-        boxes = ad.matmul(ad.constant(units), params["bbox_embed_w"]) + params["bbox_embed_b"]
-        region_sum = v_proj + boxes
+        units = np.zeros((count, most, 4))
+        for b, ex in enumerate(examples):
+            width, height = ex.regions.image_size
+            for m in range(keep[b]):
+                units[b, m] = normalize_bbox(ex.regions.bboxes[m], width, height, index=m)
+        boxes = ad.matmul(ad.constant(units.reshape(count * most, 4)),
+                          params["bbox_embed_w"]) + params["bbox_embed_b"]
+        region_sum = v_proj + ad.reshape(boxes, (count, most, cfg.d))
         if pair_matrix is not None:
-            pair_sub = ad.constant(pair_matrix.submatrix(example.regions.categories[:keep]))
+            pair_sub = np.zeros((count, most, most))
+            for b, ex in enumerate(examples):
+                pair_sub[b, :keep[b], :keep[b]] = pair_matrix.submatrix(
+                    ex.regions.categories[:keep[b]])
 
+    clip_counts = tuple(ex.speech.count for ex in examples)
     pitch_seq = None
     if cfg.use_pitch:
         pitch_seq = pitch_features(
-            example.speech, params["pitch_embedding"], params["pitch_lstm_wx"],
-            params["pitch_lstm_wh"], params["pitch_lstm_b"],
+            [ex.speech for ex in examples], params["pitch_embedding"],
+            params["pitch_lstm_wx"], params["pitch_lstm_wh"], params["pitch_lstm_b"],
         )
 
-    voice_time = nonvoice_time = None
+    voice = None
     if cfg.use_voice:
-        voice_time, nonvoice_time = vad_aggregate(example.speech)
+        voice = np.zeros((count, max(clip_counts), max(clip_counts)))
+        for b, ex in enumerate(examples):
+            clips = clip_counts[b]
+            voice[b, :clips, :clips] = voice_activity_table(*vad_aggregate(ex.speech))
 
-    return ExampleContext(
-        n=n, token_ids=token_ids, word_rows=word_rows, clip_rows=clip_rows,
-        region_rows=region_rows, v_proj=v_proj, region_sum=region_sum,
-        pair_sub=pair_sub, pitch_seq=pitch_seq, voice_time=voice_time,
-        nonvoice_time=nonvoice_time,
+    return BatchContext(
+        ids=[ex.id for ex in examples], lengths=lengths, token_ids=token_ids,
+        word_rows=word_rows, clip_rows=clip_rows, clip_counts=clip_counts,
+        region_rows=region_rows, region_counts=keep, v_proj=v_proj,
+        region_mask=region_mask, region_sum=region_sum, pair_sub=pair_sub,
+        pitch_seq=pitch_seq, voice=voice,
     )
 
 
@@ -179,119 +381,81 @@ def build_context(example: ExampleBundle, params: dict[str, Tensor],
 # terminal initialization
 
 
-def init_terminals(ctx: ExampleContext, params: dict[str, Tensor],
+def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
                    cfg: RunConfig) -> Tensor:
-    """(n, d) terminal vectors.
+    """(sum n, d) terminal vectors, sentence by sentence.
 
-    Full setting: each word attends over the clip sequence (cross-attention
-    without scaling) and takes the attention-weighted value projection of the
-    clips. Textless: the projected clip itself, L2-normalized.
+    Full setting: each word attends over its own sentence's clip sequence
+    (cross-attention without scaling) and takes the attention-weighted value
+    projection of the clips. Textless: the projected clip itself,
+    L2-normalized.
     """
-    clip_proj = ad.matmul(ctx.clip_rows, params["clip_projection"])  # (T, d)
+    clip_proj = ad.matmul(ctx.clip_rows, params["clip_projection"])  # (sum T, d)
     if cfg.mode == "textless":
         sq = ad.tensor_sum(clip_proj * clip_proj, axis=1)
         norms = ad.reshape(ad.sqrt(sq + 1e-16), (ctx.clip_rows.data.shape[0], 1))
         return ad.div(clip_proj, norms)
-    if ctx.word_rows is None or ctx.word_rows.data.shape[0] != clip_proj.data.shape[0]:
-        have = None if ctx.word_rows is None else ctx.word_rows.data.shape[0]
-        raise AlignmentError(
-            f"full setting requires one clip per token, got {have} tokens "
-            f"vs {clip_proj.data.shape[0]} clips"
-        )
-    word_proj = ad.matmul(ctx.word_rows, params["word_projection"])  # (n, d)
-    queries = ad.matmul(word_proj, params["attn_q"])
-    keys = ad.matmul(clip_proj, params["attn_k"])
-    values = ad.matmul(clip_proj, params["attn_v"])
-    attention = ad.softmax(ad.matmul(queries, ad.transpose(keys)), axis=1)
-    return ad.matmul(attention, values)
+    for ex_id, n, clips in zip(ctx.ids, ctx.lengths, ctx.clip_counts):
+        if n != clips:
+            raise AlignmentError(
+                f"example {ex_id}: full setting requires one clip per token, "
+                f"got {n} tokens vs {clips} clips"
+            )
+    plan = _plan(ctx.lengths)
+    word_proj = ad.matmul(ctx.word_rows, params["word_projection"])  # (sum n, d)
+    queries = _pad(ad.matmul(word_proj, params["attn_q"]), plan, 1)
+    keys = _pad(ad.matmul(clip_proj, params["attn_k"]), plan, 1)
+    values = _pad(ad.matmul(clip_proj, params["attn_v"]), plan, 1)
+    logits = ad.bmm(queries, ad.transpose(keys))
+    if plan.position_mask is not None:
+        logits = logits + plan.position_mask[:, None, :]
+    attention = ad.softmax(logits, axis=-1)
+    return _unpad(ad.bmm(attention, values), plan, 1)
 
 
 # ---------------------------------------------------------------------------
 # fusion features
 
 
-def visual_span_feature(h_in: Tensor, v_proj: Tensor,
-                        region_sum: Tensor) -> tuple[Tensor, Tensor]:
-    """Attention-pooled region feature of a span (d,) or of each row of a
-    block of spans (cells, d): (u, attention weights over the regions)."""
-    att = ad.softmax(ad.matmul(h_in, ad.transpose(v_proj)), axis=-1)
-    return ad.matmul(att, region_sum), att
+def visual_span_feature(h_in: Tensor, v_proj: Tensor, region_sum: Tensor,
+                        mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Attention-pooled region feature: (u, attention weights over the regions).
+
+    For a span (d,) or a block of spans (cells, d) against one image's
+    (M, d) regions, or for per-sentence blocks (B, C, d) against each
+    sentence's own (B, M, d) regions, with `mask` (B, M) adding -inf to
+    padding regions.
+    """
+    product = ad.bmm if h_in.data.ndim == 3 else ad.matmul
+    logits = product(h_in, ad.transpose(v_proj))
+    if mask is not None:
+        logits = logits + mask[:, None, :]
+    att = ad.softmax(logits, axis=-1)
+    return product(att, region_sum), att
 
 
-def region_composition_score(att_left: Tensor, att_right: Tensor,
-                             pair_sub: Tensor) -> Tensor:
-    """How plausibly two sub-spans' attended regions compose, via the pair
-    matrix; row-wise for (rows, M) attention blocks."""
-    return ad.tensor_sum(ad.matmul(att_left, pair_sub) * att_right, axis=-1)
-
-
-def voice_activity_table(n: int, length: int, voice_time: np.ndarray,
-                         nonvoice_time: np.ndarray) -> np.ndarray:
-    """Speech-rhythm density of the n-length+1 spans of one length, by start.
+def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:
+    """Speech-rhythm density of every span (i, j) of one sentence, at [i-1, j-1].
 
     Span (i, j) ranges over clips i..j-1 and is penalized for its longest
     internal pause relative to its mean voiced time; a single position has
-    an empty range and scores 0. Always in (-1, 0) otherwise.
+    an empty range and scores 0. Always in (-1, 0) otherwise. Entries below
+    the diagonal are 0 and unused.
     """
-    cells = n - length + 1
-    if length == 1:
-        return np.zeros(cells)
-    seg_nonvoice = sliding_window_view(nonvoice_time, length - 1)[:cells]
-    seg_voice = sliding_window_view(voice_time, length - 1)[:cells]
-    ratio = seg_nonvoice.max(axis=1) / (seg_voice.mean(axis=1) + 1e-6)
-    return -1.0 / (1.0 + np.exp(-ratio))
+    n = len(voice_time)
+    first, end = np.indices((n, n))     # span (first + 1, end + 1) covers clips first..end-1
+    pauses = np.where(end >= first, nonvoice_time, -np.inf)
+    longest = np.full((n, n), -np.inf)
+    longest[:, 1:] = np.maximum.accumulate(pauses, axis=1)[:, :-1]
+    voiced = np.concatenate([[0.0], np.cumsum(voice_time)])
+    clips = end - first
+    mean_voice = (voiced[end] - voiced[first]) / np.maximum(clips, 1)
+    ratio = np.where(clips > 0, longest / (mean_voice + 1e-6), 0.0)
+    return np.where(clips > 0, -1.0 / (1.0 + np.exp(-ratio)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # passes
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=None)
-def _inside_index(n: int, length: int) -> tuple[np.ndarray, ...]:
-    """Child rows of every (span, split) pair of one length, and pitch pooling.
-
-    Pairs run span by span (start ascending), splits k = i..j-1 within a
-    span. Returns the storage rows of the left children (i, k) and right
-    children (k+1, j), each pair's span (i - 1), and the (spans, n) matrix
-    averaging clips i..j of each span.
-    """
-    cells, splits = n - length + 1, length - 1
-    start = np.repeat(np.arange(1, cells + 1), splits)
-    k = start + np.tile(np.arange(splits), cells)
-    left = span_row(n, start, k)
-    right = span_row(n, k + 1, start + length - 1)
-    first, clip = np.arange(cells)[:, None], np.arange(n)
-    pool = ((clip >= first) & (clip < first + length)) / length
-    return _frozen(left, right, start - 1, pool)
-
-
-@lru_cache(maxsize=None)
-def _outside_index(n: int, length: int) -> tuple[np.ndarray, ...]:
-    """Parent and sibling rows of every (span, context) pair of one length.
-
-    Pairs run span by span (start ascending); within a span the contexts
-    k < i (parent (k, j), sibling (k, i-1)) come before k > j (parent
-    (i, k), sibling (j+1, k)), each in ascending k. Parent rows index the
-    spans longer than `length`; sibling rows index the whole chart.
-    """
-    parents, siblings = [], []
-    for i in range(1, n - length + 2):
-        j = i + length - 1
-        for k in range(1, i):
-            parents.append(span_row(n, k, j))
-            siblings.append(span_row(n, k, i - 1))
-        for k in range(j + 1, n + 1):
-            parents.append(span_row(n, i, k))
-            siblings.append(span_row(n, j + 1, k))
-    first_longer = span_row(n, 1, length + 1)
-    return _frozen(np.array(parents, dtype=np.intp) - first_longer,
-                   np.array(siblings, dtype=np.intp))
 
 
 def _weighted(scores: Tensor, composed: Tensor) -> tuple[Tensor, Tensor]:
@@ -304,82 +468,104 @@ def _weighted(scores: Tensor, composed: Tensor) -> tuple[Tensor, Tensor]:
     return h, ad.tensor_sum(scores * weights, axis=1)
 
 
-def inside_pass(ctx: ExampleContext, params: dict[str, Tensor], cfg: RunConfig,
+def _first_nonfinite(scores: Tensor) -> tuple[int, int] | None:
+    if np.all(np.isfinite(scores.data)):
+        return None
+    cell, column = np.argwhere(~np.isfinite(scores.data))[0]
+    return int(cell), int(column)
+
+
+def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 training: bool = False,
                 rng: np.random.Generator | None = None) -> Chart:
     """Fill inside vectors/scores bottom-up, caching decomposition scores.
 
-    Each length is one batch over all of its (span, split) pairs; dropout
-    masks are drawn span by span (start ascending), split by split, which
-    fixes the rng stream a seeded run consumes.
+    Each length is one batch over all of its (span, split) pairs in every
+    sentence. In training with dropout, the masks of this pass and of the
+    outside pass are drawn here, in the order `_dropout_masks` fixes.
     """
-    n = ctx.n
+    plan = _plan(ctx.lengths)
     terminals = init_terminals(ctx, params, cfg)
+    inside_masks = outside_masks = None
+    if training and cfg.dropout > 0.0:
+        inside_masks, outside_masks = _dropout_masks(
+            plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng, inside=True)
     gamma, lam = cfg.gamma, cfg.lam
+    count = len(ctx.lengths)
     h_blocks = [terminals]
-    s_blocks = [ad.constant(np.zeros(n))]
+    s_blocks = [ad.constant(np.zeros(terminals.data.shape[0]))]
     child_blocks: list[Tensor] = []   # span vectors plus their region feature
     att_blocks: list[Tensor] = []     # region attention of each span
+    pair_blocks: list[Tensor] = []    # that attention through the pair matrix
+    voice = None
+    if ctx.voice is not None:
+        voice = ctx.voice[plan.span_sentence, plan.span_start - 1, plan.span_end - 1]
 
-    def add_child_block(h: Tensor) -> None:
+    def add_child_block(h: Tensor, length: int) -> None:
         if ctx.region_sum is None:
             child_blocks.append(h)
             return
-        u, att = visual_span_feature(h, ctx.v_proj, ctx.region_sum)
-        child_blocks.append(h + gamma * u)
-        att_blocks.append(att)
+        u, att = visual_span_feature(_pad(h, plan, length), ctx.v_proj,
+                                     ctx.region_sum, ctx.region_mask)
+        child_blocks.append(h + gamma * _unpad(u, plan, length))
+        att_blocks.append(_unpad(att, plan, length))
+        if ctx.pair_sub is not None:
+            pair_blocks.append(_unpad(ad.bmm(att, ctx.pair_sub), plan, length))
 
-    add_child_block(terminals)
+    add_child_block(terminals, 1)
     split_in = {}
-    for length in range(2, n + 1):
-        left_rows, right_rows, owner, pool = _inside_index(n, length)
-        cells, splits = n - length + 1, length - 1
+    for length in range(2, plan.n_max + 1):
+        left_rows, right_rows, pitch_rows = plan.inside[length]
+        block = slice(plan.block_start[length], plan.block_start[length + 1])
+        cells, splits = block.stop - block.start, length - 1
         children = ad.concat(child_blocks)
         left = ad.gather_rows(children, left_rows)
         right = ad.gather_rows(children, right_rows)
         if ctx.pitch_seq is not None:
-            pooled = lam * ad.matmul(ad.constant(pool), ctx.pitch_seq)
-            pooled = ad.gather_rows(pooled, owner)
+            pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
+            pooled = lam * ad.bmm(pool, ctx.pitch_seq)
+            pooled = ad.gather_rows(ad.reshape(pooled, (-1, pooled.data.shape[2])),
+                                    pitch_rows)
             left = left + pooled
             right = right + pooled
 
         composed = mlp_compose(
             left, right, params["compose_in_w1"], params["compose_in_b1"],
             params["compose_in_w2"], params["compose_in_b2"],
-            dropout_rate=cfg.dropout, rng=rng, training=training,
+            keep=None if inside_masks is None else inside_masks[length],
         )
         scores = ad.tensor_sum(
             ad.matmul(left, params["bilinear_inside"]) * right, axis=1
         )
-        if ctx.pair_sub is not None:
-            atts = ad.concat(att_blocks)
-            scores = scores + region_composition_score(
-                ad.gather_rows(atts, left_rows), ad.gather_rows(atts, right_rows),
-                ctx.pair_sub)
-        if ctx.voice_time is not None:
-            voice = voice_activity_table(n, length, ctx.voice_time, ctx.nonvoice_time)
-            scores = scores + np.repeat(voice, splits)
+        if pair_blocks:
+            scores = scores + ad.tensor_sum(
+                ad.gather_rows(ad.concat(pair_blocks), left_rows)
+                * ad.gather_rows(ad.concat(att_blocks), right_rows), axis=1)
+        if voice is not None:
+            scores = scores + np.repeat(voice[block], splits)
         span_scores = ad.concat(s_blocks)
         scores = scores + ad.gather_rows(span_scores, left_rows) \
             + ad.gather_rows(span_scores, right_rows)
         scores = ad.reshape(scores, (cells, splits))
-        if not np.all(np.isfinite(scores.data)):
-            c, split = np.argwhere(~np.isfinite(scores.data))[0]
+        bad = _first_nonfinite(scores)
+        if bad is not None:
+            row = block.start + bad[0]
+            start = int(plan.span_start[row])
             raise ChartError(
-                f"non-finite inside score at span ({c + 1}, {c + length}), "
-                f"split k={c + 1 + split}"
+                f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
+                f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
         h, s = _weighted(scores, composed)
         split_in[length] = scores
         h_blocks.append(h)
         s_blocks.append(s)
-        if length < n:
-            add_child_block(h)
-    return Chart(n=n, h_in=ad.concat(h_blocks), s_in=ad.concat(s_blocks),
-                 split_in=split_in)
+        if length < plan.n_max:
+            add_child_block(h, length)
+    return Chart(lengths=ctx.lengths, h_in=ad.concat(h_blocks), s_in=ad.concat(s_blocks),
+                 split_in=split_in, outside_masks=outside_masks)
 
 
-def outside_pass(chart: Chart, ctx: ExampleContext, params: dict[str, Tensor],
+def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                  cfg: RunConfig, training: bool = False,
                  rng: np.random.Generator | None = None) -> Chart:
     """Fill outside vectors/scores top-down.
@@ -388,82 +574,93 @@ def outside_pass(chart: Chart, ctx: ExampleContext, params: dict[str, Tensor],
     inside cell: position k > j uses parent (i, k) and sibling (j+1, k);
     k < i uses parent (k, j) and sibling (k, i-1). The root has no context;
     its outside vector is a learned bias and its outside score is zero.
-    Each length is one batch over all of its (span, context) pairs, drawing
-    dropout masks in the context order of `_outside_index`.
+    Each distance r to the root is one batch over all (span, context) pairs
+    of every sentence with n > r. Dropout masks come from the training
+    inside pass, or are drawn here when it did not draw them.
     """
-    n = chart.n
-    bias = params["root_outside_bias"]
-    h_blocks = [ad.reshape(bias, (1, bias.data.shape[0]))]   # longest first
-    s_blocks = [ad.constant(np.zeros(1))]
-    for length in range(n - 1, 0, -1):
-        parent_rows, sibling_rows = _outside_index(n, length)
-        cells, contexts = n - length + 1, n - length
-        parent = ad.gather_rows(ad.concat(h_blocks[::-1]), parent_rows)
+    plan = chart.plan
+    masks = chart.outside_masks if training else None
+    if training and cfg.dropout > 0.0 and masks is None:
+        _, masks = _dropout_masks(plan, params["compose_out_w1"].data.shape[1],
+                                  cfg.dropout, rng, inside=False)
+    count = len(chart)
+    h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
+    s_blocks = [ad.constant(np.zeros(count))]
+    for r in range(1, plan.n_max):
+        parent_rows, sibling_rows, cell_sent, cell_start, cell_end = plan.outside[r]
+        parent = ad.gather_rows(ad.concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
         composed = mlp_compose(
             parent, sibling, params["compose_out_w1"],
             params["compose_out_b1"], params["compose_out_w2"],
-            params["compose_out_b2"],
-            dropout_rate=cfg.dropout, rng=rng, training=training,
+            params["compose_out_b2"], keep=None if masks is None else masks[r],
         )
         scores = ad.tensor_sum(
             ad.matmul(parent, params["bilinear_outside"]) * sibling, axis=1
-        ) + ad.gather_rows(ad.concat(s_blocks[::-1]), parent_rows) \
+        ) + ad.gather_rows(ad.concat(s_blocks), parent_rows) \
             + ad.gather_rows(chart.s_in, sibling_rows)
-        scores = ad.reshape(scores, (cells, contexts))
-        if not np.all(np.isfinite(scores.data)):
-            c, bad = np.argwhere(~np.isfinite(scores.data))[0]
+        scores = ad.reshape(scores, (cell_sent.size, r))
+        bad = _first_nonfinite(scores)
+        if bad is not None:
+            c = bad[0]
             raise ChartError(
-                f"non-finite outside score at span ({c + 1}, {c + length}), "
-                f"context {bad}"
+                f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
+                f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
             )
         h, s = _weighted(scores, composed)
         h_blocks.append(h)
         s_blocks.append(s)
-    chart.h_out = ad.concat(h_blocks[::-1])
-    chart.s_out = ad.concat(s_blocks[::-1])
+    chart.h_out = ad.gather_rows(ad.concat(h_blocks), plan.out_perm)
+    chart.s_out = ad.gather_rows(ad.concat(s_blocks), plan.out_perm)
     return chart
 
 
-def span_marginal(chart: Chart, i, j) -> Tensor:
+def span_marginal(chart: Chart, i, j, sentence=0) -> Tensor:
     """q(i, j): inside times outside score, normalized by the root inside score.
 
-    `i` and `j` may be equal-shape integer arrays, giving one marginal per span.
+    `i`, `j` and `sentence` may be equal-shape integer arrays, giving one
+    marginal per span.
     """
-    root = ad.gather_rows(chart.s_in, chart.row(1, chart.n))
-    if abs(float(root.data)) < ROOT_EPS:
+    root = ad.gather_rows(chart.s_in, chart.plan.root_rows[sentence])
+    small = np.abs(root.data) < ROOT_EPS
+    if np.any(small):
         raise DegenerateChartError(
-            f"root inside score {float(root.data):.3e} too small to normalize"
+            f"root inside score {float(np.asarray(root.data)[small].flat[0]):.3e} "
+            f"too small to normalize"
         )
-    rows = chart.row(i, j)
+    rows = chart.row(i, j, sentence)
     return ad.div(ad.gather_rows(chart.s_in, rows) * ad.gather_rows(chart.s_out, rows),
                   root)
 
 
-def run_chart(example: ExampleBundle, params: dict[str, Tensor], cfg: RunConfig,
+def run_chart(examples: ExampleBundle | list[ExampleBundle],
+              params: dict[str, Tensor], cfg: RunConfig,
               vocab_index: dict[str, int] | None,
               pair_matrix: PairRelevanceMatrix | None,
               training: bool = False, rng: np.random.Generator | None = None,
-              outside: bool = True) -> tuple[Chart, ExampleContext]:
-    """Context + inside (+ optionally outside) in one call."""
-    ctx = build_context(example, params, cfg, vocab_index, pair_matrix)
+              outside: bool = True) -> tuple[Chart, BatchContext]:
+    """Context + inside (+ optionally outside) of one example or a batch."""
+    ctx = build_context(examples, params, cfg, vocab_index, pair_matrix)
     chart = inside_pass(ctx, params, cfg, training=training, rng=rng)
     if outside:
         outside_pass(chart, ctx, params, cfg, training=training, rng=rng)
     return chart, ctx
 
 
-def chart_dump(chart: Chart) -> dict:
-    """JSON-friendly dump of all scores, marginals, and the argmax splits."""
-    spans = chart.spans()
+def chart_dump(chart: Chart, sentence: int = 0) -> dict:
+    """JSON-friendly dump of one sentence's scores, marginals, and argmax splits."""
+    spans = chart.spans(sentence)
+    rows = chart.plan.sentence_rows(sentence)
     keys = [f"{i},{j}" for i, j in spans]
-    doc: dict = {"n": chart.n, "s_in": dict(zip(keys, chart.s_in.data.tolist())),
+    doc: dict = {"n": chart.lengths[sentence],
+                 "s_in": dict(zip(keys, chart.s_in.data[rows].tolist())),
                  "s_out": {}, "q": {}, "argmax_k": {}}
     if chart.s_out is not None:
         starts, ends = np.array(spans).T
-        doc["s_out"] = dict(zip(keys, chart.s_out.data.tolist()))
-        doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends).data.tolist()))
-    for length, scores in chart.split_in.items():
-        for c, k in enumerate(np.argmax(scores.data, axis=1).tolist()):
-            doc["argmax_k"][f"{c + 1},{c + length}"] = c + 1 + k
+        doc["s_out"] = dict(zip(keys, chart.s_out.data[rows].tolist()))
+        doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends,
+                                                sentence).data.tolist()))
+    splits, _ = chart.split_tables(sentence)
+    for (i, j), scores in splits.items():
+        doc["argmax_k"][f"{i},{j}"] = i + int(np.argmax(scores))
     return doc

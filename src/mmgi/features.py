@@ -221,12 +221,18 @@ def pitch_indices(track: SpeechTrack) -> np.ndarray:
     return np.array([pitch_index(frames) for frames in track.f0_frames], dtype=np.intp)
 
 
-def pitch_features(track: SpeechTrack, embedding: Tensor, lstm_wx: Tensor,
+def pitch_features(tracks: Sequence[SpeechTrack], embedding: Tensor, lstm_wx: Tensor,
                    lstm_wh: Tensor, lstm_b: Tensor) -> Tensor:
-    """(T, d_p) pitch sequence: embedding lookup followed by the LSTM."""
-    idx = pitch_indices(track)
-    embedded = ad.gather_rows(embedding, idx)
-    return lstm_forward(embedded, lstm_wx, lstm_wh, lstm_b)
+    """(B, T_max, d_p) pitch sequences: embedding lookup followed by the LSTM.
+
+    Tracks shorter than T_max are padded with the unvoiced row after their
+    end; the LSTM is causal, so the padding leaves their states unchanged.
+    """
+    idx = np.full((len(tracks), max(track.count for track in tracks)), UNVOICED_INDEX,
+                  dtype=np.intp)
+    for b, track in enumerate(tracks):
+        idx[b, :track.count] = pitch_indices(track)
+    return lstm_forward(ad.gather_rows(embedding, idx), lstm_wx, lstm_wh, lstm_b)
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,14 @@ def parse_example(example: ExampleBundle, params: dict[str, Tensor],
     dump additionally runs the outside pass for the span marginals.
     """
     ctx = build_context(example, params, cfg, vocab_index, pair_matrix)
-    if ctx.n == 1:
+    n = ctx.lengths[0]
+    if n == 1:
         if with_scores:
             return 1, {"n": 1, "s_in": {"1,1": 0.0}, "s_out": {}, "q": {}, "argmax_k": {}}
         return 1
     chart = inside_pass(ctx, params, cfg, training=False)
     splits, spans = chart.split_tables()
-    tree, _ = cky_decode(splits, spans, ctx.n)
+    tree, _ = cky_decode(splits, spans, n)
     if with_scores:
         outside_pass(chart, ctx, params, cfg, training=False)
         return tree, chart_dump(chart)

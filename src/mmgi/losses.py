@@ -1,4 +1,9 @@
-"""Training objectives: reconstruction, contrastive, and representation losses."""
+"""Training objectives: reconstruction, contrastive, and representation losses.
+
+Each objective is computed per sentence and averaged over the batch, with
+one graph for the whole batch: per-sentence sums and means are products with
+constant (B, rows) averaging matrices.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import Chart, ExampleContext, span_marginal
+from .chart import BatchContext, Chart, span_marginal
 from .config import RunConfig
 
 __all__ = [
@@ -38,37 +43,73 @@ class LossReport:
                    alpha1, alpha2)
 
 
-def reconstruction_loss(chart: Chart, ctx: ExampleContext,
+def _segment_matrix(counts, stride: int | None = None, mean: bool = True) -> np.ndarray:
+    """(B, rows) matrix summing (or averaging) each sentence's rows.
+
+    Rows are packed sentence after sentence, or `stride` apart with padding
+    after each sentence's `counts[b]` rows.
+    """
+    counts = np.asarray(counts)
+    width = counts if stride is None else np.full(counts.size, stride)
+    matrix = np.repeat(np.eye(counts.size), width, axis=1)
+    if stride is not None:
+        matrix *= (np.arange(stride) < counts[:, None]).ravel()
+    return matrix / counts[:, None] if mean else matrix
+
+
+def reconstruction_loss(chart: Chart, ctx: BatchContext,
                         params: dict[str, Tensor]) -> Tensor:
     """Blank-filling NLL: each terminal's outside vector predicts its token.
 
     The outside vector is mapped back to word-embedding space through the
     transposed input projection and scored against the (tied) embedding
-    table with a full softmax.
+    table with a full softmax. Averaged over each sentence, then the batch.
     """
     if ctx.token_ids is None:
         raise ValueError("reconstruction loss requires tokens (full setting)")
-    n = chart.n
-    h_out = ad.slice_axis0(chart.h_out, 0, n)  # terminals lead the storage order
+    positions = ctx.token_ids.size
+    h_out = ad.slice_axis0(chart.h_out, 0, positions)  # terminals lead the storage
     logits = ad.matmul(
         ad.matmul(h_out, ad.transpose(params["word_projection"])),
         ad.transpose(params["word_embeddings"]),
     )
     log_probs = ad.log_softmax(logits, axis=1)
-    picked = ad.take_pairs(log_probs, np.arange(n), ctx.token_ids)
-    return -ad.tensor_mean(picked)
+    picked = ad.take_pairs(log_probs, np.arange(positions), ctx.token_ids)
+    return -ad.tensor_mean(ad.matmul(_segment_matrix(ctx.lengths), picked))
 
 
-def _span_list(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the spans longer than one position, start-major."""
-    i, j = np.triu_indices(n, k=1)
-    return i + 1, j + 1
+def _sample_negatives(sizes: np.ndarray, rng: np.random.Generator):
+    """One negative span and one negative image per span of each sentence.
+
+    `sizes[e]` counts sentence e's spans, stored back to back. Per sentence
+    with spans and another sentence with spans, in batch order: draw a
+    source sentence per span, a span within each source, then an image per
+    span. Returns (positive rows, negative span rows, negative images,
+    owning sentence), each per hinge.
+    """
+    count = len(sizes)
+    offsets = np.cumsum(sizes) - sizes
+    positives, neg_spans, neg_images, owners = [], [], [], []
+    for e in range(count):
+        others = np.array([f for f in range(count) if f != e and sizes[f]], dtype=np.intp)
+        if not sizes[e] or not others.size:
+            continue
+        n_spans = int(sizes[e])
+        src = rng.integers(0, len(others), size=n_spans)
+        within = np.array([rng.integers(0, sizes[others[s]]) for s in src])
+        neg_imgs = [f for f in range(count) if f != e]
+        picks = [neg_imgs[rng.integers(0, len(neg_imgs))] for _ in range(n_spans)]
+        positives.append(offsets[e] + np.arange(n_spans))
+        neg_spans.append(offsets[others[src]] + within)
+        neg_images.append(np.array(picks, dtype=np.intp))
+        owners.append(np.full(n_spans, e, dtype=np.intp))
+    if not positives:
+        return None
+    return tuple(np.concatenate(parts) for parts in (positives, neg_spans, neg_images, owners))
 
 
-def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
-                     params: dict[str, Tensor], margin: float,
-                     rng: np.random.Generator,
-                     cfg: RunConfig) -> tuple[Tensor, list[float]]:
+def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
+                     rng: np.random.Generator) -> tuple[Tensor, list[float]]:
     """Span- and word-level contrastive objective over one batch.
 
     Span level: a span's image relevance is its best region similarity scaled
@@ -80,63 +121,40 @@ def contrastive_loss(batch: list[tuple[Chart, ExampleContext]],
 
     Returns the batch-mean loss tensor plus per-example values.
     """
-    count = len(batch)
-    span_keys = [_span_list(chart.n) for chart, _ in batch]
-    span_vecs: list[Tensor | None] = []
-    rel: list[list[Tensor | None]] = [[None] * count for _ in range(count)]
-    proj_t = [ad.transpose(ctx.v_proj) for _, ctx in batch]
+    plan = chart.plan
+    count, regions, d = ctx.v_proj.data.shape
+    regions_t = ad.transpose(ad.reshape(ctx.v_proj, (count * regions, d)))
 
-    for e, (chart, _) in enumerate(batch):
-        starts, ends = span_keys[e]
-        if not starts.size:
-            span_vecs.append(None)
-            continue
-        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends))
-        marginals = span_marginal(chart, starts, ends)
-        span_vecs.append(vecs)
-        for img in range(count):
-            sim = ad.tensor_max(ad.matmul(vecs, proj_t[img]), axis=1)
-            rel[e][img] = sim * marginals
+    def best_region(rows: Tensor) -> Tensor:
+        """(R, d) vectors -> (R, B) best region similarity in each image."""
+        sims = ad.reshape(ad.matmul(rows, regions_t), (-1, count, regions))
+        if ctx.region_mask is not None:
+            sims = sims + ctx.region_mask
+        return ad.tensor_max(sims, axis=2)
 
-    per_example: list[Tensor] = []
-    for e, (chart, _) in enumerate(batch):
-        parts: list[Tensor] = []
-        others = [f for f in range(count) if f != e and span_vecs[f] is not None]
-        if span_vecs[e] is not None and others:
-            positives = rel[e][e]
-            n_spans = span_keys[e][0].size
-            # one negative span and one negative image per positive
-            flat = ad.concat([rel[f][e] for f in others])
-            sizes = [span_keys[f][0].size for f in others]
-            offsets = np.cumsum([0] + sizes)
-            src = rng.integers(0, len(others), size=n_spans)
-            within = np.array([rng.integers(0, sizes[s]) for s in src])
-            neg_span = ad.gather_rows(flat, offsets[src] + within)
+    per_example = None
+    sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
+    if sampled is not None:
+        starts, ends, owner = plan.long_start, plan.long_end, plan.long_owner
+        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends, owner))
+        marginals = span_marginal(chart, starts, ends, owner)
+        rel = best_region(vecs) * ad.reshape(marginals, (-1, 1))
+        pos_rows, neg_rows, neg_images, hinge_owner = sampled
+        positives = ad.take_pairs(rel, pos_rows, hinge_owner)
+        neg_span = ad.take_pairs(rel, neg_rows, hinge_owner)
+        neg_img = ad.take_pairs(rel, pos_rows, neg_images)
+        hinges = ad.relu(neg_span - positives + margin) \
+            + ad.relu(neg_img - positives + margin)
+        per_sentence = np.eye(count)[:, hinge_owner]
+        per_example = ad.matmul(per_sentence, hinges)
 
-            neg_imgs = [f for f in range(count) if f != e]
-            img_pick = np.array([neg_imgs[rng.integers(0, len(neg_imgs))]
-                                 for _ in range(n_spans)])
-            stacked = ad.stack([rel[e][f] for f in range(count)])
-            neg_img = ad.take_pairs(stacked, img_pick, np.arange(n_spans))
-
-            parts.append(ad.tensor_sum(ad.relu(neg_span - positives + margin)))
-            parts.append(ad.tensor_sum(ad.relu(neg_img - positives + margin)))
-
-        terminals = ad.slice_axis0(chart.h_in, 0, chart.n)
-        cols = [ad.tensor_max(ad.matmul(terminals, proj_t[f]), axis=1)
-                for f in range(count)]
-        log_probs = ad.log_softmax(ad.stack(cols, axis=1), axis=1)
-        own = ad.take_pairs(log_probs, np.arange(chart.n),
-                            np.full(chart.n, e, dtype=np.intp))
-        parts.append(-ad.tensor_sum(own))
-
-        total = parts[0]
-        for part in parts[1:]:
-            total = total + part
-        per_example.append(total)
-
-    batch_total = ad.tensor_mean(ad.stack(per_example))
-    return batch_total, [float(t.data) for t in per_example]
+    positions = plan.position_owner.size
+    terminals = ad.slice_axis0(chart.h_in, 0, positions)
+    log_probs = ad.log_softmax(best_region(terminals), axis=1)
+    own = ad.take_pairs(log_probs, np.arange(positions), plan.position_owner)
+    word = ad.matmul(_segment_matrix(ctx.lengths, mean=False), own)
+    per_example = -word if per_example is None else per_example - word
+    return ad.tensor_mean(per_example), per_example.data.tolist()
 
 
 def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -147,44 +165,36 @@ def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     return ad.div(num, na * nb)
 
 
-def _cosine(a: Tensor, b: Tensor) -> Tensor:
-    num = ad.tensor_sum(a * b)
-    na = ad.sqrt(ad.tensor_sum(a * a) + NORM_EPS ** 2)
-    nb = ad.sqrt(ad.tensor_sum(b * b) + NORM_EPS ** 2)
-    return ad.div(num, na * nb)
-
-
-def representation_loss(ctx: ExampleContext, params: dict[str, Tensor],
+def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
                         cfg: RunConfig) -> Tensor:
     """Cross-modal alignment in a shared space, as (1 - cosine) distances.
 
     Full setting: per-position clip/word alignment plus a global
     speech/image alignment of averaged projections; textless keeps only the
-    global term. Each term lies in [0, 2].
+    global term. Each term lies in [0, 2]; averaged over the batch.
     """
     speech = ad.matmul(ctx.clip_rows, params["align_proj_speech"])
     vision = ad.matmul(ctx.region_rows, params["align_proj_vision"])
-    global_term = 1.0 - _cosine(ad.tensor_mean(speech, axis=0),
-                                ad.tensor_mean(vision, axis=0))
+    stride = ctx.region_rows.data.shape[0] // len(ctx.region_counts)
+    global_term = 1.0 - _cosine_rows(
+        ad.matmul(_segment_matrix(ctx.clip_counts), speech),
+        ad.matmul(_segment_matrix(ctx.region_counts, stride), vision))
     if cfg.mode == "textless" or ctx.word_rows is None:
-        return global_term
+        return ad.tensor_mean(global_term)
     text = ad.matmul(ctx.word_rows, params["align_proj_text"])
-    word_term = ad.tensor_mean(1.0 - _cosine_rows(speech, text))
-    return word_term + global_term
+    word_term = ad.matmul(_segment_matrix(ctx.lengths), 1.0 - _cosine_rows(speech, text))
+    return ad.tensor_mean(word_term + global_term)
 
 
-def batch_loss(batch: list[tuple[Chart, ExampleContext]],
-               params: dict[str, Tensor], cfg: RunConfig,
-               rng: np.random.Generator) -> tuple[Tensor, LossReport]:
-    """Total training loss for a batch, averaged over examples."""
+def batch_loss(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
+               cfg: RunConfig, rng: np.random.Generator) -> tuple[Tensor, LossReport]:
+    """Total training loss of a batch's chart, averaged over its examples."""
     if cfg.mode == "textless":
         rec = ad.constant(0.0)
     else:
-        rec_terms = [reconstruction_loss(chart, ctx, params) for chart, ctx in batch]
-        rec = ad.tensor_mean(ad.stack(rec_terms))
-    contrastive, _ = contrastive_loss(batch, params, cfg.margin, rng, cfg)
-    rep_terms = [representation_loss(ctx, params, cfg) for _, ctx in batch]
-    rep = ad.tensor_mean(ad.stack(rep_terms))
+        rec = reconstruction_loss(chart, ctx, params)
+    contrastive, _ = contrastive_loss(chart, ctx, cfg.margin, rng)
+    rep = representation_loss(ctx, params, cfg)
     total = rec + cfg.alpha1 * contrastive + cfg.alpha2 * rep
     report = LossReport.build(float(rec.data), float(contrastive.data),
                               float(rep.data), cfg.alpha1, cfg.alpha2)

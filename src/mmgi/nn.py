@@ -12,7 +12,7 @@ __all__ = [
     "glorot_uniform",
     "mlp_compose",
     "lstm_forward",
-    "dropout",
+    "dropout_mask",
     "l2_normalize",
 ]
 
@@ -31,13 +31,12 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def mlp_compose(left: Tensor, right: Tensor, w1: Tensor, b1: Tensor,
-                w2: Tensor, b2: Tensor, *, dropout_rate: float = 0.0,
-                rng: np.random.Generator | None = None,
-                training: bool = False) -> Tensor:
+                w2: Tensor, b2: Tensor, *, keep: np.ndarray | None = None) -> Tensor:
     """Two-layer MLP over the concatenation of two span vectors.
 
     Accepts single vectors (d,) or batches (K, d); the concatenation happens
-    along the last axis, so weights are (2d, hidden) and (hidden, d).
+    along the last axis, so weights are (2d, hidden) and (hidden, d). `keep`
+    is an optional dropout mask (see `dropout_mask`) on the hidden layer.
     """
     if left.data.shape != right.data.shape:
         raise ShapeError(
@@ -50,44 +49,53 @@ def mlp_compose(left: Tensor, right: Tensor, w1: Tensor, b1: Tensor,
         )
     x = ad.concat([left, right], axis=-1)
     h = ad.tanh(ad.matmul(x, w1) + b1)
-    if training and dropout_rate > 0.0:
-        h = dropout(h, dropout_rate, rng)
+    if keep is not None:
+        h = h * keep
     return ad.matmul(h, w2) + b2
 
 
 def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """Single-layer unidirectional LSTM over a (T, d) sequence, zero initial state.
+    """Single-layer unidirectional LSTM, zero initial state.
 
-    Gate layout along the 4d axis: input, forget, cell, output. Returns the
-    (T, d) sequence of hidden states.
+    Takes one (T, d) sequence or a (B, T, d) batch of sequences padded to a
+    common T; the recurrence is causal, so padding after a sequence's end
+    does not change its hidden states. The input projection of every step is
+    one matmul. Gate layout along the 4d axis: input, forget, cell, output.
+    Returns the hidden states in the input's shape.
     """
-    if inputs.data.ndim != 2 or inputs.data.shape[0] == 0:
-        raise ValueError(f"lstm_forward needs a nonempty (T, d) sequence, got {inputs.shape}")
-    d = inputs.data.shape[1]
+    shape = inputs.data.shape
+    if inputs.data.ndim not in (2, 3) or 0 in shape[:-1]:
+        raise ValueError(f"lstm_forward needs a nonempty (T, d) or (B, T, d) sequence, "
+                         f"got {inputs.shape}")
+    d = shape[-1]
     if w_x.data.shape != (d, 4 * d):
         raise ShapeError(f"lstm weight shape {w_x.data.shape} does not match input dim {d}")
-    h = ad.constant(np.zeros(d))
-    c = ad.constant(np.zeros(d))
+    batch, steps = (1,) + shape[:1] if inputs.data.ndim == 2 else shape[:2]
+    projected = ad.matmul(ad.reshape(inputs, (batch * steps, d)), w_x) + b
+    projected = ad.reshape(projected, (batch, steps, 4 * d))
+    h = ad.constant(np.zeros((batch, d)))
+    c = ad.constant(np.zeros((batch, d)))
     outs = []
-    for t in range(inputs.data.shape[0]):
-        x_t = ad.reshape(ad.slice_axis0(inputs, t, t + 1), (d,))
-        z = ad.matmul(x_t, w_x) + ad.matmul(h, w_h) + b  # (4d,)
-        gi = ad.sigmoid(ad.slice_axis0(z, 0, d))
-        gf = ad.sigmoid(ad.slice_axis0(z, d, 2 * d))
-        gc = ad.tanh(ad.slice_axis0(z, 2 * d, 3 * d))
-        go = ad.sigmoid(ad.slice_axis0(z, 3 * d, 4 * d))
+    for t in range(steps):
+        z = ad.select(projected, (slice(None), t)) + ad.matmul(h, w_h)  # (B, 4d)
+        gates = ad.sigmoid(z)
+        gi = ad.select(gates, (slice(None), slice(0, d)))
+        gf = ad.select(gates, (slice(None), slice(d, 2 * d)))
+        gc = ad.tanh(ad.select(z, (slice(None), slice(2 * d, 3 * d))))
+        go = ad.select(gates, (slice(None), slice(3 * d, 4 * d)))
         c = gf * c + gi * gc
         h = go * ad.tanh(c)
         outs.append(h)
-    return ad.stack(outs, axis=0)
+    out = ad.stack(outs, axis=1)
+    return out if inputs.data.ndim == 3 else ad.reshape(out, shape)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a constant mask drawn from `rng`."""
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
+                 rate: float) -> np.ndarray:
+    """Inverted-dropout mask: 0 with probability `rate`, else 1 / (1 - rate)."""
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return ad.mul(x, ad.constant(keep))
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def l2_normalize(v: Tensor) -> Tensor:

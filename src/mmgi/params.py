@@ -104,7 +104,11 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (params, cfg, vocab, step, adam_state|None, pair_matrix|None)."""
+    """Returns (params, cfg, vocab, step, adam_state|None, pair_matrix|None).
+
+    Every parameter tensor must be present with the shape the stored config
+    and vocabulary imply (vocabulary size 1 in textless mode).
+    """
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -125,11 +129,18 @@ def load_checkpoint(path: str | Path):
                 adam_v[key[7:]] = archive[key].copy()
             elif key == "pair_matrix":
                 pair_matrix = archive[key].copy()
-    expected = {name for name, _, _ in _shapes(cfg, len(meta["vocab"] or []) or 1)}
-    if meta["vocab"]:
-        missing = expected - set(params)
-        if missing:
-            raise CheckpointError(f"{path}: missing tensors {sorted(missing)}")
+    expected = {name: shape for name, shape, _ in _shapes(cfg, len(meta["vocab"] or []) or 1)}
+    missing = sorted(set(expected) - set(params))
+    if missing:
+        raise CheckpointError(f"{path}: missing tensors {missing}")
+    for name, tensor in params.items():
+        if name not in expected:
+            raise CheckpointError(f"{path}: unexpected tensor {name}")
+        if tensor.data.shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name} has shape {tensor.data.shape}, "
+                f"the config expects {expected[name]}"
+            )
     adam_state = None
     if adam_m:
         adam_state = {"step": meta["step"], "m": adam_m, "v": adam_v}

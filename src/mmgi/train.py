@@ -74,15 +74,12 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
         seen = 0
         for lo in range(0, len(order), cfg.batch):
             chunk = [usable[idx] for idx in order[lo:lo + cfg.batch]]
-            batch = []
-            for ex in chunk:
-                try:
-                    batch.append(run_chart(ex, params, cfg, vocab_index,
-                                           pair_matrix, training=True,
-                                           rng=dropout_rng))
-                except ChartError as exc:
-                    raise TrainingError(f"example {ex.id}: {exc}") from exc
-            total, report = batch_loss(batch, params, cfg, sample_rng)
+            try:
+                chart, ctx = run_chart(chunk, params, cfg, vocab_index, pair_matrix,
+                                       training=True, rng=dropout_rng)
+            except ChartError as exc:
+                raise TrainingError(str(exc)) from exc
+            total, report = batch_loss(chart, ctx, params, cfg, sample_rng)
             if not np.isfinite(total.data):
                 raise TrainingError(
                     f"non-finite loss in batch of ids "
@@ -91,6 +88,8 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
             optimizer.zero_grad()
             backward(total)
             optimizer.step()
+            # the next step's graph must not be built while this one is alive
+            del chart, ctx, total
             for name, p in params.items():
                 if not np.all(np.isfinite(p.data)):
                     raise TrainingError(

@@ -47,9 +47,8 @@ def end_to_end_fixture(seed: int = 0, batch_size: int = 2):
     params = build_params(cfg, len(vocab), np.random.default_rng([seed, 7]))
 
     def loss_fn() -> Tensor:
-        batch = [run_chart(ex, params, cfg, vocab_index, pair, training=False)
-                 for ex in examples]
-        total, _ = batch_loss(batch, params, cfg, np.random.default_rng([seed, 11]))
+        chart, ctx = run_chart(examples, params, cfg, vocab_index, pair, training=False)
+        total, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng([seed, 11]))
         return total
 
     return loss_fn, params, examples, cfg

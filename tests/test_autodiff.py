@@ -80,6 +80,11 @@ OPS = {
                                            np.array([2, 0, 0])), {"a": (3, 4)}),
     "slice_axis0": (lambda t: ad.slice_axis0(t["a"], 1, 3), {"a": (5, 3)}),
     "transpose": (lambda t: ad.transpose(t["a"]), {"a": (3, 4)}),
+    "transpose_3d": (lambda t: ad.transpose(t["a"]), {"a": (2, 3, 4)}),
+    "bmm": (lambda t: ad.bmm(t["a"], t["b"]), {"a": (2, 3, 4), "b": (2, 4, 5)}),
+    "select_time_step": (lambda t: ad.select(t["a"], (slice(None), 1)), {"a": (2, 3, 4)}),
+    "select_last_axis": (lambda t: ad.select(t["a"], (slice(None), slice(2, 5))),
+                         {"a": (3, 6)}),
     "reshape": (lambda t: ad.reshape(t["a"], (6,)), {"a": (2, 3)}),
 }
 
@@ -124,6 +129,23 @@ def test_backward_requires_scalar_root():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+
+def test_bmm_shape_mismatch():
+    with pytest.raises(ShapeError):
+        ad.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+    with pytest.raises(ShapeError):
+        ad.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 2))))
+
+
+def test_backward_frees_interior_gradients():
+    leaf = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    interior = ad.tanh(leaf * 2.0)
+    root = ad.tensor_sum(interior * interior)
+    backward(root)
+    assert leaf.grad is not None
+    assert np.allclose(leaf.grad, 2 * interior.data * (1 - interior.data ** 2) * 2.0)
+    assert interior.grad is None
 
 
 def test_forward_is_deterministic():

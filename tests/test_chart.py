@@ -6,10 +6,11 @@ import pytest
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
 from mmgi.chart import (build_context, chart_dump, init_terminals, inside_pass,
-                        outside_pass, region_composition_score, run_chart,
-                        span_marginal, visual_span_feature, voice_activity_table)
+                        outside_pass, run_chart, span_marginal,
+                        visual_span_feature, voice_activity_table)
 from mmgi.errors import AlignmentError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
+from mmgi.losses import batch_loss
 from mmgi.nn import mlp_compose
 from mmgi.params import build_params
 
@@ -106,40 +107,16 @@ def test_visual_span_feature_matches_naive_sum():
     assert np.allclose(att.data, weights, atol=1e-12)
 
 
-def test_region_composition_single_category():
-    att = Tensor(np.array([1.0]))
-    pair = Tensor(np.array([[0.37]]))
-    assert region_composition_score(att, att, pair).data == pytest.approx(0.37)
-
-
-def test_region_composition_zero_matrix():
-    att = Tensor(np.array([0.25, 0.75]))
-    pair = Tensor(np.zeros((2, 2)))
-    assert region_composition_score(att, att, pair).data == 0.0
-
-
-def test_region_composition_matches_double_loop():
-    rng = np.random.default_rng(7)
-    left = rng.random(3)
-    left /= left.sum()
-    right = rng.random(3)
-    right /= right.sum()
-    pair = rng.random((3, 3))
-    got = region_composition_score(Tensor(left), Tensor(right), Tensor(pair)).data
-    expect = sum(left[m] * right[n] * pair[m, n] for m in range(3) for n in range(3))
-    assert abs(float(got) - expect) < 1e-10
-
-
 def test_voice_activity_score_values():
-    # voice_activity_table(n, length, ...)[i - 1] scores span (i, i + length - 1)
+    # voice_activity_table(...)[i - 1, j - 1] scores span (i, j)
     voice = np.array([0.5, 0.5])
     silence = np.zeros(2)
-    assert voice_activity_table(2, 2, voice, silence)[0] == pytest.approx(-0.5)
+    assert voice_activity_table(voice, silence)[0, 1] == pytest.approx(-0.5)
     # worked case: single clip in range, nonvoice 0.5 vs voice 0.5
-    got = voice_activity_table(2, 2, np.array([0.5, 0.5]), np.array([0.5, 0.0]))[0]
+    got = voice_activity_table(np.array([0.5, 0.5]), np.array([0.5, 0.0]))[0, 1]
     assert got == pytest.approx(-np_sigmoid(0.5 / (0.5 + 1e-6)))
     assert got == pytest.approx(-0.7311, abs=1e-4)
-    assert voice_activity_table(2, 1, voice, silence)[1] == 0.0
+    assert voice_activity_table(voice, silence)[1, 1] == 0.0
 
 
 def test_voice_activity_score_range_and_monotonicity():
@@ -147,10 +124,10 @@ def test_voice_activity_score_range_and_monotonicity():
     voice = rng.uniform(0.1, 0.5, size=6)
     for _ in range(50):
         nonvoice = rng.uniform(0.0, 1.0, size=6)
-        value = voice_activity_table(6, 6, voice, nonvoice)[0]
+        value = voice_activity_table(voice, nonvoice)[0, 5]
         assert -1.0 < value < 0.0
     # non-increasing in the largest pause, holding voice fixed
-    values = [voice_activity_table(6, 6, voice, np.full(6, level))[0]
+    values = [voice_activity_table(voice, np.full(6, level))[0, 5]
               for level in np.linspace(0.0, 1.0, 20)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -204,9 +181,10 @@ def test_inside_two_tokens_single_split():
     chart = inside_pass(ctx, params, cfg)
     assert np.allclose(ad.softmax(chart.split_in[2].data[0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
-    pooled = ctx.pitch_seq.data[0:2].mean(axis=0)
+    pooled = ctx.pitch_seq.data[0, 0:2].mean(axis=0)
     terminals = ad.slice_axis0(chart.h_in, 0, 2)
-    u, _ = visual_span_feature(terminals, ctx.v_proj, ctx.region_sum)
+    u, _ = visual_span_feature(terminals, ad.select(ctx.v_proj, 0),
+                               ad.select(ctx.region_sum, 0))
     left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
     right = terminals.data[1] + cfg.gamma * u.data[1] + cfg.lam * pooled
     expect = mlp_compose(Tensor(left), Tensor(right), params["compose_in_w1"],
@@ -319,3 +297,63 @@ def test_graph_nodes_grow_linearly_in_sentence_length(monkeypatch):
         monkeypatch.undo()
         counts[n] = len(built)
     assert counts[16] <= 2.5 * counts[8], counts
+
+
+def test_batch_chart_equals_per_sentence_charts():
+    # mixed lengths (n=2 up to the longest) and region counts, dropout on
+    cfg = tiny_config(dropout=0.3)
+    rng = np.random.default_rng(41)
+    shapes = [(5, 3), (2, 2), (7, 3), (3, 1), (7, 4), (4, 3)]
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"b{k}")
+               for k, (n, regions) in enumerate(shapes)]
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(42))
+    pair = PairRelevanceMatrix(np.random.default_rng(43).random((5, 5)))
+
+    batch_rng = np.random.default_rng(44)
+    chart, _ = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                         rng=batch_rng)
+    single_rng = np.random.default_rng(44)
+    for b, bundle in enumerate(bundles):
+        alone, _ = run_chart(bundle, params, cfg, vocab_index, pair, training=True,
+                             rng=single_rng)
+        for i, j in alone.spans():
+            got, want = chart.row(i, j, b), alone.row(i, j)
+            for field in ("h_in", "s_in", "h_out", "s_out"):
+                assert np.allclose(getattr(chart, field).data[got],
+                                   getattr(alone, field).data[want],
+                                   atol=1e-12, rtol=1e-12), (b, i, j, field)
+        splits, _ = chart.split_tables(b)
+        want_splits, _ = alone.split_tables()
+        assert splits.keys() == want_splits.keys()
+        for key, row in splits.items():
+            assert np.allclose(row, want_splits[key], atol=1e-12, rtol=1e-12), (b, key)
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_graph_nodes_of_a_step_do_not_grow_with_batch_size(monkeypatch):
+    cfg = tiny_config(dropout=0.1, batch=16)
+    rng = np.random.default_rng(45)
+    bundles = [random_bundle(rng, int(n), cfg, regions=int(regions), ex_id=f"g{k}")
+               for k, (n, regions) in enumerate(zip(rng.integers(2, 10, size=16),
+                                                    rng.integers(1, 5, size=16)))]
+    longest = max(bundles, key=lambda ex: ex.n)
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(46))
+    pair = PairRelevanceMatrix(np.random.default_rng(47).random((5, 5)))
+    counts = {}
+    for examples in (bundles, [longest]):
+        built = []
+        original = ad._from_op
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_from_op", counted)
+        chart, ctx = run_chart(examples, params, cfg, vocab_index, pair, training=True,
+                               rng=np.random.default_rng(0))
+        batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+        monkeypatch.undo()
+        counts[len(examples)] = len(built)
+    assert counts[16] <= 1.5 * counts[1], counts

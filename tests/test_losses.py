@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmgi.autodiff import Tensor
-from mmgi.chart import Chart, ExampleContext, run_chart, span_marginal
+from mmgi.chart import BatchContext, Chart, run_chart, span_marginal
 from mmgi.features import PairRelevanceMatrix
 from mmgi.losses import (LossReport, batch_loss, contrastive_loss,
                          reconstruction_loss, representation_loss)
@@ -23,12 +23,11 @@ def _identity_params(v, d):
 
 def _fake_chart_ctx(h_rows, token_ids):
     n = len(token_ids)
-    chart = Chart(n=n, h_out=Tensor(h_rows))  # the terminal rows lead the chart
-    ctx = ExampleContext(
-        n=n, token_ids=np.array(token_ids), word_rows=None,
-        clip_rows=Tensor(np.zeros((n, 2))), region_rows=Tensor(np.zeros((1, 2))),
-        v_proj=Tensor(np.zeros((1, 2))), region_sum=None, pair_sub=None,
-        pitch_seq=None, voice_time=None, nonvoice_time=None)
+    chart = Chart(lengths=(n,), h_out=Tensor(h_rows))  # the terminal rows lead the chart
+    ctx = BatchContext(
+        ids=["fake"], lengths=(n,), token_ids=np.array(token_ids), word_rows=None,
+        clip_rows=Tensor(np.zeros((n, 2))), clip_counts=(n,),
+        region_rows=Tensor(np.zeros((1, 2))), region_counts=np.array([1]))
     return chart, ctx
 
 
@@ -67,41 +66,41 @@ def test_reconstruction_requires_tokens():
 
 
 def _two_example_batch(seed=0, n=2):
+    """Both examples charted as one batch, plus the first charted alone."""
     cfg = tiny_config(batch=2)
     rng = np.random.default_rng(seed)
     bundles = [random_bundle(rng, n, cfg, ex_id=f"e{k}") for k in range(2)]
     vocab_index = tiny_vocab_index(bundles)
     params = build_params(cfg, len(vocab_index), np.random.default_rng(seed + 1))
     pair = PairRelevanceMatrix(np.random.default_rng(seed + 2).random((5, 5)))
-    batch = [run_chart(b, params, cfg, vocab_index, pair) for b in bundles]
-    return cfg, params, batch
+    batch = run_chart(bundles, params, cfg, vocab_index, pair)
+    single = run_chart(bundles[0], params, cfg, vocab_index, pair)
+    return cfg, params, batch, single
 
 
 def test_contrastive_two_span_two_image_manual_expansion():
-    cfg, params, batch = _two_example_batch(seed=3)
+    cfg, params, (chart, ctx), _ = _two_example_batch(seed=3)
     rng_used = np.random.default_rng(77)
-    total, per_example = contrastive_loss(batch, params, cfg.margin,
-                                          rng_used, cfg)
+    total, per_example = contrastive_loss(chart, ctx, cfg.margin, rng_used)
 
     # manual recomputation from raw chart quantities (n=2: one span each)
     margin = cfg.margin
     expect_total = 0.0
-    vp = [ctx.v_proj.data for _, ctx in batch]
-    for e, (chart, ctx) in enumerate(batch):
+    vp = list(ctx.v_proj.data)
+    for e in range(2):
         other = 1 - e
-        vec = chart.h_in.data[chart.row(1, 2)] + chart.h_out.data[chart.row(1, 2)]
-        q = float(span_marginal(chart, 1, 2).data)
-        other_chart = batch[other][0]
-        other_vec = other_chart.h_in.data[other_chart.row(1, 2)] \
-            + other_chart.h_out.data[other_chart.row(1, 2)]
-        other_q = float(span_marginal(other_chart, 1, 2).data)
+        vec = chart.h_in.data[chart.row(1, 2, e)] + chart.h_out.data[chart.row(1, 2, e)]
+        q = float(span_marginal(chart, 1, 2, e).data)
+        other_vec = chart.h_in.data[chart.row(1, 2, other)] \
+            + chart.h_out.data[chart.row(1, 2, other)]
+        other_q = float(span_marginal(chart, 1, 2, other).data)
         pos = (vp[e] @ vec).max() * q
         neg_span = (vp[e] @ other_vec).max() * other_q  # other span, this image
         neg_img = (vp[other] @ vec).max() * q           # this span, other image
         l_span = max(0.0, neg_span - pos + margin) + max(0.0, neg_img - pos + margin)
         l_word = 0.0
         for i in (1, 2):
-            term = chart.h_in.data[chart.row(i, i)]
+            term = chart.h_in.data[chart.row(i, i, e)]
             sims = np.array([(vp[f] @ term).max() for f in range(2)])
             l_word += -(sims[e] - np.log(np.exp(sims - sims.max()).sum())
                         - sims.max())
@@ -111,27 +110,25 @@ def test_contrastive_two_span_two_image_manual_expansion():
 
 
 def test_contrastive_singleton_batch_is_zero():
-    cfg, params, batch = _two_example_batch(seed=4)
-    total, per_example = contrastive_loss(batch[:1], params, cfg.margin,
-                                          np.random.default_rng(0), cfg)
+    cfg, params, _, (chart, ctx) = _two_example_batch(seed=4)
+    total, per_example = contrastive_loss(chart, ctx, cfg.margin,
+                                          np.random.default_rng(0))
     assert float(total.data) == pytest.approx(0.0, abs=1e-12)
     assert per_example == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_contrastive_hinge_monotone_in_margin():
-    cfg, params, batch = _two_example_batch(seed=5, n=3)
+    cfg, params, (chart, ctx), _ = _two_example_batch(seed=5, n=3)
     values = []
     for margin in (0.0, 0.5, 1.0, 2.0):
-        total, _ = contrastive_loss(batch, params, margin,
-                                    np.random.default_rng(9), cfg)
+        total, _ = contrastive_loss(chart, ctx, margin, np.random.default_rng(9))
         values.append(float(total.data))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_contrastive_span_hinges_nonnegative():
-    cfg, params, batch = _two_example_batch(seed=6, n=3)
-    total, per_example = contrastive_loss(batch, params, 1.0,
-                                          np.random.default_rng(2), cfg)
+    cfg, params, (chart, ctx), _ = _two_example_batch(seed=6, n=3)
+    total, per_example = contrastive_loss(chart, ctx, 1.0, np.random.default_rng(2))
     assert np.isfinite(total.data)
 
 
@@ -141,12 +138,11 @@ def test_contrastive_span_hinges_nonnegative():
 
 def _ctx_for_repr(clips, words, regions):
     n = clips.shape[0]
-    return ExampleContext(
-        n=n, token_ids=np.zeros(n, dtype=np.intp),
+    return BatchContext(
+        ids=["repr"], lengths=(n,), token_ids=np.zeros(n, dtype=np.intp),
         word_rows=Tensor(words) if words is not None else None,
-        clip_rows=Tensor(clips), region_rows=Tensor(regions),
-        v_proj=Tensor(np.zeros((regions.shape[0], 2))), region_sum=None,
-        pair_sub=None, pitch_seq=None, voice_time=None, nonvoice_time=None)
+        clip_rows=Tensor(clips), clip_counts=(n,), region_rows=Tensor(regions),
+        region_counts=np.array([regions.shape[0]]))
 
 
 def _eye_align(d):
@@ -218,8 +214,8 @@ def test_loss_report_identity():
 
 
 def test_batch_loss_matches_report_exactly():
-    cfg, params, batch = _two_example_batch(seed=7, n=3)
-    total, report = batch_loss(batch, params, cfg, np.random.default_rng(1))
+    cfg, params, (chart, ctx), _ = _two_example_batch(seed=7, n=3)
+    total, report = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
     assert report.total == report.l_rec + cfg.alpha1 * report.l_cl \
         + cfg.alpha2 * report.l_rep
     assert float(total.data) == pytest.approx(report.total, abs=1e-12)
@@ -231,7 +227,7 @@ def test_batch_loss_textless_has_zero_reconstruction():
     bundles = [random_bundle(rng, 3, cfg, ex_id=f"t{k}") for k in range(2)]
     params = build_params(cfg, 1, np.random.default_rng(9))
     pair = PairRelevanceMatrix(np.random.default_rng(10).random((5, 5)))
-    batch = [run_chart(b, params, cfg, None, pair) for b in bundles]
-    total, report = batch_loss(batch, params, cfg, np.random.default_rng(2))
+    chart, ctx = run_chart(bundles, params, cfg, None, pair)
+    total, report = batch_loss(chart, ctx, params, cfg, np.random.default_rng(2))
     assert report.l_rec == 0.0
     assert np.isfinite(total.data)

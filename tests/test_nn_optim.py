@@ -5,9 +5,9 @@ import pytest
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
-from mmgi.errors import ShapeError
+from mmgi.errors import CheckpointError, ShapeError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import dropout, glorot_uniform, l2_normalize, lstm_forward, mlp_compose
+from mmgi.nn import dropout_mask, glorot_uniform, l2_normalize, lstm_forward, mlp_compose
 from mmgi.optim import Adam
 from mmgi.params import (PITCH_VOCAB, build_params, load_checkpoint,
                          parameter_count, save_checkpoint)
@@ -122,9 +122,8 @@ def test_lstm_matches_naive_and_gradient(rng):
 
 
 def test_dropout_scales_and_is_seeded(rng):
-    x = Tensor(np.ones((200, 10)))
-    out1 = dropout(x, 0.3, np.random.default_rng(9)).data
-    out2 = dropout(x, 0.3, np.random.default_rng(9)).data
+    out1 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
+    out2 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
     assert np.array_equal(out1, out2)
     kept = out1[out1 > 0]
     assert np.allclose(kept, 1.0 / 0.7)
@@ -218,6 +217,40 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(adam_state["m"][name], opt.m[name])
         assert np.array_equal(adam_state["v"][name], opt.v[name])
     assert np.array_equal(pair2, pair)
+
+
+def _saved(tmp_path, cfg, vocab, **replace):
+    """Save freshly built params with some tensors replaced (None drops one)."""
+    params = build_params(cfg, len(vocab) if vocab else 1, np.random.default_rng(0))
+    for name, data in replace.items():
+        if data is None:
+            del params[name]
+        else:
+            params[name] = Tensor(data)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, params, cfg, vocab)
+    return path
+
+
+def test_checkpoint_wrong_shape_names_the_tensor(tmp_path):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"], attn_q=np.zeros((3, 3)))
+    with pytest.raises(CheckpointError, match=r"attn_q has shape \(3, 3\)"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_tensor_names_the_tensor(tmp_path):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"], bilinear_inside=None)
+    with pytest.raises(CheckpointError, match="bilinear_inside"):
+        load_checkpoint(path)
+
+
+def test_textless_checkpoint_is_validated(tmp_path):
+    cfg = tiny_config(mode="textless")
+    load_checkpoint(_saved(tmp_path, cfg, None))
+    with pytest.raises(CheckpointError, match="pitch_lstm_b"):
+        load_checkpoint(_saved(tmp_path, cfg, None, pitch_lstm_b=None))
+    with pytest.raises(CheckpointError, match="clip_projection"):
+        load_checkpoint(_saved(tmp_path, cfg, None, clip_projection=np.zeros((2, 2))))
 
 
 def test_params_finite_after_steps():

@@ -1,5 +1,8 @@
 """Training loop determinism, edge cases, and failure diagnostics."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -79,8 +82,28 @@ def test_nonfinite_input_aborts_with_example_id():
     corpus = _corpus(count=4)
     corpus[2].speech.clip_features[0, 0] = np.nan
     cfg = _cfg(epochs=1, batch=4)
-    with pytest.raises(TrainingError, match=corpus[2].id):
+    with pytest.raises(TrainingError, match=corpus[2].id) as caught:
         train(cfg, corpus)
+    # the whole batch is charted together, but only the offending id is named
+    for ex in corpus[:2] + corpus[3:]:
+        assert ex.id not in str(caught.value)
+
+
+def test_step_graph_released_before_next_step(monkeypatch):
+    train_module = importlib.import_module("mmgi.train")
+    original = train_module.batch_loss
+    losses = []
+
+    def watched(chart, *args, **kwargs):
+        if losses:
+            assert losses[0]() is None, "step 1's loss is still alive"
+        total, report = original(chart, *args, **kwargs)
+        losses.append(weakref.ref(total))
+        return total, report
+
+    monkeypatch.setattr(train_module, "batch_loss", watched)
+    train(_cfg(epochs=1, batch=4), _corpus(count=8))
+    assert len(losses) == 2
 
 
 def test_mixed_feature_dims_fail_before_training():
