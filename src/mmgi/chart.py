@@ -166,11 +166,12 @@ class _Plan:
             self.outside[r] = (parent, sibling, cell_sent, cell_start, cell_end)
 
         # spans longer than one position, sentence by sentence, start-major
-        pairs = [np.triu_indices(m, k=1) for m in lengths]
-        self.long_sizes = np.array([i.size for i, _ in pairs], dtype=np.intp)
-        self.long_owner = np.repeat(sentences, self.long_sizes)
-        self.long_start = np.concatenate([i for i, _ in pairs]) + 1
-        self.long_end = np.concatenate([j for _, j in pairs]) + 1
+        long = np.flatnonzero(span_length > 1)
+        long = long[np.lexsort((self.span_end[long], self.span_start[long],
+                                self.span_sentence[long]))]
+        self.long_owner = self.span_sentence[long]
+        self.long_start, self.long_end = self.span_start[long], self.span_end[long]
+        self.long_sizes = np.bincount(self.long_owner, minlength=count)
         _freeze(vars(self))
 
     def sentence_rows(self, sentence: int) -> np.ndarray:
@@ -207,41 +208,30 @@ def _unpad(blocks: Tensor, plan: _Plan, length: int) -> Tensor:
     return flat if plan.uniform else ad.gather_rows(flat, plan.unpad[length])
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [start, start + count), concatenated."""
-    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-
-
 def _dropout_masks(plan: _Plan, hidden: int, rate: float,
                    rng: np.random.Generator, inside: bool) -> tuple[dict, dict]:
     """Dropout masks of the batched inside (if `inside`) and outside steps.
 
-    They are drawn in one call, sentence by sentence in batch order: a
-    sentence's inside lengths 2..n (span by span, split by split), then its
-    outside lengths n-1..1 (span by span, context by context). That is the
-    order in which a sentence charted on its own draws them, so a seeded run
-    consumes the same stream at any batch size. Returns {length: mask} and
-    {distance: mask}.
+    They are drawn sentence by sentence in batch order: a sentence's inside
+    lengths 2..n (span by span, split by split), then its outside lengths
+    n-1..1 (span by span, context by context). That is the order in which a
+    sentence charted on its own draws them, so a seeded run consumes the
+    same stream at any batch size. Returns {length: mask} and
+    {distance: mask}, rows in the batched steps' order.
     """
-    n = np.array(plan.lengths, dtype=np.intp)
-    in_rows = (n - 1) * n * (n + 1) // 6 if inside else np.zeros_like(n)
-    out_rows = (n - 1) * n * (n + 1) // 3
-    first = np.cumsum(in_rows + out_rows) - (in_rows + out_rows)
-    keep = dropout_mask(rng, (int(in_rows.sum() + out_rows.sum()), hidden), rate)
-    inside_masks = {}
-    if inside:
-        for length in range(2, plan.n_max + 1):
-            m, member = length - 2, n >= length
-            drawn = n * m * (m + 1) // 2 - m * (m + 1) * (2 * m + 1) // 6
-            rows = (n - length + 1) * (length - 1)
-            inside_masks[length] = keep[_concat_ranges(first[member] + drawn[member],
-                                                       rows[member])]
-    outside_masks = {}
-    for r in range(1, plan.n_max):
-        member = n > r
-        starts = first[member] + in_rows[member] + (r - 1) * r * (r + 1) // 3
-        outside_masks[r] = keep[_concat_ranges(starts, np.full(starts.size, r * (r + 1)))]
-    return inside_masks, outside_masks
+    blocks, rows = [], []   # (pass, length or distance), mask rows, in draw order
+    for n in plan.lengths:
+        for length in range(2, n + 1) if inside else ():
+            blocks.append((0, length))
+            rows.append((n - length + 1) * (length - 1))
+        for length in range(n - 1, 0, -1):
+            blocks.append((1, n - length))
+            rows.append((n - length + 1) * (n - length))
+    keep = dropout_mask(rng, (sum(rows), hidden), rate)
+    drawn: tuple[dict, dict] = ({}, {})
+    for (kind, key), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
+        drawn[kind].setdefault(key, []).append(mask)
+    return tuple({key: np.concatenate(masks) for key, masks in d.items()} for d in drawn)
 
 
 @dataclass
