@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 ROOT_EPS = 1e-12
-PLAN_CACHE = 32   # index plans kept, keyed by the batch's sentence lengths
+PLAN_CACHE = 32   # index plans of single sentences kept, by length
 
 
 @dataclass
@@ -82,6 +82,10 @@ class BatchContext:
     pair_sub: np.ndarray | None = None      # (B, M, M) pair relevance within each image
     pitch_seq: Tensor | None = None         # (B, T, d)
     voice: np.ndarray | None = None         # (B, T, T) voice_activity_table per sentence
+    plan: _Plan = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.plan = _plan(tuple(self.lengths))
 
 
 class _Plan:
@@ -189,8 +193,15 @@ def _freeze(value) -> None:
 
 
 @lru_cache(maxsize=PLAN_CACHE)
+def _sentence_plan(n: int) -> _Plan:
+    return _Plan((n,))
+
+
 def _plan(lengths: tuple[int, ...]) -> _Plan:
-    return _Plan(lengths)
+    """A batch's plan. A single sentence's (every parse) is cached by its
+    length; a training batch's lengths rarely repeat, so its plan lives
+    only as long as its context and chart."""
+    return _sentence_plan(lengths[0]) if len(lengths) == 1 else _Plan(lengths)
 
 
 def _pad(block: Tensor, plan: _Plan, length: int) -> Tensor:
@@ -252,10 +263,11 @@ class Chart:
     h_out: Tensor | None = None
     s_out: Tensor | None = None
     outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
-    plan: _Plan = field(init=False, repr=False)
+    plan: _Plan | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.plan = _plan(tuple(self.lengths))
+        if self.plan is None:
+            self.plan = _plan(tuple(self.lengths))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -391,7 +403,7 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
                 f"example {ex_id}: full setting requires one clip per token, "
                 f"got {n} tokens vs {clips} clips"
             )
-    plan = _plan(ctx.lengths)
+    plan = ctx.plan
     word_proj = ad.matmul(ctx.word_rows, params["word_projection"])  # (sum n, d)
     queries = _pad(ad.matmul(word_proj, params["attn_q"]), plan, 1)
     keys = _pad(ad.matmul(clip_proj, params["attn_k"]), plan, 1)
@@ -474,7 +486,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     sentence. In training with dropout, the masks of this pass and of the
     outside pass are drawn here, in the order `_dropout_masks` fixes.
     """
-    plan = _plan(ctx.lengths)
+    plan = ctx.plan
     terminals = init_terminals(ctx, params, cfg)
     inside_masks = outside_masks = None
     if training and cfg.dropout > 0.0:
@@ -552,7 +564,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         if length < plan.n_max:
             add_child_block(h, length)
     return Chart(lengths=ctx.lengths, h_in=ad.concat(h_blocks), s_in=ad.concat(s_blocks),
-                 split_in=split_in, outside_masks=outside_masks)
+                 split_in=split_in, outside_masks=outside_masks, plan=plan)
 
 
 def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
