@@ -9,6 +9,7 @@ randomness, and reductions use numpy's fixed evaluation order.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -437,6 +438,17 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _from_op(data, tuple(tensors), vjp)
 
 
+def _scatter_add(shape: tuple[int, ...], lead: int, rows: np.ndarray,
+                 g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` plus each slice of `g` added at its row of the first
+    `lead` axes (flattened), in index order, as ``np.add.at`` would."""
+    width = math.prod(shape[lead:])
+    targets = rows.ravel()
+    if width != 1:
+        targets = (targets[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(targets, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows `a[indices]` (integer array); scatter-add on backward."""
     a = astensor(a)
@@ -444,9 +456,7 @@ def gather_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_scatter_add(a.data.shape, 1, idx % a.data.shape[0], g),)
 
     return _from_op(data, (a,), vjp)
 
@@ -459,9 +469,8 @@ def take_pairs(a, rows, cols) -> Tensor:
     data = a.data[r, c]
 
     def vjp(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, (r, c), g)
-        return (out,)
+        rows, cols = a.data.shape[:2]
+        return (_scatter_add(a.data.shape, 2, (r % rows) * cols + c % cols, g),)
 
     return _from_op(data, (a,), vjp)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .chart import build_context, chart_dump, inside_pass, outside_pass
 from .config import RunConfig
@@ -48,8 +49,11 @@ def parse_example(example: ExampleBundle, params: dict[str, Tensor],
     """Decode one example's best tree from a fresh (eval-mode) inside chart.
 
     Returns the tree, or (tree, chart dump) when `with_scores` is set; the
-    dump additionally runs the outside pass for the span marginals.
+    dump additionally runs the outside pass for the span marginals. The chart
+    reads the parameters as constants (sharing their arrays), so parsing
+    builds no gradient graph and frees each intermediate once it is used.
     """
+    params = {name: ad.constant(p.data) for name, p in params.items()}
     ctx = build_context(example, params, cfg, vocab_index, pair_matrix)
     n = ctx.lengths[0]
     if n == 1:

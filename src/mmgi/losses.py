@@ -96,12 +96,12 @@ def _sample_negatives(sizes: np.ndarray, rng: np.random.Generator):
             continue
         n_spans = int(sizes[e])
         src = rng.integers(0, len(others), size=n_spans)
-        within = np.array([rng.integers(0, sizes[others[s]]) for s in src])
-        neg_imgs = [f for f in range(count) if f != e]
-        picks = [neg_imgs[rng.integers(0, len(neg_imgs))] for _ in range(n_spans)]
+        within = rng.integers(0, sizes[others[src]])
+        neg_imgs = np.array([f for f in range(count) if f != e], dtype=np.intp)
+        picks = neg_imgs[rng.integers(0, len(neg_imgs), size=n_spans)]
         positives.append(offsets[e] + np.arange(n_spans))
         neg_spans.append(offsets[others[src]] + within)
-        neg_images.append(np.array(picks, dtype=np.intp))
+        neg_images.append(picks)
         owners.append(np.full(n_spans, e, dtype=np.intp))
     if not positives:
         return None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -103,11 +104,36 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
     np.savez(path, **arrays)
 
 
+def _stored_config(path: Path, meta: dict) -> RunConfig:
+    """The checkpoint's config; its fields and hash must match what was saved."""
+    stored = meta.get("config")
+    if not isinstance(stored, dict):
+        raise CheckpointError(f"{path}: metadata has no config block")
+    known = [f.name for f in dataclasses.fields(RunConfig)]
+    for name in stored:
+        if name not in known:
+            raise CheckpointError(f"{path}: unknown config field {name!r}")
+    for name in known:
+        if name not in stored:
+            raise CheckpointError(f"{path}: config field {name!r} is missing")
+    cfg = RunConfig(**stored)
+    vocab = meta.get("vocab")
+    expected = config_hash(cfg, {"vocab_size": len(vocab) if vocab else 0})
+    if meta.get("config_hash") != expected:
+        raise CheckpointError(
+            f"{path}: config hash {meta.get('config_hash')!r} does not match "
+            f"the stored config and vocabulary ({expected})"
+        )
+    return cfg
+
+
 def load_checkpoint(path: str | Path):
     """Returns (params, cfg, vocab, step, adam_state|None, pair_matrix|None).
 
-    Every parameter tensor must be present with the shape the stored config
-    and vocabulary imply (vocabulary size 1 in textless mode).
+    The stored config must have exactly RunConfig's fields and hash to the
+    stored `config_hash`. Every parameter tensor must be present with the
+    shape the stored config and vocabulary imply (vocabulary size 1 in
+    textless mode).
     """
     path = Path(path)
     if not path.exists():
@@ -116,7 +142,7 @@ def load_checkpoint(path: str | Path):
         if "__meta__" not in archive:
             raise CheckpointError(f"{path} is not a checkpoint (missing metadata)")
         meta = json.loads(bytes(archive["__meta__"]).decode())
-        cfg = RunConfig(**meta["config"])
+        cfg = _stored_config(path, meta)
         params = {}
         adam_m, adam_v = {}, {}
         pair_matrix = None

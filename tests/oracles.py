@@ -225,6 +225,33 @@ def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
     return {"h_in": h_in, "s_in": s_in, "h_out": h_out, "s_out": s_out, "q": q}
 
 
+def naive_sample_negatives(sizes, rng):
+    """Contrastive negatives drawn one scalar at a time, in the library's order.
+
+    Per sentence with spans (and another sentence with spans): one source
+    sentence per span, then a span within each source, then an image per span.
+    """
+    count = len(sizes)
+    offsets = np.cumsum(sizes) - sizes
+    positives, neg_spans, neg_images, owners = [], [], [], []
+    for e in range(count):
+        others = [f for f in range(count) if f != e and sizes[f]]
+        if not sizes[e] or not others:
+            continue
+        n_spans = int(sizes[e])
+        src = rng.integers(0, len(others), size=n_spans)
+        within = [rng.integers(0, sizes[others[s]]) for s in src]
+        neg_imgs = [f for f in range(count) if f != e]
+        picks = [neg_imgs[rng.integers(0, len(neg_imgs))] for _ in range(n_spans)]
+        positives.extend(offsets[e] + c for c in range(n_spans))
+        neg_spans.extend(offsets[others[s]] + w for s, w in zip(src, within))
+        neg_images.extend(picks)
+        owners.extend([e] * n_spans)
+    if not positives:
+        return None
+    return tuple(np.array(part) for part in (positives, neg_spans, neg_images, owners))
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -250,6 +277,46 @@ def tree_total(tree, local) -> float:
         return li, rj, local(li, lj, rj) + ls + rs
 
     return walk(tree)[2]
+
+
+def local_score(split_scores: dict, span_scores: dict, i: int, k: int, j: int) -> float:
+    """Per-node score of splitting (i, j) at k: the cached decomposition score
+    minus both children's span scores, so tree totals are sums of local terms."""
+    return float(split_scores[(i, j)][k - i]) - float(span_scores[(i, k)]) \
+        - float(span_scores[(k + 1, j)])
+
+
+def naive_cky(split_scores: dict, span_scores: dict, n: int):
+    """Scalar CKY over the dict tables: (best tree, its total).
+
+    Each candidate is local_score + best(left) + best(right), added in that
+    order; on a tie the larger split point wins.
+    """
+    if n == 1:
+        return 1, 0.0
+    best = {(i, i): 0.0 for i in range(1, n + 1)}
+    back = {}
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            best_val = -np.inf
+            best_k = i
+            for k in range(i, j):
+                cand = local_score(split_scores, span_scores, i, k, j) \
+                    + best[(i, k)] + best[(k + 1, j)]
+                if cand >= best_val:
+                    best_val = cand
+                    best_k = k
+            best[(i, j)] = best_val
+            back[(i, j)] = best_k
+
+    def build(i, j):
+        if i == j:
+            return i
+        k = back[(i, j)]
+        return (build(i, k), build(k + 1, j))
+
+    return build(1, n), float(best[(1, n)])
 
 
 def catalan(n: int) -> int:

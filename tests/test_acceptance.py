@@ -12,7 +12,7 @@ import pytest
 
 from mmgi.chart import run_chart
 from mmgi.config import RunConfig
-from mmgi.decode import cky_decode, local_score
+from mmgi.decode import cky_decode
 from mmgi.features import PairRelevanceMatrix
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_corpus
@@ -24,7 +24,7 @@ from mmgi.trees import baseline_tree, left_branching, random_tree
 from mmgi.verify import end_to_end_fixture
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import enumerate_binary_trees, naive_chart, tree_total
+from .oracles import enumerate_binary_trees, local_score, naive_chart, tree_total
 from .test_metrics import degraded_segmentation_pair
 
 

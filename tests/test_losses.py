@@ -6,11 +6,12 @@ import pytest
 from mmgi.autodiff import Tensor
 from mmgi.chart import BatchContext, Chart, run_chart, span_marginal
 from mmgi.features import PairRelevanceMatrix
-from mmgi.losses import (LossReport, batch_loss, contrastive_loss,
+from mmgi.losses import (LossReport, _sample_negatives, batch_loss, contrastive_loss,
                          reconstruction_loss, representation_loss)
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
+from .oracles import naive_sample_negatives
 
 
 def _identity_params(v, d):
@@ -130,6 +131,25 @@ def test_contrastive_span_hinges_nonnegative():
     cfg, params, (chart, ctx), _ = _two_example_batch(seed=6, n=3)
     total, per_example = contrastive_loss(chart, ctx, 1.0, np.random.default_rng(2))
     assert np.isfinite(total.data)
+
+
+def test_negative_sampling_matches_scalar_draws():
+    sizes_rng = np.random.default_rng(17)
+    for trial in range(60):
+        count = int(sizes_rng.integers(1, 9))
+        sizes = sizes_rng.integers(0, 40, size=count)
+        if trial % 5 == 0:
+            sizes[sizes_rng.integers(0, count)] = 0
+        got_rng = np.random.default_rng(trial)
+        want_rng = np.random.default_rng(trial)
+        got = _sample_negatives(sizes, got_rng)
+        want = naive_sample_negatives(sizes, want_rng)
+        if want is None:
+            assert got is None
+        else:
+            for part, expect in zip(got, want):
+                assert np.array_equal(part, expect)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

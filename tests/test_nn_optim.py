@@ -1,5 +1,7 @@
 """Composition MLP, LSTM, dropout, Adam, gradcheck harness, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,38 @@ def test_textless_checkpoint_is_validated(tmp_path):
         load_checkpoint(_saved(tmp_path, cfg, None, pitch_lstm_b=None))
     with pytest.raises(CheckpointError, match="clip_projection"):
         load_checkpoint(_saved(tmp_path, cfg, None, clip_projection=np.zeros((2, 2))))
+
+
+def _edit_meta(path, edit) -> None:
+    """Rewrite a saved checkpoint's metadata in place through `edit(meta)`."""
+    with np.load(path) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def test_checkpoint_tampered_config_fails_the_hash(tmp_path):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _edit_meta(path, lambda meta: meta["config"].update(gamma=0.25))
+    with pytest.raises(CheckpointError, match="config hash"):
+        load_checkpoint(path)
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _edit_meta(path, lambda meta: meta.update(config_hash="0" * 16))
+    with pytest.raises(CheckpointError, match="config hash '0000000000000000'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_fields_are_named(tmp_path):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _edit_meta(path, lambda meta: meta["config"].update(beam=4))
+    with pytest.raises(CheckpointError, match="unknown config field 'beam'"):
+        load_checkpoint(path)
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _edit_meta(path, lambda meta: meta["config"].pop("margin"))
+    with pytest.raises(CheckpointError, match="config field 'margin' is missing"):
+        load_checkpoint(path)
 
 
 def test_params_finite_after_steps():

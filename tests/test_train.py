@@ -157,3 +157,51 @@ def test_heldout_none_when_no_gold():
     from mmgi.params import build_params
     params = build_params(cfg, 4, np.random.default_rng(0))
     assert heldout_sent_f1(corpus, params, cfg, ["a"], None) is None
+
+
+def test_parsing_builds_no_gradient_graph(monkeypatch):
+    from mmgi import autodiff as ad
+    from mmgi.chart import build_context, chart_dump, inside_pass, outside_pass
+    from mmgi.decode import cky_decode
+    from mmgi.inference import parse_example
+    from mmgi.params import build_params
+
+    corpus = [ex for ex in _corpus(count=6) if ex.n >= 2]
+    cfg = _cfg()
+    vocab = build_vocab(corpus)
+    vocab_index = {t: i for i, t in enumerate(vocab)}
+    pair = corpus_pair_matrix(corpus)
+    params = build_params(cfg, len(vocab), np.random.default_rng(3))
+    sentinels = {name: np.zeros(1) for name in params}
+    for name, p in params.items():
+        p.grad = sentinels[name]
+
+    tracked = []
+    original = ad._from_op
+
+    def counting(data, parents, vjp):
+        out = original(data, parents, vjp)
+        tracked.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_from_op", counting)
+
+    def charted(ex):
+        """Tree and dump from a chart over the trainable parameters themselves."""
+        ctx = build_context(ex, params, cfg, vocab_index, pair)
+        chart = inside_pass(ctx, params, cfg)
+        tree, _ = cky_decode(*chart.split_tables(), ctx.lengths[0])
+        outside_pass(chart, ctx, params, cfg)
+        return tree, chart_dump(chart)
+
+    expected = [charted(ex) for ex in corpus]
+    assert any(tracked)
+    tracked.clear()
+    trees = [parse_example(ex, params, cfg, vocab_index, pair) for ex in corpus]
+    scored = [parse_example(ex, params, cfg, vocab_index, pair, with_scores=True)
+              for ex in corpus]
+    assert tracked and not any(tracked)
+    assert trees == [tree for tree, _ in expected]
+    assert scored == expected
+    for name, p in params.items():
+        assert p.requires_grad and p.grad is sentinels[name], name

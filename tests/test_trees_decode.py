@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from mmgi.decode import cky_decode, local_score
+from mmgi.decode import cky_decode
 from mmgi.errors import DataValidationError
 from mmgi.trees import (baseline_tree, bracket_set, format_interval,
                         leaf_count, left_branching, parse_interval,
                         parse_sexpr, random_tree, right_branching, to_sexpr,
                         tree_spans)
 
-from .oracles import catalan, enumerate_binary_trees, tree_total
+from .oracles import catalan, enumerate_binary_trees, local_score, naive_cky, tree_total
 
 
 def test_bracket_sets_of_chain_trees():
@@ -115,19 +115,45 @@ def test_cky_matches_exhaustive_enumeration(n):
     assert tree_total(tree, local) == best
 
 
-def test_cky_all_equal_scores_left_branching():
-    n = 6
+@pytest.mark.parametrize("n", range(9, 25))
+def test_cky_matches_scalar_oracle_on_long_sentences(n):
+    splits, spans = _random_tables(np.random.default_rng(300 + n), n)
+    tree, score = cky_decode(splits, spans, n)
+    assert (tree, score) == naive_cky(splits, spans, n)
+
+
+def _tied_tables(rng, n):
+    """Integer-valued tables with few distinct values, so splits tie often."""
     splits = {}
-    spans = {}
-    for i in range(1, n + 1):
-        spans[(i, i)] = 0.0
+    spans = {(i, i): 0.0 for i in range(1, n + 1)}
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
-            j = i + length - 1
-            splits[(i, j)] = np.zeros(j - i)
-            spans[(i, j)] = 0.0
-    tree, _ = cky_decode(splits, spans, n)
-    assert tree == left_branching(n)
+            splits[(i, i + length - 1)] = rng.integers(-2, 3, size=length - 1).astype(float)
+            spans[(i, i + length - 1)] = float(rng.integers(-1, 2))
+    return splits, spans
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 16, 24])
+def test_cky_ties_match_scalar_oracle(n):
+    for seed in range(5):
+        splits, spans = _tied_tables(np.random.default_rng(700 + 31 * n + seed), n)
+        assert cky_decode(splits, spans, n) == naive_cky(splits, spans, n)
+
+
+def test_cky_all_equal_scores_left_branching():
+    for n in (6, 9, 16, 24):
+        splits = {}
+        spans = {}
+        for i in range(1, n + 1):
+            spans[(i, i)] = 0.0
+        for length in range(2, n + 1):
+            for i in range(1, n - length + 2):
+                j = i + length - 1
+                splits[(i, j)] = np.zeros(j - i)
+                spans[(i, j)] = 0.0
+        tree, score = cky_decode(splits, spans, n)
+        assert tree == left_branching(n)
+        assert (tree, score) == naive_cky(splits, spans, n)
 
 
 def test_cky_prefers_planted_split():
