@@ -177,19 +177,33 @@ def backward(root: Tensor) -> None:
         else:
             topo.append(node)
 
+    # Gradient arrays this sweep allocated, by id: only these are summed into
+    # in place. An array a vjp returned may be shared (`add` hands the same
+    # `g` to both parents) or a read-only view, so it is never written to.
+    owned: set[int] = set()
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
-        for parent, grad in zip(node._parents, node._vjp(node.grad)):
+        grads = node._vjp(node.grad)
+        if node is not root:
+            owned.discard(id(node.grad))
+            node.grad = None
+        for parent, grad in zip(node._parents, grads):
             if grad is None or not parent.requires_grad:
                 continue
             if parent.grad is None:
-                parent.grad = grad.copy() if grad.base is not None else grad
+                if grad.base is None:
+                    parent.grad = grad
+                else:
+                    parent.grad = grad.copy()
+                    owned.add(id(parent.grad))
+            elif id(parent.grad) in owned:
+                parent.grad += grad
             else:
                 parent.grad = parent.grad + grad
-        if node is not root:
-            node.grad = None
+                if isinstance(parent.grad, np.ndarray):   # not a numpy scalar
+                    owned.add(id(parent.grad))
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

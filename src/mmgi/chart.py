@@ -36,9 +36,8 @@ from .config import RunConfig
 from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
-from .features import (PairRelevanceMatrix, normalize_bbox, pitch_features,
-                       vad_aggregate)
-from .nn import dropout_mask, mlp_compose
+from .features import PairRelevanceMatrix, pitch_indices, vad_aggregate
+from .nn import bilinear_score, dropout_mask, lstm_forward, mlp_compose, softmax_pool
 
 __all__ = [
     "BatchContext",
@@ -123,29 +122,36 @@ class _Plan:
         self.position_mask = None if self.uniform else \
             np.where(np.arange(n_max) < n[:, None], 0.0, -np.inf)
 
-        self.pad, self.unpad, self.pool, self.inside = {}, {}, {}, {}
-        for length in range(1, n_max + 1):
-            rows = slice(self.block_start[length], self.block_start[length + 1])
-            sent, start = self.span_sentence[rows], self.span_start[rows]
-            width = n_max - length + 1
-            padded_row = sent * width + start - 1
-            if not self.uniform:
-                first = np.where(cells[length] > 0,
-                                 self.offsets[length] - self.block_start[length], 0)
-                last = np.maximum(cells[length] - 1, 0)
-                self.pad[length] = first[:, None] + np.minimum(np.arange(width), last[:, None])
-                self.unpad[length] = padded_row
-            clip = np.arange(n_max)
-            self.pool[length] = ((clip >= np.arange(width)[:, None])
-                                 & (clip < np.arange(width)[:, None] + length)) / length
-            if length == 1:
-                continue
-            splits = length - 1
-            sent, start = np.repeat(sent, splits), np.repeat(start, splits)
-            s = np.tile(np.arange(splits), rows.stop - rows.start)
-            left = self.offsets[s + 1, sent] + start - 1          # (i, k), k = i + s
-            right = self.offsets[splits - s, sent] + start + s     # (k + 1, j)
-            self.inside[length] = (left, right, np.repeat(padded_row, splits))
+        # per-sentence blocks of every length l: a span's row in its block, and
+        # each sentence's spans padded with copies of its last one
+        padded_row = self.span_sentence * (n_max - span_length + 1) + self.span_start - 1
+        length = span_len[1:]
+        first = np.where(cells[1:] > 0, self.offsets[1:] - self.block_start[1:-1, None], 0)
+        pad = first[:, :, None] + np.minimum(np.arange(n_max),
+                                             np.maximum(cells[1:] - 1, 0)[:, :, None])
+        clip, window = np.arange(n_max), np.arange(n_max)[:, None]
+        pool = ((clip >= window) & (clip < window + length[:, None, None])) \
+            / length[:, None, None]
+        _freeze(pad, padded_row, pool)
+        self.pad = {} if self.uniform else \
+            {l: pad[l - 1, :, :n_max - l + 1] for l in range(1, n_max + 1)}
+        self.unpad = {} if self.uniform else \
+            dict(zip(range(1, n_max + 1), _pieces(padded_row, self.block_start[1:])))
+        self.pool = {l: pool[l - 1, :n_max - l + 1] for l in range(1, n_max + 1)}
+
+        # (span, split) pairs of every span, split by split: split s of span
+        # (i, j) pairs (i, k) with (k + 1, j), k = i + s
+        splits = span_length - 1
+        sent, start, size = (np.repeat(a, splits) for a in
+                             (self.span_sentence, self.span_start, span_length))
+        s = np.arange(sent.size) - np.repeat(np.cumsum(splits) - splits, splits)
+        pairs = (self.offsets[s + 1, sent] + start - 1,
+                 self.offsets[size - 1 - s, sent] + start + s,
+                 np.repeat(padded_row, splits))
+        bounds = np.cumsum(cells.sum(axis=1) * np.maximum(span_len - 1, 0))[1:]
+        _freeze(*pairs)
+        self.inside = dict(zip(range(2, n_max + 1),
+                               zip(*(_pieces(a, bounds) for a in pairs))))
 
         distance = np.arange(n_max)
         out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
@@ -153,21 +159,28 @@ class _Plan:
         out_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
         self.out_perm = out_offsets[n[self.span_sentence] - span_length,
                                     self.span_sentence] + self.span_start - 1
-        self.outside = {}
-        for r in range(1, n_max):
-            members = np.flatnonzero(n > r)
-            cell_sent = np.repeat(members, r + 1)
-            cell_start = np.tile(np.arange(1, r + 2), members.size)
-            cell_end = cell_start + n[cell_sent] - r - 1
-            sent, i, j = (np.repeat(a, r) for a in (cell_sent, cell_start, cell_end))
-            t = np.tile(np.arange(r), cell_sent.size)
-            before = t < i - 1   # contexts k < i first, then k > j, each ascending
-            k = np.where(before, t + 1, j + 1 + t - (i - 1))
-            p_start, p_end = np.where(before, k, i), np.where(before, j, k)
-            s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
-            parent = out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1
-            sibling = self.offsets[s_end - s_start + 1, sent] + s_start - 1
-            self.outside[r] = (parent, sibling, cell_sent, cell_start, cell_end)
+
+        # (span, context) pairs of every outside cell, by distance r to the
+        # root: contexts k < i first, then k > j, each ascending
+        cell_r = np.repeat(np.repeat(distance, count), out_flat)
+        cell_sent = np.repeat(np.tile(sentences, n_max), out_flat)
+        cell_start = np.arange(out_flat.sum()) - np.repeat(out_offsets.ravel(), out_flat) + 1
+        cell_end = cell_start + n[cell_sent] - cell_r - 1
+        sent, i, j = (np.repeat(a, cell_r) for a in (cell_sent, cell_start, cell_end))
+        t = np.arange(sent.size) - np.repeat(np.cumsum(cell_r) - cell_r, cell_r)
+        before = t < i - 1
+        k = np.where(before, t + 1, j + 1 + t - (i - 1))
+        p_start, p_end = np.where(before, k, i), np.where(before, j, k)
+        s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
+        pairs = (out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1,
+                 self.offsets[s_end - s_start + 1, sent] + s_start - 1)
+        per_distance = out_cells.sum(axis=1)
+        pair_bounds = np.cumsum(per_distance * distance)
+        cell_bounds = np.cumsum(per_distance)
+        _freeze(*pairs, cell_sent, cell_start, cell_end)
+        self.outside = dict(zip(range(1, n_max), zip(
+            *(_pieces(a, pair_bounds) for a in pairs),
+            *(_pieces(a, cell_bounds) for a in (cell_sent, cell_start, cell_end)))))
 
         # spans longer than one position, sentence by sentence, start-major
         long = np.flatnonzero(span_length > 1)
@@ -176,20 +189,23 @@ class _Plan:
         self.long_owner = self.span_sentence[long]
         self.long_start, self.long_end = self.span_start[long], self.span_end[long]
         self.long_sizes = np.bincount(self.long_owner, minlength=count)
-        _freeze(vars(self))
+        _freeze(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
 
     def sentence_rows(self, sentence: int) -> np.ndarray:
         """Storage rows of one sentence's spans, by length then start."""
         return np.flatnonzero(self.span_sentence == sentence)
 
 
-def _freeze(value) -> None:
-    """Make every array inside `value` read-only: cached plans are shared."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, (dict, tuple)):
-        for item in value.values() if isinstance(value, dict) else value:
-            _freeze(item)
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make arrays read-only, and so every view of them: cached plans are shared."""
+    for array in arrays:
+        array.setflags(write=False)
+
+
+def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Consecutive pieces of `array` that end at `bounds`, the first at bounds[0]."""
+    ends = bounds.tolist()
+    return [array[start:end] for start, end in zip(ends, ends[1:])]
 
 
 @lru_cache(maxsize=PLAN_CACHE)
@@ -343,9 +359,7 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
     if cfg.use_visual:
         units = np.zeros((count, most, 4))
         for b, ex in enumerate(examples):
-            width, height = ex.regions.image_size
-            for m in range(keep[b]):
-                units[b, m] = normalize_bbox(ex.regions.bboxes[m], width, height, index=m)
+            units[b, :keep[b]] = ex.regions.unit_boxes(ex.id, keep[b])
         boxes = ad.matmul(ad.constant(units.reshape(count * most, 4)),
                           params["bbox_embed_w"]) + params["bbox_embed_b"]
         region_sum = v_proj + ad.reshape(boxes, (count, most, cfg.d))
@@ -355,23 +369,23 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
                 pair_sub[b, :keep[b], :keep[b]] = pair_matrix.submatrix(
                     ex.regions.categories[:keep[b]])
 
-    clip_counts = tuple(ex.speech.count for ex in examples)
+    ids = [ex.id for ex in examples]
+    tracks = [ex.speech for ex in examples]
+    clip_counts = tuple(track.count for track in tracks)
     pitch_seq = None
     if cfg.use_pitch:
-        pitch_seq = pitch_features(
-            [ex.speech for ex in examples], params["pitch_embedding"],
-            params["pitch_lstm_wx"], params["pitch_lstm_wh"], params["pitch_lstm_b"],
-        )
+        rows = ad.gather_rows(params["pitch_embedding"], pitch_indices(tracks, ids))
+        pitch_seq = lstm_forward(rows, params["pitch_lstm_wx"], params["pitch_lstm_wh"],
+                                 params["pitch_lstm_b"])
 
     voice = None
     if cfg.use_voice:
-        voice = np.zeros((count, max(clip_counts), max(clip_counts)))
-        for b, ex in enumerate(examples):
-            clips = clip_counts[b]
-            voice[b, :clips, :clips] = voice_activity_table(*vad_aggregate(ex.speech))
+        clips = np.arange(max(clip_counts)) < np.array(clip_counts)[:, None]
+        voice = np.where(clips[:, :, None] & clips[:, None, :],
+                         voice_activity_table(*vad_aggregate(tracks, ids)), 0.0)
 
     return BatchContext(
-        ids=[ex.id for ex in examples], lengths=lengths, token_ids=token_ids,
+        ids=ids, lengths=lengths, token_ids=token_ids,
         word_rows=word_rows, clip_rows=clip_rows, clip_counts=clip_counts,
         region_rows=region_rows, region_counts=keep, v_proj=v_proj,
         region_mask=region_mask, region_sum=region_sum, pair_sub=pair_sub,
@@ -442,32 +456,24 @@ def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> n
     Span (i, j) ranges over clips i..j-1 and is penalized for its longest
     internal pause relative to its mean voiced time; a single position has
     an empty range and scores 0. Always in (-1, 0) otherwise. Entries below
-    the diagonal are 0 and unused.
+    the diagonal are 0 and unused. Leading axes are a batch: (B, T) clip
+    times give (B, T, T) tables, one per sentence.
     """
-    n = len(voice_time)
+    n = voice_time.shape[-1]
     first, end = np.indices((n, n))     # span (first + 1, end + 1) covers clips first..end-1
-    pauses = np.where(end >= first, nonvoice_time, -np.inf)
-    longest = np.full((n, n), -np.inf)
-    longest[:, 1:] = np.maximum.accumulate(pauses, axis=1)[:, :-1]
-    voiced = np.concatenate([[0.0], np.cumsum(voice_time)])
+    pauses = np.where(end >= first, nonvoice_time[..., None, :], -np.inf)
+    longest = np.full(pauses.shape, -np.inf)
+    longest[..., 1:] = np.maximum.accumulate(pauses, axis=-1)[..., :-1]
+    voiced = np.cumsum(voice_time, axis=-1)
+    voiced = np.concatenate([np.zeros(voiced.shape[:-1] + (1,)), voiced], axis=-1)
     clips = end - first
-    mean_voice = (voiced[end] - voiced[first]) / np.maximum(clips, 1)
+    mean_voice = (voiced[..., end] - voiced[..., first]) / np.maximum(clips, 1)
     ratio = np.where(clips > 0, longest / (mean_voice + 1e-6), 0.0)
     return np.where(clips > 0, -1.0 / (1.0 + np.exp(-ratio)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # passes
-
-
-def _weighted(scores: Tensor, composed: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-span softmax over its (cells, K) candidates: the weighted mean of
-    the (cells*K, d) composed vectors and the expected score."""
-    cells, count = scores.data.shape
-    weights = ad.softmax(scores, axis=1)
-    vectors = ad.reshape(composed, (cells, count, composed.data.shape[1]))
-    h = ad.tensor_sum(ad.reshape(weights, (cells, count, 1)) * vectors, axis=1)
-    return h, ad.tensor_sum(scores * weights, axis=1)
 
 
 def _first_nonfinite(scores: Tensor) -> tuple[int, int] | None:
@@ -536,9 +542,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
             params["compose_in_w2"], params["compose_in_b2"],
             keep=None if inside_masks is None else inside_masks[length],
         )
-        scores = ad.tensor_sum(
-            ad.matmul(left, params["bilinear_inside"]) * right, axis=1
-        )
+        scores = bilinear_score(left, params["bilinear_inside"], right)
         if pair_blocks:
             scores = scores + ad.tensor_sum(
                 ad.gather_rows(ad.concat(pair_blocks), left_rows)
@@ -557,7 +561,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
                 f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
-        h, s = _weighted(scores, composed)
+        h, s = softmax_pool(scores, composed)
         split_in[length] = scores
         h_blocks.append(h)
         s_blocks.append(s)
@@ -597,9 +601,8 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
             params["compose_out_b1"], params["compose_out_w2"],
             params["compose_out_b2"], keep=None if masks is None else masks[r],
         )
-        scores = ad.tensor_sum(
-            ad.matmul(parent, params["bilinear_outside"]) * sibling, axis=1
-        ) + ad.gather_rows(ad.concat(s_blocks), parent_rows) \
+        scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
+            + ad.gather_rows(ad.concat(s_blocks), parent_rows) \
             + ad.gather_rows(chart.s_in, sibling_rows)
         scores = ad.reshape(scores, (cell_sent.size, r))
         bad = _first_nonfinite(scores)
@@ -609,7 +612,7 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                 f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
                 f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
             )
-        h, s = _weighted(scores, composed)
+        h, s = softmax_pool(scores, composed)
         h_blocks.append(h)
         s_blocks.append(s)
     chart.h_out = ad.gather_rows(ad.concat(h_blocks), plan.out_perm)

@@ -2,33 +2,28 @@
 
 This module never runs detectors, pitch trackers, or VAD models; it consumes
 their outputs (region features and boxes, clip boundaries and embeddings, f0
-frames, voice-activity frames) and produces the quantities the chart fuses:
-normalized box embeddings, the category pair-relevance matrix, pitch
-embeddings run through an LSTM, and per-clip voice/non-voice durations.
+frames, voice-activity frames) and produces the parameter-free quantities the
+chart fuses: unit boxes, the category pair-relevance matrix, pitch embedding
+rows, and per-clip voice/non-voice durations. The per-clip features of a
+batch of tracks are computed together, over all of their frames at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import DataValidationError
-from .nn import lstm_forward
 
 __all__ = [
     "RegionSet",
     "SpeechTrack",
     "PairRelevanceMatrix",
-    "normalize_bbox",
-    "normalize_and_embed_bbox",
     "build_pair_matrix",
-    "pitch_index",
     "pitch_indices",
-    "pitch_features",
     "vad_aggregate",
 ]
 
@@ -58,15 +53,28 @@ class RegionSet:
     def validate(self, owner: str = "?") -> None:
         if self.count < 1:
             raise DataValidationError(f"example {owner}: needs at least one region")
-        w, h = self.image_size
-        for m, (x0, y0, x1, y1) in enumerate(self.bboxes):
-            if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
-                raise DataValidationError(
-                    f"example {owner}: region {m} has invalid bbox "
-                    f"({x0}, {y0}, {x1}, {y1}) for image size ({w}, {h})"
-                )
+        self.unit_boxes(owner)
         if self.categories.min(initial=0) < 0:
             raise DataValidationError(f"example {owner}: negative category id")
+
+    def unit_boxes(self, owner: str = "?", count: int | None = None) -> np.ndarray:
+        """(count, 4) boxes of the first `count` regions (default all) in the
+        unit square, with the image's top-left corner as the origin.
+
+        Raises DataValidationError naming the example, the region and its box
+        when a box is zero-area or reaches outside the image.
+        """
+        boxes = self.bboxes[:count]
+        w, h = self.image_size
+        x0, y0, x1, y1 = boxes.T
+        ok = (0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h)
+        if not ok.all():
+            m = int(np.argmin(ok))
+            raise DataValidationError(
+                f"example {owner}: region {m} has invalid bbox "
+                f"({x0[m]}, {y0[m]}, {x1[m]}, {y1[m]}) for image size ({w}, {h})"
+            )
+        return boxes / np.array([w, h, w, h], dtype=np.float64)
 
 
 @dataclass
@@ -136,32 +144,6 @@ class PairRelevanceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# bounding boxes
-
-
-def normalize_bbox(bbox: Sequence[float], width: float, height: float,
-                   index: int | None = None) -> np.ndarray:
-    """Pixel box -> unit box with the top-left corner as the origin."""
-    x0, y0, x1, y1 = (float(v) for v in bbox)
-    if not (0 <= x0 < x1 <= width and 0 <= y0 < y1 <= height):
-        where = f"region {index}" if index is not None else "region"
-        raise DataValidationError(
-            f"{where}: bbox ({x0}, {y0}, {x1}, {y1}) is zero-area or outside the "
-            f"({width}, {height}) image"
-        )
-    return np.array([x0 / width, y0 / height, x1 / width, y1 / height])
-
-
-def normalize_and_embed_bbox(bbox: Sequence[float], width: float, height: float,
-                             weight: Tensor, bias: Tensor,
-                             index: int | None = None) -> tuple[np.ndarray, Tensor]:
-    """Normalize to the unit square, then embed the normalized box linearly."""
-    unit = normalize_bbox(bbox, width, height, index)
-    embedded = ad.matmul(ad.constant(unit), weight) + bias
-    return unit, embedded
-
-
-# ---------------------------------------------------------------------------
 # pair relevance
 
 
@@ -199,55 +181,82 @@ def build_pair_matrix(category_sets: Iterable[Iterable[int]],
 
 
 # ---------------------------------------------------------------------------
+# per-clip frame statistics
+
+
+def _clip_frames(tracks: Sequence[SpeechTrack], frames_of,
+                 dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every clip's frames of a batch of tracks, concatenated clip by clip:
+    (frames, frame count per clip, clip of each frame)."""
+    clips = [frames for track in tracks for frames in frames_of(track)]
+    sizes = np.fromiter(map(len, clips), dtype=np.intp, count=len(clips))
+    values = np.fromiter(chain.from_iterable(clips), dtype=dtype, count=int(sizes.sum()))
+    return values, sizes, np.repeat(np.arange(sizes.size), sizes)
+
+
+def _raise_at(tracks: Sequence[SpeechTrack], owners: Sequence[str] | None,
+              clip: int, problem: str) -> None:
+    """Raise DataValidationError about the `clip`-th clip of the batch."""
+    for b, track in enumerate(tracks):
+        if clip < track.count:
+            owner = "?" if owners is None else owners[b]
+            raise DataValidationError(f"example {owner}: clip {clip} {problem}")
+        clip -= track.count
+
+
+def _padded(tracks: Sequence[SpeechTrack], per_clip: np.ndarray) -> np.ndarray:
+    """Per-clip values of a batch, concatenated -> (B, T_max), zero after
+    each track's end."""
+    counts = np.array([track.count for track in tracks])
+    out = np.zeros((len(tracks), int(counts.max())), dtype=per_clip.dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = per_clip
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pitch
 
 
-def pitch_index(f0_values: Sequence[float]) -> int:
-    """One clip's embedding row: averaged voiced f0, clamped to [50, 500],
-    rounded half-up, mapped to rows 1..451; all-unvoiced clips use row 0."""
-    voiced = [v for v in f0_values if v > 0.0]
-    for v in f0_values:
-        if v < 0:
-            raise DataValidationError(f"negative f0 value {v}")
-    if not voiced:
-        return UNVOICED_INDEX
-    avg = float(np.mean(voiced))
-    clamped = min(max(avg, F0_MIN), F0_MAX)
-    rounded = int(np.floor(clamped + 0.5))
-    return rounded - int(F0_MIN) + 1
+def pitch_indices(tracks: Sequence[SpeechTrack],
+                  owners: Sequence[str] | None = None) -> np.ndarray:
+    """(B, T_max) embedding rows of every clip of a batch of tracks, padded
+    with the unvoiced row after each track's end.
 
-
-def pitch_indices(track: SpeechTrack) -> np.ndarray:
-    return np.array([pitch_index(frames) for frames in track.f0_frames], dtype=np.intp)
-
-
-def pitch_features(tracks: Sequence[SpeechTrack], embedding: Tensor, lstm_wx: Tensor,
-                   lstm_wh: Tensor, lstm_b: Tensor) -> Tensor:
-    """(B, T_max, d_p) pitch sequences: embedding lookup followed by the LSTM.
-
-    Tracks shorter than T_max are padded with the unvoiced row after their
-    end; the LSTM is causal, so the padding leaves their states unchanged.
+    A clip's row comes from its averaged voiced (positive) f0, clamped to
+    [50, 500], rounded half-up, mapped to rows 1..451; all-unvoiced clips use
+    row 0. Each clip's voiced frames are summed after a leading zero, which
+    gives the sum ``np.mean`` takes (0 plus a pairwise sum), so the averages
+    are those of ``np.mean`` bit for bit. A negative f0 raises
+    DataValidationError naming the example, the clip and the value.
     """
-    idx = np.full((len(tracks), max(track.count for track in tracks)), UNVOICED_INDEX,
-                  dtype=np.intp)
-    for b, track in enumerate(tracks):
-        idx[b, :track.count] = pitch_indices(track)
-    return lstm_forward(ad.gather_rows(embedding, idx), lstm_wx, lstm_wh, lstm_b)
+    f0, sizes, clip_of = _clip_frames(tracks, lambda track: track.f0_frames, np.float64)
+    negative = f0 < 0
+    if negative.any():
+        frame = int(np.argmax(negative))
+        _raise_at(tracks, owners, clip_of[frame], f"has a negative f0 value {f0[frame]}")
+    voiced = f0 > 0.0
+    counts = np.bincount(clip_of[voiced], minlength=sizes.size)
+    starts = np.cumsum(counts) - counts
+    led = np.insert(f0[voiced], starts, 0.0)
+    sums = np.add.reduceat(led, starts + np.arange(counts.size))
+    average = sums / np.maximum(counts, 1)
+    rounded = np.floor(np.minimum(np.maximum(average, F0_MIN), F0_MAX) + 0.5)
+    rows = np.where(counts > 0, rounded.astype(np.intp) - int(F0_MIN) + 1, UNVOICED_INDEX)
+    return _padded(tracks, rows)
 
 
 # ---------------------------------------------------------------------------
 # voice activity
 
 
-def vad_aggregate(track: SpeechTrack) -> tuple[np.ndarray, np.ndarray]:
-    """Per clip (voice_time, nonvoice_time) in seconds at the frame period."""
-    period = track.frame_period
-    voice = np.empty(track.count)
-    nonvoice = np.empty(track.count)
-    for t, frames in enumerate(track.vad_frames):
-        if len(frames) == 0:
-            raise DataValidationError(f"clip {t} has zero VAD frames")
-        on = sum(1 for f in frames if f)
-        voice[t] = on * period
-        nonvoice[t] = (len(frames) - on) * period
-    return voice, nonvoice
+def vad_aggregate(tracks: Sequence[SpeechTrack], owners: Sequence[str] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T_max) voice and non-voice time of every clip of a batch of tracks,
+    in seconds at each track's frame period, zero after each track's end."""
+    voiced, sizes, clip_of = _clip_frames(tracks, lambda track: track.vad_frames, np.bool_)
+    if not sizes.all():
+        _raise_at(tracks, owners, int(np.argmin(sizes)), "has zero VAD frames")
+    on = np.bincount(clip_of[voiced], minlength=sizes.size)
+    period = np.repeat([track.frame_period for track in tracks],
+                       [track.count for track in tracks])
+    return _padded(tracks, on * period), _padded(tracks, (sizes - on) * period)

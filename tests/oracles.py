@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from mmgi import autodiff as ad
+
 
 def fd_gradient(fn, arrays: dict[str, np.ndarray], eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of a scalar fn() over every coordinate."""
@@ -60,6 +62,88 @@ def naive_lstm(inputs, wx, wh, b):
         h = go * np.tanh(c)
         outs.append(h)
     return np.stack(outs)
+
+
+# ---------------------------------------------------------------------------
+# composite references of the fused autodiff ops
+#
+# The model blocks that `mmgi.nn` computes as single nodes, rebuilt from the
+# engine's elementary ops as they were before fusion. The fused forward must
+# match these bit for bit; their gradients come from the engine's own vjps.
+
+
+def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
+    x = ad.concat([left, right], axis=-1)
+    h = ad.tanh(ad.matmul(x, w1) + b1)
+    if keep is not None:
+        h = h * keep
+    return ad.matmul(h, w2) + b2
+
+
+def composite_bilinear_score(left, w, right):
+    return ad.tensor_sum(ad.matmul(left, w) * right, axis=1)
+
+
+def composite_softmax_pool(scores, vectors):
+    cells, count = scores.data.shape
+    weights = ad.softmax(scores, axis=1)
+    stacked = ad.reshape(vectors, (cells, count, vectors.data.shape[1]))
+    pooled = ad.tensor_sum(ad.reshape(weights, (cells, count, 1)) * stacked, axis=1)
+    return pooled, ad.tensor_sum(scores * weights, axis=1)
+
+
+def composite_lstm(inputs, w_x, w_h, b):
+    shape = inputs.data.shape
+    d = shape[-1]
+    batch, steps = (1,) + shape[:1] if inputs.data.ndim == 2 else shape[:2]
+    projected = ad.matmul(ad.reshape(inputs, (batch * steps, d)), w_x) + b
+    projected = ad.reshape(projected, (batch, steps, 4 * d))
+    h = ad.constant(np.zeros((batch, d)))
+    c = ad.constant(np.zeros((batch, d)))
+    outs = []
+    for t in range(steps):
+        z = ad.select(projected, (slice(None), t)) + ad.matmul(h, w_h)
+        gates = ad.sigmoid(z)
+        gi = ad.select(gates, (slice(None), slice(0, d)))
+        gf = ad.select(gates, (slice(None), slice(d, 2 * d)))
+        gc = ad.tanh(ad.select(z, (slice(None), slice(2 * d, 3 * d))))
+        go = ad.select(gates, (slice(None), slice(3 * d, 4 * d)))
+        c = gf * c + gi * gc
+        h = go * ad.tanh(c)
+        outs.append(h)
+    out = ad.stack(outs, axis=1)
+    return out if inputs.data.ndim == 3 else ad.reshape(out, shape)
+
+
+# ---------------------------------------------------------------------------
+# per-clip features, one clip at a time
+
+
+def scalar_pitch_index(f0_values) -> int:
+    """One clip's pitch embedding row: ``np.mean`` of the voiced f0, clamped
+    to [50, 500], rounded half-up, as rows 1..451; 0 when all unvoiced."""
+    voiced = [v for v in f0_values if v > 0.0]
+    if not voiced:
+        return 0
+    avg = float(np.mean(voiced))
+    clamped = min(max(avg, 50.0), 500.0)
+    return int(np.floor(clamped + 0.5)) - 50 + 1
+
+
+def scalar_vad_aggregate(track) -> tuple[np.ndarray, np.ndarray]:
+    """Per clip (voice_time, nonvoice_time) of one track, clip by clip."""
+    voice = np.empty(track.count)
+    nonvoice = np.empty(track.count)
+    for t, frames in enumerate(track.vad_frames):
+        on = sum(1 for f in frames if f)
+        voice[t] = on * track.frame_period
+        nonvoice[t] = (len(frames) - on) * track.frame_period
+    return voice, nonvoice
+
+
+def scalar_unit_box(bbox, width, height) -> np.ndarray:
+    x0, y0, x1, y1 = (float(v) for v in bbox)
+    return np.array([x0 / width, y0 / height, x1 / width, y1 / height])
 
 
 def naive_pitch_row(frames) -> int:
@@ -223,6 +307,85 @@ def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
     for key, value in s_in.items():
         q[key] = value * s_out[key] / s_in[(1, n)]
     return {"h_in": h_in, "s_in": s_in, "h_out": h_out, "s_out": s_out, "q": q}
+
+
+def loop_plan(lengths) -> dict:
+    """The attributes of `mmgi.chart._Plan(lengths)`, built with one loop over
+    span lengths and one over distances to the root, as the plan was built
+    before it was vectorized over all spans."""
+    n = np.array(lengths, dtype=np.intp)
+    count, n_max = n.size, int(n.max())
+    plan = {"lengths": lengths, "n_max": n_max, "uniform": bool(np.all(n == n_max))}
+    sentences = np.arange(count)
+
+    span_len = np.arange(n_max + 1)
+    cells = np.maximum(n - span_len[:, None] + 1, 0)
+    cells[0] = 0
+    flat = cells.ravel()
+    offsets = (np.cumsum(flat) - flat).reshape(cells.shape)
+    block_start = np.concatenate([[0], np.cumsum(cells.sum(axis=1))])
+    span_sentence = np.repeat(np.tile(sentences, n_max + 1), flat)
+    span_start = np.arange(flat.sum()) - np.repeat(offsets.ravel(), flat) + 1
+    span_length = np.repeat(np.repeat(span_len, count), flat)
+    plan.update(offsets=offsets, block_start=block_start, span_sentence=span_sentence,
+                span_start=span_start, span_end=span_start + span_length - 1,
+                root_rows=offsets[n, sentences], position_owner=np.repeat(sentences, n),
+                position_mask=None if plan["uniform"] else
+                np.where(np.arange(n_max) < n[:, None], 0.0, -np.inf))
+
+    pad, unpad, pool, inside = {}, {}, {}, {}
+    for length in range(1, n_max + 1):
+        rows = slice(block_start[length], block_start[length + 1])
+        sent, start = span_sentence[rows], span_start[rows]
+        width = n_max - length + 1
+        padded_row = sent * width + start - 1
+        if not plan["uniform"]:
+            first = np.where(cells[length] > 0, offsets[length] - block_start[length], 0)
+            last = np.maximum(cells[length] - 1, 0)
+            pad[length] = first[:, None] + np.minimum(np.arange(width), last[:, None])
+            unpad[length] = padded_row
+        clip = np.arange(n_max)
+        pool[length] = ((clip >= np.arange(width)[:, None])
+                        & (clip < np.arange(width)[:, None] + length)) / length
+        if length == 1:
+            continue
+        splits = length - 1
+        sent, start = np.repeat(sent, splits), np.repeat(start, splits)
+        s = np.tile(np.arange(splits), rows.stop - rows.start)
+        left = offsets[s + 1, sent] + start - 1
+        right = offsets[splits - s, sent] + start + s
+        inside[length] = (left, right, np.repeat(padded_row, splits))
+    plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
+
+    distance = np.arange(n_max)
+    out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
+    out_flat = out_cells.ravel()
+    out_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
+    plan["out_perm"] = out_offsets[n[span_sentence] - span_length,
+                                   span_sentence] + span_start - 1
+    outside = {}
+    for r in range(1, n_max):
+        members = np.flatnonzero(n > r)
+        cell_sent = np.repeat(members, r + 1)
+        cell_start = np.tile(np.arange(1, r + 2), members.size)
+        cell_end = cell_start + n[cell_sent] - r - 1
+        sent, i, j = (np.repeat(a, r) for a in (cell_sent, cell_start, cell_end))
+        t = np.tile(np.arange(r), cell_sent.size)
+        before = t < i - 1
+        k = np.where(before, t + 1, j + 1 + t - (i - 1))
+        p_start, p_end = np.where(before, k, i), np.where(before, j, k)
+        s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
+        parent = out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1
+        sibling = offsets[s_end - s_start + 1, sent] + s_start - 1
+        outside[r] = (parent, sibling, cell_sent, cell_start, cell_end)
+    plan["outside"] = outside
+
+    long = np.flatnonzero(span_length > 1)
+    long = long[np.lexsort((plan["span_end"][long], span_start[long], span_sentence[long]))]
+    plan.update(long_owner=span_sentence[long], long_start=span_start[long],
+                long_end=plan["span_end"][long],
+                long_sizes=np.bincount(span_sentence[long], minlength=count))
+    return plan
 
 
 def naive_sample_negatives(sizes, rng):

@@ -161,3 +161,57 @@ def test_max_gradient_ties_go_to_first():
     out = ad.tensor_sum(ad.tensor_max(t, axis=1))
     backward(out)
     assert np.array_equal(t.grad, [[1.0, 0.0, 0.0]])
+
+
+def _grads(build, **arrays):
+    tensors = {k: Tensor(np.array(v, dtype=float), requires_grad=True)
+               for k, v in arrays.items()}
+    backward(build(**tensors))
+    return {k: t.grad for k, t in tensors.items()}
+
+
+def test_gradient_of_a_tensor_used_twice():
+    x = np.array([1.0, -2.0, 3.0])
+    assert np.array_equal(_grads(lambda x: ad.tensor_sum(x + x), x=x)["x"], [2.0, 2.0, 2.0])
+    assert np.array_equal(_grads(lambda x: ad.tensor_sum(x * x), x=x)["x"], 2 * x)
+    # three uses: the third contribution is added in place into the second's sum
+    got = _grads(lambda x: ad.tensor_sum(x + x + x * 2.0), x=x)["x"]
+    assert np.array_equal(got, [4.0, 4.0, 4.0])
+
+
+@pytest.mark.parametrize("order", ["shared_first", "shared_last"])
+def test_shared_gradient_array_is_never_written_in_place(order):
+    """`add` hands one gradient array to both of its parents. One parent, p,
+    then gathers more gradient; summing that in place would also change the
+    other parent's gradient, and through it x's."""
+    def build(x, y):
+        p, q = ad.tanh(x), y * 2.0
+        shared = ad.tensor_sum(p + q)
+        more = ad.tensor_sum(p * 3.0) + ad.tensor_sum(ad.sigmoid(p))
+        return shared + more if order == "shared_first" else more + shared
+
+    x, y = np.array([0.3, -0.7]), np.array([1.5, 0.2])
+    got = _grads(build, x=x, y=y)
+    p = np.tanh(x)
+    sig = 1.0 / (1.0 + np.exp(-p))
+    assert np.allclose(got["x"], (1.0 + 3.0 + sig * (1.0 - sig)) * (1.0 - p * p),
+                       rtol=1e-14, atol=0.0)
+    assert np.array_equal(got["y"], [2.0, 2.0])
+
+
+def test_broadcast_gradient_views_are_copied_before_summing():
+    x = np.arange(6.0).reshape(2, 3)
+    got = _grads(lambda x: ad.tensor_sum(x) + ad.tensor_sum(x * 2.0)
+                 + ad.tensor_sum(ad.tensor_sum(x, axis=1)), x=x)["x"]
+    assert np.array_equal(got, np.full((2, 3), 4.0))
+    assert got.flags.writeable and got.base is None
+
+
+def test_second_backward_leaves_the_first_gradient_alone():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    backward(ad.tensor_sum(x * 3.0) + ad.tensor_sum(x) + ad.tensor_sum(x))
+    first = x.grad
+    kept = first.copy()
+    backward(ad.tensor_sum(x * 3.0) + ad.tensor_sum(x) + ad.tensor_sum(x))
+    assert np.array_equal(first, kept)
+    assert np.array_equal(x.grad, 2 * kept)

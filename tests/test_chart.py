@@ -5,17 +5,18 @@ import pytest
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
-from mmgi.chart import (build_context, chart_dump, init_terminals, inside_pass,
+from mmgi.chart import (_Plan, build_context, chart_dump, init_terminals, inside_pass,
                         outside_pass, run_chart, span_marginal,
                         visual_span_feature, voice_activity_table)
-from mmgi.errors import AlignmentError, DegenerateChartError
+from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
 from mmgi.losses import batch_loss
-from mmgi.nn import mlp_compose
+from mmgi.nn import lstm_forward, mlp_compose
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import naive_chart, np_sigmoid
+from .oracles import (loop_plan, naive_chart, np_sigmoid, scalar_pitch_index,
+                      scalar_unit_box, scalar_vad_aggregate)
 
 
 def _setup(seed, n, cfg=None, **bundle_kw):
@@ -357,3 +358,81 @@ def test_graph_nodes_of_a_step_do_not_grow_with_batch_size(monkeypatch):
         monkeypatch.undo()
         counts[len(examples)] = len(built)
     assert counts[16] <= 1.5 * counts[1], counts
+
+
+def _assert_same(got, expect, where):
+    if isinstance(expect, dict):
+        assert list(got) == list(expect), where
+        for key in expect:
+            _assert_same(got[key], expect[key], f"{where}[{key}]")
+    elif isinstance(expect, tuple):
+        assert isinstance(got, tuple) and len(got) == len(expect), where
+        for k, (a, b) in enumerate(zip(got, expect)):
+            _assert_same(a, b, f"{where}.{k}")
+    elif isinstance(expect, np.ndarray):
+        assert got.dtype == expect.dtype and got.shape == expect.shape, where
+        assert np.array_equal(got, expect), where
+        assert not got.flags.writeable, where
+    else:
+        assert got == expect, where
+
+
+_LENGTH_RNG = np.random.default_rng(46)
+PLAN_LENGTHS = [(1,), (2,), (9,), (4, 4, 4), (1, 1), (1, 6), (6, 1, 3), (14,) * 16] + [
+    tuple(int(n) for n in _LENGTH_RNG.integers(1, 17, size=_LENGTH_RNG.integers(2, 17)))
+    for _ in range(12)]
+
+
+@pytest.mark.parametrize("lengths", PLAN_LENGTHS, ids=str)
+def test_plan_matches_loop_oracle(lengths):
+    plan = vars(_Plan(lengths))
+    expect = loop_plan(lengths)
+    assert plan.keys() == expect.keys()
+    for name, value in expect.items():
+        _assert_same(plan[name], value, name)
+
+
+def test_batch_context_features_match_per_clip_oracles():
+    cfg = tiny_config(use_pitch=True, use_voice=True, use_visual=True)
+    rng = np.random.default_rng(47)
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"c{k}")
+               for k, (n, regions) in enumerate([(3, 2), (6, 4), (2, 1), (5, 3)])]
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(48))
+    ctx = build_context(bundles, params, cfg, vocab_index, None)
+    clips = max(ex.speech.count for ex in bundles)
+    assert ctx.voice.shape == (len(bundles), clips, clips)
+    rows = np.zeros((len(bundles), clips), dtype=int)
+    units = np.zeros((len(bundles), 4, 4))
+    for b, ex in enumerate(bundles):
+        count = ex.speech.count
+        table = voice_activity_table(*scalar_vad_aggregate(ex.speech))
+        assert np.array_equal(ctx.voice[b, :count, :count], table)
+        assert not ctx.voice[b, count:].any() and not ctx.voice[b, :, count:].any()
+        rows[b, :count] = [scalar_pitch_index(frames) for frames in ex.speech.f0_frames]
+        width, height = ex.regions.image_size
+        units[b, :ex.regions.count] = [scalar_unit_box(box, width, height)
+                                       for box in ex.regions.bboxes]
+    pitch = lstm_forward(ad.gather_rows(params["pitch_embedding"], rows),
+                         params["pitch_lstm_wx"], params["pitch_lstm_wh"],
+                         params["pitch_lstm_b"])
+    assert np.array_equal(ctx.pitch_seq.data, pitch.data)
+    boxes = ad.matmul(ad.constant(units.reshape(-1, 4)), params["bbox_embed_w"]) \
+        + params["bbox_embed_b"]
+    expect = ctx.v_proj + ad.reshape(boxes, (len(bundles), 4, cfg.d))
+    assert np.array_equal(ctx.region_sum.data, expect.data)
+
+
+def test_batch_context_names_the_bad_example():
+    cfg = tiny_config()
+    rng = np.random.default_rng(49)
+    bundles = [random_bundle(rng, 3, cfg, ex_id=f"v{k}") for k in range(3)]
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(50))
+    bundles[1].speech.f0_frames[2][0] = -40.0
+    with pytest.raises(DataValidationError, match="example v1: clip 2 .* -40.0"):
+        build_context(bundles, params, cfg, vocab_index, None)
+    bundles[1].speech.f0_frames[2][0] = 0.0
+    bundles[2].regions.bboxes[1] = (10.0, 10.0, 5.0, 30.0)
+    with pytest.raises(DataValidationError, match=r"example v2: region 1 .*\(10.0, 10.0, 5.0"):
+        build_context(bundles, params, cfg, vocab_index, None)

@@ -116,17 +116,17 @@ def test_synth_flat_config_gives_allvoiced_constant_pitch():
     examples = _small_synth(pause_seconds=0.0, f0_slope=0.0, f0_reset=0.0,
                             f0_jitter=0.0)
     for ex in examples:
-        voice, nonvoice = vad_aggregate(ex.speech)
+        voice, nonvoice = vad_aggregate([ex.speech])
         assert np.all(nonvoice == 0.0)
-        rows = pitch_indices(ex.speech)
-        assert len(set(rows.tolist())) == 1  # constant f0 everywhere
+        rows = pitch_indices([ex.speech])
+        assert len(set(rows[0].tolist())) == 1  # constant f0 everywhere
 
 
 def test_synth_pauses_only_at_shallow_constituent_ends():
     examples = _small_synth(sentence_count=40, pause_depth=1)
     saw_pause = False
     for ex in examples:
-        _, nonvoice = vad_aggregate(ex.speech)
+        nonvoice = vad_aggregate([ex.speech])[1][0]
         tree = ex.gold_tree()
         spans = tree_spans(tree)
         depths = {}
@@ -196,7 +196,7 @@ def test_synth_nonterminating_grammar_raises():
 
 def test_synth_clip_times_quantized_to_frames():
     for ex in _small_synth():
-        voice, nonvoice = vad_aggregate(ex.speech)
+        voice, nonvoice = (times[0] for times in vad_aggregate([ex.speech]))
         for t, (start, end) in enumerate(ex.speech.clips):
             frames = len(ex.speech.vad_frames[t])
             assert end - start == pytest.approx(frames * 0.01, abs=1e-9)

@@ -2,20 +2,29 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmgi.autodiff import Tensor
+from mmgi.chart import voice_activity_table
 from mmgi.errors import DataValidationError
-from mmgi.features import (F0_MAX, F0_MIN, SpeechTrack, build_pair_matrix,
-                           normalize_and_embed_bbox, normalize_bbox,
-                           pitch_index, vad_aggregate)
+from mmgi.features import (F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_matrix,
+                           pitch_indices, vad_aggregate)
 
 from .conftest import random_bundle, tiny_config
+from .oracles import scalar_pitch_index, scalar_unit_box, scalar_vad_aggregate
 
 
 # ---------------------------------------------------------------------------
 # bounding boxes
+
+
+def _regions(boxes, width, height):
+    return RegionSet(features=np.zeros((len(boxes), 2)), bboxes=boxes,
+                     categories=np.zeros(len(boxes), dtype=int), image_size=(width, height))
+
+
+def normalize_bbox(box, width, height):
+    return _regions([box], width, height).unit_boxes("ex")[0]
 
 
 def test_bbox_full_image_is_unit_box():
@@ -34,17 +43,27 @@ def test_bbox_idempotent_on_unit_square():
 
 
 def test_bbox_zero_area_and_out_of_image_rejected():
-    with pytest.raises(DataValidationError, match="region 3"):
-        normalize_bbox((5, 5, 5, 10), 100, 100, index=3)
-    with pytest.raises(DataValidationError):
-        normalize_bbox((5, 5, 120, 10), 100, 100)
+    good = (1, 1, 4, 4)
+    regions = _regions([good, good, good, (5, 5, 5, 10)], 100, 100)
+    with pytest.raises(DataValidationError,
+                       match=r"example img7: region 3 has invalid bbox \(5.0, 5.0, 5.0, 10.0\)"):
+        regions.unit_boxes("img7")
+    regions.unit_boxes("img7", count=3)     # only the first three are used
+    with pytest.raises(DataValidationError, match="region 0"):
+        _regions([(5, 5, 120, 10)], 100, 100).unit_boxes()
+    with pytest.raises(DataValidationError, match="example img7: region 1"):
+        _regions([good, (5, 5, 120, 10)], 100, 100).validate("img7")
 
 
-def test_bbox_zero_weights_give_bias():
-    weight = Tensor(np.zeros((4, 6)))
-    bias = Tensor(np.arange(6.0))
-    _, embedded = normalize_and_embed_bbox((1, 2, 3, 4), 10, 10, weight, bias)
-    assert np.array_equal(embedded.data, np.arange(6.0))
+@given(st.lists(st.tuples(st.floats(0, 90), st.floats(0, 90), st.floats(1, 10),
+                          st.floats(1, 10)), min_size=1, max_size=12),
+       st.floats(100, 2000), st.floats(100, 2000))
+@settings(max_examples=60, deadline=None)
+def test_unit_boxes_match_scalar_division(corners, width, height):
+    boxes = [(x, y, x + w, y + h) for x, y, w, h in corners]
+    got = _regions(boxes, width, height).unit_boxes("ex")
+    expect = np.stack([scalar_unit_box(box, width, height) for box in boxes])
+    assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +117,31 @@ def test_pair_matrix_range_and_ratio_invariance(images, copies):
 # pitch
 
 
+def _track(vad_frames, period=0.01, f0_frames=None):
+    n = len(vad_frames)
+    clips = []
+    cursor = 0.0
+    for fr in vad_frames:
+        clips.append((cursor, cursor + period * len(fr)))
+        cursor += period * len(fr)
+    return SpeechTrack(
+        clips=clips,
+        clip_features=np.zeros((n, 3)),
+        f0_frames=f0_frames or [[100.0] * len(fr) for fr in vad_frames],
+        vad_frames=vad_frames,
+        frame_period=period,
+    )
+
+
+def _f0_track(f0_frames):
+    return _track([[v > 0 for v in frames] for frames in f0_frames], f0_frames=f0_frames)
+
+
+def pitch_index(frames):
+    """The embedding row of one clip, through the batch function."""
+    return int(pitch_indices([_f0_track([frames])])[0, 0])
+
+
 def test_pitch_index_worked_example():
     assert pitch_index([219.4, 219.8]) == 171  # avg 219.6 -> 220 -> 220-50+1
 
@@ -120,8 +164,16 @@ def test_pitch_index_ignores_unvoiced_frames_in_average():
 
 
 def test_pitch_negative_f0_rejected():
-    with pytest.raises(DataValidationError):
-        pitch_index([100.0, -5.0])
+    tracks = [_f0_track([[100.0]]), _f0_track([[100.0], [100.0, -5.0]])]
+    with pytest.raises(DataValidationError,
+                       match=r"example b: clip 1 has a negative f0 value -5.0"):
+        pitch_indices(tracks, ["a", "b"])
+
+
+def test_pitch_indices_pad_with_the_unvoiced_row():
+    rows = pitch_indices([_f0_track([[219.4, 219.8]]),
+                          _f0_track([[600.0], [0.0], [10.0]])])
+    assert rows.tolist() == [[171, 0, 0], [451, 0, 1]]
 
 
 @given(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=30))
@@ -138,52 +190,76 @@ def test_pitch_index_monotone_in_average():
     assert values == sorted(values)
 
 
+# Ten voiced frames: np.mean's pairwise sum averages them to 200.49999999999997
+# (row 151); a left-to-right sum, and np.add.reduceat's first frame plus a
+# pairwise sum of the rest, both give 200.5 (row 152).
+PAIRWISE_CLIP = [200.0, 199.8, 199.8, 201.0, 200.1, 201.1, 200.7, 201.2, 200.6, 200.7]
+HALF_CLIP = [0.0, 100.0, 101.0, 0.0]            # integers averaging to 100.5
+_clip = st.one_of(
+    st.lists(st.integers(0, 600).map(float), min_size=1, max_size=24),
+    st.lists(st.floats(0.0, 800.0) | st.just(0.0), min_size=1, max_size=24),
+    st.lists(st.floats(199.0, 202.0), min_size=9, max_size=24),
+)
+
+
+@given(st.lists(st.lists(_clip, min_size=1, max_size=5), min_size=1, max_size=4),
+       st.floats(0.005, 0.05))
+@example([[PAIRWISE_CLIP, HALF_CLIP], [[0.0]]], 0.01)
+@settings(max_examples=150, deadline=None)
+def test_batched_clip_features_equal_the_scalar_oracle(batch, period):
+    tracks = [_track([[v > 0 for v in frames] for frames in clips], period, clips)
+              for clips in batch]
+    rows = pitch_indices(tracks)
+    voice, nonvoice = vad_aggregate(tracks)
+    table = voice_activity_table(voice, nonvoice)
+    width = max(len(clips) for clips in batch)
+    assert rows.shape == voice.shape == nonvoice.shape == (len(batch), width)
+    for b, (clips, track) in enumerate(zip(batch, tracks)):
+        count = len(clips)
+        assert rows[b, :count].tolist() == [scalar_pitch_index(f) for f in clips]
+        expect_voice, expect_nonvoice = scalar_vad_aggregate(track)
+        assert np.array_equal(voice[b, :count], expect_voice)
+        assert np.array_equal(nonvoice[b, :count], expect_nonvoice)
+        assert not rows[b, count:].any() and not voice[b, count:].any()
+        assert np.array_equal(table[b, :count, :count],
+                              voice_activity_table(expect_voice, expect_nonvoice))
+
+
+def test_pairwise_clip_takes_np_mean_rounding():
+    assert pitch_index(PAIRWISE_CLIP) == scalar_pitch_index(PAIRWISE_CLIP) == 151
+    assert pitch_index(HALF_CLIP) == 52     # 100.5 rounds half-up to 101
+
+
 # ---------------------------------------------------------------------------
 # voice activity
 
 
-def _track(vad_frames, period=0.01):
-    n = len(vad_frames)
-    clips = []
-    cursor = 0.0
-    for fr in vad_frames:
-        clips.append((cursor, cursor + period * len(fr)))
-        cursor += period * len(fr)
-    return SpeechTrack(
-        clips=clips,
-        clip_features=np.zeros((n, 3)),
-        f0_frames=[[100.0] * len(fr) for fr in vad_frames],
-        vad_frames=vad_frames,
-        frame_period=period,
-    )
-
-
 def test_vad_aggregate_all_voiced():
-    voice, nonvoice = vad_aggregate(_track([[True] * 50]))
-    assert voice[0] == pytest.approx(0.5)
-    assert nonvoice[0] == pytest.approx(0.0)
+    voice, nonvoice = vad_aggregate([_track([[True] * 50])])
+    assert voice[0, 0] == pytest.approx(0.5)
+    assert nonvoice[0, 0] == pytest.approx(0.0)
 
 
 def test_vad_aggregate_mixed():
-    voice, nonvoice = vad_aggregate(_track([[True] * 30 + [False] * 20]))
-    assert voice[0] == pytest.approx(0.3)
-    assert nonvoice[0] == pytest.approx(0.2)
+    voice, nonvoice = vad_aggregate([_track([[True] * 30 + [False] * 20])])
+    assert voice[0, 0] == pytest.approx(0.3)
+    assert nonvoice[0, 0] == pytest.approx(0.2)
 
 
 def test_vad_zero_frames_rejected():
-    track = _track([[True]])
-    track.vad_frames = [[]]
-    with pytest.raises(DataValidationError):
-        vad_aggregate(track)
+    track = _track([[True], [True]])
+    track.vad_frames = [[True], []]
+    with pytest.raises(DataValidationError, match="example a: clip 1 has zero VAD frames"):
+        vad_aggregate([_track([[True]]), track], ["b", "a"])
 
 
 @given(st.lists(st.lists(st.booleans(), min_size=1, max_size=40),
                 min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
 def test_vad_conserves_clip_duration(vad_frames):
-    voice, nonvoice = vad_aggregate(_track(vad_frames))
+    voice, nonvoice = vad_aggregate([_track(vad_frames)])
     for t, frames in enumerate(vad_frames):
-        assert voice[t] + nonvoice[t] == pytest.approx(0.01 * len(frames))
+        assert voice[0, t] + nonvoice[0, t] == pytest.approx(0.01 * len(frames))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
 from mmgi.errors import CheckpointError, ShapeError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import dropout_mask, glorot_uniform, l2_normalize, lstm_forward, mlp_compose
+from mmgi.nn import (bilinear_score, dropout_mask, glorot_uniform, lstm_forward,
+                     mlp_compose, softmax_pool)
 from mmgi.optim import Adam
 from mmgi.params import (PITCH_VOCAB, build_params, load_checkpoint,
                          parameter_count, save_checkpoint)
 
 from .conftest import tiny_config
-from .oracles import naive_lstm, naive_mlp
+from .oracles import (composite_bilinear_score, composite_lstm, composite_mlp_compose,
+                      composite_softmax_pool, naive_lstm, naive_mlp)
 
 
 def _mlp_params(rng, d):
@@ -123,6 +125,139 @@ def test_lstm_matches_naive_and_gradient(rng):
     assert err < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# fused ops against their composite references
+
+
+def _fused_cases():
+    """name -> (fused, composite, {input: array}, constant inputs). Each op
+    takes the named inputs in order; the LSTM batch is padded after the
+    shorter sequences' ends."""
+    rng = np.random.default_rng(5)
+    d, hidden, k = 4, 6, 7
+    mlp = {"left": rng.normal(size=(k, d)), "right": rng.normal(size=(k, d)),
+           "w1": rng.normal(size=(2 * d, hidden)) * 0.5, "b1": rng.normal(size=hidden),
+           "w2": rng.normal(size=(hidden, d)) * 0.5, "b2": rng.normal(size=d)}
+    vector = dict(mlp, left=rng.normal(size=d), right=rng.normal(size=d))
+    keep = dropout_mask(rng, (k, hidden), 0.3)
+    lstm = {"x": rng.normal(size=(3, 5, d)), "wx": rng.normal(size=(d, 4 * d)) * 0.5,
+            "wh": rng.normal(size=(d, 4 * d)) * 0.5, "b": rng.normal(size=4 * d)}
+    lstm["x"][1, 2:] = 0.0
+    lstm["x"][2, 4:] = 0.0
+    pool = {"scores": rng.normal(size=(3, 4)), "vectors": rng.normal(size=(12, d))}
+    bilinear = {"left": mlp["left"], "w": rng.normal(size=(d, d)), "right": mlp["right"]}
+
+    def with_keep(op):
+        return lambda *ts: op(*ts, keep=keep)
+
+    return {
+        "mlp_rows": (mlp_compose, composite_mlp_compose, mlp, ()),
+        "mlp_rows_dropout": (with_keep(mlp_compose), with_keep(composite_mlp_compose),
+                             mlp, ()),
+        "mlp_vector": (mlp_compose, composite_mlp_compose, vector, ()),
+        "mlp_constant_weights": (with_keep(mlp_compose), with_keep(composite_mlp_compose),
+                                 mlp, ("w1", "b2")),
+        "mlp_constant_inputs": (mlp_compose, composite_mlp_compose, mlp, ("left", "right")),
+        "bilinear": (bilinear_score, composite_bilinear_score, bilinear, ()),
+        "bilinear_constant_w": (bilinear_score, composite_bilinear_score, bilinear, ("w",)),
+        "softmax_pool": (softmax_pool, composite_softmax_pool, pool, ()),
+        "softmax_pool_constant_vectors": (softmax_pool, composite_softmax_pool, pool,
+                                          ("vectors",)),
+        "lstm_padded_batch": (lstm_forward, composite_lstm, lstm, ()),
+        "lstm_sequence": (lstm_forward, composite_lstm, dict(lstm, x=lstm["x"][0]), ()),
+        "lstm_constant_weights": (lstm_forward, composite_lstm, lstm, ("wh", "b")),
+        "lstm_constant_inputs": (lstm_forward, composite_lstm, lstm, ("x",)),
+    }
+
+
+FUSED = _fused_cases()
+
+
+def _tensors(arrays, constants):
+    return {name: Tensor(value.copy(), requires_grad=name not in constants)
+            for name, value in arrays.items()}
+
+
+def _loss(outputs, probes):
+    outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+    total = ad.constant(0.0)
+    for out, probe in zip(outputs, probes):
+        total = total + ad.tensor_sum(out * ad.constant(probe))
+    return total
+
+
+def _probes(op, arrays):
+    outputs = op(*(Tensor(v) for v in arrays.values()))
+    outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+    rng = np.random.default_rng(9)
+    return [rng.normal(size=out.data.shape) for out in outputs]
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_composite(name):
+    fused, composite, arrays, constants = FUSED[name]
+    probes = _probes(fused, arrays)
+    runs = []
+    for op in (fused, composite):
+        tensors = _tensors(arrays, constants)
+        outputs = op(*tensors.values())
+        backward(_loss(outputs, probes))
+        outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+        runs.append(([out.data for out in outputs],
+                     {k: t.grad for k, t in tensors.items()}))
+    (fused_out, fused_grads), (ref_out, ref_grads) = runs
+    for got, expect in zip(fused_out, ref_out):
+        assert np.array_equal(got, expect)           # bit for bit
+    for key, expect in ref_grads.items():
+        got = fused_grads[key]
+        if expect is None:
+            assert got is None, key
+            continue
+        assert got.shape == expect.shape, key
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), key
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_gradient_matches_finite_differences(name):
+    fused, _, arrays, constants = FUSED[name]
+    probes = _probes(fused, arrays)
+    tensors = _tensors(arrays, constants)
+    trainable = {k: t for k, t in tensors.items() if t.requires_grad}
+    err = grad_check(lambda: _loss(fused(*tensors.values()), probes), trainable,
+                     probes_per_tensor=10, eps=1e-5)
+    assert err < 1e-5
+    for key in constants:
+        assert tensors[key].grad is None
+
+
+def test_fused_ops_build_one_node_each(monkeypatch):
+    made = []
+    make = ad._from_op
+
+    def counted(*args):
+        made.append(args[0].shape)
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_from_op", counted)
+    for name in ("mlp_rows_dropout", "bilinear", "lstm_padded_batch"):
+        fused, _, arrays, _ = FUSED[name]
+        fused(*_tensors(arrays, ()).values())
+    fused, _, arrays, _ = FUSED["softmax_pool"]
+    fused(*_tensors(arrays, ()).values())
+    assert len(made) == 5
+
+
+def test_padded_lstm_padding_gets_no_gradient():
+    _, _, arrays, _ = FUSED["lstm_padded_batch"]
+    tensors = _tensors(arrays, ())
+    out = lstm_forward(*tensors.values())
+    real = np.ones((3, 5, 1))
+    real[1, 2:] = real[2, 4:] = 0.0
+    backward(ad.tensor_sum(out * ad.constant(real)))
+    assert not tensors["x"].grad[1, 2:].any() and not tensors["x"].grad[2, 4:].any()
+    assert tensors["x"].grad[1, :2].all()
+
+
 def test_dropout_scales_and_is_seeded(rng):
     out1 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
     out2 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
@@ -130,11 +265,6 @@ def test_dropout_scales_and_is_seeded(rng):
     kept = out1[out1 > 0]
     assert np.allclose(kept, 1.0 / 0.7)
     assert abs((out1 == 0).mean() - 0.3) < 0.05
-
-
-def test_l2_normalize():
-    v = Tensor(np.array([3.0, 4.0]))
-    assert np.allclose(l2_normalize(v).data, [0.6, 0.8])
 
 
 def test_glorot_bounds(rng):
