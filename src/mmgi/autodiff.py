@@ -436,8 +436,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def vjp(g):
-        bounds = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
-        return tuple(np.split(g, bounds, axis=axis))
+        index = [slice(None)] * g.ndim
+        pieces, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            index[axis] = slice(start, stop)
+            pieces.append(g[tuple(index)])
+            start = stop
+        return pieces
 
     return _from_op(data, tuple(tensors), vjp)
 

@@ -129,15 +129,20 @@ class _Plan:
         first = np.where(cells[1:] > 0, self.offsets[1:] - self.block_start[1:-1, None], 0)
         pad = first[:, :, None] + np.minimum(np.arange(n_max),
                                              np.maximum(cells[1:] - 1, 0)[:, :, None])
-        clip, window = np.arange(n_max), np.arange(n_max)[:, None]
-        pool = ((clip >= window) & (clip < window + length[:, None, None])) \
-            / length[:, None, None]
+        # pooling rows: window w of length l averages positions w..w+l-1
+        widths = n_max - length + 1
+        window = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+        window_length = np.repeat(length, widths)[:, None]
+        clip = np.arange(n_max)
+        pool = ((clip >= window[:, None]) & (clip < window[:, None] + window_length)) \
+            / window_length
         _freeze(pad, padded_row, pool)
         self.pad = {} if self.uniform else \
             {l: pad[l - 1, :, :n_max - l + 1] for l in range(1, n_max + 1)}
         self.unpad = {} if self.uniform else \
             dict(zip(range(1, n_max + 1), _pieces(padded_row, self.block_start[1:])))
-        self.pool = {l: pool[l - 1, :n_max - l + 1] for l in range(1, n_max + 1)}
+        self.pool = dict(zip(range(1, n_max + 1),
+                             _pieces(pool, np.concatenate([[0], np.cumsum(widths)]))))
 
         # (span, split) pairs of every span, split by split: split s of span
         # (i, j) pairs (i, k) with (k + 1, j), k = i + s
