@@ -1,8 +1,11 @@
 """Independent reference implementations used only by tests.
 
-Everything here is plain numpy, written recursively and scalar-at-a-time on
-purpose: these are the oracles the vectorized library code is checked
-against, so they deliberately share no code with it.
+Everything here is plain numpy, written recursively, scalar-at-a-time or
+loop by loop on purpose: these are the oracles the vectorized library code is
+checked against, so they deliberately share no code with it. The one
+exception is the composite references of the fused ops, which are built from
+the autodiff engine's elementary ops so that their gradients come from the
+engine's own vector-Jacobian products.
 """
 
 from __future__ import annotations

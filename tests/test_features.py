@@ -23,22 +23,22 @@ def _regions(boxes, width, height):
                      categories=np.zeros(len(boxes), dtype=int), image_size=(width, height))
 
 
-def normalize_bbox(box, width, height):
+def _unit_box(box, width, height):
     return _regions([box], width, height).unit_boxes("ex")[0]
 
 
 def test_bbox_full_image_is_unit_box():
-    assert np.array_equal(normalize_bbox((0, 0, 640, 480), 640, 480), [0, 0, 1, 1])
+    assert np.array_equal(_unit_box((0, 0, 640, 480), 640, 480), [0, 0, 1, 1])
 
 
 def test_bbox_direct_division():
-    got = normalize_bbox((10, 20, 30, 40), 100, 200)
+    got = _unit_box((10, 20, 30, 40), 100, 200)
     assert np.allclose(got, [0.1, 0.1, 0.3, 0.2])
 
 
 def test_bbox_idempotent_on_unit_square():
-    unit = normalize_bbox((0.2, 0.3, 0.8, 0.9), 1.0, 1.0)
-    again = normalize_bbox(unit, 1.0, 1.0)
+    unit = _unit_box((0.2, 0.3, 0.8, 0.9), 1.0, 1.0)
+    again = _unit_box(unit, 1.0, 1.0)
     assert np.array_equal(unit, again)
 
 
@@ -137,30 +137,30 @@ def _f0_track(f0_frames):
     return _track([[v > 0 for v in frames] for frames in f0_frames], f0_frames=f0_frames)
 
 
-def pitch_index(frames):
+def _pitch_row(frames):
     """The embedding row of one clip, through the batch function."""
     return int(pitch_indices([_f0_track([frames])])[0, 0])
 
 
 def test_pitch_index_worked_example():
-    assert pitch_index([219.4, 219.8]) == 171  # avg 219.6 -> 220 -> 220-50+1
+    assert _pitch_row([219.4, 219.8]) == 171  # avg 219.6 -> 220 -> 220-50+1
 
 
 def test_pitch_index_clamps_high():
-    assert pitch_index([600.0, 600.0]) == 451
+    assert _pitch_row([600.0, 600.0]) == 451
 
 
 def test_pitch_index_clamps_low():
-    assert pitch_index([10.0]) == 1
+    assert _pitch_row([10.0]) == 1
 
 
 def test_pitch_index_all_unvoiced_reserved_row():
-    assert pitch_index([0.0, 0.0, 0.0]) == 0
+    assert _pitch_row([0.0, 0.0, 0.0]) == 0
 
 
 def test_pitch_index_ignores_unvoiced_frames_in_average():
     # unvoiced zeros would otherwise drag the mean down
-    assert pitch_index([0.0, 200.0, 0.0, 200.0]) == 151
+    assert _pitch_row([0.0, 200.0, 0.0, 200.0]) == 151
 
 
 def test_pitch_negative_f0_rejected():
@@ -179,14 +179,14 @@ def test_pitch_indices_pad_with_the_unvoiced_row():
 @given(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_pitch_index_range_and_monotonicity(voiced):
-    idx = pitch_index(voiced)
+    idx = _pitch_row(voiced)
     assert 1 <= idx <= 451
-    higher = pitch_index([min(v + 40.0, 1500.0) for v in voiced])
+    higher = _pitch_row([min(v + 40.0, 1500.0) for v in voiced])
     assert higher >= idx
 
 
 def test_pitch_index_monotone_in_average():
-    values = [pitch_index([f]) for f in np.linspace(F0_MIN, F0_MAX, 50)]
+    values = [_pitch_row([f]) for f in np.linspace(F0_MIN, F0_MAX, 50)]
     assert values == sorted(values)
 
 
@@ -226,8 +226,8 @@ def test_batched_clip_features_equal_the_scalar_oracle(batch, period):
 
 
 def test_pairwise_clip_takes_np_mean_rounding():
-    assert pitch_index(PAIRWISE_CLIP) == scalar_pitch_index(PAIRWISE_CLIP) == 151
-    assert pitch_index(HALF_CLIP) == 52     # 100.5 rounds half-up to 101
+    assert _pitch_row(PAIRWISE_CLIP) == scalar_pitch_index(PAIRWISE_CLIP) == 151
+    assert _pitch_row(HALF_CLIP) == 52     # 100.5 rounds half-up to 101
 
 
 # ---------------------------------------------------------------------------
