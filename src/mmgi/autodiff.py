@@ -33,15 +33,11 @@ __all__ = [
     "tensor_mean",
     "tensor_max",
     "tanh",
-    "sigmoid",
-    "exp",
-    "log",
     "sqrt",
     "relu",
     "softmax",
     "log_softmax",
     "concat",
-    "stack",
     "gather_rows",
     "take_pairs",
     "slice_axis0",
@@ -364,23 +360,6 @@ def tanh(a) -> Tensor:
     return _from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def sigmoid(a) -> Tensor:
-    a = astensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    return _from_op(data, (a,), lambda g: (g * data * (1.0 - data),))
-
-
-def exp(a) -> Tensor:
-    a = astensor(a)
-    data = np.exp(a.data)
-    return _from_op(data, (a,), lambda g: (g * data,))
-
-
-def log(a) -> Tensor:
-    a = astensor(a)
-    return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = astensor(a)
     data = np.sqrt(a.data)
@@ -444,16 +423,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             pieces.append(g[tuple(index)])
             start = stop
         return pieces
-
-    return _from_op(data, tuple(tensors), vjp)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
     return _from_op(data, tuple(tensors), vjp)
 

@@ -44,6 +44,7 @@ __all__ = [
     "Chart",
     "build_context",
     "init_terminals",
+    "sentence_plan",
     "visual_span_feature",
     "voice_activity_table",
     "inside_pass",
@@ -214,7 +215,8 @@ def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=PLAN_CACHE)
-def _sentence_plan(n: int) -> _Plan:
+def sentence_plan(n: int) -> _Plan:
+    """The cached plan of a single sentence of n positions."""
     return _Plan((n,))
 
 
@@ -222,7 +224,7 @@ def _plan(lengths: tuple[int, ...]) -> _Plan:
     """A batch's plan. A single sentence's (every parse) is cached by its
     length; a training batch's lengths rarely repeat, so its plan lives
     only as long as its context and chart."""
-    return _sentence_plan(lengths[0]) if len(lengths) == 1 else _Plan(lengths)
+    return sentence_plan(lengths[0]) if len(lengths) == 1 else _Plan(lengths)
 
 
 def _pad(block: Tensor, plan: _Plan, length: int) -> Tensor:
@@ -303,19 +305,18 @@ class Chart:
         return [(i, i + length - 1) for length in range(1, n + 1)
                 for i in range(1, n - length + 2)]
 
-    def split_tables(self, sentence: int = 0) -> tuple[dict, dict]:
-        """Plain-float decomposition and span score tables of one sentence."""
-        plan = self.plan
+    def split_tables(self, sentence: int = 0) -> tuple[dict, np.ndarray]:
+        """One sentence's decomposition scores {l: (n-l+1, l-1)} and its
+        (n(n+1)/2,) span scores in storage order, as views of the chart's
+        arrays (the span scores are a copy in a batch of several)."""
+        plan, n = self.plan, self.lengths[sentence]
         splits = {}
-        for length, scores in self.split_in.items():
-            if length > self.lengths[sentence]:
-                continue
+        for length in range(2, n + 1):
             first = plan.offsets[length, sentence] - plan.block_start[length]
-            block = scores.data[first:first + self.lengths[sentence] - length + 1]
-            for c, row in enumerate(block.tolist()):
-                splits[(c + 1, c + length)] = row
-        values = self.s_in.data[plan.sentence_rows(sentence)].tolist()
-        return splits, dict(zip(self.spans(sentence), values))
+            splits[length] = self.split_in[length].data[first:first + n - length + 1]
+        spans = self.s_in.data if len(self) == 1 else \
+            self.s_in.data[plan.sentence_rows(sentence)]
+        return splits, spans
 
 
 def build_context(examples: ExampleBundle | list[ExampleBundle],
@@ -671,6 +672,7 @@ def chart_dump(chart: Chart, sentence: int = 0) -> dict:
         doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends,
                                                 sentence).data.tolist()))
     splits, _ = chart.split_tables(sentence)
-    for (i, j), scores in splits.items():
-        doc["argmax_k"][f"{i},{j}"] = i + int(np.argmax(scores))
+    for length, scores in splits.items():
+        for i, k in enumerate(np.argmax(scores, axis=1).tolist(), start=1):
+            doc["argmax_k"][f"{i},{i + length - 1}"] = i + k
     return doc

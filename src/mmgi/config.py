@@ -23,7 +23,6 @@ class RunConfig:
     d_w: int = 400               # word embedding dim
     d_v: int = 2048              # region feature dim
     d_s: int = 1024              # speech clip feature dim
-    d_p: int | None = None       # pitch embedding dim; must equal d (defaults to d)
     d_a: int = 128               # shared alignment dim for the representation loss
     gamma: float = 0.5           # visual fusion weight
     lam: float = 0.5             # pitch fusion weight
@@ -36,29 +35,20 @@ class RunConfig:
     dropout: float = 0.1
     max_text_length: int = 80
     roi_count: int = 36
-    scf1_threshold: float = 0.5
     mode: str = "full"
     seed: int = 0
-    vad_frame_period: float = 0.01
     use_visual: bool = True      # span-level region feature and pair score
     use_pitch: bool = True
     use_voice: bool = True       # voice-activity score in span scores
 
     def resolved(self) -> "RunConfig":
         cfg = dataclasses.replace(self)
-        if cfg.d_p is None:
-            cfg.d_p = cfg.d
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.d_p is not None and self.d_p != self.d:
-            raise ConfigError(
-                f"d_p={self.d_p} must equal d={self.d}: pitch vectors are added "
-                "to span vectors"
-            )
         for field in ("d", "d_w", "d_v", "d_s", "d_a", "batch", "roi_count"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive")
@@ -66,8 +56,6 @@ class RunConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.epochs < 0 or self.max_text_length < 1:
             raise ConfigError("epochs must be >= 0 and max_text_length >= 1")
-        if self.vad_frame_period <= 0:
-            raise ConfigError("vad_frame_period must be positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,4 +1,4 @@
-"""Bracketing F1, temporal IoU, clip alignment, SCF1, and grounding."""
+"""Bracketing F1, temporal IoU, clip alignment, SCF1, and per-label recall."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "align_clips",
     "scf1_counts",
     "scf1",
-    "grounding_argmax",
     "per_label_recall",
 ]
 
@@ -143,20 +142,6 @@ def scf1(pairs: list[tuple[Tree, list[Interval], Tree, list[Interval]]],
     if mode == "corpus":
         return f1_from_counts(*(int(c) for c in pooled))
     return float(np.mean(per_sentence)) if per_sentence else 1.0
-
-
-# ---------------------------------------------------------------------------
-# grounding
-
-
-def grounding_argmax(span_vector: np.ndarray, projected_regions: np.ndarray) -> int:
-    """Index of the region most similar to a span vector; ties pick the first.
-
-    The similarity is a softmax over region/span inner products, and softmax
-    is monotone, so the argmax of the raw products is identical.
-    """
-    scores = projected_regions @ np.asarray(span_vector)
-    return int(np.argmax(scores))
 
 
 def per_label_recall(pred_brackets: list[frozenset[Span]],

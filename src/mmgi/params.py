@@ -1,4 +1,4 @@
-"""Model parameters: construction, counting, and checkpoint round-trips."""
+"""Model parameters: construction and checkpoint round-trips."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .optim import Adam
 __all__ = [
     "PITCH_VOCAB",
     "build_params",
-    "parameter_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -29,7 +28,6 @@ PITCH_VOCAB = 452
 def _shapes(cfg: RunConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...], tuple[int, int]]]:
     """(name, shape, (fan_in, fan_out)) for every learnable tensor, in a fixed order."""
     d, d_w, d_v, d_s, d_a = cfg.d, cfg.d_w, cfg.d_v, cfg.d_s, cfg.d_a
-    d_p = cfg.d_p if cfg.d_p is not None else d
     return [
         ("word_embeddings", (vocab_size, d_w), (vocab_size, d_w)),
         ("word_projection", (d_w, d), (d_w, d)),
@@ -48,10 +46,10 @@ def _shapes(cfg: RunConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...],
         ("compose_out_b2", (d,), (d, d)),
         ("bilinear_inside", (d, d), (d, d)),
         ("bilinear_outside", (d, d), (d, d)),
-        ("pitch_embedding", (PITCH_VOCAB, d_p), (PITCH_VOCAB, d_p)),
-        ("pitch_lstm_wx", (d_p, 4 * d_p), (d_p, 4 * d_p)),
-        ("pitch_lstm_wh", (d_p, 4 * d_p), (d_p, 4 * d_p)),
-        ("pitch_lstm_b", (4 * d_p,), (d_p, 4 * d_p)),
+        ("pitch_embedding", (PITCH_VOCAB, d), (PITCH_VOCAB, d)),
+        ("pitch_lstm_wx", (d, 4 * d), (d, 4 * d)),
+        ("pitch_lstm_wh", (d, 4 * d), (d, 4 * d)),
+        ("pitch_lstm_b", (4 * d,), (d, 4 * d)),
         ("bbox_embed_w", (4, d), (4, d)),
         ("bbox_embed_b", (d,), (4, d)),
         ("root_outside_bias", (d,), (d, d)),
@@ -72,10 +70,6 @@ def build_params(cfg: RunConfig, vocab_size: int, rng: np.random.Generator) -> d
             data = glorot_uniform(rng, shape, fan_in=fi, fan_out=fo)
         params[name] = Tensor(data, requires_grad=True)
     return params
-
-
-def parameter_count(cfg: RunConfig, vocab_size: int) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in _shapes(cfg, vocab_size))
 
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor],

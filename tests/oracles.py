@@ -73,6 +73,23 @@ def naive_lstm(inputs, wx, wh, b):
 # The model blocks that `mmgi.nn` computes as single nodes, rebuilt from the
 # engine's elementary ops as they were before fusion. The fused forward must
 # match these bit for bit; their gradients come from the engine's own vjps.
+# `sigmoid` and `stack` serve only these references, so they live here.
+
+
+def sigmoid(a):
+    a = ad.astensor(a)
+    data = 1.0 / (1.0 + np.exp(-a.data))
+    return ad._from_op(data, (a,), lambda g: (g * data * (1.0 - data),))
+
+
+def stack(tensors, axis: int = 0):
+    tensors = [ad.astensor(t) for t in tensors]
+    data = np.stack([t.data for t in tensors], axis=axis)
+
+    def vjp(g):
+        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+
+    return ad._from_op(data, tuple(tensors), vjp)
 
 
 def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
@@ -106,7 +123,7 @@ def composite_lstm(inputs, w_x, w_h, b):
     outs = []
     for t in range(steps):
         z = ad.select(projected, (slice(None), t)) + ad.matmul(h, w_h)
-        gates = ad.sigmoid(z)
+        gates = sigmoid(z)
         gi = ad.select(gates, (slice(None), slice(0, d)))
         gf = ad.select(gates, (slice(None), slice(d, 2 * d)))
         gc = ad.tanh(ad.select(z, (slice(None), slice(2 * d, 3 * d))))
@@ -114,7 +131,7 @@ def composite_lstm(inputs, w_x, w_h, b):
         c = gf * c + gi * gc
         h = go * ad.tanh(c)
         outs.append(h)
-    out = ad.stack(outs, axis=1)
+    out = stack(outs, axis=1)
     return out if inputs.data.ndim == 3 else ad.reshape(out, shape)
 
 
@@ -147,15 +164,6 @@ def scalar_vad_aggregate(track) -> tuple[np.ndarray, np.ndarray]:
 def scalar_unit_box(bbox, width, height) -> np.ndarray:
     x0, y0, x1, y1 = (float(v) for v in bbox)
     return np.array([x0 / width, y0 / height, x1 / width, y1 / height])
-
-
-def naive_pitch_row(frames) -> int:
-    voiced = [v for v in frames if v > 0]
-    if not voiced:
-        return 0
-    avg = sum(voiced) / len(voiced)
-    avg = min(max(avg, 50.0), 500.0)
-    return int(math.floor(avg + 0.5)) - 50 + 1
 
 
 def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
@@ -199,7 +207,7 @@ def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
 
     pitch = None
     if cfg.use_pitch:
-        rows = np.array([naive_pitch_row(fr) for fr in example.speech.f0_frames])
+        rows = np.array([scalar_pitch_index(fr) for fr in example.speech.f0_frames])
         pitch = naive_lstm(weights["pitch_embedding"][rows], weights["pitch_lstm_wx"],
                            weights["pitch_lstm_wh"], weights["pitch_lstm_b"])
 
@@ -450,6 +458,18 @@ def local_score(split_scores: dict, span_scores: dict, i: int, k: int, j: int) -
     minus both children's span scores, so tree totals are sums of local terms."""
     return float(split_scores[(i, j)][k - i]) - float(span_scores[(i, k)]) \
         - float(span_scores[(k + 1, j)])
+
+
+def chart_tables(split_scores: dict, span_scores: dict, n: int):
+    """Dict tables keyed by span (i, j) in the chart's array form, as
+    `Chart.split_tables` gives it: {l: (n-l+1, l-1) blocks} and the span
+    scores of lengths 1..n, each by start."""
+    blocks = {length: np.array([split_scores[(i, i + length - 1)]
+                                for i in range(1, n - length + 2)], dtype=np.float64)
+              for length in range(2, n + 1)}
+    spans = [span_scores[(i, i + length - 1)]
+             for length in range(1, n + 1) for i in range(1, n - length + 2)]
+    return blocks, np.array(spans, dtype=np.float64)
 
 
 def naive_cky(split_scores: dict, span_scores: dict, n: int):

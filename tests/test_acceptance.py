@@ -24,7 +24,8 @@ from mmgi.trees import baseline_tree, left_branching, random_tree
 from mmgi.verify import end_to_end_fixture
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import enumerate_binary_trees, local_score, naive_chart, tree_total
+from .oracles import (chart_tables, enumerate_binary_trees, local_score, naive_chart,
+                      tree_total)
 from .test_metrics import degraded_segmentation_pair
 
 
@@ -92,7 +93,7 @@ def test_criterion_3_cky_oracle():
                 j = i + length - 1
                 splits[(i, j)] = rng.normal(size=j - i)
                 spans[(i, j)] = float(rng.normal())
-        tree, score = cky_decode(splits, spans, n)
+        tree, score = cky_decode(*chart_tables(splits, spans, n), n)
 
         def local(i, k, j):
             return local_score(splits, spans, i, k, j)
@@ -109,7 +110,7 @@ def test_criterion_3_cky_oracle():
                 j = i + length - 1
                 splits[(i, j)] = np.zeros(j - i)
                 spans[(i, j)] = 0.0
-        tree, _ = cky_decode(splits, spans, n)
+        tree, _ = cky_decode(*chart_tables(splits, spans, n), n)
         assert tree == left_branching(n), n
     _report(3, f"{checked} random tables exact; ties decode left-branching")
 

@@ -8,8 +8,10 @@ from mmgi.autodiff import Tensor
 from mmgi.chart import (_Plan, build_context, chart_dump, init_terminals, inside_pass,
                         outside_pass, run_chart, span_marginal,
                         visual_span_feature, voice_activity_table)
+from mmgi.decode import cky_decode
 from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
+from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
 from mmgi.nn import lstm_forward, mlp_compose
 from mmgi.params import build_params
@@ -17,6 +19,7 @@ from mmgi.params import build_params
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
 from .oracles import (loop_plan, naive_chart, np_sigmoid, scalar_pitch_index,
                       scalar_unit_box, scalar_vad_aggregate)
+from .test_features import PAIRWISE_CLIP
 
 
 def _setup(seed, n, cfg=None, **bundle_kw):
@@ -137,9 +140,8 @@ def test_voice_activity_score_range_and_monotonicity():
 # passes vs the naive recursive oracle
 
 
-@pytest.mark.parametrize("seed,n", [(11, 2), (12, 3), (13, 4), (14, 5), (15, 5)])
-def test_chart_matches_naive_oracle(seed, n):
-    cfg, bundle, vocab_index, params, pair = _setup(seed, n)
+def _assert_matches_naive_oracle(cfg, bundle, vocab_index, params, pair):
+    n = bundle.n
     chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
     weights = {k: p.data for k, p in params.items()}
     oracle = naive_chart(bundle, weights, cfg, pair.values, vocab_index)
@@ -158,6 +160,21 @@ def test_chart_matches_naive_oracle(seed, n):
             if n >= 2:
                 assert np.allclose(float(span_marginal(chart, i, j).data),
                                    oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", key)
+
+
+@pytest.mark.parametrize("seed,n", [(11, 2), (12, 3), (13, 4), (14, 5), (15, 5)])
+def test_chart_matches_naive_oracle(seed, n):
+    _assert_matches_naive_oracle(*_setup(seed, n))
+
+
+def test_chart_matches_naive_oracle_on_a_pairwise_mean_clip():
+    # np.mean sums these 10 voiced frames pairwise, to pitch row 151; a
+    # left-to-right sum gives row 152
+    cfg, bundle, vocab_index, params, pair = _setup(16, 3)
+    assert cfg.use_pitch
+    bundle.speech.f0_frames[1] = list(PAIRWISE_CLIP)
+    bundle.speech.vad_frames[1] = [True] * len(PAIRWISE_CLIP)
+    _assert_matches_naive_oracle(cfg, bundle, vocab_index, params, pair)
 
 
 def test_chart_matches_naive_oracle_textless():
@@ -327,9 +344,39 @@ def test_batch_chart_equals_per_sentence_charts():
         splits, _ = chart.split_tables(b)
         want_splits, _ = alone.split_tables()
         assert splits.keys() == want_splits.keys()
-        for key, row in splits.items():
-            assert np.allclose(row, want_splits[key], atol=1e-12, rtol=1e-12), (b, key)
+        for length, block in splits.items():
+            assert block.shape == want_splits[length].shape, (b, length)
+            assert np.allclose(block, want_splits[length], atol=1e-12, rtol=1e-12), (b, length)
     assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_batch_split_tables_decode_as_a_parse_alone():
+    # mixed lengths n=2..9 and region counts: each sentence's tables sit at
+    # its own offsets in the shared blocks
+    cfg = tiny_config()
+    rng = np.random.default_rng(51)
+    shapes = [(5, 3), (2, 2), (9, 4), (3, 1), (7, 2), (4, 3), (8, 1), (6, 4)]
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"p{k}")
+               for k, (n, regions) in enumerate(shapes)]
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(52))
+    pair = PairRelevanceMatrix(np.random.default_rng(53).random((5, 5)))
+    chart, _ = run_chart(bundles, params, cfg, vocab_index, pair, outside=False)
+    for b, bundle in enumerate(bundles):
+        tree, dump = parse_example(bundle, params, cfg, vocab_index, pair, with_scores=True)
+        assert cky_decode(*chart.split_tables(b), bundle.n)[0] == tree, b
+        assert chart_dump(chart, b)["argmax_k"] == dump["argmax_k"], b
+
+
+def test_split_tables_of_one_sentence_are_views_of_the_chart():
+    cfg, bundle, vocab_index, params, pair = _setup(54, 5)
+    chart, _ = run_chart(bundle, params, cfg, vocab_index, pair, outside=False)
+    splits, spans = chart.split_tables()
+    assert list(splits) == [2, 3, 4, 5]
+    for length, block in splits.items():
+        assert block.shape == (6 - length, length - 1)
+        assert np.shares_memory(block, chart.split_in[length].data)
+    assert spans.shape == (15,) and np.shares_memory(spans, chart.s_in.data)
 
 
 def test_graph_nodes_of_a_step_do_not_grow_with_batch_size(monkeypatch):

@@ -14,7 +14,6 @@ def test_reference_defaults():
     assert cfg.d_v == 2048
     assert cfg.d_s == 1024
     assert cfg.roi_count == 36
-    assert cfg.scf1_threshold == 0.5
     assert cfg.gamma == 0.5 and cfg.lam == 0.5
     assert cfg.alpha1 == 0.5 and cfg.alpha2 == 0.5
     assert cfg.lr == 1e-4
@@ -26,16 +25,9 @@ def test_reference_defaults():
     assert cfg.d == 400  # chart width defaults to the word-embedding width
 
 
-def test_resolved_fills_pitch_dim():
-    cfg = RunConfig(d=32).resolved()
-    assert cfg.d_p == 32
-
-
 def test_validation_errors():
     with pytest.raises(ConfigError):
         RunConfig(mode="audio-only").resolved()
-    with pytest.raises(ConfigError):
-        RunConfig(d=16, d_p=8).resolved()
     with pytest.raises(ConfigError):
         RunConfig(dropout=1.0).resolved()
     with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Bracketing F1, tIoU, greedy clip alignment, SCF1, and grounding."""
+"""Bracketing F1, tIoU, greedy clip alignment, SCF1, and per-label recall."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from mmgi.corpus import brackets_to_tree
 from mmgi.errors import DataValidationError
-from mmgi.metrics import (align_clips, bracketing_f1, grounding_argmax,
-                          per_label_recall, scf1, scf1_counts, tiou)
+from mmgi.metrics import (align_clips, bracketing_f1, per_label_recall, scf1,
+                          scf1_counts, tiou)
 from mmgi.trees import left_branching, random_tree, right_branching
 
 from .oracles import brute_force_span_match
@@ -228,32 +228,6 @@ def test_scf1_rejects_mismatched_tree():
     clips = _uniform_clips(3)
     with pytest.raises(DataValidationError):
         scf1_counts(right_branching(4), clips, right_branching(3), clips, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# grounding
-
-
-def test_grounding_single_region():
-    assert grounding_argmax(np.ones(4), np.ones((1, 4))) == 0
-
-
-def test_grounding_matches_raw_dot_argmax(rng):
-    h = rng.normal(size=6)
-    regions = rng.normal(size=(5, 6))
-    assert grounding_argmax(h, regions) == int(np.argmax(regions @ h))
-
-
-def test_grounding_planted_target():
-    h = np.array([0.0, 1.0, 0.0])
-    regions = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert grounding_argmax(h, regions) == 1
-
-
-def test_grounding_tie_prefers_smallest_index():
-    h = np.ones(3)
-    regions = np.stack([np.ones(3), np.ones(3)])
-    assert grounding_argmax(h, regions) == 0
 
 
 # ---------------------------------------------------------------------------

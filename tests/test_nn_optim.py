@@ -12,8 +12,7 @@ from mmgi.gradcheck import grad_check
 from mmgi.nn import (bilinear_score, dropout_mask, glorot_uniform, lstm_forward,
                      mlp_compose, softmax_pool)
 from mmgi.optim import Adam
-from mmgi.params import (PITCH_VOCAB, build_params, load_checkpoint,
-                         parameter_count, save_checkpoint)
+from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
 from .conftest import tiny_config
 from .oracles import (composite_bilinear_score, composite_lstm, composite_mlp_compose,
@@ -322,13 +321,12 @@ def test_grad_check_constant_and_linear():
 # parameters and checkpoints
 
 
-def test_parameter_count_matches_built_params():
+def test_pitch_parameters_take_the_chart_width():
     cfg = tiny_config()
     params = build_params(cfg, vocab_size=11, rng=np.random.default_rng(0))
-    total = sum(p.data.size for p in params.values())
-    assert total == parameter_count(cfg, 11)
     assert params["pitch_embedding"].data.shape == (PITCH_VOCAB, cfg.d)
-    assert "vision_projection" in params
+    assert params["pitch_lstm_wx"].data.shape == (cfg.d, 4 * cfg.d)
+    assert params["pitch_lstm_b"].data.shape == (4 * cfg.d,)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

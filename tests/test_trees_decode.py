@@ -10,7 +10,8 @@ from mmgi.trees import (baseline_tree, bracket_set, format_interval,
                         parse_sexpr, random_tree, right_branching, to_sexpr,
                         tree_spans)
 
-from .oracles import catalan, enumerate_binary_trees, local_score, naive_cky, tree_total
+from .oracles import (catalan, chart_tables, enumerate_binary_trees, local_score, naive_cky,
+                      tree_total)
 
 
 def test_bracket_sets_of_chain_trees():
@@ -89,21 +90,34 @@ def _random_tables(rng, n):
     return splits, spans
 
 
+def _decode(splits, spans, n):
+    return cky_decode(*chart_tables(splits, spans, n), n)
+
+
 def test_cky_trivial_cases():
-    assert cky_decode({}, {(1, 1): 0.0}, 1) == (1, 0.0)
-    splits = {(1, 2): np.array([0.7])}
-    spans = {(1, 1): 0.0, (2, 2): 0.0, (1, 2): 0.7}
+    assert cky_decode({}, np.zeros(1), 1) == (1, 0.0)
+    splits = {2: np.array([[0.7]])}
+    spans = np.array([0.0, 0.0, 0.7])
     tree, score = cky_decode(splits, spans, 2)
     assert tree == (1, 2)
     with pytest.raises(ValueError):
-        cky_decode({}, {}, 0)
+        cky_decode({}, np.zeros(0), 0)
+
+
+def test_cky_rejects_tables_of_the_wrong_shape():
+    splits, spans = chart_tables(*_random_tables(np.random.default_rng(1), 4), 4)
+    bad = {**splits, 3: splits[3][:, :1]}
+    with pytest.raises(ValueError, match=r"length 3: .*\(2, 1\).*\(2, 2\)"):
+        cky_decode(bad, spans, 4)
+    with pytest.raises(ValueError, match=r"\(9,\).*\(10,\)"):
+        cky_decode(splits, spans[:-1], 4)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_cky_matches_exhaustive_enumeration(n):
     rng = np.random.default_rng(100 + n)
     splits, spans = _random_tables(rng, n)
-    tree, score = cky_decode(splits, spans, n)
+    tree, score = _decode(splits, spans, n)
 
     def local(i, k, j):
         return local_score(splits, spans, i, k, j)
@@ -118,7 +132,7 @@ def test_cky_matches_exhaustive_enumeration(n):
 @pytest.mark.parametrize("n", range(9, 25))
 def test_cky_matches_scalar_oracle_on_long_sentences(n):
     splits, spans = _random_tables(np.random.default_rng(300 + n), n)
-    tree, score = cky_decode(splits, spans, n)
+    tree, score = _decode(splits, spans, n)
     assert (tree, score) == naive_cky(splits, spans, n)
 
 
@@ -137,7 +151,7 @@ def _tied_tables(rng, n):
 def test_cky_ties_match_scalar_oracle(n):
     for seed in range(5):
         splits, spans = _tied_tables(np.random.default_rng(700 + 31 * n + seed), n)
-        assert cky_decode(splits, spans, n) == naive_cky(splits, spans, n)
+        assert _decode(splits, spans, n) == naive_cky(splits, spans, n)
 
 
 def test_cky_all_equal_scores_left_branching():
@@ -151,7 +165,7 @@ def test_cky_all_equal_scores_left_branching():
                 j = i + length - 1
                 splits[(i, j)] = np.zeros(j - i)
                 spans[(i, j)] = 0.0
-        tree, score = cky_decode(splits, spans, n)
+        tree, score = _decode(splits, spans, n)
         assert tree == left_branching(n)
         assert (tree, score) == naive_cky(splits, spans, n)
 
@@ -162,5 +176,5 @@ def test_cky_prefers_planted_split():
     rng = np.random.default_rng(0)
     splits, spans = _random_tables(rng, n)
     splits[(1, 4)] = np.array([0.0, 0.0, 50.0])  # k = 3
-    tree, _ = cky_decode(splits, spans, n)
+    tree, _ = _decode(splits, spans, n)
     assert (1, 3) in bracket_set(tree)
