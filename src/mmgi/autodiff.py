@@ -40,7 +40,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "take_pairs",
-    "slice_axis0",
     "select",
     "transpose",
     "reshape",
@@ -62,13 +61,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", grad" if self.requires_grad else ""
@@ -462,10 +454,6 @@ def take_pairs(a, rows, cols) -> Tensor:
         return (_scatter_add(a.data.shape, 2, (r % rows) * cols + c % cols, g),)
 
     return _from_op(data, (a,), vjp)
-
-
-def slice_axis0(a, start: int, stop: int) -> Tensor:
-    return select(a, slice(start, stop))
 
 
 def select(a, key) -> Tensor:

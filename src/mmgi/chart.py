@@ -55,7 +55,9 @@ __all__ = [
 ]
 
 ROOT_EPS = 1e-12
-PLAN_CACHE = 32   # index plans of single sentences kept, by length
+# index plans of single sentences kept, by length: one for every length a
+# sentence may have under the default max_text_length, and one to spare
+PLAN_CACHE = RunConfig.max_text_length + 1
 
 
 @dataclass
@@ -243,8 +245,8 @@ def _unpad(blocks: Tensor, plan: _Plan, length: int) -> Tensor:
 
 
 def _dropout_masks(plan: _Plan, hidden: int, rate: float,
-                   rng: np.random.Generator, inside: bool) -> tuple[dict, dict]:
-    """Dropout masks of the batched inside (if `inside`) and outside steps.
+                   rng: np.random.Generator) -> tuple[dict, dict]:
+    """Dropout masks of the batched inside and outside steps.
 
     They are drawn sentence by sentence in batch order: a sentence's inside
     lengths 2..n (span by span, split by split), then its outside lengths
@@ -255,7 +257,7 @@ def _dropout_masks(plan: _Plan, hidden: int, rate: float,
     """
     blocks, rows = [], []   # (pass, length or distance), mask rows, in draw order
     for n in plan.lengths:
-        for length in range(2, n + 1) if inside else ():
+        for length in range(2, n + 1):
             blocks.append((0, length))
             rows.append((n - length + 1) * (length - 1))
         for length in range(n - 1, 0, -1):
@@ -503,7 +505,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     inside_masks = outside_masks = None
     if training and cfg.dropout > 0.0:
         inside_masks, outside_masks = _dropout_masks(
-            plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng, inside=True)
+            plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
     gamma, lam = cfg.gamma, cfg.lam
     count = len(ctx.lengths)
     h_blocks = [terminals]
@@ -587,14 +589,12 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     k < i uses parent (k, j) and sibling (k, i-1). The root has no context;
     its outside vector is a learned bias and its outside score is zero.
     Each distance r to the root is one batch over all (span, context) pairs
-    of every sentence with n > r. Dropout masks come from the training
-    inside pass, or are drawn here when it did not draw them.
+    of every sentence with n > r. In training, the dropout masks are the ones
+    the inside pass drew, so it must have run in training too; `rng` is taken
+    for symmetry with `inside_pass` and not used.
     """
     plan = chart.plan
     masks = chart.outside_masks if training else None
-    if training and cfg.dropout > 0.0 and masks is None:
-        _, masks = _dropout_masks(plan, params["compose_out_w1"].data.shape[1],
-                                  cfg.dropout, rng, inside=False)
     count = len(chart)
     h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]

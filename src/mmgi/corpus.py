@@ -16,8 +16,9 @@ Schema per line::
      "regions": [{"feat_ref": base64, "bbox": [x0, y0, x1, y1],
                   "category": int}, ...],
      "image_size": [w, h],
-     "gold_brackets": [[i, j], ...]?,       # 0-based inclusive token spans
-     "gold_labels": [str, ...]?}            # aligned with gold_brackets
+     "gold_brackets": [[i, j], ...]?}       # 0-based inclusive token spans
+
+Other keys, such as the ``gold_labels`` of older corpora, are ignored.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class ExampleBundle:
     speech: SpeechTrack
     regions: RegionSet
     gold_brackets: list[tuple[int, int]] | None = None  # 1-based inclusive
-    gold_labels: list[str] | None = None
 
     @property
     def n(self) -> int:
@@ -86,11 +86,6 @@ class ExampleBundle:
                     brackets_to_tree(self.gold_brackets, n)
                 except DataValidationError as exc:
                     raise DataValidationError(f"example {self.id}: {exc}") from exc
-        if self.gold_labels is not None:
-            if self.gold_brackets is None or len(self.gold_labels) != len(self.gold_brackets):
-                raise DataValidationError(
-                    f"example {self.id}: gold_labels must pair with gold_brackets"
-                )
 
     def gold_tree(self) -> Tree | None:
         if self.gold_brackets is None:
@@ -145,8 +140,6 @@ def _bundle_to_record(ex: ExampleBundle) -> dict:
     record["image_size"] = [float(ex.regions.image_size[0]), float(ex.regions.image_size[1])]
     if ex.gold_brackets is not None:
         record["gold_brackets"] = [[i - 1, j - 1] for i, j in ex.gold_brackets]
-    if ex.gold_labels is not None:
-        record["gold_labels"] = list(ex.gold_labels)
     return record
 
 
@@ -179,7 +172,6 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
             speech=speech,
             regions=regions,
             gold_brackets=gold,
-            gold_labels=[str(s) for s in record["gold_labels"]] if "gold_labels" in record else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"corpus line {line_no}: {exc!r}") from exc

@@ -10,7 +10,7 @@ batch of tracks are computed together, over all of their frames at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -127,16 +127,9 @@ class PairRelevanceMatrix:
     """C x C co-occurrence-derived relevance scores in [0, 1]."""
 
     values: np.ndarray
-    category_count: int = field(default=0)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.category_count == 0:
-            self.category_count = self.values.shape[0]
-
-    @classmethod
-    def zeros(cls, category_count: int) -> "PairRelevanceMatrix":
-        return cls(np.zeros((category_count, category_count)), category_count)
 
     def submatrix(self, categories: np.ndarray) -> np.ndarray:
         """(M, M) slice for one image's object category list."""
@@ -162,22 +155,17 @@ def build_pair_matrix(category_sets: Iterable[Iterable[int]],
     if not sets:
         raise DataValidationError("pair matrix needs at least one image")
     C = category_count
-    co = np.zeros((C, C))
-    for group in sets:
-        for a in group:
-            if a >= C or a < 0:
-                raise DataValidationError(f"category id {a} outside [0, {C})")
-            for b in group:
-                if a != b:
-                    co[a, b] += 1.0
+    bad = next((a for group in sets for a in group if not 0 <= a < C), None)
+    if bad is not None:
+        raise DataValidationError(f"category id {bad} outside [0, {C})")
+    present = np.zeros((len(sets), C))   # image by category indicator rows
+    for image, group in enumerate(sets):
+        present[image, list(group)] = 1.0
+    co = present.T @ present             # exact integer counts
+    np.fill_diagonal(co, 0.0)
     row_mass = co.sum(axis=1)  # sum_g Co-Count(a, g)
-    values = np.zeros((C, C))
-    for a in range(C):
-        for b in range(C):
-            denom = row_mass[a] + row_mass[b]  # co is symmetric
-            if denom > 0:
-                values[a, b] = co[a, b] / denom
-    return PairRelevanceMatrix(values, C)
+    denom = row_mass[:, None] + row_mass[None, :]  # co is symmetric
+    return PairRelevanceMatrix(np.divide(co, denom, out=np.zeros((C, C)), where=denom > 0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from .config import RunConfig
 from .corpus import ExampleBundle
 from .decode import cky_decode
 from .errors import DataValidationError
-from .features import PairRelevanceMatrix
+from .features import PairRelevanceMatrix, build_pair_matrix
 from .metrics import bracketing_f1
 from .trees import Tree, baseline_tree
 
@@ -31,15 +31,11 @@ def build_vocab(examples: list[ExampleBundle]) -> list[str]:
     return sorted(tokens)
 
 
-def corpus_pair_matrix(examples: list[ExampleBundle],
-                       category_count: int | None = None) -> PairRelevanceMatrix:
-    """Pair relevance from the categories detected across a corpus's images."""
-    from .features import build_pair_matrix
-
+def corpus_pair_matrix(examples: list[ExampleBundle]) -> PairRelevanceMatrix:
+    """Pair relevance from the categories detected across a corpus's images,
+    over categories 0 up to the largest one detected."""
     sets = [set(int(c) for c in ex.regions.categories) for ex in examples]
-    if category_count is None:
-        category_count = max(max(s) for s in sets if s) + 1
-    return build_pair_matrix(sets, category_count)
+    return build_pair_matrix(sets, max(max(s) for s in sets if s) + 1)
 
 
 def parse_example(example: ExampleBundle, params: dict[str, Tensor],

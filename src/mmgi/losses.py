@@ -68,7 +68,7 @@ def reconstruction_loss(chart: Chart, ctx: BatchContext,
     if ctx.token_ids is None:
         raise ValueError("reconstruction loss requires tokens (full setting)")
     positions = ctx.token_ids.size
-    h_out = ad.slice_axis0(chart.h_out, 0, positions)  # terminals lead the storage
+    h_out = ad.select(chart.h_out, slice(0, positions))  # terminals lead the storage
     logits = ad.matmul(
         ad.matmul(h_out, ad.transpose(params["word_projection"])),
         ad.transpose(params["word_embeddings"]),
@@ -149,7 +149,7 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
         per_example = ad.matmul(per_sentence, hinges)
 
     positions = plan.position_owner.size
-    terminals = ad.slice_axis0(chart.h_in, 0, positions)
+    terminals = ad.select(chart.h_in, slice(0, positions))
     log_probs = ad.log_softmax(best_region(terminals), axis=1)
     own = ad.take_pairs(log_probs, np.arange(positions), plan.position_owner)
     word = ad.matmul(_segment_matrix(ctx.lengths, mean=False), own)

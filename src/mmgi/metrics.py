@@ -1,4 +1,4 @@
-"""Bracketing F1, temporal IoU, clip alignment, SCF1, and per-label recall."""
+"""Bracketing F1, temporal IoU, clip alignment, and SCF1."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "align_clips",
     "scf1_counts",
     "scf1",
-    "per_label_recall",
 ]
 
 Span = tuple[int, int]
@@ -142,18 +141,3 @@ def scf1(pairs: list[tuple[Tree, list[Interval], Tree, list[Interval]]],
     if mode == "corpus":
         return f1_from_counts(*(int(c) for c in pooled))
     return float(np.mean(per_sentence)) if per_sentence else 1.0
-
-
-def per_label_recall(pred_brackets: list[frozenset[Span]],
-                     gold_labeled: list[list[tuple[int, int, str]]]) -> dict[str, float]:
-    """Recall of gold spans grouped by their provided labels (pass-through)."""
-    hit: dict[str, int] = {}
-    total: dict[str, int] = {}
-    for pred, labeled in zip(pred_brackets, gold_labeled):
-        for i, j, label in labeled:
-            if j - i < 1:
-                continue
-            total[label] = total.get(label, 0) + 1
-            if (i, j) in pred:
-                hit[label] = hit.get(label, 0) + 1
-    return {label: hit.get(label, 0) / total[label] for label in total}

@@ -40,6 +40,14 @@ Rule = tuple[str, str, float]
 
 DISTRACTOR_POOL = 8
 MIN_WORD_FRAMES = 12
+START_SYMBOL = "S"
+WORD_DURATION = 0.30     # seconds per word, before jitter
+DURATION_JITTER = 0.06   # uniform +- seconds per word
+F0_BASE = 220.0          # Hz at the first frame
+RESET_DEPTH = 2          # constituents this shallow reset the pitch
+CLIP_NOISE = 0.05        # std of clip features around the word prototype
+REGION_NOISE = 0.10      # std of region features around the category prototype
+FEAT_SCALE = 1.0         # height of a region prototype's category coordinate
 
 
 def default_grammar() -> dict[str, list[Rule]]:
@@ -72,27 +80,19 @@ class SynthConfig:
     vocab_size: int = 50
     seed: int = 0
     grammar: dict[str, list[Rule]] | None = None
-    start_symbol: str = "S"
     max_depth: int = 16
     max_length: int = 20
     # speech timing
-    word_duration: float = 0.30
-    duration_jitter: float = 0.06
     frame_period: float = 0.01
     pause_seconds: float = 0.20
     pause_depth: int = 1
     # pitch contour
-    f0_base: float = 220.0
     f0_slope: float = 8.0          # Hz/s declination
     f0_reset: float = 25.0         # Hz bump at shallow constituent starts
-    reset_depth: int = 2
     f0_jitter: float = 0.5
     # feature spaces
     d_s: int = 32
     d_v: int = 40
-    clip_noise: float = 0.05
-    region_noise: float = 0.10
-    feat_scale: float = 1.0
     # scene / region model
     scene_count: int = 4
     scene_leak: float = 0.0
@@ -134,23 +134,16 @@ def lexicon_slices(cfg: SynthConfig) -> dict[str, range]:
     return slices
 
 
-def _category_layout(cfg: SynthConfig, slices: dict[str, range]) -> dict:
-    noun_count = len(slices["Noun"]) if "Noun" in slices else cfg.vocab_size
-    return {
-        "noun_count": noun_count,
-        "companion_base": noun_count,
-        "distractor_base": noun_count + cfg.scene_count,
-        "category_count": noun_count + cfg.scene_count + DISTRACTOR_POOL,
-    }
-
-
 class _Sampler:
     def __init__(self, cfg: SynthConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         self.grammar = cfg.resolved_grammar()
         self.slices = lexicon_slices(cfg)
-        self.layout = _category_layout(cfg, self.slices)
+        # region categories: one per noun, then one companion per scene, then
+        # the distractor pool
+        self.noun_count = len(self.slices["Noun"]) if "Noun" in self.slices \
+            else cfg.vocab_size
         v = cfg.vocab_size
         self.tokens = []
         for preterm, ids in self.slices.items():
@@ -170,11 +163,10 @@ class _Sampler:
         return int(self.rng.choice(list(ids)))
 
     def sample_tree(self, scene: int):
-        """One derivation: tree, word ids, preterminals, span depths and labels."""
+        """One derivation: tree, word ids, preterminals and span depths."""
         words: list[int] = []
         preterm_of: list[str] = []
         depths: dict[tuple[int, int], int] = {}
-        labels: dict[tuple[int, int], str] = {}
 
         def expand(symbol: str, depth: int):
             if depth > self.cfg.max_depth:
@@ -187,24 +179,13 @@ class _Sampler:
             weights = np.array([w for _, _, w in rules])
             pick = self.rng.choice(len(rules), p=weights / weights.sum())
             left_sym, right_sym, _ = rules[pick]
-            left = expand(left_sym, depth + 1)
-            right = expand(right_sym, depth + 1)
-            return (left, right, symbol)
+            start = len(words) + 1
+            tree = (expand(left_sym, depth + 1), expand(right_sym, depth + 1))
+            depths[(start, len(words))] = depth
+            return tree
 
-        annotated = expand(self.cfg.start_symbol, 0)
-
-        def strip(node, depth: int):
-            if isinstance(node, int):
-                return node, (node, node)
-            left_tree, (li, _) = strip(node[0], depth + 1)
-            right_tree, (_, rj) = strip(node[1], depth + 1)
-            span = (li, rj)
-            depths[span] = depth
-            labels[span] = node[2]
-            return (left_tree, right_tree), span
-
-        tree, _ = strip(annotated, 0)
-        return tree, words, preterm_of, depths, labels
+        tree = expand(START_SYMBOL, 0)
+        return tree, words, preterm_of, depths
 
 
 class _DepthExceeded(Exception):
@@ -215,7 +196,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
     """Sample `sentence_count` fully-annotated bundles; deterministic per seed."""
     rng = np.random.default_rng([cfg.seed, 0x53594e])
     sampler = _Sampler(cfg, rng)
-    layout = sampler.layout
+    noun_count = sampler.noun_count
     slices = sampler.slices
     period = cfg.frame_period
     examples: list[ExampleBundle] = []
@@ -229,7 +210,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
             except _DepthExceeded:
                 continue
             if len(candidate[1]) <= cfg.max_length:
-                tree, words, preterm_of, depths, labels = candidate
+                tree, words, preterm_of, depths = candidate
                 break
         if tree is None:
             raise GenerationError(
@@ -241,7 +222,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
         pause_after = {j for (i, j) in spans if depths[(i, j)] <= cfg.pause_depth and j < n}
         resets_at: dict[int, int] = {}
         for (i, j) in spans:
-            if depths[(i, j)] <= cfg.reset_depth and i > 1:
+            if depths[(i, j)] <= RESET_DEPTH and i > 1:
                 resets_at[i] = resets_at.get(i, 0) + 1
 
         # --- speech: clip boundaries, VAD frames, pitch frames
@@ -249,10 +230,10 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
         vad_frames: list[list[bool]] = []
         f0_frames: list[list[float]] = []
         cursor = 0
-        level = cfg.f0_base
+        level = F0_BASE
         for t in range(1, n + 1):
-            jitter = rng.uniform(-cfg.duration_jitter, cfg.duration_jitter)
-            word_frames = max(MIN_WORD_FRAMES, int(round((cfg.word_duration + jitter) / period)))
+            jitter = rng.uniform(-DURATION_JITTER, DURATION_JITTER)
+            word_frames = max(MIN_WORD_FRAMES, int(round((WORD_DURATION + jitter) / period)))
             pause_frames = int(round(cfg.pause_seconds / period)) if t in pause_after else 0
             level += resets_at.get(t, 0) * cfg.f0_reset
             voiced = []
@@ -268,7 +249,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
             cursor += total
 
         clip_features = np.stack([
-            sampler.word_prototypes[w] + rng.normal(size=cfg.d_s) * cfg.clip_noise
+            sampler.word_prototypes[w] + rng.normal(size=cfg.d_s) * CLIP_NOISE
             for w in words
         ])
 
@@ -278,19 +259,19 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
             if preterm == "Noun":
                 categories.append(w - slices["Noun"].start)
         if not categories:
-            categories.append(int(rng.integers(layout["noun_count"])))
+            categories.append(int(rng.integers(noun_count)))
         if cfg.scene_count > 0 and rng.random() < cfg.companion_prob:
-            categories.append(layout["companion_base"] + scene)
+            categories.append(noun_count + scene)
         for _ in range(cfg.distractor_count):
-            categories.append(layout["distractor_base"] + int(rng.integers(DISTRACTOR_POOL)))
+            categories.append(noun_count + cfg.scene_count + int(rng.integers(DISTRACTOR_POOL)))
 
         width, height = cfg.image_size
         feats = np.empty((len(categories), cfg.d_v))
         boxes = np.empty((len(categories), 4))
         for m, cat in enumerate(categories):
             proto = np.zeros(cfg.d_v)
-            proto[cat % cfg.d_v] = cfg.feat_scale
-            feats[m] = proto + rng.normal(size=cfg.d_v) * cfg.region_noise
+            proto[cat % cfg.d_v] = FEAT_SCALE
+            feats[m] = proto + rng.normal(size=cfg.d_v) * REGION_NOISE
             x0 = rng.uniform(0, width - 60)
             y0 = rng.uniform(0, height - 60)
             boxes[m] = [x0, y0, x0 + rng.uniform(40, min(200, width - x0)),
@@ -309,17 +290,11 @@ def generate_synthetic(cfg: SynthConfig) -> list[ExampleBundle]:
             vad_frames=vad_frames,
             frame_period=period,
         )
-        gold = sorted(spans)
         examples.append(ExampleBundle(
             id=f"synth-{index:04d}",
             tokens=[sampler.token_strings[w] for w in words],
             speech=speech,
             regions=regions,
-            gold_brackets=gold,
-            gold_labels=[labels[s] for s in gold],
+            gold_brackets=sorted(spans),
         ))
     return examples
-
-
-def category_count(cfg: SynthConfig) -> int:
-    return _category_layout(cfg, lexicon_slices(cfg))["category_count"]

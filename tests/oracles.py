@@ -166,6 +166,26 @@ def scalar_unit_box(bbox, width, height) -> np.ndarray:
     return np.array([x0 / width, y0 / height, x1 / width, y1 / height])
 
 
+def scalar_pair_matrix(category_sets, category_count: int) -> np.ndarray:
+    """Pair relevance entry by entry: co-counts image by image, then each
+    Co-Count(a, b) over row a's plus row b's co-count mass."""
+    C = category_count
+    co = np.zeros((C, C))
+    for group in category_sets:
+        for a in set(group):
+            for b in set(group):
+                if a != b:
+                    co[a, b] += 1.0
+    row_mass = co.sum(axis=1)
+    values = np.zeros((C, C))
+    for a in range(C):
+        for b in range(C):
+            denom = row_mass[a] + row_mass[b]
+            if denom > 0:
+                values[a, b] = co[a, b] / denom
+    return values
+
+
 def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
                 vocab_index) -> dict:
     """Recursive, memoized inside-outside recomputation of every chart cell.

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
 from mmgi.chart import (_Plan, build_context, chart_dump, init_terminals, inside_pass,
-                        outside_pass, run_chart, span_marginal,
+                        outside_pass, run_chart, sentence_plan, span_marginal,
                         visual_span_feature, voice_activity_table)
 from mmgi.decode import cky_decode
 from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
@@ -140,26 +142,28 @@ def test_voice_activity_score_range_and_monotonicity():
 # passes vs the naive recursive oracle
 
 
+def _assert_sentence_matches_oracle(chart, sentence, oracle):
+    """Every cell of one sentence of a chart equals the naive recursion's."""
+    for key in chart.spans(sentence):
+        row = chart.row(*key, sentence)
+        assert np.allclose(chart.h_in.data[row], oracle["h_in"][key],
+                           atol=1e-8, rtol=1e-8), ("h_in", sentence, key)
+        assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
+                           atol=1e-8, rtol=1e-8), ("s_in", sentence, key)
+        assert np.allclose(chart.h_out.data[row], oracle["h_out"][key],
+                           atol=1e-8, rtol=1e-8), ("h_out", sentence, key)
+        assert np.allclose(float(chart.s_out.data[row]), oracle["s_out"][key],
+                           atol=1e-8, rtol=1e-8), ("s_out", sentence, key)
+        if chart.lengths[sentence] >= 2:
+            assert np.allclose(float(span_marginal(chart, *key, sentence).data),
+                               oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", sentence, key)
+
+
 def _assert_matches_naive_oracle(cfg, bundle, vocab_index, params, pair):
-    n = bundle.n
-    chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
+    chart, _ = run_chart(bundle, params, cfg, vocab_index, pair)
     weights = {k: p.data for k, p in params.items()}
     oracle = naive_chart(bundle, weights, cfg, pair.values, vocab_index)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            key = (i, j)
-            row = chart.row(i, j)
-            assert np.allclose(chart.h_in.data[row], oracle["h_in"][key],
-                               atol=1e-8, rtol=1e-8), ("h_in", key)
-            assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
-                               atol=1e-8, rtol=1e-8), ("s_in", key)
-            assert np.allclose(chart.h_out.data[row], oracle["h_out"][key],
-                               atol=1e-8, rtol=1e-8), ("h_out", key)
-            assert np.allclose(float(chart.s_out.data[row]), oracle["s_out"][key],
-                               atol=1e-8, rtol=1e-8), ("s_out", key)
-            if n >= 2:
-                assert np.allclose(float(span_marginal(chart, i, j).data),
-                                   oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", key)
+    _assert_sentence_matches_oracle(chart, 0, oracle)
 
 
 @pytest.mark.parametrize("seed,n", [(11, 2), (12, 3), (13, 4), (14, 5), (15, 5)])
@@ -193,6 +197,42 @@ def test_chart_matches_naive_oracle_textless():
         assert np.allclose(chart.h_out.data[row], oracle["h_out"][key], atol=1e-8)
 
 
+@given(shapes=st.lists(st.tuples(st.integers(2, 8), st.integers(1, 4)),
+                      min_size=1, max_size=4),
+       modalities=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       with_pair=st.booleans(), textless=st.booleans(),
+       pairwise=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 7)),
+       seed=st.integers(0, 2**16))
+@example(shapes=[(3, 2), (5, 4), (2, 1)], modalities=(True, True, True), with_pair=True,
+         textless=False, pairwise=(1, 2), seed=0)
+@settings(max_examples=100, deadline=None)
+def test_batch_chart_matches_naive_oracle(shapes, modalities, with_pair, textless,
+                                          pairwise, seed):
+    # sentence by sentence, at criterion 2's tolerance; region and clip counts
+    # differ across the batch, and `pairwise` puts PAIRWISE_CLIP in one clip
+    use_visual, use_pitch, use_voice = modalities
+    cfg = tiny_config(use_visual=use_visual, use_pitch=use_pitch, use_voice=use_voice,
+                      mode="textless" if textless else "full")
+    rng = np.random.default_rng(seed)
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"h{k}")
+               for k, (n, regions) in enumerate(shapes)]
+    if pairwise is not None:
+        speech = bundles[pairwise[0] % len(bundles)].speech
+        clip = pairwise[1] % speech.count
+        speech.f0_frames[clip] = list(PAIRWISE_CLIP)
+        speech.vad_frames[clip] = [True] * len(PAIRWISE_CLIP)
+    vocab_index = None if textless else tiny_vocab_index(bundles)
+    params = build_params(cfg, 1 if textless else len(vocab_index),
+                          np.random.default_rng(seed + 1))
+    pair_values = np.random.default_rng(seed + 2).random((5, 5)) if with_pair else None
+    pair = None if pair_values is None else PairRelevanceMatrix(pair_values)
+    chart, _ = run_chart(bundles, params, cfg, vocab_index, pair)
+    weights = {k: p.data for k, p in params.items()}
+    for b, bundle in enumerate(bundles):
+        oracle = naive_chart(bundle, weights, cfg, pair_values, vocab_index)
+        _assert_sentence_matches_oracle(chart, b, oracle)
+
+
 def test_inside_two_tokens_single_split():
     cfg, bundle, vocab_index, params, pair = _setup(31, 2)
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
@@ -200,7 +240,7 @@ def test_inside_two_tokens_single_split():
     assert np.allclose(ad.softmax(chart.split_in[2].data[0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
     pooled = ctx.pitch_seq.data[0, 0:2].mean(axis=0)
-    terminals = ad.slice_axis0(chart.h_in, 0, 2)
+    terminals = ad.select(chart.h_in, slice(0, 2))
     u, _ = visual_span_feature(terminals, ad.select(ctx.v_proj, 0),
                                ad.select(ctx.region_sum, 0))
     left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
@@ -366,6 +406,18 @@ def test_batch_split_tables_decode_as_a_parse_alone():
         tree, dump = parse_example(bundle, params, cfg, vocab_index, pair, with_scores=True)
         assert cky_decode(*chart.split_tables(b), bundle.n)[0] == tree, b
         assert chart_dump(chart, b)["argmax_k"] == dump["argmax_k"], b
+
+
+def test_sentence_plans_stay_cached_across_forty_lengths():
+    # a parse cycling through more lengths than the cache held missed on
+    # every sentence
+    sentence_plan.cache_clear()
+    for _ in range(3):
+        for n in range(2, 42):
+            sentence_plan(n)
+    info = sentence_plan.cache_info()
+    sentence_plan.cache_clear()
+    assert info.hits >= 80, info
 
 
 def test_split_tables_of_one_sentence_are_views_of_the_chart():

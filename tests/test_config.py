@@ -1,9 +1,12 @@
 """RunConfig defaults, validation, file loading, and hashing."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import mmgi
 from mmgi.config import RunConfig, config_hash, load_config
 from mmgi.errors import ConfigError
 
@@ -57,3 +60,27 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert config_hash(a, {"vocab_size": 5}) != config_hash(a, {"vocab_size": 6})
+
+
+def _unread_config_fields(package: Path) -> dict[str, list[str]]:
+    """Fields of RunConfig and SynthConfig never read as an attribute in the
+    package's modules, outside the field's own class body."""
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    fields, inside = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in ("RunConfig", "SynthConfig"):
+                fields[node.name] = [item.target.id for item in node.body
+                                     if isinstance(item, ast.AnnAssign)]
+                inside.update(id(sub) for sub in ast.walk(node))
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    return {name: [f for f in names if f not in read] for name, names in fields.items()}
+
+
+def test_every_config_field_is_read():
+    # a field no module reads is a knob that does nothing
+    unread = _unread_config_fields(Path(mmgi.__file__).parent)
+    assert set(unread) == {"RunConfig", "SynthConfig"}
+    assert unread == {"RunConfig": [], "SynthConfig": []}

@@ -1,5 +1,7 @@
 """Corpus I/O, validation, and the synthetic generator's planted structure."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,6 @@ def test_roundtrip_identity(tmp_path):
     for a, b in zip(examples, loaded):
         assert a.tokens == b.tokens
         assert a.gold_brackets == b.gold_brackets
-        assert a.gold_labels == b.gold_labels
         assert a.speech.clips == b.speech.clips
         assert a.speech.f0_frames == b.speech.f0_frames
         assert a.speech.vad_frames == b.speech.vad_frames
@@ -80,6 +81,23 @@ def test_duplicate_ids_rejected(tmp_path, rng):
     save_corpus([bundle, bundle], path)
     with pytest.raises(DataValidationError, match="duplicate"):
         load_corpus(path, "full")
+
+
+def test_gold_labels_of_older_corpora_load_and_are_ignored(tmp_path):
+    examples = _small_synth(sentence_count=2)
+    path = tmp_path / "c.jsonl"
+    save_corpus(examples, path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert all("gold_labels" not in record for record in lines)
+    for record in lines:
+        record["gold_labels"] = ["S"] * len(record["gold_brackets"])
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(json.dumps(record) + "\n" for record in lines))
+    loaded = load_corpus(old, "full")
+    assert [ex.gold_brackets for ex in loaded] == [ex.gold_brackets for ex in examples]
+    resaved = tmp_path / "resaved.jsonl"
+    save_corpus(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_schema_violation_names_line(tmp_path):

@@ -11,7 +11,8 @@ from mmgi.features import (F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_ma
                            pitch_indices, vad_aggregate)
 
 from .conftest import random_bundle, tiny_config
-from .oracles import scalar_pitch_index, scalar_unit_box, scalar_vad_aggregate
+from .oracles import (scalar_pair_matrix, scalar_pitch_index, scalar_unit_box,
+                      scalar_vad_aggregate)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +112,20 @@ def test_pair_matrix_range_and_ratio_invariance(images, copies):
     assert np.all(m >= 0.0) and np.all(m <= 1.0)
     doubled = build_pair_matrix(images * copies, 5).values
     assert np.allclose(m, doubled, atol=1e-12)
+
+
+@given(st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1, max_size=15))
+@settings(max_examples=80, deadline=None)
+def test_pair_matrix_equals_the_scalar_oracle_bit_for_bit(images):
+    got = build_pair_matrix(images, 7).values
+    assert np.array_equal(got, scalar_pair_matrix(images, 7))
+
+
+def test_pair_matrix_rejects_a_category_out_of_range():
+    with pytest.raises(DataValidationError, match="category id 3 outside"):
+        build_pair_matrix([[0, 1], [2, 3]], 3)
+    with pytest.raises(DataValidationError, match="category id -1 outside"):
+        build_pair_matrix([[-1]], 3)
 
 
 # ---------------------------------------------------------------------------

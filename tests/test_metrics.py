@@ -1,4 +1,4 @@
-"""Bracketing F1, tIoU, greedy clip alignment, SCF1, and per-label recall."""
+"""Bracketing F1, tIoU, greedy clip alignment, and SCF1."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from mmgi.corpus import brackets_to_tree
 from mmgi.errors import DataValidationError
-from mmgi.metrics import (align_clips, bracketing_f1, per_label_recall, scf1,
-                          scf1_counts, tiou)
+from mmgi.metrics import align_clips, bracketing_f1, scf1, scf1_counts, tiou
 from mmgi.trees import left_branching, random_tree, right_branching
 
 from .oracles import brute_force_span_match
@@ -228,17 +227,6 @@ def test_scf1_rejects_mismatched_tree():
     clips = _uniform_clips(3)
     with pytest.raises(DataValidationError):
         scf1_counts(right_branching(4), clips, right_branching(3), clips, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# per-label recall pass-through
-
-
-def test_per_label_recall():
-    pred = [frozenset({(1, 2), (1, 3)})]
-    gold = [[(1, 2, "NP"), (2, 3, "VP"), (1, 3, "S")]]
-    recall = per_label_recall(pred, gold)
-    assert recall == {"NP": 1.0, "VP": 0.0, "S": 1.0}
 
 
 def test_brackets_to_tree_roundtrip():

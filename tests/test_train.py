@@ -152,7 +152,6 @@ def test_heldout_none_when_no_gold():
     corpus = _corpus(count=4)
     for ex in corpus:
         ex.gold_brackets = None
-        ex.gold_labels = None
     cfg = _cfg()
     from mmgi.params import build_params
     params = build_params(cfg, 4, np.random.default_rng(0))
