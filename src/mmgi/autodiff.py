@@ -10,7 +10,7 @@ randomness, and reductions use numpy's fixed evaluation order.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,8 +37,8 @@ __all__ = [
     "relu",
     "softmax",
     "log_softmax",
-    "concat",
     "gather_rows",
+    "Store",
     "take_pairs",
     "select",
     "transpose",
@@ -49,7 +49,7 @@ __all__ = [
 class Tensor:
     """Dense float64 array with optional reverse-mode gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_pull", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -57,6 +57,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._pull = None   # (buffer, rows, cols) once written into a Store
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,6 +111,7 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._pull = None
     for parent in parents:
         if parent.requires_grad:
             out.requires_grad = True
@@ -140,7 +142,9 @@ def backward(root: Tensor) -> None:
 
     Leaves (parameters, inputs) keep their gradients; an interior node's
     gradient is dropped once its vjp has passed it on, so a step's graph
-    does not hold a second copy of every activation.
+    does not hold a second copy of every activation. A block written into a
+    `Store` takes its rows of the store's gradient when the sweep reaches
+    it, after every gather that read them.
     """
     if root.data.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
@@ -171,6 +175,12 @@ def backward(root: Tensor) -> None:
     owned: set[int] = set()
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
+        if node._pull is not None:
+            buffer, rows, cols = node._pull
+            if buffer.grad is not None:
+                pulled = buffer.grad[rows, cols]
+                _accumulate(node, pulled, owned)
+                pulled[...] = 0.0   # leave the buffer clear for another sweep
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
@@ -178,20 +188,23 @@ def backward(root: Tensor) -> None:
             owned.discard(id(node.grad))
             node.grad = None
         for parent, grad in zip(node._parents, grads):
-            if grad is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                if grad.base is None:
-                    parent.grad = grad
-                else:
-                    parent.grad = grad.copy()
-                    owned.add(id(parent.grad))
-            elif id(parent.grad) in owned:
-                parent.grad += grad
-            else:
-                parent.grad = parent.grad + grad
-                if isinstance(parent.grad, np.ndarray):   # not a numpy scalar
-                    owned.add(id(parent.grad))
+            if grad is not None and parent.requires_grad:
+                _accumulate(parent, grad, owned)
+
+
+def _accumulate(tensor: Tensor, grad: np.ndarray, owned: set[int]) -> None:
+    if tensor.grad is None:
+        if grad.base is None:
+            tensor.grad = grad
+        else:
+            tensor.grad = grad.copy()
+            owned.add(id(tensor.grad))
+    elif id(tensor.grad) in owned:
+        tensor.grad += grad
+    else:
+        tensor.grad = tensor.grad + grad
+        if isinstance(tensor.grad, np.ndarray):   # not a numpy scalar
+            owned.add(id(tensor.grad))
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -325,18 +338,12 @@ def tensor_mean(a, axis: int | None = None) -> Tensor:
 def tensor_max(a, axis: int) -> Tensor:
     """Max along `axis`; ties route the gradient to the smallest index."""
     a = astensor(a)
-    data = a.data.max(axis=axis)
-    idx = a.data.argmax(axis=axis)
+    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
+    data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
 
     def vjp(g):
         out = np.zeros_like(a.data)
-        if a.data.ndim == 1:
-            out[idx] = g
-        else:
-            grid = np.indices(data.shape)
-            sel = list(grid)
-            sel.insert(axis if axis >= 0 else a.data.ndim + axis, idx)
-            out[tuple(sel)] = g
+        np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
         return (out,)
 
     return _from_op(data, (a,), vjp)
@@ -402,23 +409,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 # shape / selection
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [astensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def vjp(g):
-        index = [slice(None)] * g.ndim
-        pieces, start = [], 0
-        for t in tensors:
-            stop = start + t.data.shape[axis]
-            index[axis] = slice(start, stop)
-            pieces.append(g[tuple(index)])
-            start = stop
-        return pieces
-
-    return _from_op(data, tuple(tensors), vjp)
-
-
 def _scatter_add(shape: tuple[int, ...], lead: int, rows: np.ndarray,
                  g: np.ndarray) -> np.ndarray:
     """Zeros of `shape` plus each slice of `g` added at its row of the first
@@ -440,6 +430,65 @@ def gather_rows(a, indices) -> Tensor:
         return (_scatter_add(a.data.shape, 1, idx % a.data.shape[0], g),)
 
     return _from_op(data, (a,), vjp)
+
+
+class _Buffer:
+    """The gradient of one store: filled by its gathers' vjps, emptied by its
+    blocks as backward reaches them. Nodes hold this, never the store, so
+    a chart's graph has no reference cycle and is freed as soon as it is
+    dropped."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+class Store:
+    """Rows of one chart field, appended block by block and read by gathers.
+
+    Each block, an op's output, is copied once into the next free rows (into
+    columns `cols`; the others stay zero) and stays the graph node it was. `gather` reads any
+    rows written so far with one index array, without concatenating the
+    blocks again, and its vjp adds into one gradient buffer for the whole
+    store. A block's rows of that buffer reach it when backward does, which
+    is after every gather that read them: a gather's parents are all blocks
+    written before it.
+    """
+
+    def __init__(self, rows: int, width: int):
+        self.data = np.zeros((rows, width))
+        self.size = 0                           # rows written so far
+        self._blocks: tuple[Tensor, ...] = ()   # written blocks that need a gradient
+        self._buffer = _Buffer()
+
+    def write(self, block: Tensor, cols=slice(None)) -> None:
+        if block.requires_grad and (block._pull is not None or block._vjp is None):
+            raise ValueError("a block is an op's output, written into one store once")
+        rows = slice(self.size, self.size + block.data.shape[0])
+        self.data[rows, cols] = block.data
+        self.size = rows.stop
+        if block.requires_grad:
+            block._pull = (self._buffer, rows, cols)
+            self._blocks += (block,)
+
+    def gather(self, rows, cols=slice(None)) -> Tensor:
+        """Rows `rows` (an index array, or a slice for a view) of columns `cols`."""
+        data = self.data[rows, cols]
+        buffer, shape, written = self._buffer, self.data.shape, self.size
+        parents = self._blocks
+
+        def vjp(g):
+            if buffer.grad is None:
+                buffer.grad = np.zeros(shape)
+            if isinstance(rows, slice):
+                buffer.grad[rows, cols] += g
+            else:
+                region = buffer.grad[:written, cols]
+                region += _scatter_add(region.shape, 1, rows, g)
+            return (None,) * len(parents)
+
+        return _from_op(data, parents, vjp)
 
 
 def take_pairs(a, rows, cols) -> Tensor:

@@ -12,12 +12,14 @@ The sentences of a batch share one chart. Every span of length l has exactly
 l-1 splits in every sentence, so the inside pass composes, scores and
 normalizes the spans of one length of all sentences together. Every span at
 distance r = n - l from its root has exactly r outside contexts, so the
-outside pass takes one step per distance. Children, parents and siblings are
-gathered with index arrays that depend only on the sentence lengths (see
-`_Plan`). Work that involves one sentence's own image or speech (region
-attention, pair scores, pitch pooling, word-to-clip attention) runs on
-per-sentence blocks padded to a common size, with a -inf mask where padding
-would otherwise be attended to, so its cost stays per sentence.
+outside pass takes one step per distance. Each step is one fused node (see
+`nn.inside_step`, `nn.outside_step`). Its rows are appended once to a store
+(`autodiff.Store`), and later steps read children, parents and siblings from
+the stores with one gather each, by index arrays that depend only on the
+sentence lengths (see `_Plan`). Work that involves one sentence's own image
+(region attention, pair scores) runs on per-sentence blocks padded to a
+common size, with a -inf mask where padding would otherwise be attended to,
+so its cost stays per sentence.
 
 A single example is a batch of one. Span indices are 1-based inclusive
 throughout.
@@ -37,7 +39,7 @@ from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
 from .features import PairRelevanceMatrix, pitch_indices, vad_aggregate
-from .nn import bilinear_score, dropout_mask, lstm_forward, mlp_compose, softmax_pool
+from .nn import dropout_mask, inside_step, lstm_forward, outside_step, span_features
 
 __all__ = [
     "BatchContext",
@@ -45,7 +47,6 @@ __all__ = [
     "build_context",
     "init_terminals",
     "sentence_plan",
-    "visual_span_feature",
     "voice_activity_table",
     "inside_pass",
     "outside_pass",
@@ -148,18 +149,22 @@ class _Plan:
                              _pieces(pool, np.concatenate([[0], np.cumsum(widths)]))))
 
         # (span, split) pairs of every span, split by split: split s of span
-        # (i, j) pairs (i, k) with (k + 1, j), k = i + s
+        # (i, j) pairs (i, k) with (k + 1, j), k = i + s. Per length: the
+        # children's rows, left ones then right ones, and the pooling row of
+        # each pair
         splits = span_length - 1
         sent, start, size = (np.repeat(a, splits) for a in
                              (self.span_sentence, self.span_start, span_length))
         s = np.arange(sent.size) - np.repeat(np.cumsum(splits) - splits, splits)
-        pairs = (self.offsets[s + 1, sent] + start - 1,
-                 self.offsets[size - 1 - s, sent] + start + s,
-                 np.repeat(padded_row, splits))
+        left = self.offsets[s + 1, sent] + start - 1
+        right = self.offsets[size - 1 - s, sent] + start + s
         bounds = np.cumsum(cells.sum(axis=1) * np.maximum(span_len - 1, 0))[1:]
-        _freeze(*pairs)
+        children = [np.concatenate(pair) for pair in
+                    zip(_pieces(left, bounds), _pieces(right, bounds))]
+        pool_rows = np.repeat(padded_row, splits)
+        _freeze(*children, pool_rows)
         self.inside = dict(zip(range(2, n_max + 1),
-                               zip(*(_pieces(a, bounds) for a in pairs))))
+                               zip(children, _pieces(pool_rows, bounds))))
 
         distance = np.arange(n_max)
         out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
@@ -202,6 +207,26 @@ class _Plan:
     def sentence_rows(self, sentence: int) -> np.ndarray:
         """Storage rows of one sentence's spans, by length then start."""
         return np.flatnonzero(self.span_sentence == sentence)
+
+    def dropout_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where the batched steps' dropout rows lie in draw order.
+
+        Masks are drawn sentence by sentence (see `_dropout_masks`); the
+        steps take inside lengths 2..n_max, then outside distances
+        1..n_max-1, each over the sentences in batch order. Returns the
+        permutation from step order to draw order and the bounds of each
+        step's rows in step order.
+        """
+        n = np.array(self.lengths)
+        length = np.arange(2, self.n_max + 1)[:, None]
+        distance = np.arange(1, self.n_max)[:, None]
+        sizes = np.concatenate([np.maximum(n - length + 1, 0) * (length - 1),
+                                np.where(n > distance, (distance + 1) * distance, 0)])
+        draw = sizes.T.ravel()            # sentence by sentence
+        first = (np.cumsum(draw) - draw).reshape(sizes.T.shape).T.ravel()
+        step = sizes.ravel()              # step by step
+        perm = np.arange(step.sum()) + np.repeat(first - (np.cumsum(step) - step), step)
+        return perm, np.cumsum(sizes.sum(axis=1))
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -255,19 +280,12 @@ def _dropout_masks(plan: _Plan, hidden: int, rate: float,
     same stream at any batch size. Returns {length: mask} and
     {distance: mask}, rows in the batched steps' order.
     """
-    blocks, rows = [], []   # (pass, length or distance), mask rows, in draw order
-    for n in plan.lengths:
-        for length in range(2, n + 1):
-            blocks.append((0, length))
-            rows.append((n - length + 1) * (length - 1))
-        for length in range(n - 1, 0, -1):
-            blocks.append((1, n - length))
-            rows.append((n - length + 1) * (n - length))
-    keep = dropout_mask(rng, (sum(rows), hidden), rate)
-    drawn: tuple[dict, dict] = ({}, {})
-    for (kind, key), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
-        drawn[kind].setdefault(key, []).append(mask)
-    return tuple({key: np.concatenate(masks) for key, masks in d.items()} for d in drawn)
+    perm, bounds = plan.dropout_order()
+    keep = dropout_mask(rng, (perm.size, hidden), rate)[perm]
+    steps = _pieces(keep, np.concatenate([[0], bounds]))
+    lengths = plan.n_max - 1
+    return (dict(zip(range(2, plan.n_max + 1), steps[:lengths])),
+            dict(zip(range(1, plan.n_max), steps[lengths:])))
 
 
 @dataclass
@@ -277,8 +295,11 @@ class Chart:
     Row ``row(i, j, b)`` of ``h_in``/``s_in``/``h_out``/``s_out`` holds span
     (i, j) of sentence b; the spans of one length of all sentences form one
     block. ``split_in[l]`` holds that block's (cells, l-1) decomposition
-    scores, column k-i for split point k. The outside fields stay None until
-    the outside pass runs. ``len(chart)`` is the number of sentences.
+    scores, column k-i for split point k, as a constant: decoding reads it,
+    and no gradient flows through it. ``h_in`` and ``s_in`` read the columns
+    of ``span_store``, the store the inside pass wrote, which the outside
+    pass reads siblings from. The outside fields stay None until the outside
+    pass runs. ``len(chart)`` is the number of sentences.
     """
 
     lengths: tuple[int, ...]
@@ -289,6 +310,7 @@ class Chart:
     s_out: Tensor | None = None
     outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
     plan: _Plan | None = field(default=None, repr=False)
+    span_store: ad.Store | None = field(default=None, repr=False)   # (spans, d + 1): h | s
 
     def __post_init__(self):
         if self.plan is None:
@@ -441,23 +463,6 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
 # fusion features
 
 
-def visual_span_feature(h_in: Tensor, v_proj: Tensor, region_sum: Tensor,
-                        mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Attention-pooled region feature: (u, attention weights over the regions).
-
-    For a span (d,) or a block of spans (cells, d) against one image's
-    (M, d) regions, or for per-sentence blocks (B, C, d) against each
-    sentence's own (B, M, d) regions, with `mask` (B, M) adding -inf to
-    padding regions.
-    """
-    product = ad.bmm if h_in.data.ndim == 3 else ad.matmul
-    logits = product(h_in, ad.transpose(v_proj))
-    if mask is not None:
-        logits = logits + mask[:, None, :]
-    att = ad.softmax(logits, axis=-1)
-    return product(att, region_sum), att
-
-
 def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:
     """Speech-rhythm density of every span (i, j) of one sentence, at [i-1, j-1].
 
@@ -484,10 +489,10 @@ def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> n
 # passes
 
 
-def _first_nonfinite(scores: Tensor) -> tuple[int, int] | None:
-    if np.all(np.isfinite(scores.data)):
+def _first_nonfinite(scores: np.ndarray) -> tuple[int, int] | None:
+    if np.all(np.isfinite(scores)):
         return None
-    cell, column = np.argwhere(~np.isfinite(scores.data))[0]
+    cell, column = np.argwhere(~np.isfinite(scores))[0]
     return int(cell), int(column)
 
 
@@ -496,9 +501,14 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 rng: np.random.Generator | None = None) -> Chart:
     """Fill inside vectors/scores bottom-up, caching decomposition scores.
 
-    Each length is one batch over all of its (span, split) pairs in every
-    sentence. In training with dropout, the masks of this pass and of the
-    outside pass are drawn here, in the order `_dropout_masks` fixes.
+    Each length is one step over all of its (span, split) pairs in every
+    sentence. Two stores hold the spans, length-major: `spans` the vector
+    and score of each span, and `children` what a parent reads of a child:
+    with region features on, its vector plus gamma times its region feature,
+    its score, and with a pair matrix its region attention and that
+    attention through the pair matrix (without region features the two
+    stores are one). In training with dropout, the masks of this pass and of
+    the outside pass are drawn here, in the order `_dropout_masks` fixes.
     """
     plan = ctx.plan
     terminals = init_terminals(ctx, params, cfg)
@@ -506,61 +516,38 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     if training and cfg.dropout > 0.0:
         inside_masks, outside_masks = _dropout_masks(
             plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
-    gamma, lam = cfg.gamma, cfg.lam
-    count = len(ctx.lengths)
-    h_blocks = [terminals]
-    s_blocks = [ad.constant(np.zeros(terminals.data.shape[0]))]
-    child_blocks: list[Tensor] = []   # span vectors plus their region feature
-    att_blocks: list[Tensor] = []     # region attention of each span
-    pair_blocks: list[Tensor] = []    # that attention through the pair matrix
+    count, (positions, d) = len(ctx.lengths), terminals.data.shape
+    spans = ad.Store(plan.block_start[-1], d + 1)
+    spans.write(terminals, cols=slice(0, d))
+    children, regions = spans, 0
+    if ctx.region_sum is not None:
+        if ctx.pair_sub is not None:
+            regions = ctx.pair_sub.shape[1]
+        children = ad.Store(plan.block_start[-2], d + 1 + 2 * regions)
+
+        def add_children(block: Tensor, length: int) -> None:
+            children.write(span_features(
+                block, ctx.v_proj, ctx.region_sum, gamma=cfg.gamma,
+                blocks=(count, plan.n_max - length + 1), pad=plan.pad.get(length),
+                unpad=plan.unpad.get(length), mask=ctx.region_mask, pair=ctx.pair_sub))
+
+        add_children(spans.gather(slice(0, positions)), 1)
     voice = None
     if ctx.voice is not None:
         voice = ctx.voice[plan.span_sentence, plan.span_start - 1, plan.span_end - 1]
-
-    def add_child_block(h: Tensor, length: int) -> None:
-        if ctx.region_sum is None:
-            child_blocks.append(h)
-            return
-        u, att = visual_span_feature(_pad(h, plan, length), ctx.v_proj,
-                                     ctx.region_sum, ctx.region_mask)
-        child_blocks.append(h + gamma * _unpad(u, plan, length))
-        att_blocks.append(_unpad(att, plan, length))
-        if ctx.pair_sub is not None:
-            pair_blocks.append(_unpad(ad.bmm(att, ctx.pair_sub), plan, length))
-
-    add_child_block(terminals, 1)
+    weights = tuple(params[name] for name in ("compose_in_w1", "compose_in_b1",
+                                              "compose_in_w2", "compose_in_b2",
+                                              "bilinear_inside"))
     split_in = {}
     for length in range(2, plan.n_max + 1):
-        left_rows, right_rows, pitch_rows = plan.inside[length]
+        child_rows, pool_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
-        cells, splits = block.stop - block.start, length - 1
-        children = ad.concat(child_blocks)
-        left = ad.gather_rows(children, left_rows)
-        right = ad.gather_rows(children, right_rows)
-        if ctx.pitch_seq is not None:
-            pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
-            pooled = lam * ad.bmm(pool, ctx.pitch_seq)
-            pooled = ad.gather_rows(ad.reshape(pooled, (-1, pooled.data.shape[2])),
-                                    pitch_rows)
-            left = left + pooled
-            right = right + pooled
-
-        composed = mlp_compose(
-            left, right, params["compose_in_w1"], params["compose_in_b1"],
-            params["compose_in_w2"], params["compose_in_b2"],
-            keep=None if inside_masks is None else inside_masks[length],
-        )
-        scores = bilinear_score(left, params["bilinear_inside"], right)
-        if pair_blocks:
-            scores = scores + ad.tensor_sum(
-                ad.gather_rows(ad.concat(pair_blocks), left_rows)
-                * ad.gather_rows(ad.concat(att_blocks), right_rows), axis=1)
-        if voice is not None:
-            scores = scores + np.repeat(voice[block], splits)
-        span_scores = ad.concat(s_blocks)
-        scores = scores + ad.gather_rows(span_scores, left_rows) \
-            + ad.gather_rows(span_scores, right_rows)
-        scores = ad.reshape(scores, (cells, splits))
+        step, scores = inside_step(
+            children.gather(child_rows), ctx.pitch_seq, weights,
+            cells=block.stop - block.start, regions=regions,
+            voice=None if voice is None else np.repeat(voice[block], length - 1),
+            pool=plan.pool[length], pool_rows=pool_rows, lam=cfg.lam,
+            keep=None if inside_masks is None else inside_masks[length])
         bad = _first_nonfinite(scores)
         if bad is not None:
             row = block.start + bad[0]
@@ -569,14 +556,13 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
                 f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
-        h, s = softmax_pool(scores, composed)
-        split_in[length] = scores
-        h_blocks.append(h)
-        s_blocks.append(s)
-        if length < plan.n_max:
-            add_child_block(h, length)
-    return Chart(lengths=ctx.lengths, h_in=ad.concat(h_blocks), s_in=ad.concat(s_blocks),
-                 split_in=split_in, outside_masks=outside_masks, plan=plan)
+        split_in[length] = ad.constant(scores)
+        spans.write(step)
+        if children is not spans and length < plan.n_max:
+            add_children(step, length)
+    return Chart(lengths=ctx.lengths, h_in=spans.gather(slice(None), slice(0, d)),
+                 s_in=spans.gather(slice(None), d), split_in=split_in,
+                 outside_masks=outside_masks, plan=plan, span_store=spans)
 
 
 def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
@@ -588,29 +574,28 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     inside cell: position k > j uses parent (i, k) and sibling (j+1, k);
     k < i uses parent (k, j) and sibling (k, i-1). The root has no context;
     its outside vector is a learned bias and its outside score is zero.
-    Each distance r to the root is one batch over all (span, context) pairs
-    of every sentence with n > r. In training, the dropout masks are the ones
-    the inside pass drew, so it must have run in training too; `rng` is taken
-    for symmetry with `inside_pass` and not used.
+    Each distance r to the root is one step over all (span, context) pairs
+    of every sentence with n > r, reading parents from a distance-major
+    store of outside vectors and scores and siblings from the inside pass's
+    store. In training, the dropout masks are the ones the inside pass drew,
+    so it must have run in training too; `rng` is taken for symmetry with
+    `inside_pass` and not used.
     """
     plan = chart.plan
     masks = chart.outside_masks if training else None
     count = len(chart)
-    h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
-    s_blocks = [ad.constant(np.zeros(count))]
+    root = params["root_outside_bias"] * np.ones((count, 1))
+    d = root.data.shape[1]
+    outside = ad.Store(plan.block_start[-1], d + 1)
+    outside.write(root, cols=slice(0, d))
+    weights = tuple(params[name] for name in ("compose_out_w1", "compose_out_b1",
+                                              "compose_out_w2", "compose_out_b2",
+                                              "bilinear_outside"))
     for r in range(1, plan.n_max):
         parent_rows, sibling_rows, cell_sent, cell_start, cell_end = plan.outside[r]
-        parent = ad.gather_rows(ad.concat(h_blocks), parent_rows)
-        sibling = ad.gather_rows(chart.h_in, sibling_rows)
-        composed = mlp_compose(
-            parent, sibling, params["compose_out_w1"],
-            params["compose_out_b1"], params["compose_out_w2"],
-            params["compose_out_b2"], keep=None if masks is None else masks[r],
-        )
-        scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
-            + ad.gather_rows(ad.concat(s_blocks), parent_rows) \
-            + ad.gather_rows(chart.s_in, sibling_rows)
-        scores = ad.reshape(scores, (cell_sent.size, r))
+        step, scores = outside_step(
+            outside.gather(parent_rows), chart.span_store.gather(sibling_rows), weights,
+            cells=cell_sent.size, keep=None if masks is None else masks[r])
         bad = _first_nonfinite(scores)
         if bad is not None:
             c = bad[0]
@@ -618,11 +603,9 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                 f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
                 f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
             )
-        h, s = softmax_pool(scores, composed)
-        h_blocks.append(h)
-        s_blocks.append(s)
-    chart.h_out = ad.gather_rows(ad.concat(h_blocks), plan.out_perm)
-    chart.s_out = ad.gather_rows(ad.concat(s_blocks), plan.out_perm)
+        outside.write(step)
+    chart.h_out = outside.gather(plan.out_perm, slice(0, d))
+    chart.s_out = outside.gather(plan.out_perm, d)
     return chart
 
 

@@ -13,6 +13,7 @@ Schema per line::
      "clip_feats_ref": base64,              # T x d_s float64
      "f0_frames": [[hz, ...], ...],         # per clip; 0 marks unvoiced frames
      "vad_frames": [[0|1, ...], ...],       # per clip
+     "frame_period": s?,                    # f0/VAD frame length; default 0.01
      "regions": [{"feat_ref": base64, "bbox": [x0, y0, x1, y1],
                   "category": int}, ...],
      "image_size": [w, h],

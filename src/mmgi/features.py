@@ -97,6 +97,11 @@ class SpeechTrack:
     def validate(self, owner: str = "?") -> None:
         if self.count < 1:
             raise DataValidationError(f"example {owner}: speech track has no clips")
+        if not (np.isfinite(self.frame_period) and self.frame_period > 0):
+            raise DataValidationError(
+                f"example {owner}: frame_period {self.frame_period} is not a positive "
+                f"number of seconds"
+            )
         prev_end = -np.inf
         for t, (start, end) in enumerate(self.clips):
             if not start < end:

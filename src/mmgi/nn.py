@@ -1,11 +1,14 @@
-"""Composition MLP, span scoring and pooling, LSTM recurrence, dropout, and
-parameter initialization.
+"""Composition MLP, the chart's fused step ops, LSTM recurrence, dropout,
+and parameter initialization.
 
 The model blocks the chart repeats for every span and split, and the pitch
-LSTM, are single autodiff nodes with hand-written vector-Jacobian products:
-one node per call rather than one per elementary op, which keeps a training
-step's graph small. Their forward expressions are those of the elementary
-ops they replace, in the same order, so their values are unchanged.
+LSTM, are single autodiff nodes with hand-written vector-Jacobian products.
+One inside step (all spans of one length), one outside step (all spans at
+one distance to the root) and the region feature of a block of spans are
+each one node too, built from the same blocks, so a training step's graph
+has a few nodes per span length. Their forward expressions are those of the
+elementary ops they replace, in the same order, so their values are
+unchanged.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .errors import ShapeError
 __all__ = [
     "glorot_uniform",
     "mlp_compose",
-    "bilinear_score",
-    "softmax_pool",
+    "inside_step",
+    "outside_step",
+    "span_features",
     "lstm_forward",
     "dropout_mask",
 ]
@@ -50,6 +54,28 @@ def _bias_vjp(g: np.ndarray) -> np.ndarray:
     return g if g.ndim == 1 else g.sum(axis=0)
 
 
+class _Compose:
+    """Forward of the compose MLP over two (K, d) blocks or (d,) vectors, and
+    its vjp. Weights are (2d, hidden) and (hidden, d); `keep` is an optional
+    dropout mask on the hidden layer."""
+
+    def __init__(self, left, right, w1, b1, w2, b2, keep):
+        self.x = np.concatenate([left, right], axis=-1)
+        self.t = np.tanh(self.x @ w1 + b1)
+        self.h = self.t if keep is None else self.t * keep
+        self.out = self.h @ w2 + b2
+        self.keep = keep
+
+    def vjp(self, g, w1, w2, need_x, need_w1, need_w2):
+        """(g_x, g_w1, g_b1, g_w2, g_b2) of an output gradient `g`."""
+        g_h, g_w2 = _linear_vjp(self.h, w2, g, True, need_w2)
+        if self.keep is not None:
+            g_h = g_h * self.keep
+        g_pre = g_h * (1.0 - self.t * self.t)
+        g_x, g_w1 = _linear_vjp(self.x, w1, g_pre, need_x, need_w1)
+        return g_x, g_w1, _bias_vjp(g_pre), g_w2, _bias_vjp(g)
+
+
 def mlp_compose(left: Tensor, right: Tensor, w1: Tensor, b1: Tensor,
                 w2: Tensor, b2: Tensor, *, keep: np.ndarray | None = None) -> Tensor:
     """Two-layer MLP over the concatenation of two span vectors.
@@ -67,69 +93,237 @@ def mlp_compose(left: Tensor, right: Tensor, w1: Tensor, b1: Tensor,
             f"compose input dim {left.data.shape[-1]} does not match weights "
             f"{w1.data.shape}"
         )
-    x = np.concatenate([left.data, right.data], axis=-1)
-    t = np.tanh(x @ w1.data + b1.data)
-    h = t if keep is None else t * keep
-    data = h @ w2.data + b2.data
+    mlp = _Compose(left.data, right.data, w1.data, b1.data, w2.data, b2.data, keep)
 
     def vjp(g):
-        g_h, g_w2 = _linear_vjp(h, w2.data, g, True, w2.requires_grad)
-        if keep is not None:
-            g_h = g_h * keep
-        g_pre = g_h * (1.0 - t * t)
         need_x = left.requires_grad or right.requires_grad
-        g_x, g_w1 = _linear_vjp(x, w1.data, g_pre, need_x, w1.requires_grad)
+        g_x, g_w1, g_b1, g_w2, g_b2 = mlp.vjp(g, w1.data, w2.data, need_x,
+                                              w1.requires_grad, w2.requires_grad)
         g_left = g_right = None
         if need_x:
             g_left, g_right = np.split(g_x, 2, axis=-1)
-        return g_left, g_right, g_w1, _bias_vjp(g_pre), g_w2, _bias_vjp(g)
+        return g_left, g_right, g_w1, g_b1, g_w2, g_b2
 
-    return ad._from_op(data, (left, right, w1, b1, w2, b2), vjp)
+    return ad._from_op(mlp.out, (left, right, w1, b1, w2, b2), vjp)
 
 
-def bilinear_score(left: Tensor, w: Tensor, right: Tensor) -> Tensor:
-    """Row-wise ``left[k] @ w @ right[k]`` of two (K, d) blocks: (K,) scores."""
-    projected = left.data @ w.data
-    data = (projected * right.data).sum(axis=1)
+class _PooledStep:
+    """The shared core of an inside and an outside step.
+
+    Composes the K = cells * splits (left, right) pairs of one step and
+    gives their (K,) bilinear scores. `pool` takes the pairs' full scores
+    (the bilinear ones plus the caller's further terms), normalizes each
+    cell's with a softmax and pools the composed vectors and the scores into
+    (cells, d + 1) rows: the pooled vector, then the expected score. `vjp`
+    returns the gradients of the pairs' scores, of `left` and `right`, and
+    of the weights.
+    """
+
+    def __init__(self, left, right, weights, keep):
+        w1, b1, w2, b2, w_bil = (w.data for w in weights)
+        self.weights, self.left, self.right = weights, left, right
+        self.mlp = _Compose(left, right, w1, b1, w2, b2, keep)
+        self.projected = left @ w_bil
+        self.bilinear = (self.projected * right).sum(axis=1)
+
+    def pool(self, scores: np.ndarray, cells: int) -> np.ndarray:
+        scores = self.scores = scores.reshape(cells, -1)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        self.softmax = e / e.sum(axis=1, keepdims=True)
+        composed = self.mlp.out
+        self.stacked = composed.reshape(cells, scores.shape[1], composed.shape[1])
+        out = np.empty((cells, composed.shape[1] + 1))
+        out[:, :-1] = (self.softmax[:, :, None] * self.stacked).sum(axis=1)
+        out[:, -1] = (scores * self.softmax).sum(axis=1)
+        return out
+
+    def vjp(self, g, need_pairs: bool):
+        """(g_scores (K,), g_left, g_right, weight gradients) of a (cells, d + 1)
+        output gradient; g_left and g_right are None unless `need_pairs`."""
+        w1, b1, w2, b2, w_bil = self.weights
+        softmax, scores = self.softmax, self.scores
+        g_vector, g_score = g[:, :-1], g[:, -1:]
+        g_softmax = (g_vector[:, None, :] * self.stacked).sum(axis=2) + g_score * scores
+        g_scores = (g_score * softmax
+                    + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
+                    * softmax).ravel()
+        g_composed = (g_vector[:, None, :] * softmax[:, :, None]).reshape(self.mlp.out.shape)
+        g_x, g_w1, g_b1, g_w2, g_b2 = self.mlp.vjp(g_composed, w1.data, w2.data, need_pairs,
+                                                   w1.requires_grad, w2.requires_grad)
+        g_projected = g_scores[:, None] * self.right
+        g_left, g_w_bil = _linear_vjp(self.left, w_bil.data, g_projected, need_pairs,
+                                      w_bil.requires_grad)
+        g_right = None
+        if need_pairs:
+            d = self.left.shape[1]
+            g_left = g_left + g_x[:, :d]
+            g_right = g_scores[:, None] * self.projected + g_x[:, d:]
+        return g_scores, g_left, g_right, (g_w1, g_b1, g_w2, g_b2, g_w_bil)
+
+
+def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, ...], *,
+                cells: int, regions: int = 0, voice: np.ndarray | None = None,
+                pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
+                lam: float = 0.0, keep: np.ndarray | None = None
+                ) -> tuple[Tensor, np.ndarray]:
+    """All spans of one length, as one node: ((cells, d + 1) rows of pooled
+    vector and expected score, (cells, splits) decomposition scores).
+
+    `children` holds the K = cells * splits left children, then the K right
+    ones, split by split within each span. Each row is a child's vector, its
+    span score and, with `regions` M > 0, its region attention (M) and that
+    attention through the pair matrix (M). `weights` are the compose MLP's
+    (w1, b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d), each
+    child vector gains `lam` times the mean pitch state over its parent's
+    positions: row `pool_rows[k]` of the (B, windows) means the (windows, T)
+    averaging matrix `pool` gives. A pair's score is, in this order, the
+    bilinear score plus the pair term (the left child's attention through the
+    pair matrix dotted with the right child's attention) plus `voice` plus
+    both children's span scores.
+    """
+    rows = children.data
+    pairs = rows.shape[0] // 2
+    d = weights[4].data.shape[0]
+    left, right = rows[:pairs, :d], rows[pairs:, :d]
+    if pitch is None:
+        left = np.ascontiguousarray(left)
+    else:
+        spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
+        pooled = lam * (spread @ pitch.data)
+        windows = pooled.shape[:2]
+        pooled = pooled.reshape(-1, d)[pool_rows]
+        left, right = left + pooled, right + pooled
+    step = _PooledStep(left, right, weights, keep)
+    scores = step.bilinear
+    if regions:
+        scores = scores + (rows[:pairs, d + 1 + regions:] * rows[pairs:, d + 1:d + 1 + regions]
+                           ).sum(axis=1)
+    if voice is not None:
+        scores = scores + voice
+    out = step.pool((scores + rows[:pairs, d]) + rows[pairs:, d], cells)
 
     def vjp(g):
-        g = g[:, None]
-        g_projected = g * right.data
-        g_left, g_w = _linear_vjp(left.data, w.data, g_projected,
-                                  left.requires_grad, w.requires_grad)
-        return g_left, g_w, (g * projected if right.requires_grad else None)
+        need_children = children.requires_grad
+        need_pitch = pitch is not None and pitch.requires_grad
+        g_scores, g_left, g_right, g_weights = step.vjp(g, need_children or need_pitch)
+        g_children = g_pitch = None
+        if need_children:
+            g_children = np.zeros(rows.shape)
+            g_children[:pairs, :d] = g_left
+            g_children[pairs:, :d] = g_right
+            g_children[:pairs, d] = g_scores
+            g_children[pairs:, d] = g_scores
+            if regions:
+                g_children[:pairs, d + 1 + regions:] = \
+                    g_scores[:, None] * rows[pairs:, d + 1:d + 1 + regions]
+                g_children[pairs:, d + 1:d + 1 + regions] = \
+                    g_scores[:, None] * rows[:pairs, d + 1 + regions:]
+        if need_pitch:
+            g_pooled = ad._scatter_add((windows[0] * windows[1], d), 1, pool_rows,
+                                       g_left + g_right)
+            g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_pooled.reshape(windows + (d,)))
+        return (g_children,) + ((g_pitch,) if pitch is not None else ()) + g_weights
 
-    return ad._from_op(data, (left, w, right), vjp)
+    inputs = (children,) + ((pitch,) if pitch is not None else ()) + tuple(weights)
+    return ad._from_op(out, inputs, vjp), step.scores
 
 
-def softmax_pool(scores: Tensor, vectors: Tensor) -> tuple[Tensor, Tensor]:
-    """Softmax over each row of (cells, K) scores, pooling two things: the
-    weighted mean of the (cells * K, d) vectors, K rows per cell, and the
-    expected score. Two nodes that share one softmax."""
-    cells, count = scores.data.shape
-    shifted = scores.data - scores.data.max(axis=1, keepdims=True)
+def outside_step(parents: Tensor, siblings: Tensor, weights: tuple[Tensor, ...], *,
+                 cells: int, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """All spans at one distance to the root, as one node: ((cells, d + 1)
+    rows of pooled vector and expected score, (cells, contexts) scores).
+
+    `parents` and `siblings` are the K = cells * contexts (outside row,
+    inside row) pairs, context by context within each span, each row a
+    vector and its score. `weights` are the outside compose MLP's (w1, b1,
+    w2, b2) and the outside bilinear matrix. A pair's score is the bilinear
+    score plus the parent's outside score plus the sibling's inside score.
+    """
+    d = weights[4].data.shape[0]
+    parent, sibling = parents.data, siblings.data
+    step = _PooledStep(np.ascontiguousarray(parent[:, :d]), sibling[:, :d], weights, keep)
+    out = step.pool((step.bilinear + parent[:, d]) + sibling[:, d], cells)
+
+    def vjp(g):
+        need = parents.requires_grad or siblings.requires_grad
+        g_scores, g_parent, g_sibling, g_weights = step.vjp(g, need)
+        g_parents = g_siblings = None
+        if need:
+            g_parents = np.empty(parent.shape)
+            g_parents[:, :d], g_parents[:, d] = g_parent, g_scores
+            g_siblings = np.empty(sibling.shape)
+            g_siblings[:, :d], g_siblings[:, d] = g_sibling, g_scores
+        return (g_parents, g_siblings) + g_weights
+
+    return ad._from_op(out, (parents, siblings) + tuple(weights), vjp), step.scores
+
+
+def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: float,
+                  blocks: tuple[int, int], pad: np.ndarray | None = None,
+                  unpad: np.ndarray | None = None, mask: np.ndarray | None = None,
+                  pair: np.ndarray | None = None) -> Tensor:
+    """What a parent reads of a block of child spans, as one node.
+
+    `spans` holds (cells, d + 1) rows of span vector h and span score. Each
+    sentence's spans attend over its own regions: padded to `blocks` = (B,
+    C) per-sentence blocks by the row indices `pad` and back by `unpad`
+    (both None when every sentence has C of them), against the (B, M, d)
+    `v_proj` and `region_sum`, with `mask` (B, M) adding -inf to padding
+    regions. Returns rows of h + gamma * u (u the attention-pooled region
+    feature), the span score and, given the (B, M, M) `pair` matrices, the
+    attention and the attention through the pair matrix.
+    """
+    rows = spans.data
+    d = rows.shape[1] - 1
+    h = rows[:, :d]
+    hp = np.ascontiguousarray(h) if pad is None else h[pad]
+    hp = hp.reshape(blocks + (d,))
+    logits = hp @ np.swapaxes(v_proj.data, -1, -2)
+    if mask is not None:
+        logits = logits + mask[:, None, :]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    weights = e / e.sum(axis=1, keepdims=True)
-    stacked = vectors.data.reshape(cells, count, vectors.data.shape[1])
-    pooled = (weights.reshape(cells, count, 1) * stacked).sum(axis=1)
-    expected = (scores.data * weights).sum(axis=1)
+    att = e / e.sum(axis=-1, keepdims=True)
+    regions = att.shape[-1]
+    cells = blocks[0] * blocks[1]
 
-    def through_softmax(g_weights):
-        return (g_weights - (g_weights * weights).sum(axis=1, keepdims=True)) * weights
+    def real(padded: np.ndarray) -> np.ndarray:
+        flat = padded.reshape(cells, -1)
+        return flat if unpad is None else flat[unpad]
 
-    def pooled_vjp(g):
-        g = g[:, None, :]
-        g_vectors = None
-        if vectors.requires_grad:
-            g_vectors = (g * weights[:, :, None]).reshape(vectors.data.shape)
-        return through_softmax((g * stacked).sum(axis=2)), g_vectors
+    out = np.empty((rows.shape[0], d + 1 + (2 * regions if pair is not None else 0)))
+    out[:, :d] = h + gamma * real(att @ region_sum.data)
+    out[:, d] = rows[:, d]
+    if pair is not None:
+        out[:, d + 1:d + 1 + regions] = real(att)
+        out[:, d + 1 + regions:] = real(att @ pair)
 
-    def expected_vjp(g):
-        g = g[:, None]
-        return (g * weights + through_softmax(g * scores.data),)
+    def padded(g: np.ndarray) -> np.ndarray:
+        if unpad is None:
+            return g.reshape(blocks + g.shape[1:])
+        full = np.zeros((cells,) + g.shape[1:])
+        full[unpad] = g
+        return full.reshape(blocks + g.shape[1:])
 
-    return (ad._from_op(pooled, (scores, vectors), pooled_vjp),
-            ad._from_op(expected, (scores,), expected_vjp))
+    def vjp(g):
+        g_u = padded(gamma * g[:, :d])
+        g_att = g_u @ np.swapaxes(region_sum.data, -1, -2)
+        if pair is not None:
+            g_att = g_att + padded(g[:, d + 1:d + 1 + regions]) \
+                + padded(g[:, d + 1 + regions:]) @ np.swapaxes(pair, -1, -2)
+        g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
+        g_spans = None
+        if spans.requires_grad:
+            # padding rows are dropped, so they get no gradient: read the real ones
+            g_spans = np.empty(rows.shape)
+            g_spans[:, :d] = real(g_logits @ v_proj.data) + g[:, :d]
+            g_spans[:, d] = g[:, d]
+        g_v = np.swapaxes(g_logits, -1, -2) @ hp if v_proj.requires_grad else None
+        g_region = np.swapaxes(att, -1, -2) @ g_u if region_sum.requires_grad else None
+        return g_spans, g_v, g_region
+
+    return ad._from_op(out, (spans, v_proj, region_sum), vjp)
 
 
 def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

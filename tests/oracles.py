@@ -2,10 +2,12 @@
 
 Everything here is plain numpy, written recursively, scalar-at-a-time or
 loop by loop on purpose: these are the oracles the vectorized library code is
-checked against, so they deliberately share no code with it. The one
-exception is the composite references of the fused ops, which are built from
-the autodiff engine's elementary ops so that their gradients come from the
-engine's own vector-Jacobian products.
+checked against, so they deliberately share no code with it. The exceptions
+are the composite references of the fused ops and the node-by-node chart
+passes, which are built from the autodiff engine's elementary ops (and, for
+the passes, the library's terminals, padding and compose MLP, which the
+fused steps leave unchanged) so that their gradients come from the engine's
+own vector-Jacobian products.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import math
 import numpy as np
 
 from mmgi import autodiff as ad
+from mmgi.chart import Chart, _pad, _unpad, init_terminals
+from mmgi.errors import ChartError
+from mmgi.nn import dropout_mask, mlp_compose
 
 
 def fd_gradient(fn, arrays: dict[str, np.ndarray], eps: float = 1e-5) -> dict[str, np.ndarray]:
@@ -73,7 +78,8 @@ def naive_lstm(inputs, wx, wh, b):
 # The model blocks that `mmgi.nn` computes as single nodes, rebuilt from the
 # engine's elementary ops as they were before fusion. The fused forward must
 # match these bit for bit; their gradients come from the engine's own vjps.
-# `sigmoid` and `stack` serve only these references, so they live here.
+# `sigmoid`, `stack` and `concat` serve only these references, so they live
+# here.
 
 
 def sigmoid(a):
@@ -92,8 +98,25 @@ def stack(tensors, axis: int = 0):
     return ad._from_op(data, tuple(tensors), vjp)
 
 
+def concat(tensors, axis: int = 0):
+    tensors = [ad.astensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+
+    def vjp(g):
+        index = [slice(None)] * g.ndim
+        pieces, start = [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            index[axis] = slice(start, stop)
+            pieces.append(g[tuple(index)])
+            start = stop
+        return pieces
+
+    return ad._from_op(data, tuple(tensors), vjp)
+
+
 def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
-    x = ad.concat([left, right], axis=-1)
+    x = concat([left, right], axis=-1)
     h = ad.tanh(ad.matmul(x, w1) + b1)
     if keep is not None:
         h = h * keep
@@ -133,6 +156,217 @@ def composite_lstm(inputs, w_x, w_h, b):
         outs.append(h)
     out = stack(outs, axis=1)
     return out if inputs.data.ndim == 3 else ad.reshape(out, shape)
+
+
+def bilinear_score(left, w, right):
+    """Row-wise ``left[k] @ w @ right[k]`` of two (K, d) blocks, as one node:
+    the scoring block of the node-by-node chart passes below."""
+    projected = left.data @ w.data
+    data = (projected * right.data).sum(axis=1)
+
+    def vjp(g):
+        g = g[:, None]
+        g_projected = g * right.data
+        return (g_projected @ w.data.T if left.requires_grad else None,
+                left.data.T @ g_projected if w.requires_grad else None,
+                g * projected if right.requires_grad else None)
+
+    return ad._from_op(data, (left, w, right), vjp)
+
+
+def softmax_pool(scores, vectors):
+    """Softmax over each row of (cells, K) scores, pooling the weighted mean
+    of the (cells * K, d) vectors and the expected score: two nodes that share
+    one softmax, the pooling block of the node-by-node chart passes below."""
+    cells, count = scores.data.shape
+    shifted = scores.data - scores.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=1, keepdims=True)
+    stacked = vectors.data.reshape(cells, count, vectors.data.shape[1])
+    pooled = (weights.reshape(cells, count, 1) * stacked).sum(axis=1)
+    expected = (scores.data * weights).sum(axis=1)
+
+    def through_softmax(g_weights):
+        return (g_weights - (g_weights * weights).sum(axis=1, keepdims=True)) * weights
+
+    def pooled_vjp(g):
+        g = g[:, None, :]
+        g_vectors = None
+        if vectors.requires_grad:
+            g_vectors = (g * weights[:, :, None]).reshape(vectors.data.shape)
+        return through_softmax((g * stacked).sum(axis=2)), g_vectors
+
+    def expected_vjp(g):
+        g = g[:, None]
+        return (g * weights + through_softmax(g * scores.data),)
+
+    return (ad._from_op(pooled, (scores, vectors), pooled_vjp),
+            ad._from_op(expected, (scores,), expected_vjp))
+
+
+# ---------------------------------------------------------------------------
+# the chart passes node by node
+#
+# `mmgi.chart.inside_pass` and `outside_pass` as they were before each step
+# became one node: every block concatenated again per step, one node per
+# gather, padding and feature term. The fused passes must give the same
+# values bit for bit and the same gradients up to the order of their sums.
+
+
+def visual_span_feature(h_in, v_proj, region_sum, mask=None):
+    """Attention-pooled region feature: (u, attention weights over the regions).
+
+    For a span (d,) or a block of spans (cells, d) against one image's
+    (M, d) regions, or for per-sentence blocks (B, C, d) against each
+    sentence's own (B, M, d) regions, with `mask` (B, M) adding -inf to
+    padding regions.
+    """
+    product = ad.bmm if h_in.data.ndim == 3 else ad.matmul
+    logits = product(h_in, ad.transpose(v_proj))
+    if mask is not None:
+        logits = logits + mask[:, None, :]
+    att = ad.softmax(logits, axis=-1)
+    return product(att, region_sum), att
+
+
+def split_dropout_masks(plan, hidden: int, rate: float, rng) -> tuple[dict, dict]:
+    """`mmgi.chart._dropout_masks` as it assembled the masks before: one draw,
+    split into per-sentence pieces in draw order, concatenated per step."""
+    blocks, rows = [], []   # (pass, length or distance), mask rows, in draw order
+    for n in plan.lengths:
+        for length in range(2, n + 1):
+            blocks.append((0, length))
+            rows.append((n - length + 1) * (length - 1))
+        for length in range(n - 1, 0, -1):
+            blocks.append((1, n - length))
+            rows.append((n - length + 1) * (n - length))
+    keep = dropout_mask(rng, (sum(rows), hidden), rate)
+    drawn: tuple[dict, dict] = ({}, {})
+    for (kind, key), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
+        drawn[kind].setdefault(key, []).append(mask)
+    return tuple({key: np.concatenate(masks) for key, masks in d.items()} for d in drawn)
+
+
+def _first_nonfinite(scores):
+    if np.all(np.isfinite(scores.data)):
+        return None
+    cell, column = np.argwhere(~np.isfinite(scores.data))[0]
+    return int(cell), int(column)
+
+
+def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
+    plan = ctx.plan
+    terminals = init_terminals(ctx, params, cfg)
+    inside_masks = outside_masks = None
+    if training and cfg.dropout > 0.0:
+        inside_masks, outside_masks = split_dropout_masks(
+            plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
+    gamma, lam = cfg.gamma, cfg.lam
+    count = len(ctx.lengths)
+    h_blocks = [terminals]
+    s_blocks = [ad.constant(np.zeros(terminals.data.shape[0]))]
+    child_blocks = []   # span vectors plus their region feature
+    att_blocks = []     # region attention of each span
+    pair_blocks = []    # that attention through the pair matrix
+    voice = None
+    if ctx.voice is not None:
+        voice = ctx.voice[plan.span_sentence, plan.span_start - 1, plan.span_end - 1]
+
+    def add_child_block(h, length):
+        if ctx.region_sum is None:
+            child_blocks.append(h)
+            return
+        u, att = visual_span_feature(_pad(h, plan, length), ctx.v_proj,
+                                     ctx.region_sum, ctx.region_mask)
+        child_blocks.append(h + gamma * _unpad(u, plan, length))
+        att_blocks.append(_unpad(att, plan, length))
+        if ctx.pair_sub is not None:
+            pair_blocks.append(_unpad(ad.bmm(att, ctx.pair_sub), plan, length))
+
+    add_child_block(terminals, 1)
+    split_in = {}
+    for length in range(2, plan.n_max + 1):
+        child_rows, pitch_rows = plan.inside[length]
+        left_rows, right_rows = child_rows[:child_rows.size // 2], child_rows[child_rows.size // 2:]
+        block = slice(plan.block_start[length], plan.block_start[length + 1])
+        cells, splits = block.stop - block.start, length - 1
+        children = concat(child_blocks)
+        left = ad.gather_rows(children, left_rows)
+        right = ad.gather_rows(children, right_rows)
+        if ctx.pitch_seq is not None:
+            pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
+            pooled = lam * ad.bmm(pool, ctx.pitch_seq)
+            pooled = ad.gather_rows(ad.reshape(pooled, (-1, pooled.data.shape[2])),
+                                    pitch_rows)
+            left = left + pooled
+            right = right + pooled
+
+        composed = mlp_compose(
+            left, right, params["compose_in_w1"], params["compose_in_b1"],
+            params["compose_in_w2"], params["compose_in_b2"],
+            keep=None if inside_masks is None else inside_masks[length],
+        )
+        scores = bilinear_score(left, params["bilinear_inside"], right)
+        if pair_blocks:
+            scores = scores + ad.tensor_sum(
+                ad.gather_rows(concat(pair_blocks), left_rows)
+                * ad.gather_rows(concat(att_blocks), right_rows), axis=1)
+        if voice is not None:
+            scores = scores + np.repeat(voice[block], splits)
+        span_scores = concat(s_blocks)
+        scores = scores + ad.gather_rows(span_scores, left_rows) \
+            + ad.gather_rows(span_scores, right_rows)
+        scores = ad.reshape(scores, (cells, splits))
+        bad = _first_nonfinite(scores)
+        if bad is not None:
+            row = block.start + bad[0]
+            start = int(plan.span_start[row])
+            raise ChartError(
+                f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
+                f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
+            )
+        h, s = softmax_pool(scores, composed)
+        split_in[length] = scores
+        h_blocks.append(h)
+        s_blocks.append(s)
+        if length < plan.n_max:
+            add_child_block(h, length)
+    return Chart(lengths=ctx.lengths, h_in=concat(h_blocks), s_in=concat(s_blocks),
+                 split_in=split_in, outside_masks=outside_masks, plan=plan)
+
+
+def composite_outside_pass(chart, ctx, params, cfg, training=False):
+    plan = chart.plan
+    masks = chart.outside_masks if training else None
+    count = len(chart)
+    h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
+    s_blocks = [ad.constant(np.zeros(count))]
+    for r in range(1, plan.n_max):
+        parent_rows, sibling_rows, cell_sent, cell_start, cell_end = plan.outside[r]
+        parent = ad.gather_rows(concat(h_blocks), parent_rows)
+        sibling = ad.gather_rows(chart.h_in, sibling_rows)
+        composed = mlp_compose(
+            parent, sibling, params["compose_out_w1"],
+            params["compose_out_b1"], params["compose_out_w2"],
+            params["compose_out_b2"], keep=None if masks is None else masks[r],
+        )
+        scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
+            + ad.gather_rows(concat(s_blocks), parent_rows) \
+            + ad.gather_rows(chart.s_in, sibling_rows)
+        scores = ad.reshape(scores, (cell_sent.size, r))
+        bad = _first_nonfinite(scores)
+        if bad is not None:
+            c = bad[0]
+            raise ChartError(
+                f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
+                f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
+            )
+        h, s = softmax_pool(scores, composed)
+        h_blocks.append(h)
+        s_blocks.append(s)
+    chart.h_out = ad.gather_rows(concat(h_blocks), plan.out_perm)
+    chart.s_out = ad.gather_rows(concat(s_blocks), plan.out_perm)
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +619,7 @@ def loop_plan(lengths) -> dict:
         s = np.tile(np.arange(splits), rows.stop - rows.start)
         left = offsets[s + 1, sent] + start - 1
         right = offsets[splits - s, sent] + start + s
-        inside[length] = (left, right, np.repeat(padded_row, splits))
+        inside[length] = (np.concatenate([left, right]), np.repeat(padded_row, splits))
     plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
 
     distance = np.arange(n_max)

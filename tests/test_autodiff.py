@@ -10,7 +10,7 @@ from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
 from mmgi.errors import ShapeError
 
-from .oracles import fd_gradient, sigmoid, stack
+from .oracles import concat, fd_gradient, sigmoid, stack
 
 RTOL = 1e-4
 
@@ -61,7 +61,7 @@ OPS = {
     "softmax_vec": (lambda t: ad.softmax(t["a"]), {"a": (6,)}),
     "softmax_rows": (lambda t: ad.softmax(t["a"], axis=1), {"a": (3, 5)}),
     "log_softmax": (lambda t: ad.log_softmax(t["a"], axis=1), {"a": (3, 5)}),
-    "concat": (lambda t: ad.concat([t["a"], t["b"]], axis=0), {"a": (2, 3), "b": (4, 3)}),
+    "concat": (lambda t: concat([t["a"], t["b"]], axis=0), {"a": (2, 3), "b": (4, 3)}),
     "stack": (lambda t: stack([t["a"], t["b"], t["a"]]), {"a": (4,), "b": (4,)}),
     "gather_rows": (lambda t: ad.gather_rows(t["a"], np.array([0, 2, 2, 1])), {"a": (4, 3)}),
     "gather_rows_2d_index": (lambda t: ad.gather_rows(t["a"], np.array([[0, 2], [2, 2], [3, 0]])),
@@ -69,7 +69,7 @@ OPS = {
     "gather_rows_vector": (lambda t: ad.gather_rows(t["a"], np.array([[4, 1, 1], [0, 4, 1]])),
                            {"a": (5,)}),
     "gather_rows_scalar": (lambda t: ad.gather_rows(t["a"], 3) * t["a"], {"a": (5,)}),
-    "concat_many": (lambda t: ad.concat([t["a"], t["b"], t["a"]]), {"a": (2, 3), "b": (1, 3)}),
+    "concat_many": (lambda t: concat([t["a"], t["b"], t["a"]]), {"a": (2, 3), "b": (1, 3)}),
     "mul_broadcast_3d": (lambda t: t["a"] * t["b"], {"a": (2, 3, 1), "b": (2, 3, 4)}),
     "sum_axis1_3d": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (2, 3, 4)}),
     "sum_last_axis": (lambda t: ad.tensor_sum(t["a"], axis=-1), {"a": (3, 4)}),
@@ -84,7 +84,22 @@ OPS = {
     "select_last_axis": (lambda t: ad.select(t["a"], (slice(None), slice(2, 5))),
                          {"a": (3, 6)}),
     "reshape": (lambda t: ad.reshape(t["a"], (6,)), {"a": (2, 3)}),
+    "store_reads": (lambda t: _store_reads(t["a"], t["c"]), {"a": (2, 3), "c": (1, 2)}),
 }
+
+
+def _store_reads(a, c):
+    """A store read as the chart reads one: blocks appended (one of them made
+    from an earlier read, one into some columns only), then gathers with
+    repeated rows, a column range, one column and a slice."""
+    store = ad.Store(6, 3)
+    store.write(a * 1.0)                                      # rows 0-1
+    early = store.gather(np.array([1, 0, 1]))
+    store.write(ad.tanh(early))                               # rows 2-4
+    store.write(-c, cols=slice(1, 3))                         # row 5, column 0 stays zero
+    late = store.gather(np.array([5, 2, 0, 5, 3]), slice(0, 2))
+    return concat([ad.reshape(late, (10,)), store.gather(slice(None), 2),
+                   store.gather(slice(1, 3), 0)])
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -213,3 +228,31 @@ def test_second_backward_leaves_the_first_gradient_alone():
     backward(ad.tensor_sum(x * 3.0) + ad.tensor_sum(x) + ad.tensor_sum(x))
     assert np.array_equal(first, kept)
     assert np.array_equal(x.grad, 2 * kept)
+
+
+def test_store_blocks_take_a_copy_and_leave_the_buffer_clear():
+    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
+    block = x * 2.0
+    store = ad.Store(2, 2)
+    store.write(block)
+    loss = ad.tensor_sum(store.gather(np.array([0, 1, 1])) * ad.constant([[1.0, 2.0]]))
+    backward(loss)
+    first = x.grad.copy()
+    assert np.array_equal(first, [[2.0, 4.0], [4.0, 8.0]])
+    # a second sweep over the same graph adds the same gradient again
+    backward(loss)
+    assert np.array_equal(x.grad, 2 * first)
+
+
+def test_store_blocks_are_op_outputs_written_once():
+    leaf = Tensor(np.ones((2, 3)), requires_grad=True)
+    store = ad.Store(4, 3)
+    with pytest.raises(ValueError, match="op's output"):
+        store.write(leaf)
+    block = leaf * 1.0
+    store.write(block)
+    with pytest.raises(ValueError, match="once"):
+        store.write(block)
+    read = store.gather(np.array([1, 0]))
+    assert read._parents == (block,)
+    assert np.array_equal(read.data, np.ones((2, 3)))

@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
-from mmgi.chart import (_Plan, build_context, chart_dump, init_terminals, inside_pass,
-                        outside_pass, run_chart, sentence_plan, span_marginal,
-                        visual_span_feature, voice_activity_table)
+from mmgi.chart import (_dropout_masks, _Plan, build_context, chart_dump, init_terminals,
+                        inside_pass, outside_pass, run_chart, sentence_plan, span_marginal,
+                        voice_activity_table)
 from mmgi.decode import cky_decode
 from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
+from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
 from mmgi.nn import lstm_forward, mlp_compose
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import (loop_plan, naive_chart, np_sigmoid, scalar_pitch_index,
-                      scalar_unit_box, scalar_vad_aggregate)
+from .oracles import (composite_inside_pass, composite_outside_pass, loop_plan,
+                      naive_chart, np_sigmoid, scalar_pitch_index, scalar_unit_box,
+                      scalar_vad_aggregate, split_dropout_masks, visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
 
@@ -334,6 +336,121 @@ def test_training_dropout_draws_one_uniform_per_hidden_unit_in_cell_order():
     fresh = np.random.default_rng(5)
     fresh.random((inside + outside) * hidden)
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       hidden=st.integers(1, 5), rate=st.sampled_from([0.1, 0.3, 0.5]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_dropout_masks_match_the_split_and_concatenate_assembly(lengths, hidden, rate, seed):
+    plan = _Plan(tuple(lengths))
+    rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _dropout_masks(plan, hidden, rate, rng)
+    expect = split_dropout_masks(plan, hidden, rate, old_rng)
+    for masks, want in zip(got, expect):
+        assert list(masks) == list(want)
+        for key in want:
+            assert np.array_equal(masks[key], want[key]), key
+    assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
+def _mixed_batch(seed, shapes, cfg, with_pair=True):
+    rng = np.random.default_rng(seed)
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"m{k}")
+               for k, (n, regions) in enumerate(shapes)]
+    vocab_index = None if cfg.mode == "textless" else tiny_vocab_index(bundles)
+    params = build_params(cfg, 1 if vocab_index is None else len(vocab_index),
+                          np.random.default_rng(seed + 1))
+    pair = PairRelevanceMatrix(np.random.default_rng(seed + 2).random((5, 5))) \
+        if with_pair else None
+    return bundles, vocab_index, params, pair
+
+
+def _step(passes, bundles, params, cfg, vocab_index, pair, seed):
+    """One training step's chart and loss through the given (inside, outside)
+    passes, with its parameter gradients."""
+    inside, outside = passes
+    ctx = build_context(bundles, params, cfg, vocab_index, pair)
+    rng = np.random.default_rng(seed)
+    chart = inside(ctx, params, cfg, training=True, rng=rng)
+    outside(chart, ctx, params, cfg, training=True)
+    total, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(seed + 1))
+    ad.zero_grads(params.values())
+    ad.backward(total)
+    return chart, total, {name: p.grad for name, p in params.items()}
+
+
+@given(shapes=st.lists(st.tuples(st.integers(2, 8), st.integers(1, 4)),
+                      min_size=2, max_size=5),
+       modalities=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       with_pair=st.booleans(), textless=st.booleans(),
+       dropout=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_fused_passes_equal_the_node_by_node_passes(shapes, modalities, with_pair,
+                                                     textless, dropout, seed):
+    use_visual, use_pitch, use_voice = modalities
+    cfg = tiny_config(use_visual=use_visual, use_pitch=use_pitch, use_voice=use_voice,
+                      dropout=dropout, mode="textless" if textless else "full")
+    bundles, vocab_index, params, pair = _mixed_batch(seed, shapes, cfg, with_pair)
+    fused, fused_total, fused_grads = _step((inside_pass, outside_pass), bundles, params,
+                                            cfg, vocab_index, pair, seed)
+    ref, ref_total, ref_grads = _step((composite_inside_pass, composite_outside_pass),
+                                      bundles, params, cfg, vocab_index, pair, seed)
+    for name in ("h_in", "s_in", "h_out", "s_out"):
+        assert np.array_equal(getattr(fused, name).data, getattr(ref, name).data), name
+    assert list(fused.split_in) == list(ref.split_in)
+    for length, scores in ref.split_in.items():
+        assert np.array_equal(fused.split_in[length].data, scores.data), length
+    assert fused_total.data == ref_total.data
+    # the same gradients, summed in another order
+    for name, expect in ref_grads.items():
+        got = fused_grads[name]
+        if expect is None:
+            assert got is None or not got.any(), name
+            continue
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name
+
+
+def test_training_loss_gradient_on_a_mixed_batch():
+    # criterion 1 checks sentences of n = 3; here every chart path at once:
+    # n = 2..7, unequal region and clip counts, padding in every per-length
+    # block, all modalities with a pair matrix, dropout with reseeded masks
+    cfg = tiny_config(dropout=0.3)
+    assert cfg.use_visual and cfg.use_pitch and cfg.use_voice
+    shapes = [(4, 2), (2, 1), (7, 4), (3, 3), (6, 1), (5, 4)]
+    bundles, vocab_index, params, pair = _mixed_batch(57, shapes, cfg)
+    assert len({ex.speech.count for ex in bundles}) == len(bundles)
+
+    def loss():
+        chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                               rng=np.random.default_rng(58))
+        return batch_loss(chart, ctx, params, cfg, np.random.default_rng(59))[0]
+
+    err = grad_check(loss, params, probes_per_tensor=4, eps=1e-5,
+                     rng=np.random.default_rng(60))
+    assert err < 1e-4, err
+
+
+def test_step_graph_stays_under_its_node_budget(monkeypatch):
+    # 16 sentences of n = 5..14 with every modality and dropout; the
+    # node-by-node passes built 825 nodes that need a gradient for this step
+    cfg = tiny_config(dropout=0.1, batch=16)
+    shapes = [(n, 1 + k % 5) for k, n in enumerate(list(range(5, 15)) + [5, 8, 9, 11, 13, 14])]
+    bundles, vocab_index, params, pair = _mixed_batch(61, shapes, cfg)
+    built = []
+    original = ad._from_op
+
+    def counted(*args, **kwargs):
+        node = original(*args, **kwargs)
+        built.append(node.requires_grad)
+        return node
+
+    monkeypatch.setattr(ad, "_from_op", counted)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    monkeypatch.undo()
+    assert sum(built) <= 0.52 * 825, sum(built)
 
 
 def test_graph_nodes_grow_linearly_in_sentence_length(monkeypatch):

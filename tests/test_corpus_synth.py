@@ -100,6 +100,21 @@ def test_gold_labels_of_older_corpora_load_and_are_ignored(tmp_path):
     assert resaved.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("period,shown", [(0, "0.0"), (-0.01, "-0.01"),
+                                          (float("inf"), "inf"), (float("nan"), "nan")])
+def test_bad_frame_period_names_example(tmp_path, period, shown):
+    # the voice-activity term scales every frame by it
+    examples = _small_synth(sentence_count=2)
+    path = tmp_path / "c.jsonl"
+    save_corpus(examples, path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    lines[1]["frame_period"] = period
+    path.write_text("".join(json.dumps(record) + "\n" for record in lines))
+    with pytest.raises(DataValidationError,
+                       match=f"example {lines[1]['id']}: frame_period {shown} is not"):
+        load_corpus(path, "full")
+
+
 def test_schema_violation_names_line(tmp_path):
     path = tmp_path / "junk.jsonl"
     path.write_text('{"id": "x", "clips": "oops"}\n')

@@ -9,14 +9,14 @@ from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
 from mmgi.errors import CheckpointError, ShapeError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import (bilinear_score, dropout_mask, glorot_uniform, lstm_forward,
-                     mlp_compose, softmax_pool)
+from mmgi.nn import dropout_mask, glorot_uniform, lstm_forward, mlp_compose
 from mmgi.optim import Adam
 from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
 from .conftest import tiny_config
-from .oracles import (composite_bilinear_score, composite_lstm, composite_mlp_compose,
-                      composite_softmax_pool, naive_lstm, naive_mlp)
+from .oracles import (bilinear_score, composite_bilinear_score, composite_lstm,
+                      composite_mlp_compose, composite_softmax_pool, naive_lstm, naive_mlp,
+                      softmax_pool)
 
 
 def _mlp_params(rng, d):
