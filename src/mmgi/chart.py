@@ -150,8 +150,8 @@ class _Plan:
 
         # (span, split) pairs of every span, split by split: split s of span
         # (i, j) pairs (i, k) with (k + 1, j), k = i + s. Per length: the
-        # children's rows, left ones then right ones, and the pooling row of
-        # each pair
+        # children's rows, left ones then right ones, and each span's row in
+        # its per-sentence block
         splits = span_length - 1
         sent, start, size = (np.repeat(a, splits) for a in
                              (self.span_sentence, self.span_start, span_length))
@@ -161,10 +161,9 @@ class _Plan:
         bounds = np.cumsum(cells.sum(axis=1) * np.maximum(span_len - 1, 0))[1:]
         children = [np.concatenate(pair) for pair in
                     zip(_pieces(left, bounds), _pieces(right, bounds))]
-        pool_rows = np.repeat(padded_row, splits)
-        _freeze(*children, pool_rows)
-        self.inside = dict(zip(range(2, n_max + 1),
-                               zip(children, _pieces(pool_rows, bounds))))
+        _freeze(*children)
+        self.inside = dict(zip(range(2, n_max + 1), zip(
+            children, _pieces(padded_row, self.block_start[2:]))))
 
         distance = np.arange(n_max)
         out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
@@ -540,13 +539,13 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                                               "bilinear_inside"))
     split_in = {}
     for length in range(2, plan.n_max + 1):
-        child_rows, pool_rows = plan.inside[length]
+        child_rows, block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         step, scores = inside_step(
             children.gather(child_rows), ctx.pitch_seq, weights,
             cells=block.stop - block.start, regions=regions,
             voice=None if voice is None else np.repeat(voice[block], length - 1),
-            pool=plan.pool[length], pool_rows=pool_rows, lam=cfg.lam,
+            pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam,
             keep=None if inside_masks is None else inside_masks[length])
         bad = _first_nonfinite(scores)
         if bad is not None:

@@ -176,8 +176,9 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
     attention through the pair matrix (M). `weights` are the compose MLP's
     (w1, b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d), each
     child vector gains `lam` times the mean pitch state over its parent's
-    positions: row `pool_rows[k]` of the (B, windows) means the (windows, T)
-    averaging matrix `pool` gives. A pair's score is, in this order, the
+    positions: for the c-th span, row `pool_rows[c]` of the (B, windows)
+    means the (windows, T) averaging matrix `pool` gives. A pair's score is,
+    in this order, the
     bilinear score plus the pair term (the left child's attention through the
     pair matrix dotted with the right child's attention) plus `voice` plus
     both children's span scores.
@@ -192,7 +193,7 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
         spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
         pooled = lam * (spread @ pitch.data)
         windows = pooled.shape[:2]
-        pooled = pooled.reshape(-1, d)[pool_rows]
+        pooled = np.repeat(pooled.reshape(-1, d)[pool_rows], pairs // cells, axis=0)
         left, right = left + pooled, right + pooled
     step = _PooledStep(left, right, weights, keep)
     scores = step.bilinear
@@ -220,8 +221,8 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
                 g_children[pairs:, d + 1:d + 1 + regions] = \
                     g_scores[:, None] * rows[:pairs, d + 1 + regions:]
         if need_pitch:
-            g_pooled = ad._scatter_add((windows[0] * windows[1], d), 1, pool_rows,
-                                       g_left + g_right)
+            g_pooled = np.zeros((windows[0] * windows[1], d))
+            g_pooled[pool_rows] = (g_left + g_right).reshape(cells, -1, d).sum(axis=1)
             g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_pooled.reshape(windows + (d,)))
         return (g_children,) + ((g_pitch,) if pitch is not None else ()) + g_weights
 

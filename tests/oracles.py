@@ -286,7 +286,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
     add_child_block(terminals, 1)
     split_in = {}
     for length in range(2, plan.n_max + 1):
-        child_rows, pitch_rows = plan.inside[length]
+        child_rows, block_rows = plan.inside[length]
         left_rows, right_rows = child_rows[:child_rows.size // 2], child_rows[child_rows.size // 2:]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         cells, splits = block.stop - block.start, length - 1
@@ -297,7 +297,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
             pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
             pooled = lam * ad.bmm(pool, ctx.pitch_seq)
             pooled = ad.gather_rows(ad.reshape(pooled, (-1, pooled.data.shape[2])),
-                                    pitch_rows)
+                                    np.repeat(block_rows, length - 1))
             left = left + pooled
             right = right + pooled
 
@@ -619,7 +619,7 @@ def loop_plan(lengths) -> dict:
         s = np.tile(np.arange(splits), rows.stop - rows.start)
         left = offsets[s + 1, sent] + start - 1
         right = offsets[splits - s, sent] + start + s
-        inside[length] = (np.concatenate([left, right]), np.repeat(padded_row, splits))
+        inside[length] = (np.concatenate([left, right]), padded_row)
     plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
 
     distance = np.arange(n_max)
