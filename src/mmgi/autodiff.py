@@ -448,12 +448,12 @@ class Store:
     """Rows of one chart field, appended block by block and read by gathers.
 
     Each block, an op's output, is copied once into the next free rows (into
-    columns `cols`; the others stay zero) and stays the graph node it was. `gather` reads any
-    rows written so far with one index array, without concatenating the
-    blocks again, and its vjp adds into one gradient buffer for the whole
-    store. A block's rows of that buffer reach it when backward does, which
-    is after every gather that read them: a gather's parents are all blocks
-    written before it.
+    columns `cols`; the others stay zero) and stays the graph node it was.
+    `gather` reads any rows written so far with one index array, without
+    concatenating the blocks again, and its vjp adds into one gradient
+    buffer for the whole store. A block's rows of that buffer reach it when
+    backward does, which is after every gather that read them: a gather's
+    parents are all blocks written before it.
     """
 
     def __init__(self, rows: int, width: int):

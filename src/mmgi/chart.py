@@ -17,9 +17,10 @@ outside pass takes one step per distance. Each step is one fused node (see
 (`autodiff.Store`), and later steps read children, parents and siblings from
 the stores with one gather each, by index arrays that depend only on the
 sentence lengths (see `_Plan`). Work that involves one sentence's own image
-(region attention, pair scores) runs on per-sentence blocks padded to a
-common size, with a -inf mask where padding would otherwise be attended to,
-so its cost stays per sentence.
+or speech (region attention, pair scores, pitch pooling, word-to-clip
+attention) runs on per-sentence blocks padded to a common size, with a -inf
+mask where padding would otherwise be attended to, so its cost stays per
+sentence.
 
 A single example is a batch of one. Span indices are 1-based inclusive
 throughout.
