@@ -61,17 +61,21 @@ class _Compose:
 
     def __init__(self, left, right, w1, b1, w2, b2, keep):
         self.x = np.concatenate([left, right], axis=-1)
-        self.t = np.tanh(self.x @ w1 + b1)
+        self.t = self.x @ w1
+        self.t += b1
+        np.tanh(self.t, out=self.t)
         self.h = self.t if keep is None else self.t * keep
-        self.out = self.h @ w2 + b2
+        self.out = self.h @ w2
+        self.out += b2
         self.keep = keep
 
     def vjp(self, g, w1, w2, need_x, need_w1, need_w2):
         """(g_x, g_w1, g_b1, g_w2, g_b2) of an output gradient `g`."""
-        g_h, g_w2 = _linear_vjp(self.h, w2, g, True, need_w2)
+        g_pre, g_w2 = _linear_vjp(self.h, w2, g, True, need_w2)
         if self.keep is not None:
-            g_h = g_h * self.keep
-        g_pre = g_h * (1.0 - self.t * self.t)
+            g_pre *= self.keep
+        slope = self.t * self.t
+        g_pre *= np.subtract(1.0, slope, out=slope)
         g_x, g_w1 = _linear_vjp(self.x, w1, g_pre, need_x, need_w1)
         return g_x, g_w1, _bias_vjp(g_pre), g_w2, _bias_vjp(g)
 
@@ -144,7 +148,7 @@ class _PooledStep:
         w1, b1, w2, b2, w_bil = self.weights
         softmax, scores = self.softmax, self.scores
         g_vector, g_score = g[:, :-1], g[:, -1:]
-        g_softmax = (g_vector[:, None, :] * self.stacked).sum(axis=2) + g_score * scores
+        g_softmax = np.einsum("csd,cd->cs", self.stacked, g_vector) + g_score * scores
         g_scores = (g_score * softmax
                     + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
                     * softmax).ravel()
@@ -157,8 +161,9 @@ class _PooledStep:
         g_right = None
         if need_pairs:
             d = self.left.shape[1]
-            g_left = g_left + g_x[:, :d]
-            g_right = g_scores[:, None] * self.projected + g_x[:, d:]
+            g_left += g_x[:, :d]
+            g_right = g_scores[:, None] * self.projected
+            g_right += g_x[:, d:]
         return g_scores, g_left, g_right, (g_w1, g_b1, g_w2, g_b2, g_w_bil)
 
 
