@@ -18,7 +18,6 @@ import numpy as np
 
 from mmgi import autodiff as ad
 from mmgi.chart import Chart, _pad, _unpad, init_terminals
-from mmgi.errors import ChartError
 from mmgi.nn import dropout_mask, mlp_compose
 
 
@@ -247,13 +246,6 @@ def split_dropout_masks(plan, hidden: int, rate: float, rng) -> tuple[dict, dict
     return tuple({key: np.concatenate(masks) for key, masks in d.items()} for d in drawn)
 
 
-def _first_nonfinite(scores):
-    if np.all(np.isfinite(scores.data)):
-        return None
-    cell, column = np.argwhere(~np.isfinite(scores.data))[0]
-    return int(cell), int(column)
-
-
 def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
     plan = ctx.plan
     terminals = init_terminals(ctx, params, cfg)
@@ -287,7 +279,8 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
     split_in = {}
     for length in range(2, plan.n_max + 1):
         child_rows, block_rows = plan.inside[length]
-        left_rows, right_rows = child_rows[:child_rows.size // 2], child_rows[child_rows.size // 2:]
+        half = child_rows.size // 2
+        left_rows, right_rows = child_rows[:half], child_rows[half:]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         cells, splits = block.stop - block.start, length - 1
         children = concat(child_blocks)
@@ -317,14 +310,6 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         scores = scores + ad.gather_rows(span_scores, left_rows) \
             + ad.gather_rows(span_scores, right_rows)
         scores = ad.reshape(scores, (cells, splits))
-        bad = _first_nonfinite(scores)
-        if bad is not None:
-            row = block.start + bad[0]
-            start = int(plan.span_start[row])
-            raise ChartError(
-                f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
-                f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
-            )
         h, s = softmax_pool(scores, composed)
         split_in[length] = scores
         h_blocks.append(h)
@@ -342,7 +327,7 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
     for r in range(1, plan.n_max):
-        parent_rows, sibling_rows, cell_sent, cell_start, cell_end = plan.outside[r]
+        parent_rows, sibling_rows, cell_sent, _, _ = plan.outside[r]
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
         composed = mlp_compose(
@@ -354,13 +339,6 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
             + ad.gather_rows(concat(s_blocks), parent_rows) \
             + ad.gather_rows(chart.s_in, sibling_rows)
         scores = ad.reshape(scores, (cell_sent.size, r))
-        bad = _first_nonfinite(scores)
-        if bad is not None:
-            c = bad[0]
-            raise ChartError(
-                f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
-                f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
-            )
         h, s = softmax_pool(scores, composed)
         h_blocks.append(h)
         s_blocks.append(s)
