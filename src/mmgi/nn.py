@@ -183,10 +183,9 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
     child vector gains `lam` times the mean pitch state over its parent's
     positions: for the c-th span, row `pool_rows[c]` of the (B, windows)
     means the (windows, T) averaging matrix `pool` gives. A pair's score is,
-    in this order, the
-    bilinear score plus the pair term (the left child's attention through the
-    pair matrix dotted with the right child's attention) plus `voice` plus
-    both children's span scores.
+    in this order, the bilinear score plus the pair term (the left child's
+    attention through the pair matrix dotted with the right child's
+    attention) plus its `voice` term plus both children's span scores.
     """
     rows = children.data
     pairs = rows.shape[0] // 2
