@@ -103,6 +103,11 @@ class _Plan:
     shorter than l), rows that `_unpad` drops again. Padding thus never
     feeds a real row of another sentence, and a non-finite input stays in
     its own sentence's rows.
+
+    Sentences of one length (`uniform`; every parse) need no padding gathers.
+    Padding them too parsed the parse-long benchmark 4% slower on a 2-core
+    Xeon (medians 156.0 against 162.7 sentences/s over ten alternating pairs
+    of 12 s runs, 4 of the 10 pairs the other way), so both paths stay.
     """
 
     def __init__(self, lengths: tuple[int, ...]):
@@ -631,13 +636,12 @@ def run_chart(examples: ExampleBundle | list[ExampleBundle],
               params: dict[str, Tensor], cfg: RunConfig,
               vocab_index: dict[str, int] | None,
               pair_matrix: PairRelevanceMatrix | None,
-              training: bool = False, rng: np.random.Generator | None = None,
-              outside: bool = True) -> tuple[Chart, BatchContext]:
-    """Context + inside (+ optionally outside) of one example or a batch."""
+              training: bool = False, rng: np.random.Generator | None = None
+              ) -> tuple[Chart, BatchContext]:
+    """Context, inside and outside of one example or a batch."""
     ctx = build_context(examples, params, cfg, vocab_index, pair_matrix)
     chart = inside_pass(ctx, params, cfg, training=training, rng=rng)
-    if outside:
-        outside_pass(chart, ctx, params, cfg, training=training, rng=rng)
+    outside_pass(chart, ctx, params, cfg, training=training, rng=rng)
     return chart, ctx
 
 

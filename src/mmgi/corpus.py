@@ -186,7 +186,7 @@ def save_corpus(examples: list[ExampleBundle], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path, mode: str = "full") -> list[ExampleBundle]:
-    """Parse, validate, and deterministically order (by id) a corpus file."""
+    """Parse, validate (feature widths must agree), and order (by id) a corpus file."""
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"corpus file not found: {path}")
@@ -203,9 +203,16 @@ def load_corpus(path: str | Path, mode: str = "full") -> list[ExampleBundle]:
     if not examples:
         raise DataValidationError(f"corpus file {path} contains no examples")
     seen: set[str] = set()
+    first = examples[0]
     for ex in examples:
         if ex.id in seen:
             raise DataValidationError(f"duplicate example id {ex.id!r}")
         seen.add(ex.id)
         ex.validate(mode)
+        for kind, want, got in (("clip", first.speech.clip_features, ex.speech.clip_features),
+                                ("region", first.regions.features, ex.regions.features)):
+            if got.shape[1] != want.shape[1]:
+                raise DataValidationError(f"example {ex.id}: {kind} features have dim "
+                                          f"{got.shape[1]}, but example {first.id} has "
+                                          f"{want.shape[1]}")
     return sorted(examples, key=lambda ex: ex.id)

@@ -1,14 +1,14 @@
-"""Composition MLP, the chart's fused step ops, LSTM recurrence, dropout,
-and parameter initialization.
+"""The chart's fused step ops, LSTM recurrence, dropout, and parameter
+initialization.
 
-The model blocks the chart repeats for every span and split, and the pitch
-LSTM, are single autodiff nodes with hand-written vector-Jacobian products.
-One inside step (all spans of one length), one outside step (all spans at
-one distance to the root) and the region feature of a block of spans are
-each one node too, built from the same blocks, so a training step's graph
-has a few nodes per span length. Their forward expressions are those of the
-elementary ops they replace, in the same order, so their values are
-unchanged.
+Each op is one autodiff node with a hand-written vector-Jacobian product.
+One inside step (all spans of one length) and one outside step (all spans at
+one distance to the root) each run the compose MLP, the bilinear score and
+the split softmax pooling over (K, d) blocks; there is no standalone compose
+node. The region feature of a block of spans and the pitch LSTM over a
+(B, T, d) batch are one node each too, so a training step's graph has a few
+nodes per span length. Their forward expressions are those of the elementary
+ops they replace, in the same order, so their values are unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import ShapeError
 
 __all__ = [
     "glorot_uniform",
-    "mlp_compose",
     "inside_step",
     "outside_step",
     "span_features",
@@ -31,36 +30,25 @@ __all__ = [
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
+                   fan_in: int, fan_out: int) -> np.ndarray:
     """uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    if fan_in is None:
-        fan_in = shape[0]
-    if fan_out is None:
-        fan_out = shape[-1] if len(shape) > 1 else shape[0]
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape)
 
 
 def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray,
                 need_x: bool, need_w: bool) -> tuple:
-    """Gradients of ``x @ w`` for a (d,) or (K, d) `x`: (dx, dw), None where
-    not needed."""
-    if x.ndim == 1:
-        return (w @ g if need_x else None), (np.outer(x, g) if need_w else None)
+    """Gradients of ``x @ w`` for a (K, d) `x`: (dx, dw), None where not needed."""
     return (g @ w.T if need_x else None), (x.T @ g if need_w else None)
 
 
-def _bias_vjp(g: np.ndarray) -> np.ndarray:
-    return g if g.ndim == 1 else g.sum(axis=0)
-
-
 class _Compose:
-    """Forward of the compose MLP over two (K, d) blocks or (d,) vectors, and
-    its vjp. Weights are (2d, hidden) and (hidden, d); `keep` is an optional
-    dropout mask on the hidden layer."""
+    """Forward of the compose MLP over two (K, d) blocks, and its vjp. Weights
+    are (2d, hidden) and (hidden, d); `keep` is an optional dropout mask on
+    the hidden layer."""
 
     def __init__(self, left, right, w1, b1, w2, b2, keep):
-        self.x = np.concatenate([left, right], axis=-1)
+        self.x = np.concatenate([left, right], axis=1)
         self.t = self.x @ w1
         self.t += b1
         np.tanh(self.t, out=self.t)
@@ -77,38 +65,7 @@ class _Compose:
         slope = self.t * self.t
         g_pre *= np.subtract(1.0, slope, out=slope)
         g_x, g_w1 = _linear_vjp(self.x, w1, g_pre, need_x, need_w1)
-        return g_x, g_w1, _bias_vjp(g_pre), g_w2, _bias_vjp(g)
-
-
-def mlp_compose(left: Tensor, right: Tensor, w1: Tensor, b1: Tensor,
-                w2: Tensor, b2: Tensor, *, keep: np.ndarray | None = None) -> Tensor:
-    """Two-layer MLP over the concatenation of two span vectors.
-
-    Accepts single vectors (d,) or batches (K, d); the concatenation happens
-    along the last axis, so weights are (2d, hidden) and (hidden, d). `keep`
-    is an optional dropout mask (see `dropout_mask`) on the hidden layer.
-    """
-    if left.data.shape != right.data.shape:
-        raise ShapeError(
-            f"compose inputs must share a shape, got {left.shape} vs {right.shape}"
-        )
-    if left.data.shape[-1] != w1.data.shape[0] // 2:
-        raise ShapeError(
-            f"compose input dim {left.data.shape[-1]} does not match weights "
-            f"{w1.data.shape}"
-        )
-    mlp = _Compose(left.data, right.data, w1.data, b1.data, w2.data, b2.data, keep)
-
-    def vjp(g):
-        need_x = left.requires_grad or right.requires_grad
-        g_x, g_w1, g_b1, g_w2, g_b2 = mlp.vjp(g, w1.data, w2.data, need_x,
-                                              w1.requires_grad, w2.requires_grad)
-        g_left = g_right = None
-        if need_x:
-            g_left, g_right = np.split(g_x, 2, axis=-1)
-        return g_left, g_right, g_w1, g_b1, g_w2, g_b2
-
-    return ad._from_op(mlp.out, (left, right, w1, b1, w2, b2), vjp)
+        return g_x, g_w1, g_pre.sum(axis=0), g_w2, g.sum(axis=0)
 
 
 class _PooledStep:
@@ -334,21 +291,20 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
 def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Single-layer unidirectional LSTM, zero initial state.
 
-    Takes one (T, d) sequence or a (B, T, d) batch of sequences padded to a
-    common T; the recurrence is causal, so padding after a sequence's end
-    does not change its hidden states. The input projection of every step is
-    one matmul; the backward pass runs backpropagation through time. Gate
-    layout along the 4d axis: input, forget, cell, output. Returns the
-    hidden states in the input's shape.
+    Takes a (B, T, d) batch of sequences padded to a common T; the
+    recurrence is causal, so padding after a sequence's end does not change
+    its hidden states. The input projection of every step is one matmul; the
+    backward pass runs backpropagation through time. Gate layout along the
+    4d axis: input, forget, cell, output. Returns the (B, T, d) hidden
+    states.
     """
     shape = inputs.data.shape
-    if inputs.data.ndim not in (2, 3) or 0 in shape[:-1]:
-        raise ValueError(f"lstm_forward needs a nonempty (T, d) or (B, T, d) sequence, "
+    if inputs.data.ndim != 3 or 0 in shape[:-1]:
+        raise ValueError(f"lstm_forward needs a nonempty (B, T, d) batch of sequences, "
                          f"got {inputs.shape}")
-    d = shape[-1]
+    batch, steps, d = shape
     if w_x.data.shape != (d, 4 * d):
         raise ShapeError(f"lstm weight shape {w_x.data.shape} does not match input dim {d}")
-    batch, steps = (1,) + shape[:1] if inputs.data.ndim == 2 else shape[:2]
     x = inputs.data.reshape(batch * steps, d)
     projected = (x @ w_x.data + b.data).reshape(batch, steps, 4 * d)
     hidden = np.empty((batch, steps, d))
@@ -366,10 +322,8 @@ def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         gates[:, t] = sig
         gates[:, t, 2 * d:3 * d] = gc
         hidden[:, t], cells[:, t], squashed[:, t] = h, c, tc
-    data = hidden.reshape(shape)
 
     def vjp(g):
-        g = g.reshape(batch, steps, d)
         g_z = np.empty((batch, steps, 4 * d))
         g_h = np.zeros((batch, d))
         g_c = np.zeros((batch, d))
@@ -393,7 +347,7 @@ def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             g_wh = h_prev.reshape(batch * steps, d).T @ g_z
         return (None if g_x is None else g_x.reshape(shape)), g_wx, g_wh, g_z.sum(axis=0)
 
-    return ad._from_op(data, (inputs, w_x, w_h, b), vjp)
+    return ad._from_op(hidden, (inputs, w_x, w_h, b), vjp)
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],

@@ -8,6 +8,10 @@ from .autodiff import Tensor
 
 __all__ = ["Adam"]
 
+BETA1 = 0.9     # first-moment decay
+BETA2 = 0.999   # second-moment decay
+EPS = 1e-8
+
 
 class Adam:
     """Adam with bias correction; moments keyed by parameter name.
@@ -16,13 +20,9 @@ class Adam:
     gradient for the step. From a fresh state that leaves it untouched.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -30,13 +30,13 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -44,7 +44,8 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
 
     Sentences longer than `max_text_length` or shorter than two positions are
     skipped. Emits one metrics record per epoch with the loss components and,
-    when the held-out slice carries gold trees, its sentence-level F1.
+    when the held-out slice carries gold trees, its sentence-level F1; with
+    `out_dir`, appends each to metrics.jsonl there as its epoch ends.
     """
     cfg = cfg.resolved()
     usable = usable_examples(cfg, examples)
@@ -66,6 +67,10 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
 
     params = build_params(cfg, len(vocab) if vocab else 1, init_rng)
     optimizer = Adam(params, lr=cfg.lr)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "metrics.jsonl").write_text("")
 
     metrics: list[dict] = []
     for epoch in range(cfg.epochs):
@@ -107,17 +112,15 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
             if f1 is not None:
                 record["heldout_sent_f1"] = f1
         metrics.append(record)
+        if out_dir is not None:
+            with (out_dir / "metrics.jsonl").open("a") as fh:
+                fh.write(json.dumps(record) + "\n")
         if not quiet:
             print(json.dumps(record))
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(out_dir / "checkpoint.npz", params, cfg, vocab,
                         optimizer=optimizer, pair_matrix=pair_matrix.values)
-        with (out_dir / "metrics.jsonl").open("w") as fh:
-            for record in metrics:
-                fh.write(json.dumps(record) + "\n")
         (out_dir / "config.json").write_text(json.dumps(cfg.to_dict(), indent=2))
 
     return TrainResult(params, vocab, pair_matrix, metrics, optimizer)

@@ -11,7 +11,7 @@ from .config import RunConfig
 from .gradcheck import grad_check
 from .inference import build_vocab, corpus_pair_matrix
 from .losses import batch_loss
-from .nn import lstm_forward, mlp_compose
+from .nn import dropout_mask, lstm_forward, outside_step
 from .params import build_params
 from .synth import SynthConfig, generate_synthetic
 
@@ -74,31 +74,37 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
         lambda: ad.tensor_sum(ad.softmax(sm["v"]) * direction), sm,
         probes_per_tensor=6)
 
-    d = 5
-    mlp = {
-        "w1": Tensor(rng.normal(size=(2 * d, d)) * 0.4, requires_grad=True),
-        "b1": Tensor(rng.normal(size=(d,)) * 0.4, requires_grad=True),
-        "w2": Tensor(rng.normal(size=(d, d)) * 0.4, requires_grad=True),
+    # an outside step as training runs it: 2 spans of 3 contexts, with dropout
+    d, hidden, cells, pairs = 4, 5, 2, 6
+    step = {
+        "parents": Tensor(rng.normal(size=(pairs, d + 1)), requires_grad=True),
+        "siblings": Tensor(rng.normal(size=(pairs, d + 1)), requires_grad=True),
+        "w1": Tensor(rng.normal(size=(2 * d, hidden)) * 0.4, requires_grad=True),
+        "b1": Tensor(rng.normal(size=(hidden,)) * 0.4, requires_grad=True),
+        "w2": Tensor(rng.normal(size=(hidden, d)) * 0.4, requires_grad=True),
         "b2": Tensor(rng.normal(size=(d,)) * 0.4, requires_grad=True),
-        "left": Tensor(rng.normal(size=(d,)), requires_grad=True),
-        "right": Tensor(rng.normal(size=(d,)), requires_grad=True),
+        "w_bil": Tensor(rng.normal(size=(d, d)) * 0.4, requires_grad=True),
     }
-    probe = ad.constant(rng.normal(size=(d,)))
-    results["mlp_compose"] = grad_check(
-        lambda: ad.tensor_sum(mlp_compose(
-            mlp["left"], mlp["right"], mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"],
-        ) * probe), mlp, probes_per_tensor=6)
+    keep = dropout_mask(rng, (pairs, hidden), 0.3)
+    probe = ad.constant(rng.normal(size=(cells, d + 1)))
+    weights = tuple(step[name] for name in ("w1", "b1", "w2", "b2", "w_bil"))
+    results["outside_step"] = grad_check(
+        lambda: ad.tensor_sum(outside_step(step["parents"], step["siblings"], weights,
+                                           cells=cells, keep=keep)[0] * probe),
+        step, probes_per_tensor=6)
 
+    # pitch sequences of 4 and 2 clips, padded: no state after an end is read
     lstm = {
         "wx": Tensor(rng.normal(size=(3, 12)) * 0.4, requires_grad=True),
         "wh": Tensor(rng.normal(size=(3, 12)) * 0.4, requires_grad=True),
         "b": Tensor(rng.normal(size=(12,)) * 0.4, requires_grad=True),
-        "x": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+        "x": Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True),
     }
-    weights = ad.constant(rng.normal(size=(4, 3)))
+    real = rng.normal(size=(2, 4, 3))
+    real[1, 2:] = 0.0
     results["lstm"] = grad_check(
         lambda: ad.tensor_sum(lstm_forward(lstm["x"], lstm["wx"], lstm["wh"],
-                                           lstm["b"]) * weights),
+                                           lstm["b"]) * ad.constant(real)),
         lstm, probes_per_tensor=8)
 
     loss_fn, params, _, _ = end_to_end_fixture(seed=seed)

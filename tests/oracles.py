@@ -5,9 +5,9 @@ loop by loop on purpose: these are the oracles the vectorized library code is
 checked against, so they deliberately share no code with it. The exceptions
 are the composite references of the fused ops and the node-by-node chart
 passes, which are built from the autodiff engine's elementary ops (and, for
-the passes, the library's terminals, padding and compose MLP, which the
-fused steps leave unchanged) so that their gradients come from the engine's
-own vector-Jacobian products.
+the passes, the library's terminals and padding, which the fused steps leave
+unchanged) so that their gradients come from the engine's own
+vector-Jacobian products.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from mmgi import autodiff as ad
 from mmgi.chart import Chart, _pad, _unpad, init_terminals
-from mmgi.nn import dropout_mask, mlp_compose
+from mmgi.nn import dropout_mask
 
 
 def fd_gradient(fn, arrays: dict[str, np.ndarray], eps: float = 1e-5) -> dict[str, np.ndarray]:
@@ -135,9 +135,7 @@ def composite_softmax_pool(scores, vectors):
 
 
 def composite_lstm(inputs, w_x, w_h, b):
-    shape = inputs.data.shape
-    d = shape[-1]
-    batch, steps = (1,) + shape[:1] if inputs.data.ndim == 2 else shape[:2]
+    batch, steps, d = inputs.data.shape
     projected = ad.matmul(ad.reshape(inputs, (batch * steps, d)), w_x) + b
     projected = ad.reshape(projected, (batch, steps, 4 * d))
     h = ad.constant(np.zeros((batch, d)))
@@ -153,8 +151,7 @@ def composite_lstm(inputs, w_x, w_h, b):
         c = gf * c + gi * gc
         h = go * ad.tanh(c)
         outs.append(h)
-    out = stack(outs, axis=1)
-    return out if inputs.data.ndim == 3 else ad.reshape(out, shape)
+    return stack(outs, axis=1)
 
 
 def bilinear_score(left, w, right):
@@ -294,7 +291,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
             left = left + pooled
             right = right + pooled
 
-        composed = mlp_compose(
+        composed = composite_mlp_compose(
             left, right, params["compose_in_w1"], params["compose_in_b1"],
             params["compose_in_w2"], params["compose_in_b2"],
             keep=None if inside_masks is None else inside_masks[length],
@@ -330,7 +327,7 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
         parent_rows, sibling_rows, cell_sent, _, _ = plan.outside[r]
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
-        composed = mlp_compose(
+        composed = composite_mlp_compose(
             parent, sibling, params["compose_out_w1"],
             params["compose_out_b1"], params["compose_out_w2"],
             params["compose_out_b2"], keep=None if masks is None else masks[r],

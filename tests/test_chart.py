@@ -16,12 +16,12 @@ from mmgi.features import PairRelevanceMatrix
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
-from mmgi.nn import lstm_forward, mlp_compose
+from mmgi.nn import lstm_forward
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
 from .oracles import (composite_inside_pass, composite_outside_pass, loop_plan,
-                      naive_chart, np_sigmoid, scalar_pitch_index, scalar_unit_box,
+                      naive_chart, naive_mlp, np_sigmoid, scalar_pitch_index, scalar_unit_box,
                       scalar_vad_aggregate, split_dropout_masks, visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
@@ -247,9 +247,9 @@ def test_inside_two_tokens_single_split():
                                ad.select(ctx.region_sum, 0))
     left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
     right = terminals.data[1] + cfg.gamma * u.data[1] + cfg.lam * pooled
-    expect = mlp_compose(Tensor(left), Tensor(right), params["compose_in_w1"],
-                         params["compose_in_b1"], params["compose_in_w2"],
-                         params["compose_in_b2"]).data
+    expect = naive_mlp(left, right, params["compose_in_w1"].data,
+                       params["compose_in_b1"].data, params["compose_in_w2"].data,
+                       params["compose_in_b2"].data)
     assert np.allclose(chart.h_in.data[chart.row(1, 2)], expect, atol=1e-12)
 
 
@@ -267,10 +267,9 @@ def test_chart_shape_invariants():
 def test_outside_two_tokens_context_formula():
     cfg, bundle, vocab_index, params, pair = _setup(33, 2)
     chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
-    expect = mlp_compose(params["root_outside_bias"],
-                         Tensor(chart.h_in.data[chart.row(2, 2)]),
-                         params["compose_out_w1"], params["compose_out_b1"],
-                         params["compose_out_w2"], params["compose_out_b2"]).data
+    expect = naive_mlp(params["root_outside_bias"].data, chart.h_in.data[chart.row(2, 2)],
+                       params["compose_out_w1"].data, params["compose_out_b1"].data,
+                       params["compose_out_w2"].data, params["compose_out_b2"].data)
     assert np.allclose(chart.h_out.data[chart.row(1, 1)], expect, atol=1e-12)
     assert float(chart.s_out.data[chart.row(1, 2)]) == 0.0
     assert np.array_equal(chart.h_out.data[chart.row(1, 2)],
@@ -518,7 +517,7 @@ def test_batch_split_tables_decode_as_a_parse_alone():
     vocab_index = tiny_vocab_index(bundles)
     params = build_params(cfg, len(vocab_index), np.random.default_rng(52))
     pair = PairRelevanceMatrix(np.random.default_rng(53).random((5, 5)))
-    chart, _ = run_chart(bundles, params, cfg, vocab_index, pair, outside=False)
+    chart = inside_pass(build_context(bundles, params, cfg, vocab_index, pair), params, cfg)
     for b, bundle in enumerate(bundles):
         tree, dump = parse_example(bundle, params, cfg, vocab_index, pair, with_scores=True)
         assert cky_decode(*chart.split_tables(b), bundle.n)[0] == tree, b
@@ -539,7 +538,7 @@ def test_sentence_plans_stay_cached_across_forty_lengths():
 
 def test_split_tables_of_one_sentence_are_views_of_the_chart():
     cfg, bundle, vocab_index, params, pair = _setup(54, 5)
-    chart, _ = run_chart(bundle, params, cfg, vocab_index, pair, outside=False)
+    chart = inside_pass(build_context(bundle, params, cfg, vocab_index, pair), params, cfg)
     splits, spans = chart.split_tables()
     assert list(splits) == [2, 3, 4, 5]
     for length, block in splits.items():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import mmgi
+from mmgi import nn
 from mmgi.config import RunConfig, config_hash, load_config
 from mmgi.errors import ConfigError
 
@@ -84,3 +85,22 @@ def test_every_config_field_is_read():
     unread = _unread_config_fields(Path(mmgi.__file__).parent)
     assert set(unread) == {"RunConfig", "SynthConfig"}
     assert unread == {"RunConfig": [], "SynthConfig": []}
+
+
+def _called_names(package: Path, skip: set[str]) -> set[str]:
+    """Names called, as a function or a method, in the package's modules
+    other than those in `skip`."""
+    called = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name not in skip:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    return called
+
+
+def test_every_nn_op_is_called_outside_its_checks():
+    # an op that only the gradient checks call is one no training step or
+    # parse builds
+    called = _called_names(Path(mmgi.__file__).parent, {"nn.py", "verify.py", "gradcheck.py"})
+    assert sorted(set(nn.__all__) - called) == []

@@ -115,6 +115,22 @@ def test_bad_frame_period_names_example(tmp_path, period, shown):
         load_corpus(path, "full")
 
 
+@pytest.mark.parametrize("kind,width", [("clip", 8), ("region", 40)])
+def test_mixed_feature_widths_name_the_first_example_that_differs(tmp_path, kind, width):
+    # without a model config to compare against, only load_corpus can catch it
+    examples = _small_synth(sentence_count=4)
+    for ex in examples[2:]:
+        owner, field = (ex.speech, "clip_features") if kind == "clip" else \
+            (ex.regions, "features")
+        setattr(owner, field, np.hstack([getattr(owner, field)] * 2))
+    path = tmp_path / "c.jsonl"
+    save_corpus(examples, path)
+    with pytest.raises(DataValidationError,
+                       match=f"example {examples[2].id}: {kind} features have dim "
+                             f"{2 * width}, but example {examples[0].id} has {width}$"):
+        load_corpus(path, "full")
+
+
 def test_schema_violation_names_line(tmp_path):
     path = tmp_path / "junk.jsonl"
     path.write_text('{"id": "x", "clips": "oops"}\n')

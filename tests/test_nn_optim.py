@@ -7,16 +7,16 @@ import pytest
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
-from mmgi.errors import CheckpointError, ShapeError
+from mmgi.errors import CheckpointError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import dropout_mask, glorot_uniform, lstm_forward, mlp_compose
+from mmgi.nn import dropout_mask, glorot_uniform, lstm_forward, outside_step
 from mmgi.optim import Adam
 from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
 from .conftest import tiny_config
 from .oracles import (bilinear_score, composite_bilinear_score, composite_lstm,
-                      composite_mlp_compose, composite_softmax_pool, naive_lstm, naive_mlp,
-                      softmax_pool)
+                      composite_mlp_compose, composite_softmax_pool, concat, naive_lstm,
+                      naive_mlp, softmax_pool)
 
 
 def _mlp_params(rng, d):
@@ -28,54 +28,55 @@ def _mlp_params(rng, d):
     }
 
 
+def compose_rows(left, right, w1, b1, w2, b2, keep=None):
+    """The compose MLP of K (left, right) row pairs, as `nn.outside_step` runs
+    it: with one context per span, the split softmax weighs each composed row
+    by exactly 1, so the step's vector columns are the MLP's output."""
+    count, d = left.data.shape
+    score = ad.constant(np.zeros((count, 1)))
+    out, _ = outside_step(concat([left, score], axis=1), concat([right, score], axis=1),
+                          (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep)
+    return ad.select(out, (slice(None), slice(0, d)))
+
+
 def test_mlp_zero_params_zero_output(rng):
     d = 4
     z = Tensor(np.zeros((2 * d, d)))
     b = Tensor(np.zeros(d))
     z2 = Tensor(np.zeros((d, d)))
-    out = mlp_compose(Tensor(rng.normal(size=d)), Tensor(rng.normal(size=d)),
-                      z, b, z2, b)
-    assert np.array_equal(out.data, np.zeros(d))
+    out = compose_rows(Tensor(rng.normal(size=(3, d))), Tensor(rng.normal(size=(3, d))),
+                       z, b, z2, b)
+    assert np.array_equal(out.data, np.zeros((3, d)))
 
 
 def test_mlp_deterministic(rng):
     d = 4
     p = _mlp_params(rng, d)
-    left = Tensor(rng.normal(size=d))
-    right = Tensor(rng.normal(size=d))
-    a = mlp_compose(left, right, p["w1"], p["b1"], p["w2"], p["b2"]).data
-    b = mlp_compose(left, right, p["w1"], p["b1"], p["w2"], p["b2"]).data
+    left = Tensor(rng.normal(size=(3, d)))
+    right = Tensor(rng.normal(size=(3, d)))
+    a = compose_rows(left, right, p["w1"], p["b1"], p["w2"], p["b2"]).data
+    b = compose_rows(left, right, p["w1"], p["b1"], p["w2"], p["b2"]).data
     assert np.array_equal(a, b)
 
 
 def test_mlp_matches_naive_and_gradient(rng):
     d = 5
     p = _mlp_params(rng, d)
-    p["left"] = Tensor(rng.normal(size=d), requires_grad=True)
-    p["right"] = Tensor(rng.normal(size=d), requires_grad=True)
-    out = mlp_compose(p["left"], p["right"], p["w1"], p["b1"], p["w2"], p["b2"])
-    expect = naive_mlp(p["left"].data, p["right"].data, p["w1"].data,
-                       p["b1"].data, p["w2"].data, p["b2"].data)
-    assert np.allclose(out.data, expect, atol=1e-14)
+    p["left"] = Tensor(rng.normal(size=(3, d)), requires_grad=True)
+    p["right"] = Tensor(rng.normal(size=(3, d)), requires_grad=True)
+    out = compose_rows(p["left"], p["right"], p["w1"], p["b1"], p["w2"], p["b2"])
+    for row in range(3):
+        expect = naive_mlp(p["left"].data[row], p["right"].data[row], p["w1"].data,
+                           p["b1"].data, p["w2"].data, p["b2"].data)
+        assert np.allclose(out.data[row], expect, atol=1e-14)
 
-    probe = np.random.default_rng(0).normal(size=d)
+    probe = np.random.default_rng(0).normal(size=(3, d))
     err = grad_check(
-        lambda: ad.tensor_sum(mlp_compose(p["left"], p["right"], p["w1"],
-                                          p["b1"], p["w2"], p["b2"])
+        lambda: ad.tensor_sum(compose_rows(p["left"], p["right"], p["w1"],
+                                           p["b1"], p["w2"], p["b2"])
                               * ad.constant(probe)),
         p, probes_per_tensor=8, eps=1e-5)
     assert err < 1e-4
-
-
-def test_mlp_shape_mismatch():
-    d = 4
-    p = _mlp_params(np.random.default_rng(0), d)
-    with pytest.raises(ShapeError):
-        mlp_compose(Tensor(np.zeros(d)), Tensor(np.zeros(d + 1)),
-                    p["w1"], p["b1"], p["w2"], p["b2"])
-    with pytest.raises(ShapeError):
-        mlp_compose(Tensor(np.zeros(d + 1)), Tensor(np.zeros(d + 1)),
-                    p["w1"], p["b1"], p["w2"], p["b2"])
 
 
 def test_mlp_batched_rows_match_single(rng):
@@ -83,12 +84,12 @@ def test_mlp_batched_rows_match_single(rng):
     p = _mlp_params(rng, d)
     lefts = rng.normal(size=(3, d))
     rights = rng.normal(size=(3, d))
-    batched = mlp_compose(Tensor(lefts), Tensor(rights), p["w1"], p["b1"],
-                          p["w2"], p["b2"]).data
+    batched = compose_rows(Tensor(lefts), Tensor(rights), p["w1"], p["b1"],
+                           p["w2"], p["b2"]).data
     for row in range(3):
-        single = mlp_compose(Tensor(lefts[row]), Tensor(rights[row]), p["w1"],
-                             p["b1"], p["w2"], p["b2"]).data
-        assert np.allclose(batched[row], single, atol=1e-12)
+        single = compose_rows(Tensor(lefts[row:row + 1]), Tensor(rights[row:row + 1]),
+                              p["w1"], p["b1"], p["w2"], p["b2"]).data
+        assert np.allclose(batched[row], single[0], atol=1e-12)
 
 
 def test_lstm_shapes_and_zero_case(rng):
@@ -96,12 +97,13 @@ def test_lstm_shapes_and_zero_case(rng):
     wx = Tensor(np.zeros((d, 4 * d)))
     wh = Tensor(np.zeros((d, 4 * d)))
     b = Tensor(np.zeros(4 * d))
-    out = lstm_forward(Tensor(np.zeros((1, d))), wx, wh, b)
-    assert out.data.shape == (1, d)
-    out = lstm_forward(Tensor(np.zeros((5, d))), wx, wh, b)
-    assert np.array_equal(out.data, np.zeros((5, d)))
-    with pytest.raises(ValueError):
-        lstm_forward(Tensor(np.zeros((0, d))), wx, wh, b)
+    out = lstm_forward(Tensor(np.zeros((1, 1, d))), wx, wh, b)
+    assert out.data.shape == (1, 1, d)
+    out = lstm_forward(Tensor(np.zeros((2, 5, d))), wx, wh, b)
+    assert np.array_equal(out.data, np.zeros((2, 5, d)))
+    for shape in ((0, 5, d), (2, 0, d), (5, d)):
+        with pytest.raises(ValueError, match="nonempty"):
+            lstm_forward(Tensor(np.zeros(shape)), wx, wh, b)
 
 
 def test_lstm_matches_naive_and_gradient(rng):
@@ -110,13 +112,14 @@ def test_lstm_matches_naive_and_gradient(rng):
         "wx": Tensor(rng.normal(size=(d, 4 * d)) * 0.5, requires_grad=True),
         "wh": Tensor(rng.normal(size=(d, 4 * d)) * 0.5, requires_grad=True),
         "b": Tensor(rng.normal(size=(4 * d,)) * 0.5, requires_grad=True),
-        "x": Tensor(rng.normal(size=(6, d)), requires_grad=True),
+        "x": Tensor(rng.normal(size=(2, 6, d)), requires_grad=True),
     }
     out = lstm_forward(p["x"], p["wx"], p["wh"], p["b"])
-    expect = naive_lstm(p["x"].data, p["wx"].data, p["wh"].data, p["b"].data)
-    assert np.allclose(out.data, expect, atol=1e-13)
+    for row in range(2):
+        expect = naive_lstm(p["x"].data[row], p["wx"].data, p["wh"].data, p["b"].data)
+        assert np.allclose(out.data[row], expect, atol=1e-13)
 
-    probe = np.random.default_rng(1).normal(size=(6, d))
+    probe = np.random.default_rng(1).normal(size=(2, 6, d))
     err = grad_check(
         lambda: ad.tensor_sum(lstm_forward(p["x"], p["wx"], p["wh"], p["b"])
                               * ad.constant(probe)),
@@ -137,7 +140,6 @@ def _fused_cases():
     mlp = {"left": rng.normal(size=(k, d)), "right": rng.normal(size=(k, d)),
            "w1": rng.normal(size=(2 * d, hidden)) * 0.5, "b1": rng.normal(size=hidden),
            "w2": rng.normal(size=(hidden, d)) * 0.5, "b2": rng.normal(size=d)}
-    vector = dict(mlp, left=rng.normal(size=d), right=rng.normal(size=d))
     keep = dropout_mask(rng, (k, hidden), 0.3)
     lstm = {"x": rng.normal(size=(3, 5, d)), "wx": rng.normal(size=(d, 4 * d)) * 0.5,
             "wh": rng.normal(size=(d, 4 * d)) * 0.5, "b": rng.normal(size=4 * d)}
@@ -150,20 +152,18 @@ def _fused_cases():
         return lambda *ts: op(*ts, keep=keep)
 
     return {
-        "mlp_rows": (mlp_compose, composite_mlp_compose, mlp, ()),
-        "mlp_rows_dropout": (with_keep(mlp_compose), with_keep(composite_mlp_compose),
+        "mlp_rows": (compose_rows, composite_mlp_compose, mlp, ()),
+        "mlp_rows_dropout": (with_keep(compose_rows), with_keep(composite_mlp_compose),
                              mlp, ()),
-        "mlp_vector": (mlp_compose, composite_mlp_compose, vector, ()),
-        "mlp_constant_weights": (with_keep(mlp_compose), with_keep(composite_mlp_compose),
+        "mlp_constant_weights": (with_keep(compose_rows), with_keep(composite_mlp_compose),
                                  mlp, ("w1", "b2")),
-        "mlp_constant_inputs": (mlp_compose, composite_mlp_compose, mlp, ("left", "right")),
+        "mlp_constant_inputs": (compose_rows, composite_mlp_compose, mlp, ("left", "right")),
         "bilinear": (bilinear_score, composite_bilinear_score, bilinear, ()),
         "bilinear_constant_w": (bilinear_score, composite_bilinear_score, bilinear, ("w",)),
         "softmax_pool": (softmax_pool, composite_softmax_pool, pool, ()),
         "softmax_pool_constant_vectors": (softmax_pool, composite_softmax_pool, pool,
                                           ("vectors",)),
         "lstm_padded_batch": (lstm_forward, composite_lstm, lstm, ()),
-        "lstm_sequence": (lstm_forward, composite_lstm, dict(lstm, x=lstm["x"][0]), ()),
         "lstm_constant_weights": (lstm_forward, composite_lstm, lstm, ("wh", "b")),
         "lstm_constant_inputs": (lstm_forward, composite_lstm, lstm, ("x",)),
     }
@@ -238,11 +238,15 @@ def test_fused_ops_build_one_node_each(monkeypatch):
         return make(*args)
 
     monkeypatch.setattr(ad, "_from_op", counted)
-    for name in ("mlp_rows_dropout", "bilinear", "lstm_padded_batch"):
+    for name in ("bilinear", "lstm_padded_batch"):
         fused, _, arrays, _ = FUSED[name]
         fused(*_tensors(arrays, ()).values())
     fused, _, arrays, _ = FUSED["softmax_pool"]
     fused(*_tensors(arrays, ()).values())
+    mlp = _tensors(FUSED["mlp_rows"][2], ())
+    rows = [Tensor(np.hstack([mlp[side].data, np.ones((7, 1))])) for side in ("left", "right")]
+    outside_step(*rows, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], Tensor(np.eye(4))),
+                 cells=1)
     assert len(made) == 5
 
 
@@ -267,7 +271,7 @@ def test_dropout_scales_and_is_seeded(rng):
 
 
 def test_glorot_bounds(rng):
-    w = glorot_uniform(rng, (50, 30))
+    w = glorot_uniform(rng, (50, 30), 50, 30)
     bound = np.sqrt(6.0 / 80.0)
     assert np.abs(w).max() <= bound
 

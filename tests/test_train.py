@@ -1,12 +1,13 @@
 """Training loop determinism, edge cases, and failure diagnostics."""
 
 import importlib
+import json
 import weakref
 
 import numpy as np
 import pytest
 
-from mmgi.errors import DataValidationError, TrainingError
+from mmgi.errors import ChartError, DataValidationError, TrainingError
 from mmgi.inference import build_vocab, corpus_pair_matrix, heldout_sent_f1, parse_corpus
 from mmgi.synth import SynthConfig, generate_synthetic
 from mmgi.train import train, usable_examples
@@ -129,6 +130,29 @@ def test_checkpoint_written(tmp_path):
     assert step > 0
     assert pair is not None
     assert sorted(vocab) == vocab
+
+
+def test_metrics_of_finished_epochs_survive_a_failed_run(tmp_path, monkeypatch):
+    corpus = _corpus(count=8)
+    cfg = _cfg(epochs=3)
+    whole = train(cfg, corpus)
+    train_module = importlib.import_module("mmgi.train")
+    run_chart = train_module.run_chart
+    batches = 2 * -(-len(usable_examples(cfg, corpus)) // cfg.batch)   # epochs 0 and 1
+    charted = []
+
+    def chart_until_epoch_2(*args, **kwargs):
+        charted.append(None)
+        if len(charted) > batches:
+            raise ChartError("stopped in epoch 2")
+        return run_chart(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "run_chart", chart_until_epoch_2)
+    with pytest.raises(TrainingError, match="stopped in epoch 2"):
+        train(cfg, corpus, out_dir=tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == whole.metrics[:2]
+    assert not (tmp_path / "checkpoint.npz").exists()
 
 
 def test_parse_corpus_baselines_ignore_model():

@@ -5,7 +5,7 @@ from mmgi.verify import TOLERANCE, end_to_end_fixture, verification_suite
 
 def test_suite_all_below_tolerance():
     results = verification_suite(seed=0)
-    assert set(results) >= {"constant", "linear", "softmax", "mlp_compose",
+    assert set(results) >= {"constant", "linear", "softmax", "outside_step",
                             "lstm", "end_to_end_total_loss"}
     for name, err in results.items():
         assert err < TOLERANCE, (name, err)
