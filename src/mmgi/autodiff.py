@@ -449,11 +449,11 @@ class Store:
 
     Each block, an op's output, is copied once into the next free rows (into
     columns `cols`; the others stay zero) and stays the graph node it was.
-    `gather` reads any rows written so far with one index array, without
-    concatenating the blocks again, and its vjp adds into one gradient
-    buffer for the whole store. A block's rows of that buffer reach it when
-    backward does, which is after every gather that read them: a gather's
-    parents are all blocks written before it.
+    `gather` reads any rows written so far, in parts that each name a row at
+    most once, without concatenating the blocks again, and its vjp adds into
+    one gradient buffer for the whole store. A block's rows of that buffer
+    reach it when backward does, which is after every gather that read them:
+    a gather's parents are all blocks written before it.
     """
 
     def __init__(self, rows: int, width: int):
@@ -473,19 +473,36 @@ class Store:
             self._blocks += (block,)
 
     def gather(self, rows, cols=slice(None)) -> Tensor:
-        """Rows `rows` (an index array, or a slice for a view) of columns `cols`."""
-        data = self.data[rows, cols]
-        buffer, shape, written = self._buffer, self.data.shape, self.size
-        parents = self._blocks
+        """Rows `rows` of columns `cols`.
+
+        `rows` is a slice, read as a view, or a sequence of parts (at,
+        index): rows `at` (a slice, an index array or a boolean mask) of the
+        result are the store's rows `index`. No index names a row twice,
+        because the vjp adds each part's gradient with one fancy-index `+=`,
+        which would keep only one term of a repeated row; different parts
+        may name the same rows. `cols` is read by every part, or is a tuple
+        of one per part, all of one width.
+        """
+        buffer, shape, parents = self._buffer, self.data.shape, self._blocks
+        view = isinstance(rows, slice)
+        if view:
+            data = self.data[rows, cols]
+        else:
+            if not isinstance(cols, tuple):
+                cols = (cols,) * len(rows)
+            size = sum(len(index) for _, index in rows)
+            data = np.empty((size,) + self.data[0, cols[0]].shape)
+            for (at, index), c in zip(rows, cols):
+                data[at] = self.data[index, c]
 
         def vjp(g):
             if buffer.grad is None:
                 buffer.grad = np.zeros(shape)
-            if isinstance(rows, slice):
+            if view:
                 buffer.grad[rows, cols] += g
             else:
-                region = buffer.grad[:written, cols]
-                region += _scatter_add(region.shape, 1, rows, g)
+                for (at, index), c in zip(rows, cols):
+                    buffer.grad[index, c] += g[at]
             return (None,) * len(parents)
 
         return _from_op(data, parents, vjp)

@@ -156,8 +156,9 @@ class _Plan:
 
         # (span, split) pairs of every span, split by split: split s of span
         # (i, j) pairs (i, k) with (k + 1, j), k = i + s. Per length: the
-        # children's rows, left ones then right ones, and each span's row in
-        # its per-sentence block
+        # children's rows as two `Store.gather` parts, left ones then right
+        # ones (a child of one length fixes its span and split, so neither
+        # repeats a row), and each span's row in its per-sentence block
         splits = span_length - 1
         sent, start, size = (np.repeat(a, splits) for a in
                              (self.span_sentence, self.span_start, span_length))
@@ -165,11 +166,11 @@ class _Plan:
         left = self.offsets[s + 1, sent] + start - 1
         right = self.offsets[size - 1 - s, sent] + start + s
         bounds = np.cumsum(cells.sum(axis=1) * np.maximum(span_len - 1, 0))[1:]
-        children = [np.concatenate(pair) for pair in
-                    zip(_pieces(left, bounds), _pieces(right, bounds))]
-        _freeze(*children)
+        _freeze(left, right)
+        halves = [((slice(0, lefts.size), lefts), (slice(lefts.size, None), rights))
+                  for lefts, rights in zip(_pieces(left, bounds), _pieces(right, bounds))]
         self.inside = dict(zip(range(2, n_max + 1), zip(
-            children, _pieces(padded_row, self.block_start[2:]))))
+            halves, _pieces(padded_row, self.block_start[2:]))))
 
         distance = np.arange(n_max)
         out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
@@ -179,7 +180,10 @@ class _Plan:
                                     self.span_sentence] + self.span_start - 1
 
         # (span, context) pairs of every outside cell, by distance r to the
-        # root: contexts k < i first, then k > j, each ascending
+        # root: contexts k < i first, then k > j, each ascending. Per
+        # distance, the parents' and the siblings' rows as two parts each:
+        # the contexts before the span, then after it (a row can be a parent
+        # before one span and after another, but not twice on one side)
         cell_r = np.repeat(np.repeat(distance, count), out_flat)
         cell_sent = np.repeat(np.tile(sentences, n_max), out_flat)
         cell_start = np.arange(out_flat.sum()) - np.repeat(out_offsets.ravel(), out_flat) + 1
@@ -195,10 +199,12 @@ class _Plan:
         per_distance = out_cells.sum(axis=1)
         pair_bounds = np.cumsum(per_distance * distance)
         cell_bounds = np.cumsum(per_distance)
-        _freeze(*pairs, cell_sent, cell_start, cell_end)
-        self.outside = dict(zip(range(1, n_max), zip(
-            *(_pieces(a, pair_bounds) for a in pairs),
-            *(_pieces(a, cell_bounds) for a in (cell_sent, cell_start, cell_end)))))
+        cell_fields = (cell_sent, cell_start, cell_end)
+        _freeze(*cell_fields)
+        self.outside = {
+            r: _parts(early, parent, sibling) + fields for r, parent, sibling, early, fields in
+            zip(range(1, n_max), *(_pieces(a, pair_bounds) for a in pairs + (before,)),
+                zip(*(_pieces(a, cell_bounds) for a in cell_fields)))}
 
         # spans longer than one position, sentence by sentence, start-major
         long = np.flatnonzero(span_length > 1)
@@ -238,6 +244,15 @@ def _freeze(*arrays: np.ndarray) -> None:
     """Make arrays read-only, and so every view of them: cached plans are shared."""
     for array in arrays:
         array.setflags(write=False)
+
+
+def _parts(early: np.ndarray, *rows: np.ndarray) -> tuple:
+    """Each of `rows` as two `Store.gather` parts, where the mask `early`
+    holds and where it does not; they share the two masks."""
+    masks = early, ~early
+    parts = tuple(tuple((at, index[at]) for at in masks) for index in rows)
+    _freeze(*masks, *(index for side in parts for _, index in side))
+    return parts
 
 
 def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -544,11 +559,14 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                                               "compose_in_w2", "compose_in_b2",
                                               "bilinear_inside"))
     split_in = {}
+    # a left child reads its pair columns, vector and score, a right child
+    # its vector, score and attention (see `span_features`)
+    cols = (slice(0, regions + d + 1), slice(regions, None))
     for length in range(2, plan.n_max + 1):
-        child_rows, block_rows = plan.inside[length]
+        halves, block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         step, scores = inside_step(
-            children.gather(child_rows), ctx.pitch_seq, weights,
+            children.gather(halves, cols), ctx.pitch_seq, weights,
             cells=block.stop - block.start, regions=regions,
             voice=None if voice is None else np.repeat(voice[block], length - 1),
             pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam,
@@ -597,9 +615,9 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                                               "compose_out_w2", "compose_out_b2",
                                               "bilinear_outside"))
     for r in range(1, plan.n_max):
-        parent_rows, sibling_rows, cell_sent, cell_start, cell_end = plan.outside[r]
+        parents, siblings, cell_sent, cell_start, cell_end = plan.outside[r]
         step, scores = outside_step(
-            outside.gather(parent_rows), chart.span_store.gather(sibling_rows), weights,
+            outside.gather(parents), chart.span_store.gather(siblings), weights,
             cells=cell_sent.size, keep=None if masks is None else masks[r])
         bad = _first_nonfinite(scores)
         if bad is not None:
@@ -609,8 +627,9 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                 f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
             )
         outside.write(step)
-    chart.h_out = outside.gather(plan.out_perm, slice(0, d))
-    chart.s_out = outside.gather(plan.out_perm, d)
+    perm = ((slice(None), plan.out_perm),)
+    chart.h_out = outside.gather(perm, slice(0, d))
+    chart.s_out = outside.gather(perm, d)
     return chart
 
 

@@ -3,12 +3,14 @@ initialization.
 
 Each op is one autodiff node with a hand-written vector-Jacobian product.
 One inside step (all spans of one length) and one outside step (all spans at
-one distance to the root) each run the compose MLP, the bilinear score and
-the split softmax pooling over (K, d) blocks; there is no standalone compose
-node. The region feature of a block of spans and the pitch LSTM over a
-(B, T, d) batch are one node each too, so a training step's graph has a few
-nodes per span length. Their forward expressions are those of the elementary
-ops they replace, in the same order, so their values are unchanged.
+one distance to the root) each run the compose MLP's hidden layer, the
+bilinear score and the split softmax pooling over (K, d) blocks of pairs,
+and the MLP's second layer once per pooled span; there is no standalone
+compose node. The region feature of a block of spans and the pitch LSTM over
+a (B, T, d) batch are one node each too, so a training step's graph has a
+few nodes per span length. Their forward expressions are those of elementary
+ops, in the same order, so the composite of those ops gives the same values
+bit for bit.
 """
 
 from __future__ import annotations
@@ -42,60 +44,48 @@ def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return (g @ w.T if need_x else None), (x.T @ g if need_w else None)
 
 
-class _Compose:
-    """Forward of the compose MLP over two (K, d) blocks, and its vjp. Weights
-    are (2d, hidden) and (hidden, d); `keep` is an optional dropout mask on
-    the hidden layer."""
-
-    def __init__(self, left, right, w1, b1, w2, b2, keep):
-        self.x = np.concatenate([left, right], axis=1)
-        self.t = self.x @ w1
-        self.t += b1
-        np.tanh(self.t, out=self.t)
-        self.h = self.t if keep is None else self.t * keep
-        self.out = self.h @ w2
-        self.out += b2
-        self.keep = keep
-
-    def vjp(self, g, w1, w2, need_x, need_w1, need_w2):
-        """(g_x, g_w1, g_b1, g_w2, g_b2) of an output gradient `g`."""
-        g_pre, g_w2 = _linear_vjp(self.h, w2, g, True, need_w2)
-        if self.keep is not None:
-            g_pre *= self.keep
-        slope = self.t * self.t
-        g_pre *= np.subtract(1.0, slope, out=slope)
-        g_x, g_w1 = _linear_vjp(self.x, w1, g_pre, need_x, need_w1)
-        return g_x, g_w1, g_pre.sum(axis=0), g_w2, g.sum(axis=0)
-
-
 class _PooledStep:
     """The shared core of an inside and an outside step.
 
-    Composes the K = cells * splits (left, right) pairs of one step and
+    Runs the compose MLP's hidden layer, tanh(left @ w1[:d] + right @ w1[d:]
+    + b1), on the K = cells * splits (left, right) pairs of one step and
     gives their (K,) bilinear scores. `pool` takes the pairs' full scores
     (the bilinear ones plus the caller's further terms), normalizes each
-    cell's with a softmax and pools the composed vectors and the scores into
-    (cells, d + 1) rows: the pooled vector, then the expected score. `vjp`
+    cell's with a softmax and pools the hidden layers (dropout mask `keep`
+    applied) and the scores into (cells, d + 1) rows: the pooled hidden
+    layer through the second layer (w2, b2), then the expected score. Each
+    cell's weights sum to 1, so this is the softmax-weighted mean of the
+    pairs' MLP outputs, with the second layer run once per cell. `vjp`
     returns the gradients of the pairs' scores, of `left` and `right`, and
     of the weights.
     """
 
     def __init__(self, left, right, weights, keep):
-        w1, b1, w2, b2, w_bil = (w.data for w in weights)
-        self.weights, self.left, self.right = weights, left, right
-        self.mlp = _Compose(left, right, w1, b1, w2, b2, keep)
+        w1, b1, w_bil = weights[0].data, weights[1].data, weights[4].data
+        d = left.shape[1]
+        self.weights, self.left, self.right, self.keep = weights, left, right, keep
+        tanh = self.tanh = left @ w1[:d]
+        tanh += right @ w1[d:]
+        tanh += b1
+        np.tanh(tanh, out=tanh)
         self.projected = left @ w_bil
         self.bilinear = (self.projected * right).sum(axis=1)
+
+    def _hidden(self) -> np.ndarray:
+        """The hidden layers with the dropout mask applied, (cells, splits, hidden)."""
+        hidden = self.tanh if self.keep is None else self.tanh * self.keep
+        return hidden.reshape(self.softmax.shape + (-1,))
 
     def pool(self, scores: np.ndarray, cells: int) -> np.ndarray:
         scores = self.scores = scores.reshape(cells, -1)
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         self.softmax = e / e.sum(axis=1, keepdims=True)
-        composed = self.mlp.out
-        self.stacked = composed.reshape(cells, scores.shape[1], composed.shape[1])
-        out = np.empty((cells, composed.shape[1] + 1))
-        out[:, :-1] = (self.softmax[:, :, None] * self.stacked).sum(axis=1)
+        w2, b2 = self.weights[2].data, self.weights[3].data
+        self.pooled = (self.softmax[:, :, None] * self._hidden()).sum(axis=1)
+        out = np.empty((cells, w2.shape[1] + 1))
+        out[:, :-1] = self.pooled @ w2
+        out[:, :-1] += b2
         out[:, -1] = (scores * self.softmax).sum(axis=1)
         return out
 
@@ -105,23 +95,33 @@ class _PooledStep:
         w1, b1, w2, b2, w_bil = self.weights
         softmax, scores = self.softmax, self.scores
         g_vector, g_score = g[:, :-1], g[:, -1:]
-        g_softmax = np.einsum("csd,cd->cs", self.stacked, g_vector) + g_score * scores
+        g_pooled, g_w2 = _linear_vjp(self.pooled, w2.data, g_vector, True, w2.requires_grad)
+        # b2 adds the same term to every split of a cell, which the softmax cancels
+        g_softmax = np.einsum("csh,ch->cs", self._hidden(), g_pooled) + g_score * scores
         g_scores = (g_score * softmax
                     + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
                     * softmax).ravel()
-        g_composed = (g_vector[:, None, :] * softmax[:, :, None]).reshape(self.mlp.out.shape)
-        g_x, g_w1, g_b1, g_w2, g_b2 = self.mlp.vjp(g_composed, w1.data, w2.data, need_pairs,
-                                                   w1.requires_grad, w2.requires_grad)
+        g_pre = (g_pooled[:, None, :] * softmax[:, :, None]).reshape(self.tanh.shape)
+        if self.keep is not None:
+            g_pre *= self.keep
+        slope = self.tanh * self.tanh
+        g_pre *= np.subtract(1.0, slope, out=slope)
+        d = self.left.shape[1]
+        g_w1 = None
+        if w1.requires_grad:
+            g_w1 = np.empty(w1.data.shape)
+            g_w1[:d] = self.left.T @ g_pre
+            g_w1[d:] = self.right.T @ g_pre
         g_projected = g_scores[:, None] * self.right
         g_left, g_w_bil = _linear_vjp(self.left, w_bil.data, g_projected, need_pairs,
                                       w_bil.requires_grad)
         g_right = None
         if need_pairs:
-            d = self.left.shape[1]
-            g_left += g_x[:, :d]
+            g_left += g_pre @ w1.data[:d].T
             g_right = g_scores[:, None] * self.projected
-            g_right += g_x[:, d:]
-        return g_scores, g_left, g_right, (g_w1, g_b1, g_w2, g_b2, g_w_bil)
+            g_right += g_pre @ w1.data[d:].T
+        return g_scores, g_left, g_right, (g_w1, g_pre.sum(axis=0), g_w2,
+                                           g_vector.sum(axis=0), g_w_bil)
 
 
 def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, ...], *,
@@ -133,24 +133,24 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
     vector and expected score, (cells, splits) decomposition scores).
 
     `children` holds the K = cells * splits left children, then the K right
-    ones, split by split within each span. Each row is a child's vector, its
-    span score and, with `regions` M > 0, its region attention (M) and that
-    attention through the pair matrix (M). `weights` are the compose MLP's
-    (w1, b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d), each
-    child vector gains `lam` times the mean pitch state over its parent's
-    positions: for the c-th span, row `pool_rows[c]` of the (B, windows)
-    means the (windows, T) averaging matrix `pool` gives. A pair's score is,
-    in this order, the bilinear score plus the pair term (the left child's
-    attention through the pair matrix dotted with the right child's
+    ones, split by split within each span. A left child's row is, with
+    `regions` M > 0, its region attention through the pair matrix (M), then
+    its vector and its span score; a right child's row is its vector, its
+    span score and, with M > 0, its region attention (M). `weights` are the
+    compose MLP's (w1, b1, w2, b2) and the bilinear matrix. With `pitch`
+    (B, T, d), each child vector gains `lam` times the mean pitch state over
+    its parent's positions: for the c-th span, row `pool_rows[c]` of the (B,
+    windows) means the (windows, T) averaging matrix `pool` gives. A pair's
+    score is, in this order, the bilinear score plus the pair term (the left
+    child's attention through the pair matrix dotted with the right child's
     attention) plus its `voice` term plus both children's span scores.
     """
     rows = children.data
     pairs = rows.shape[0] // 2
     d = weights[4].data.shape[0]
-    left, right = rows[:pairs, :d], rows[pairs:, :d]
-    if pitch is None:
-        left = np.ascontiguousarray(left)
-    else:
+    left_rows, right_rows = rows[:pairs], rows[pairs:]
+    left, right = left_rows[:, regions:regions + d], right_rows[:, :d]
+    if pitch is not None:
         spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
         pooled = lam * (spread @ pitch.data)
         windows = pooled.shape[:2]
@@ -159,11 +159,10 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
     step = _PooledStep(left, right, weights, keep)
     scores = step.bilinear
     if regions:
-        scores = scores + (rows[:pairs, d + 1 + regions:] * rows[pairs:, d + 1:d + 1 + regions]
-                           ).sum(axis=1)
+        scores = scores + (left_rows[:, :regions] * right_rows[:, d + 1:]).sum(axis=1)
     if voice is not None:
         scores = scores + voice
-    out = step.pool((scores + rows[:pairs, d]) + rows[pairs:, d], cells)
+    out = step.pool((scores + left_rows[:, regions + d]) + right_rows[:, d], cells)
 
     def vjp(g):
         need_children = children.requires_grad
@@ -171,16 +170,15 @@ def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, .
         g_scores, g_left, g_right, g_weights = step.vjp(g, need_children or need_pitch)
         g_children = g_pitch = None
         if need_children:
-            g_children = np.zeros(rows.shape)
-            g_children[:pairs, :d] = g_left
-            g_children[pairs:, :d] = g_right
-            g_children[:pairs, d] = g_scores
-            g_children[pairs:, d] = g_scores
+            g_children = np.empty(rows.shape)
+            g_left_rows, g_right_rows = g_children[:pairs], g_children[pairs:]
+            g_left_rows[:, regions:regions + d] = g_left
+            g_left_rows[:, regions + d] = g_scores
+            g_right_rows[:, :d] = g_right
+            g_right_rows[:, d] = g_scores
             if regions:
-                g_children[:pairs, d + 1 + regions:] = \
-                    g_scores[:, None] * rows[pairs:, d + 1:d + 1 + regions]
-                g_children[pairs:, d + 1:d + 1 + regions] = \
-                    g_scores[:, None] * rows[:pairs, d + 1 + regions:]
+                g_left_rows[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
+                g_right_rows[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
         if need_pitch:
             g_pooled = np.zeros((windows[0] * windows[1], d))
             g_pooled[pool_rows] = (g_left + g_right).reshape(cells, -1, d).sum(axis=1)
@@ -204,7 +202,7 @@ def outside_step(parents: Tensor, siblings: Tensor, weights: tuple[Tensor, ...],
     """
     d = weights[4].data.shape[0]
     parent, sibling = parents.data, siblings.data
-    step = _PooledStep(np.ascontiguousarray(parent[:, :d]), sibling[:, :d], weights, keep)
+    step = _PooledStep(parent[:, :d], sibling[:, :d], weights, keep)
     out = step.pool((step.bilinear + parent[:, d]) + sibling[:, d], cells)
 
     def vjp(g):
@@ -233,8 +231,10 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
     (both None when every sentence has C of them), against the (B, M, d)
     `v_proj` and `region_sum`, with `mask` (B, M) adding -inf to padding
     regions. Returns rows of h + gamma * u (u the attention-pooled region
-    feature), the span score and, given the (B, M, M) `pair` matrices, the
-    attention and the attention through the pair matrix.
+    feature) and the span score; given the (B, M, M) `pair` matrices, the
+    attention through the pair matrix comes first and the attention last,
+    so the left and the right child of a pair each read one contiguous
+    range of columns (see `inside_step`).
     """
     rows = spans.data
     d = rows.shape[1] - 1
@@ -254,12 +254,13 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
         flat = padded.reshape(cells, -1)
         return flat if unpad is None else flat[unpad]
 
-    out = np.empty((rows.shape[0], d + 1 + (2 * regions if pair is not None else 0)))
-    out[:, :d] = h + gamma * real(att @ region_sum.data)
-    out[:, d] = rows[:, d]
+    lead = regions if pair is not None else 0
+    out = np.empty((rows.shape[0], d + 1 + 2 * lead))
+    out[:, lead:lead + d] = h + gamma * real(att @ region_sum.data)
+    out[:, lead + d] = rows[:, d]
     if pair is not None:
-        out[:, d + 1:d + 1 + regions] = real(att)
-        out[:, d + 1 + regions:] = real(att @ pair)
+        out[:, :lead] = real(att @ pair)
+        out[:, lead + d + 1:] = real(att)
 
     def padded(g: np.ndarray) -> np.ndarray:
         if unpad is None:
@@ -269,18 +270,18 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
         return full.reshape(blocks + g.shape[1:])
 
     def vjp(g):
-        g_u = padded(gamma * g[:, :d])
+        g_u = padded(gamma * g[:, lead:lead + d])
         g_att = g_u @ np.swapaxes(region_sum.data, -1, -2)
         if pair is not None:
-            g_att = g_att + padded(g[:, d + 1:d + 1 + regions]) \
-                + padded(g[:, d + 1 + regions:]) @ np.swapaxes(pair, -1, -2)
+            g_att = g_att + padded(g[:, lead + d + 1:]) \
+                + padded(g[:, :lead]) @ np.swapaxes(pair, -1, -2)
         g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
         g_spans = None
         if spans.requires_grad:
             # padding rows are dropped, so they get no gradient: read the real ones
             g_spans = np.empty(rows.shape)
-            g_spans[:, :d] = real(g_logits @ v_proj.data) + g[:, :d]
-            g_spans[:, d] = g[:, d]
+            g_spans[:, :d] = real(g_logits @ v_proj.data) + g[:, lead:lead + d]
+            g_spans[:, d] = g[:, lead + d]
         g_v = np.swapaxes(g_logits, -1, -2) @ hp if v_proj.requires_grad else None
         g_region = np.swapaxes(att, -1, -2) @ g_u if region_sum.requires_grad else None
         return g_spans, g_v, g_region

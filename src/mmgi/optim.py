@@ -17,7 +17,8 @@ class Adam:
     """Adam with bias correction; moments keyed by parameter name.
 
     A parameter whose ``.grad`` is ``None`` is treated as having a zero
-    gradient for the step. From a fresh state that leaves it untouched.
+    gradient for the step. From a fresh state that leaves it untouched. The
+    moments are updated in place; `load_state` takes copies of its arrays.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
@@ -34,8 +35,12 @@ class Adam:
         bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else 0.0
-            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            # a rebind, not an in-place write: gradient-free parses share p.data
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self) -> None:
@@ -47,5 +52,5 @@ class Adam:
 
     def load_state(self, state: dict) -> None:
         self.step_count = int(state["step"])
-        self.m = {k: np.asarray(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.asarray(v, dtype=np.float64) for k, v in state["v"].items()}
+        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
+        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}

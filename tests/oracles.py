@@ -19,6 +19,7 @@ import numpy as np
 from mmgi import autodiff as ad
 from mmgi.chart import Chart, _pad, _unpad, init_terminals
 from mmgi.nn import dropout_mask
+from mmgi.optim import BETA1, BETA2, EPS
 
 
 def fd_gradient(fn, arrays: dict[str, np.ndarray], eps: float = 1e-5) -> dict[str, np.ndarray]:
@@ -75,8 +76,11 @@ def naive_lstm(inputs, wx, wh, b):
 # composite references of the fused autodiff ops
 #
 # The model blocks that `mmgi.nn` computes as single nodes, rebuilt from the
-# engine's elementary ops as they were before fusion. The fused forward must
-# match these bit for bit; their gradients come from the engine's own vjps.
+# engine's elementary ops as they were before fusion, but in the fused ops'
+# association: the compose MLP's first layer as the sum of its halves' products
+# with the left and the right rows, and, in the chart passes, its second layer
+# applied after the split softmax pooling. The fused forward must match these
+# bit for bit; their gradients come from the engine's own vjps.
 # `sigmoid`, `stack` and `concat` serve only these references, so they live
 # here.
 
@@ -114,12 +118,16 @@ def concat(tensors, axis: int = 0):
     return ad._from_op(data, tuple(tensors), vjp)
 
 
+def composite_mlp_hidden(left, right, w1, b1, keep=None):
+    """The compose MLP's hidden layer of (K, d) row pairs, `keep` applied."""
+    d = left.data.shape[1]
+    h = ad.tanh(ad.matmul(left, ad.select(w1, slice(0, d)))
+                + ad.matmul(right, ad.select(w1, slice(d, None))) + b1)
+    return h if keep is None else h * keep
+
+
 def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
-    x = concat([left, right], axis=-1)
-    h = ad.tanh(ad.matmul(x, w1) + b1)
-    if keep is not None:
-        h = h * keep
-    return ad.matmul(h, w2) + b2
+    return ad.matmul(composite_mlp_hidden(left, right, w1, b1, keep), w2) + b2
 
 
 def composite_bilinear_score(left, w, right):
@@ -275,9 +283,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
     add_child_block(terminals, 1)
     split_in = {}
     for length in range(2, plan.n_max + 1):
-        child_rows, block_rows = plan.inside[length]
-        half = child_rows.size // 2
-        left_rows, right_rows = child_rows[:half], child_rows[half:]
+        ((_, left_rows), (_, right_rows)), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         cells, splits = block.stop - block.start, length - 1
         children = concat(child_blocks)
@@ -291,9 +297,8 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
             left = left + pooled
             right = right + pooled
 
-        composed = composite_mlp_compose(
+        hidden = composite_mlp_hidden(
             left, right, params["compose_in_w1"], params["compose_in_b1"],
-            params["compose_in_w2"], params["compose_in_b2"],
             keep=None if inside_masks is None else inside_masks[length],
         )
         scores = bilinear_score(left, params["bilinear_inside"], right)
@@ -307,7 +312,8 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         scores = scores + ad.gather_rows(span_scores, left_rows) \
             + ad.gather_rows(span_scores, right_rows)
         scores = ad.reshape(scores, (cells, splits))
-        h, s = softmax_pool(scores, composed)
+        h, s = softmax_pool(scores, hidden)
+        h = ad.matmul(h, params["compose_in_w2"]) + params["compose_in_b2"]
         split_in[length] = scores
         h_blocks.append(h)
         s_blocks.append(s)
@@ -317,6 +323,14 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
                  split_in=split_in, outside_masks=outside_masks, plan=plan)
 
 
+def part_rows(parts) -> np.ndarray:
+    """The index array whose `Store.gather` parts (at, index) are `parts`."""
+    rows = np.empty(sum(index.size for _, index in parts), dtype=np.intp)
+    for at, index in parts:
+        rows[at] = index
+    return rows
+
+
 def composite_outside_pass(chart, ctx, params, cfg, training=False):
     plan = chart.plan
     masks = chart.outside_masks if training else None
@@ -324,24 +338,35 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
     for r in range(1, plan.n_max):
-        parent_rows, sibling_rows, cell_sent, _, _ = plan.outside[r]
+        parents, siblings, cell_sent, _, _ = plan.outside[r]
+        parent_rows, sibling_rows = part_rows(parents), part_rows(siblings)
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
-        composed = composite_mlp_compose(
-            parent, sibling, params["compose_out_w1"],
-            params["compose_out_b1"], params["compose_out_w2"],
-            params["compose_out_b2"], keep=None if masks is None else masks[r],
+        hidden = composite_mlp_hidden(
+            parent, sibling, params["compose_out_w1"], params["compose_out_b1"],
+            keep=None if masks is None else masks[r],
         )
         scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
             + ad.gather_rows(concat(s_blocks), parent_rows) \
             + ad.gather_rows(chart.s_in, sibling_rows)
         scores = ad.reshape(scores, (cell_sent.size, r))
-        h, s = softmax_pool(scores, composed)
+        h, s = softmax_pool(scores, hidden)
+        h = ad.matmul(h, params["compose_out_w2"]) + params["compose_out_b2"]
         h_blocks.append(h)
         s_blocks.append(s)
     chart.h_out = ad.gather_rows(concat(h_blocks), plan.out_perm)
     chart.s_out = ad.gather_rows(concat(s_blocks), plan.out_perm)
     return chart
+
+
+def adam_step(m, v, param, grad, lr: float, t: int):
+    """Step t of `mmgi.optim.Adam` on one parameter, in fresh arrays: the
+    (m, v, param) after it, a None gradient taken as zero."""
+    g = grad if grad is not None else 0.0
+    m = BETA1 * m + (1.0 - BETA1) * g
+    v = BETA2 * v + (1.0 - BETA2) * (g * g)
+    step = lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+    return m, v, param - step
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +619,8 @@ def loop_plan(lengths) -> dict:
         s = np.tile(np.arange(splits), rows.stop - rows.start)
         left = offsets[s + 1, sent] + start - 1
         right = offsets[splits - s, sent] + start + s
-        inside[length] = (np.concatenate([left, right]), padded_row)
+        inside[length] = (((slice(0, left.size), left), (slice(left.size, None), right)),
+                          padded_row)
     plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
 
     distance = np.arange(n_max)
@@ -617,7 +643,10 @@ def loop_plan(lengths) -> dict:
         s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
         parent = out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1
         sibling = offsets[s_end - s_start + 1, sent] + s_start - 1
-        outside[r] = (parent, sibling, cell_sent, cell_start, cell_end)
+        early, late = before, ~before
+        outside[r] = (((early, parent[early]), (late, parent[late])),
+                      ((early, sibling[early]), (late, sibling[late])),
+                      cell_sent, cell_start, cell_end)
     plan["outside"] = outside
 
     long = np.flatnonzero(span_length > 1)

@@ -90,14 +90,16 @@ OPS = {
 
 def _store_reads(a, c):
     """A store read as the chart reads one: blocks appended (one of them made
-    from an earlier read, one into some columns only), then gathers with
-    repeated rows, a column range, one column and a slice."""
+    from an earlier read, one into some columns only), then gathers whose
+    parts repeat each other's rows, interleave and read their own columns,
+    one column and a slice."""
     store = ad.Store(6, 3)
     store.write(a * 1.0)                                      # rows 0-1
-    early = store.gather(np.array([1, 0, 1]))
+    early = store.gather(((slice(0, 2), np.array([1, 0])), (slice(2, 3), np.array([1]))))
     store.write(ad.tanh(early))                               # rows 2-4
     store.write(-c, cols=slice(1, 3))                         # row 5, column 0 stays zero
-    late = store.gather(np.array([5, 2, 0, 5, 3]), slice(0, 2))
+    late = store.gather(((np.array([0, 3, 4]), np.array([5, 2, 3])),
+                         (np.array([1, 2]), np.array([2, 5]))), (slice(0, 2), slice(1, 3)))
     return concat([ad.reshape(late, (10,)), store.gather(slice(None), 2),
                    store.gather(slice(1, 3), 0)])
 
@@ -235,7 +237,8 @@ def test_store_blocks_take_a_copy_and_leave_the_buffer_clear():
     block = x * 2.0
     store = ad.Store(2, 2)
     store.write(block)
-    loss = ad.tensor_sum(store.gather(np.array([0, 1, 1])) * ad.constant([[1.0, 2.0]]))
+    read = store.gather(((slice(0, 2), np.array([0, 1])), (slice(2, 3), np.array([1]))))
+    loss = ad.tensor_sum(read * ad.constant([[1.0, 2.0]]))
     backward(loss)
     first = x.grad.copy()
     assert np.array_equal(first, [[2.0, 4.0], [4.0, 8.0]])
@@ -253,6 +256,6 @@ def test_store_blocks_are_op_outputs_written_once():
     store.write(block)
     with pytest.raises(ValueError, match="once"):
         store.write(block)
-    read = store.gather(np.array([1, 0]))
+    read = store.gather(((slice(None), np.array([1, 0])),))
     assert read._parents == (block,)
     assert np.array_equal(read.data, np.ones((2, 3)))

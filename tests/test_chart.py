@@ -1,5 +1,7 @@
 """Chart passes against the independent recursive oracle, plus the span ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +23,9 @@ from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
 from .oracles import (composite_inside_pass, composite_outside_pass, loop_plan,
-                      naive_chart, naive_mlp, np_sigmoid, scalar_pitch_index, scalar_unit_box,
-                      scalar_vad_aggregate, split_dropout_masks, visual_span_feature)
+                      naive_chart, naive_mlp, np_sigmoid, part_rows, scalar_pitch_index,
+                      scalar_unit_box, scalar_vad_aggregate, split_dropout_masks,
+                      visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
 
@@ -430,12 +433,16 @@ def test_training_loss_gradient_on_a_mixed_batch():
     assert err < 1e-4, err
 
 
+# 16 sentences of n = 5..14 and their region counts
+BUDGET_SHAPES = [(n, 1 + k % 5)
+                 for k, n in enumerate(list(range(5, 15)) + [5, 8, 9, 11, 13, 14])]
+
+
 def test_step_graph_stays_under_its_node_budget(monkeypatch):
-    # 16 sentences of n = 5..14 with every modality and dropout; the
-    # node-by-node passes built 825 nodes that need a gradient for this step
+    # every modality and dropout; the node-by-node passes built 825 nodes
+    # that need a gradient for this step
     cfg = tiny_config(dropout=0.1, batch=16)
-    shapes = [(n, 1 + k % 5) for k, n in enumerate(list(range(5, 15)) + [5, 8, 9, 11, 13, 14])]
-    bundles, vocab_index, params, pair = _mixed_batch(61, shapes, cfg)
+    bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES, cfg)
     built = []
     original = ad._from_op
 
@@ -450,6 +457,48 @@ def test_step_graph_stays_under_its_node_budget(monkeypatch):
     batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
     monkeypatch.undo()
     assert sum(built) <= 0.52 * 825, sum(built)
+
+
+def test_step_graph_stays_under_its_memory_budget():
+    # the same step at d = 32: its graph held 30,863,489 bytes when every
+    # (span, split) pair's MLP input, pre-activation, masked hidden layer and
+    # output, and every gathered child's unread columns, stayed alive until
+    # backward
+    cfg = tiny_config(dropout=0.1, batch=16, d=32)
+    bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES, cfg)
+    tracemalloc.start()
+    try:
+        chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                               rng=np.random.default_rng(0))
+        # the loss is kept: a step holds its graph until backward
+        loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.75 * 30_863_489, held
+
+
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+@example(lengths=[12] * 4)
+def test_plan_gather_parts_name_each_row_once(lengths):
+    # a store gather adds each part's gradient with one fancy-index `+=`,
+    # which keeps one term of a repeated row
+    plan = _Plan(tuple(lengths))
+    steps = [halves for halves, _ in plan.inside.values()]
+    steps += [side for parents, siblings, *_ in plan.outside.values()
+              for side in (parents, siblings)]
+    for parts in steps:
+        size = sum(index.size for _, index in parts)
+        read = np.concatenate([np.arange(size)[at] for at, _ in parts])
+        assert np.array_equal(np.sort(read), np.arange(size))   # each row read once
+        for _, index in parts:
+            assert np.unique(index).size == index.size
+    # joined, the contexts before a span and those after it can repeat a
+    # parent: span (1, 1) of n = 2 has parent (1, 2) after it, (2, 2) before
+    if max(lengths) >= 2:
+        parents = [part_rows(parents) for parents, *_ in plan.outside.values()]
+        assert any(np.unique(rows).size < rows.size for rows in parents)
 
 
 def test_graph_nodes_grow_linearly_in_sentence_length(monkeypatch):

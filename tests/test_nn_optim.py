@@ -14,7 +14,7 @@ from mmgi.optim import Adam
 from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
 from .conftest import tiny_config
-from .oracles import (bilinear_score, composite_bilinear_score, composite_lstm,
+from .oracles import (adam_step, bilinear_score, composite_bilinear_score, composite_lstm,
                       composite_mlp_compose, composite_softmax_pool, concat, naive_lstm,
                       naive_mlp, softmax_pool)
 
@@ -306,6 +306,32 @@ def test_adam_moments_have_param_shapes():
     opt = Adam(p)
     assert opt.m["w"].shape == (3, 2)
     assert opt.v["w"].shape == (3, 2)
+
+
+def test_adam_updates_its_moments_in_place():
+    rng = np.random.default_rng(31)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2)}
+    params = {k: Tensor(rng.normal(size=shape), requires_grad=True)
+              for k, shape in shapes.items()}
+    opt = Adam(params, lr=1e-2)
+    moments = {k: (opt.m[k], opt.v[k]) for k in params}
+    expect = {k: (np.zeros(shape), np.zeros(shape), params[k].data.copy())
+              for k, shape in shapes.items()}
+    for t in range(1, 31):
+        for k, p in params.items():
+            p.grad = None if rng.random() < 0.3 else \
+                rng.normal(size=shapes[k]) * 10.0 ** rng.integers(-4, 3)
+            expect[k] = adam_step(*expect[k], p.grad, opt.lr, t)
+        shared = {k: p.data for k, p in params.items()}
+        kept = {k: data.copy() for k, data in shared.items()}
+        opt.step()
+        for k, p in params.items():
+            assert opt.m[k] is moments[k][0] and opt.v[k] is moments[k][1], k
+            m, v, data = expect[k]
+            assert np.array_equal(opt.m[k], m) and np.array_equal(opt.v[k], v), (t, k)
+            assert np.array_equal(p.data, data), (t, k)
+            # a parse charting with the old arrays still reads them unchanged
+            assert np.array_equal(shared[k], kept[k]), (t, k)
 
 
 # ---------------------------------------------------------------------------
