@@ -14,17 +14,18 @@ from mmgi.autodiff import Tensor, backward
 from mmgi.gradcheck import grad_check
 from mmgi.verify import verification_suite
 
-# d(sum(tanh(x) * y)) / dx = (1 - tanh(x)^2) * y
+# d(sum(sqrt(x * x + 1) * y)) / dx = x / sqrt(x^2 + 1) * y
 x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
 y = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-loss = ad.tensor_sum(ad.tanh(x) * y)
+loss = ad.tensor_sum(ad.sqrt(x * x + 1.0) * y)
 backward(loss)
 print("analytic dx:", x.grad)
-print("expected dx:", (1 - np.tanh(x.data) ** 2) * y.data)
+print("expected dx:", x.data / np.sqrt(x.data ** 2 + 1.0) * y.data)
 
 # the FD harness returns the worst relative disagreement over probed coords
 params = {"x": x, "y": y}
-err = grad_check(lambda: ad.tensor_sum(ad.tanh(params["x"]) * params["y"]),
+err = grad_check(lambda: ad.tensor_sum(ad.sqrt(params["x"] * params["x"] + 1.0)
+                                       * params["y"]),
                  params, probes_per_tensor=3)
 print(f"\nfinite-difference check on the toy expression: {err:.2e}")
 

@@ -30,17 +30,10 @@ __all__ = [
     "matmul",
     "bmm",
     "tensor_sum",
-    "tensor_mean",
-    "tensor_max",
-    "tanh",
     "sqrt",
-    "relu",
     "softmax",
-    "log_softmax",
     "gather_rows",
     "Store",
-    "take_pairs",
-    "select",
     "transpose",
     "reshape",
 ]
@@ -307,7 +300,7 @@ def bmm(a, b) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
+# reductions and nonlinearities
 
 
 def tensor_sum(a, axis: int | None = None) -> Tensor:
@@ -322,57 +315,10 @@ def tensor_sum(a, axis: int | None = None) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def tensor_mean(a, axis: int | None = None) -> Tensor:
-    a = astensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    data = a.data.mean(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.data.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape),)
-
-    return _from_op(data, (a,), vjp)
-
-
-def tensor_max(a, axis: int) -> Tensor:
-    """Max along `axis`; ties route the gradient to the smallest index."""
-    a = astensor(a)
-    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
-    data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
-        return (out,)
-
-    return _from_op(data, (a,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# elementwise nonlinearities
-
-
-def tanh(a) -> Tensor:
-    a = astensor(a)
-    data = np.tanh(a.data)
-    return _from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
-
-
 def sqrt(a) -> Tensor:
     a = astensor(a)
     data = np.sqrt(a.data)
     return _from_op(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def relu(a) -> Tensor:
-    a = astensor(a)
-    data = np.maximum(a.data, 0.0)
-    return _from_op(data, (a,), lambda g: (g * (a.data > 0.0),))
-
-
-# ---------------------------------------------------------------------------
-# softmax family
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -391,29 +337,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), vjp)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = astensor(a)
-    if a.data.size == 0:
-        raise ValueError("log_softmax of an empty vector is undefined")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-
-    def vjp(g):
-        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
-
-    return _from_op(data, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # shape / selection
 
 
-def _scatter_add(shape: tuple[int, ...], lead: int, rows: np.ndarray,
-                 g: np.ndarray) -> np.ndarray:
-    """Zeros of `shape` plus each slice of `g` added at its row of the first
-    `lead` axes (flattened), in index order, as ``np.add.at`` would."""
-    width = math.prod(shape[lead:])
+def _scatter_add(shape: tuple[int, ...], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` plus each slice of `g` added at its row, in index
+    order, as ``np.add.at`` would."""
+    width = math.prod(shape[1:])
     targets = rows.ravel()
     if width != 1:
         targets = (targets[:, None] * width + np.arange(width)).ravel()
@@ -427,7 +358,7 @@ def gather_rows(a, indices) -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
-        return (_scatter_add(a.data.shape, 1, idx % a.data.shape[0], g),)
+        return (_scatter_add(a.data.shape, idx % a.data.shape[0], g),)
 
     return _from_op(data, (a,), vjp)
 
@@ -506,33 +437,6 @@ class Store:
             return (None,) * len(parents)
 
         return _from_op(data, parents, vjp)
-
-
-def take_pairs(a, rows, cols) -> Tensor:
-    """Select `a[rows[i], cols[i]]` for each i, returning a 1-D tensor."""
-    a = astensor(a)
-    r = np.asarray(rows, dtype=np.intp)
-    c = np.asarray(cols, dtype=np.intp)
-    data = a.data[r, c]
-
-    def vjp(g):
-        rows, cols = a.data.shape[:2]
-        return (_scatter_add(a.data.shape, 2, (r % rows) * cols + c % cols, g),)
-
-    return _from_op(data, (a,), vjp)
-
-
-def select(a, key) -> Tensor:
-    """Basic (slice/integer) indexing `a[key]`; zero-filled scatter on backward."""
-    a = astensor(a)
-    data = a.data[key]
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        out[key] = g
-        return (out,)
-
-    return _from_op(data, (a,), vjp)
 
 
 def transpose(a) -> Tensor:

@@ -144,16 +144,29 @@ def _bundle_to_record(ex: ExampleBundle) -> dict:
     return record
 
 
+def _numbers(values, cast=float) -> list:
+    """One clip's frames, which must be a list of numbers, each cast."""
+    if isinstance(values, list):
+        try:
+            sum(values)   # a TypeError unless every value is a number
+            return list(map(cast, values))
+        except TypeError:
+            pass
+    raise TypeError(f"clip frames are not a list of numbers: {str(values)[:60]}")
+
+
 def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
     try:
-        ex_id = str(record["id"])
+        ex_id = record["id"]
+        if not isinstance(ex_id, str):
+            raise TypeError(f"id {ex_id!r} is not a string")
         clips = [(float(c["start"]), float(c["end"])) for c in record["clips"]]
         clip_feats = _decode(record["clip_feats_ref"], len(clips))
         speech = SpeechTrack(
             clips=clips,
             clip_features=clip_feats,
-            f0_frames=[[float(v) for v in fr] for fr in record["f0_frames"]],
-            vad_frames=[[bool(v) for v in fr] for fr in record["vad_frames"]],
+            f0_frames=[_numbers(fr) for fr in record["f0_frames"]],
+            vad_frames=[_numbers(fr, bool) for fr in record["vad_frames"]],
             frame_period=float(record.get("frame_period", 0.01)),
         )
         feats = np.stack([_decode(r["feat_ref"], 1)[0] for r in record["regions"]]) \
@@ -174,7 +187,7 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
             regions=regions,
             gold_brackets=gold,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataValidationError(f"corpus line {line_no}: {exc!r}") from exc
 
 

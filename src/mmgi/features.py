@@ -118,6 +118,10 @@ class SpeechTrack:
                 f"example {owner}: {self.count} clips but "
                 f"{self.clip_features.shape[0]} clip feature rows"
             )
+        if len(self.f0_frames) != self.count or len(self.vad_frames) != self.count:
+            raise DataValidationError(f"example {owner}: {self.count} clips but "
+                                      f"{len(self.f0_frames)} f0 and "
+                                      f"{len(self.vad_frames)} VAD frame lists")
         for t in range(self.count):
             if len(self.f0_frames[t]) == 0 or len(self.vad_frames[t]) == 0:
                 raise DataValidationError(f"example {owner}: clip {t} has zero frames")

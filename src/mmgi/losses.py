@@ -1,8 +1,9 @@
 """Training objectives: reconstruction, contrastive, and representation losses.
 
-Each objective is computed per sentence and averaged over the batch, with
-one graph for the whole batch: per-sentence sums and means are products with
-constant (B, rows) averaging matrices.
+Each objective is computed per sentence and averaged over the batch, as one
+graph node for the whole batch with a hand-written backward: per-sentence
+sums and means are products with constant (B, rows) averaging matrices, and
+a backward keeps only what its gradient reads.
 """
 
 from __future__ import annotations
@@ -57,6 +58,19 @@ def _segment_matrix(counts, stride: int | None = None, mean: bool = True) -> np.
     return matrix / counts[:, None] if mean else matrix
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by each row's max."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _log_softmax_vjp(log_probs: np.ndarray, cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of row i's input from `g[i]` on its entry `cols[i]`."""
+    out = np.exp(log_probs) * -g[:, None]
+    out[np.arange(cols.size), cols] += g
+    return out
+
+
 def reconstruction_loss(chart: Chart, ctx: BatchContext,
                         params: dict[str, Tensor]) -> Tensor:
     """Blank-filling NLL: each terminal's outside vector predicts its token.
@@ -67,15 +81,22 @@ def reconstruction_loss(chart: Chart, ctx: BatchContext,
     """
     if ctx.token_ids is None:
         raise ValueError("reconstruction loss requires tokens (full setting)")
-    positions = ctx.token_ids.size
-    h_out = ad.select(chart.h_out, slice(0, positions))  # terminals lead the storage
-    logits = ad.matmul(
-        ad.matmul(h_out, ad.transpose(params["word_projection"])),
-        ad.transpose(params["word_embeddings"]),
-    )
-    log_probs = ad.log_softmax(logits, axis=1)
-    picked = ad.take_pairs(log_probs, np.arange(positions), ctx.token_ids)
-    return -ad.tensor_mean(ad.matmul(_segment_matrix(ctx.lengths), picked))
+    h_out, w_proj, w_emb = chart.h_out, params["word_projection"], params["word_embeddings"]
+    tokens, count = ctx.token_ids, len(ctx.lengths)
+    terminals = h_out.data[:tokens.size]   # terminals lead the storage
+    hidden = terminals @ w_proj.data.T
+    log_probs = _log_softmax(hidden @ w_emb.data.T)
+    mean = _segment_matrix(ctx.lengths)
+    loss = -(mean @ log_probs[np.arange(tokens.size), tokens]).mean()
+
+    def vjp(g):
+        g_logits = _log_softmax_vjp(log_probs, tokens, mean.T @ np.full(count, -g / count))
+        g_hidden = g_logits @ w_emb.data
+        g_h_out = np.zeros_like(h_out.data)
+        g_h_out[:tokens.size] = g_hidden @ w_proj.data
+        return g_h_out, g_hidden.T @ terminals, g_logits.T @ hidden
+
+    return ad._from_op(loss, (h_out, w_proj, w_emb), vjp)
 
 
 def _sample_negatives(sizes: np.ndarray, rng: np.random.Generator):
@@ -108,6 +129,27 @@ def _sample_negatives(sizes: np.ndarray, rng: np.random.Generator):
     return tuple(np.concatenate(parts) for parts in (positives, neg_spans, neg_images, owners))
 
 
+def _best_region(rows: np.ndarray, ctx: BatchContext) -> tuple[np.ndarray, np.ndarray]:
+    """(R, d) vectors -> (R, B) best region similarity in each image, and the
+    (R, B) index of that region (the first, on a tie)."""
+    count, regions, d = ctx.v_proj.data.shape
+    sims = (rows @ ctx.v_proj.data.reshape(count * regions, d).T).reshape(-1, count, regions)
+    if ctx.region_mask is not None:
+        sims = sims + ctx.region_mask
+    best = sims.argmax(axis=2)
+    return np.take_along_axis(sims, best[:, :, None], axis=2)[:, :, 0], best
+
+
+def _best_region_vjp(rows: np.ndarray, best: np.ndarray, g: np.ndarray,
+                     v_proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of `_best_region`'s rows and regions from `g` on its values."""
+    count, regions, d = v_proj.shape
+    g_sims = np.zeros(best.shape + (regions,))
+    np.put_along_axis(g_sims, best[:, :, None], g[:, :, None], axis=2)
+    g_sims = g_sims.reshape(-1, count * regions)
+    return g_sims @ v_proj.reshape(count * regions, d), (g_sims.T @ rows).reshape(v_proj.shape)
+
+
 def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
                      rng: np.random.Generator) -> tuple[Tensor, list[float]]:
     """Span- and word-level contrastive objective over one batch.
@@ -121,48 +163,66 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
 
     Returns the batch-mean loss tensor plus per-example values.
     """
-    plan = chart.plan
-    count, regions, d = ctx.v_proj.data.shape
-    regions_t = ad.transpose(ad.reshape(ctx.v_proj, (count * regions, d)))
-
-    def best_region(rows: Tensor) -> Tensor:
-        """(R, d) vectors -> (R, B) best region similarity in each image."""
-        sims = ad.reshape(ad.matmul(rows, regions_t), (-1, count, regions))
-        if ctx.region_mask is not None:
-            sims = sims + ctx.region_mask
-        return ad.tensor_max(sims, axis=2)
-
-    per_example = None
+    plan, h_in, h_out, v_proj = chart.plan, chart.h_in, chart.h_out, ctx.v_proj
+    count, owner = len(ctx.lengths), plan.position_owner
     sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
     if sampled is not None:
-        starts, ends, owner = plan.long_start, plan.long_end, plan.long_owner
-        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends, owner))
-        marginals = span_marginal(chart, starts, ends, owner)
-        rel = best_region(vecs) * ad.reshape(marginals, (-1, 1))
+        rows = chart.row(plan.long_start, plan.long_end, plan.long_owner)
+        marginals = span_marginal(chart, plan.long_start, plan.long_end, plan.long_owner)
+        sims, span_best = _best_region(h_in.data[rows] + h_out.data[rows], ctx)
+        rel = sims * marginals.data.reshape(-1, 1)
         pos_rows, neg_rows, neg_images, hinge_owner = sampled
-        positives = ad.take_pairs(rel, pos_rows, hinge_owner)
-        neg_span = ad.take_pairs(rel, neg_rows, hinge_owner)
-        neg_img = ad.take_pairs(rel, pos_rows, neg_images)
-        hinges = ad.relu(neg_span - positives + margin) \
-            + ad.relu(neg_img - positives + margin)
-        per_sentence = np.eye(count)[:, hinge_owner]
-        per_example = ad.matmul(per_sentence, hinges)
+        positives = rel[pos_rows, hinge_owner]
+        neg_span = rel[neg_rows, hinge_owner] - positives + margin
+        neg_img = rel[pos_rows, neg_images] - positives + margin
+        active = (neg_span > 0.0, neg_img > 0.0)
+        hinges = np.maximum(neg_span, 0.0) + np.maximum(neg_img, 0.0)
+        span_term = np.eye(count)[:, hinge_owner] @ hinges
 
-    positions = plan.position_owner.size
-    terminals = ad.select(chart.h_in, slice(0, positions))
-    log_probs = ad.log_softmax(best_region(terminals), axis=1)
-    own = ad.take_pairs(log_probs, np.arange(positions), plan.position_owner)
-    word = ad.matmul(_segment_matrix(ctx.lengths, mean=False), own)
-    per_example = -word if per_example is None else per_example - word
-    return ad.tensor_mean(per_example), per_example.data.tolist()
+    word_sims, word_best = _best_region(h_in.data[:owner.size], ctx)
+    log_probs = _log_softmax(word_sims)
+    sums = _segment_matrix(ctx.lengths, mean=False)
+    word = sums @ log_probs[np.arange(owner.size), owner]
+    per_example = -word if sampled is None else span_term - word
+
+    def vjp(g):
+        g_example = np.full(count, g / count)
+        g_word = _log_softmax_vjp(log_probs, owner, sums.T @ -g_example)
+        g_h_in = np.zeros_like(h_in.data)
+        g_h_in[:owner.size], g_v = _best_region_vjp(h_in.data[:owner.size], word_best,
+                                                    g_word, v_proj.data)
+        if sampled is None:
+            return g_h_in, g_v
+        g_rel = np.zeros(span_best.shape)
+        g_neg_span, g_neg_img = (g_example[hinge_owner] * on for on in active)
+        np.add.at(g_rel, (neg_rows, hinge_owner), g_neg_span)
+        np.add.at(g_rel, (pos_rows, neg_images), g_neg_img)
+        np.add.at(g_rel, (pos_rows, hinge_owner), -(g_neg_span + g_neg_img))
+        g_vecs, g_regions = _best_region_vjp(h_in.data[rows] + h_out.data[rows], span_best,
+                                             g_rel * marginals.data.reshape(-1, 1),
+                                             v_proj.data)
+        g_h_in[rows] += g_vecs
+        g_h_out = np.zeros_like(h_out.data)
+        g_h_out[rows] = g_vecs
+        return g_h_in, g_v + g_regions, g_h_out, (g_rel * sims).sum(axis=1)
+
+    parents = (h_in, v_proj) if sampled is None else (h_in, v_proj, h_out, marginals)
+    return ad._from_op(per_example.mean(), parents, vjp), per_example.tolist()
 
 
-def _cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity with epsilon-guarded norms."""
-    num = ad.tensor_sum(a * b, axis=1)
-    na = ad.sqrt(ad.tensor_sum(a * a, axis=1) + NORM_EPS ** 2)
-    nb = ad.sqrt(ad.tensor_sum(b * b, axis=1) + NORM_EPS ** 2)
-    return ad.div(num, na * nb)
+def _cosine_rows(a: np.ndarray, b: np.ndarray):
+    """Row-wise cosine similarity with epsilon-guarded norms, and its vjp."""
+    num = (a * b).sum(axis=1)
+    na = np.sqrt((a * a).sum(axis=1) + NORM_EPS ** 2)
+    nb = np.sqrt((b * b).sum(axis=1) + NORM_EPS ** 2)
+    cos = num / (na * nb)
+
+    def vjp(g):
+        scale = (g / (na * nb))[:, None]
+        return (scale * b - (g * cos / (na * na))[:, None] * a,
+                scale * a - (g * cos / (nb * nb))[:, None] * b)
+
+    return cos, vjp
 
 
 def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
@@ -173,17 +233,34 @@ def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
     speech/image alignment of averaged projections; textless keeps only the
     global term. Each term lies in [0, 2]; averaged over the batch.
     """
-    speech = ad.matmul(ctx.clip_rows, params["align_proj_speech"])
-    vision = ad.matmul(ctx.region_rows, params["align_proj_vision"])
-    stride = ctx.region_rows.data.shape[0] // len(ctx.region_counts)
-    global_term = 1.0 - _cosine_rows(
-        ad.matmul(_segment_matrix(ctx.clip_counts), speech),
-        ad.matmul(_segment_matrix(ctx.region_counts, stride), vision))
-    if cfg.mode == "textless" or ctx.word_rows is None:
-        return ad.tensor_mean(global_term)
-    text = ad.matmul(ctx.word_rows, params["align_proj_text"])
-    word_term = ad.matmul(_segment_matrix(ctx.lengths), 1.0 - _cosine_rows(speech, text))
-    return ad.tensor_mean(word_term + global_term)
+    w_speech, w_vision = params["align_proj_speech"], params["align_proj_vision"]
+    clips, regions, count = ctx.clip_rows.data, ctx.region_rows.data, len(ctx.region_counts)
+    speech = clips @ w_speech.data
+    clip_mean = _segment_matrix(ctx.clip_counts)
+    region_mean = _segment_matrix(ctx.region_counts, regions.shape[0] // count)
+    cos, cos_vjp = _cosine_rows(clip_mean @ speech, region_mean @ (regions @ w_vision.data))
+    terms = 1.0 - cos
+    parents = (w_speech, w_vision)
+    full = cfg.mode != "textless" and ctx.word_rows is not None
+    if full:
+        words, w_text = ctx.word_rows, params["align_proj_text"]
+        word_cos, word_vjp = _cosine_rows(speech, words.data @ w_text.data)
+        length_mean = _segment_matrix(ctx.lengths)
+        terms = length_mean @ (1.0 - word_cos) + terms
+        parents += (words, w_text)
+
+    def vjp(g):
+        g_terms = np.full(count, -g / count)
+        g_speech, g_vision = cos_vjp(g_terms)
+        g_speech = clip_mean.T @ g_speech
+        text_grads = ()
+        if full:
+            g_word_speech, g_text = word_vjp(length_mean.T @ g_terms)
+            g_speech = g_speech + g_word_speech
+            text_grads = (g_text @ w_text.data.T, words.data.T @ g_text)
+        return (clips.T @ g_speech, regions.T @ (region_mean.T @ g_vision)) + text_grads
+
+    return ad._from_op(terms.mean(), parents, vjp)
 
 
 def batch_loss(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],

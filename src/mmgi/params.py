@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -132,23 +133,24 @@ def load_checkpoint(path: str | Path):
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as archive:
-        if "__meta__" not in archive:
-            raise CheckpointError(f"{path} is not a checkpoint (missing metadata)")
-        meta = json.loads(bytes(archive["__meta__"]).decode())
-        cfg = _stored_config(path, meta)
-        params = {}
-        adam_m, adam_v = {}, {}
-        pair_matrix = None
-        for key in archive.files:
-            if key.startswith("param/"):
-                params[key[6:]] = Tensor(archive[key].copy(), requires_grad=True)
-            elif key.startswith("adam_m/"):
-                adam_m[key[7:]] = archive[key].copy()
-            elif key.startswith("adam_v/"):
-                adam_v[key[7:]] = archive[key].copy()
-            elif key == "pair_matrix":
-                pair_matrix = archive[key].copy()
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    except KeyError:
+        raise CheckpointError(f"{path} is not a checkpoint (missing metadata)") from None
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+    cfg = _stored_config(path, meta)
+    params = {}
+    moments = {"adam_m": {}, "adam_v": {}}
+    for key, array in arrays.items():
+        kind, _, name = key.partition("/")
+        if kind == "param":
+            params[name] = Tensor(array, requires_grad=True)
+        elif kind in moments:
+            moments[kind][name] = array
+    pair_matrix = arrays.get("pair_matrix")
     expected = {name: shape for name, shape, _ in _shapes(cfg, len(meta["vocab"] or []) or 1)}
     missing = sorted(set(expected) - set(params))
     if missing:
@@ -162,6 +164,6 @@ def load_checkpoint(path: str | Path):
                 f"the config expects {expected[name]}"
             )
     adam_state = None
-    if adam_m:
-        adam_state = {"step": meta["step"], "m": adam_m, "v": adam_v}
+    if moments["adam_m"]:
+        adam_state = {"step": meta["step"], "m": moments["adam_m"], "v": moments["adam_v"]}
     return params, cfg, meta["vocab"], meta["step"], adam_state, pair_matrix

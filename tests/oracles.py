@@ -3,10 +3,11 @@
 Everything here is plain numpy, written recursively, scalar-at-a-time or
 loop by loop on purpose: these are the oracles the vectorized library code is
 checked against, so they deliberately share no code with it. The exceptions
-are the composite references of the fused ops and the node-by-node chart
-passes, which are built from the autodiff engine's elementary ops (and, for
-the passes, the library's terminals and padding, which the fused steps leave
-unchanged) so that their gradients come from the engine's own
+are the composite references of the fused ops, the node-by-node chart
+passes and the composite training loss, which are built from elementary
+autodiff ops (and, for the passes and the loss, the library's terminals,
+padding, averaging matrices and negative sampling, which the fused code
+leaves unchanged) so that their gradients come from elementary
 vector-Jacobian products.
 """
 
@@ -17,7 +18,8 @@ import math
 import numpy as np
 
 from mmgi import autodiff as ad
-from mmgi.chart import Chart, _pad, _unpad, init_terminals
+from mmgi.chart import Chart, _pad, _unpad, init_terminals, span_marginal
+from mmgi.losses import NORM_EPS, LossReport, _sample_negatives, _segment_matrix
 from mmgi.nn import dropout_mask
 from mmgi.optim import BETA1, BETA2, EPS
 
@@ -73,22 +75,97 @@ def naive_lstm(inputs, wx, wh, b):
 
 
 # ---------------------------------------------------------------------------
-# composite references of the fused autodiff ops
+# elementary ops that only the composite references build
 #
-# The model blocks that `mmgi.nn` computes as single nodes, rebuilt from the
-# engine's elementary ops as they were before fusion, but in the fused ops'
-# association: the compose MLP's first layer as the sum of its halves' products
-# with the left and the right rows, and, in the chart passes, its second layer
-# applied after the split softmax pooling. The fused forward must match these
-# bit for bit; their gradients come from the engine's own vjps.
-# `sigmoid`, `stack` and `concat` serve only these references, so they live
-# here.
+# The library fuses every block that used them into a node with its own vjp,
+# so they live here, checked against finite differences like the engine's ops.
+
+
+def tanh(a):
+    a = ad.astensor(a)
+    data = np.tanh(a.data)
+    return ad._from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(a):
     a = ad.astensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
     return ad._from_op(data, (a,), lambda g: (g * data * (1.0 - data),))
+
+
+def relu(a):
+    a = ad.astensor(a)
+    data = np.maximum(a.data, 0.0)
+    return ad._from_op(data, (a,), lambda g: (g * (a.data > 0.0),))
+
+
+def log_softmax(a, axis: int = -1):
+    a = ad.astensor(a)
+    if a.data.size == 0:
+        raise ValueError("log_softmax of an empty vector is undefined")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    data = shifted - lse
+
+    def vjp(g):
+        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def tensor_mean(a, axis: int | None = None):
+    a = ad.astensor(a)
+    count = a.data.size if axis is None else a.data.shape[axis]
+    data = a.data.mean(axis=axis)
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g / count, a.data.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape),)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def tensor_max(a, axis: int):
+    """Max along `axis`; ties route the gradient to the smallest index."""
+    a = ad.astensor(a)
+    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
+    data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        np.put_along_axis(out, idx, np.expand_dims(g, axis), axis=axis)
+        return (out,)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def take_pairs(a, rows, cols):
+    """Select `a[rows[i], cols[i]]` for each i, returning a 1-D tensor."""
+    a = ad.astensor(a)
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    data = a.data[r, c]
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        np.add.at(out, (r, c), g)
+        return (out,)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def select(a, key):
+    """Basic (slice/integer) indexing `a[key]`; zero-filled scatter on backward."""
+    a = ad.astensor(a)
+    data = a.data[key]
+
+    def vjp(g):
+        out = np.zeros_like(a.data)
+        out[key] = g
+        return (out,)
+
+    return ad._from_op(data, (a,), vjp)
 
 
 def stack(tensors, axis: int = 0):
@@ -118,11 +195,22 @@ def concat(tensors, axis: int = 0):
     return ad._from_op(data, tuple(tensors), vjp)
 
 
+# ---------------------------------------------------------------------------
+# composite references of the fused autodiff ops
+#
+# The model blocks that `mmgi.nn` computes as single nodes, rebuilt from
+# elementary ops as they were before fusion, but in the fused ops'
+# association: the compose MLP's first layer as the sum of its halves' products
+# with the left and the right rows, and, in the chart passes, its second layer
+# applied after the split softmax pooling. The fused forward must match these
+# bit for bit; their gradients come from the elementary ops' vjps.
+
+
 def composite_mlp_hidden(left, right, w1, b1, keep=None):
     """The compose MLP's hidden layer of (K, d) row pairs, `keep` applied."""
     d = left.data.shape[1]
-    h = ad.tanh(ad.matmul(left, ad.select(w1, slice(0, d)))
-                + ad.matmul(right, ad.select(w1, slice(d, None))) + b1)
+    h = tanh(ad.matmul(left, select(w1, slice(0, d)))
+             + ad.matmul(right, select(w1, slice(d, None))) + b1)
     return h if keep is None else h * keep
 
 
@@ -150,14 +238,14 @@ def composite_lstm(inputs, w_x, w_h, b):
     c = ad.constant(np.zeros((batch, d)))
     outs = []
     for t in range(steps):
-        z = ad.select(projected, (slice(None), t)) + ad.matmul(h, w_h)
+        z = select(projected, (slice(None), t)) + ad.matmul(h, w_h)
         gates = sigmoid(z)
-        gi = ad.select(gates, (slice(None), slice(0, d)))
-        gf = ad.select(gates, (slice(None), slice(d, 2 * d)))
-        gc = ad.tanh(ad.select(z, (slice(None), slice(2 * d, 3 * d))))
-        go = ad.select(gates, (slice(None), slice(3 * d, 4 * d)))
+        gi = select(gates, (slice(None), slice(0, d)))
+        gf = select(gates, (slice(None), slice(d, 2 * d)))
+        gc = tanh(select(z, (slice(None), slice(2 * d, 3 * d))))
+        go = select(gates, (slice(None), slice(3 * d, 4 * d)))
         c = gf * c + gi * gc
-        h = go * ad.tanh(c)
+        h = go * tanh(c)
         outs.append(h)
     return stack(outs, axis=1)
 
@@ -682,6 +770,95 @@ def naive_sample_negatives(sizes, rng):
     if not positives:
         return None
     return tuple(np.array(part) for part in (positives, neg_spans, neg_images, owners))
+
+
+# ---------------------------------------------------------------------------
+# the training loss node by node
+#
+# `mmgi.losses` as it was before each objective became one node: every
+# product, selection, max and softmax its own node. The fused objectives
+# must give the same values bit for bit and the same gradients up to the
+# order of their sums.
+
+
+def reconstruction_loss(chart, ctx, params):
+    positions = ctx.token_ids.size
+    h_out = select(chart.h_out, slice(0, positions))
+    logits = ad.matmul(
+        ad.matmul(h_out, ad.transpose(params["word_projection"])),
+        ad.transpose(params["word_embeddings"]),
+    )
+    log_probs = log_softmax(logits, axis=1)
+    picked = take_pairs(log_probs, np.arange(positions), ctx.token_ids)
+    return -tensor_mean(ad.matmul(_segment_matrix(ctx.lengths), picked))
+
+
+def contrastive_loss(chart, ctx, margin, rng):
+    plan = chart.plan
+    count, regions, d = ctx.v_proj.data.shape
+    regions_t = ad.transpose(ad.reshape(ctx.v_proj, (count * regions, d)))
+
+    def best_region(rows):
+        sims = ad.reshape(ad.matmul(rows, regions_t), (-1, count, regions))
+        if ctx.region_mask is not None:
+            sims = sims + ctx.region_mask
+        return tensor_max(sims, axis=2)
+
+    per_example = None
+    sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
+    if sampled is not None:
+        starts, ends, owner = plan.long_start, plan.long_end, plan.long_owner
+        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends, owner))
+        marginals = span_marginal(chart, starts, ends, owner)
+        rel = best_region(vecs) * ad.reshape(marginals, (-1, 1))
+        pos_rows, neg_rows, neg_images, hinge_owner = sampled
+        positives = take_pairs(rel, pos_rows, hinge_owner)
+        neg_span = take_pairs(rel, neg_rows, hinge_owner)
+        neg_img = take_pairs(rel, pos_rows, neg_images)
+        hinges = relu(neg_span - positives + margin) + relu(neg_img - positives + margin)
+        per_example = ad.matmul(np.eye(count)[:, hinge_owner], hinges)
+
+    positions = plan.position_owner.size
+    terminals = select(chart.h_in, slice(0, positions))
+    log_probs = log_softmax(best_region(terminals), axis=1)
+    own = take_pairs(log_probs, np.arange(positions), plan.position_owner)
+    word = ad.matmul(_segment_matrix(ctx.lengths, mean=False), own)
+    per_example = -word if per_example is None else per_example - word
+    return tensor_mean(per_example), per_example.data.tolist()
+
+
+def _cosine_rows(a, b):
+    num = ad.tensor_sum(a * b, axis=1)
+    na = ad.sqrt(ad.tensor_sum(a * a, axis=1) + NORM_EPS ** 2)
+    nb = ad.sqrt(ad.tensor_sum(b * b, axis=1) + NORM_EPS ** 2)
+    return ad.div(num, na * nb)
+
+
+def representation_loss(ctx, params, cfg):
+    speech = ad.matmul(ctx.clip_rows, params["align_proj_speech"])
+    vision = ad.matmul(ctx.region_rows, params["align_proj_vision"])
+    stride = ctx.region_rows.data.shape[0] // len(ctx.region_counts)
+    global_term = 1.0 - _cosine_rows(
+        ad.matmul(_segment_matrix(ctx.clip_counts), speech),
+        ad.matmul(_segment_matrix(ctx.region_counts, stride), vision))
+    if cfg.mode == "textless" or ctx.word_rows is None:
+        return tensor_mean(global_term)
+    text = ad.matmul(ctx.word_rows, params["align_proj_text"])
+    word_term = ad.matmul(_segment_matrix(ctx.lengths), 1.0 - _cosine_rows(speech, text))
+    return tensor_mean(word_term + global_term)
+
+
+def composite_batch_loss(chart, ctx, params, cfg, rng):
+    if cfg.mode == "textless":
+        rec = ad.constant(0.0)
+    else:
+        rec = reconstruction_loss(chart, ctx, params)
+    contrastive, _ = contrastive_loss(chart, ctx, cfg.margin, rng)
+    rep = representation_loss(ctx, params, cfg)
+    total = rec + cfg.alpha1 * contrastive + cfg.alpha2 * rep
+    report = LossReport.build(float(rec.data), float(contrastive.data),
+                              float(rep.data), cfg.alpha1, cfg.alpha2)
+    return total, report
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Gradients of every exported op against the finite-difference oracle,
-plus the softmax contract."""
+"""Gradients of every exported op, and of the elementary ops the composite
+references build, against the finite-difference oracle, plus the softmax
+contract."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
 from mmgi.errors import ShapeError
 
-from .oracles import concat, fd_gradient, sigmoid, stack
+from .oracles import (concat, fd_gradient, log_softmax, relu, select, sigmoid, stack,
+                      take_pairs, tanh, tensor_max, tensor_mean)
 
 RTOL = 1e-4
 
@@ -52,15 +54,15 @@ OPS = {
     "matmul_11": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (4,), "b": (4,)}),
     "sum_all": (lambda t: ad.tensor_sum(t["a"]), {"a": (3, 4)}),
     "sum_axis": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (3, 4)}),
-    "mean_axis": (lambda t: ad.tensor_mean(t["a"], axis=0), {"a": (3, 4)}),
-    "max_axis": (lambda t: ad.tensor_max(t["a"], axis=1), {"a": (3, 4)}),
-    "tanh": (lambda t: ad.tanh(t["a"]), {"a": (3, 3)}),
+    "mean_axis": (lambda t: tensor_mean(t["a"], axis=0), {"a": (3, 4)}),
+    "max_axis": (lambda t: tensor_max(t["a"], axis=1), {"a": (3, 4)}),
+    "tanh": (lambda t: tanh(t["a"]), {"a": (3, 3)}),
     "sigmoid": (lambda t: sigmoid(t["a"]), {"a": (6,)}),
     "sqrt": (lambda t: ad.sqrt(t["a"] * t["a"] + 0.1), {"a": (5,)}),
-    "relu": (lambda t: ad.relu(t["a"]), {"a": (7,)}),
+    "relu": (lambda t: relu(t["a"]), {"a": (7,)}),
     "softmax_vec": (lambda t: ad.softmax(t["a"]), {"a": (6,)}),
     "softmax_rows": (lambda t: ad.softmax(t["a"], axis=1), {"a": (3, 5)}),
-    "log_softmax": (lambda t: ad.log_softmax(t["a"], axis=1), {"a": (3, 5)}),
+    "log_softmax": (lambda t: log_softmax(t["a"], axis=1), {"a": (3, 5)}),
     "concat": (lambda t: concat([t["a"], t["b"]], axis=0), {"a": (2, 3), "b": (4, 3)}),
     "stack": (lambda t: stack([t["a"], t["b"], t["a"]]), {"a": (4,), "b": (4,)}),
     "gather_rows": (lambda t: ad.gather_rows(t["a"], np.array([0, 2, 2, 1])), {"a": (4, 3)}),
@@ -74,14 +76,14 @@ OPS = {
     "sum_axis1_3d": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (2, 3, 4)}),
     "sum_last_axis": (lambda t: ad.tensor_sum(t["a"], axis=-1), {"a": (3, 4)}),
     "reshape_3d": (lambda t: ad.reshape(t["a"], (2, 3, 4)), {"a": (6, 4)}),
-    "take_pairs": (lambda t: ad.take_pairs(t["a"], np.array([0, 1, 1]),
-                                           np.array([2, 0, 0])), {"a": (3, 4)}),
-    "select_rows": (lambda t: ad.select(t["a"], slice(1, 3)), {"a": (5, 3)}),
+    "take_pairs": (lambda t: take_pairs(t["a"], np.array([0, 1, 1]),
+                                        np.array([2, 0, 0])), {"a": (3, 4)}),
+    "select_rows": (lambda t: select(t["a"], slice(1, 3)), {"a": (5, 3)}),
     "transpose": (lambda t: ad.transpose(t["a"]), {"a": (3, 4)}),
     "transpose_3d": (lambda t: ad.transpose(t["a"]), {"a": (2, 3, 4)}),
     "bmm": (lambda t: ad.bmm(t["a"], t["b"]), {"a": (2, 3, 4), "b": (2, 4, 5)}),
-    "select_time_step": (lambda t: ad.select(t["a"], (slice(None), 1)), {"a": (2, 3, 4)}),
-    "select_last_axis": (lambda t: ad.select(t["a"], (slice(None), slice(2, 5))),
+    "select_time_step": (lambda t: select(t["a"], (slice(None), 1)), {"a": (2, 3, 4)}),
+    "select_last_axis": (lambda t: select(t["a"], (slice(None), slice(2, 5))),
                          {"a": (3, 6)}),
     "reshape": (lambda t: ad.reshape(t["a"], (6,)), {"a": (2, 3)}),
     "store_reads": (lambda t: _store_reads(t["a"], t["c"]), {"a": (2, 3), "c": (1, 2)}),
@@ -96,7 +98,7 @@ def _store_reads(a, c):
     store = ad.Store(6, 3)
     store.write(a * 1.0)                                      # rows 0-1
     early = store.gather(((slice(0, 2), np.array([1, 0])), (slice(2, 3), np.array([1]))))
-    store.write(ad.tanh(early))                               # rows 2-4
+    store.write(tanh(early))                               # rows 2-4
     store.write(-c, cols=slice(1, 3))                         # row 5, column 0 stays zero
     late = store.gather(((np.array([0, 3, 4]), np.array([5, 2, 3])),
                          (np.array([1, 2]), np.array([2, 5]))), (slice(0, 2), slice(1, 3)))
@@ -155,7 +157,7 @@ def test_bmm_shape_mismatch():
 
 def test_backward_frees_interior_gradients():
     leaf = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    interior = ad.tanh(leaf * 2.0)
+    interior = tanh(leaf * 2.0)
     root = ad.tensor_sum(interior * interior)
     backward(root)
     assert leaf.grad is not None
@@ -173,7 +175,7 @@ def test_forward_is_deterministic():
 
 def test_max_gradient_ties_go_to_first():
     t = Tensor(np.array([[1.0, 1.0, 0.5]]), requires_grad=True)
-    out = ad.tensor_sum(ad.tensor_max(t, axis=1))
+    out = ad.tensor_sum(tensor_max(t, axis=1))
     backward(out)
     assert np.array_equal(t.grad, [[1.0, 0.0, 0.0]])
 
@@ -200,7 +202,7 @@ def test_shared_gradient_array_is_never_written_in_place(order):
     then gathers more gradient; summing that in place would also change the
     other parent's gradient, and through it x's."""
     def build(x, y):
-        p, q = ad.tanh(x), y * 2.0
+        p, q = tanh(x), y * 2.0
         shared = ad.tensor_sum(p + q)
         more = ad.tensor_sum(p * 3.0) + ad.tensor_sum(sigmoid(p))
         return shared + more if order == "shared_first" else more + shared

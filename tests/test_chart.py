@@ -24,7 +24,7 @@ from mmgi.params import build_params
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
 from .oracles import (composite_inside_pass, composite_outside_pass, loop_plan,
                       naive_chart, naive_mlp, np_sigmoid, part_rows, scalar_pitch_index,
-                      scalar_unit_box, scalar_vad_aggregate, split_dropout_masks,
+                      scalar_unit_box, scalar_vad_aggregate, select, split_dropout_masks,
                       visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
@@ -245,9 +245,8 @@ def test_inside_two_tokens_single_split():
     assert np.allclose(ad.softmax(chart.split_in[2].data[0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
     pooled = ctx.pitch_seq.data[0, 0:2].mean(axis=0)
-    terminals = ad.select(chart.h_in, slice(0, 2))
-    u, _ = visual_span_feature(terminals, ad.select(ctx.v_proj, 0),
-                               ad.select(ctx.region_sum, 0))
+    terminals = select(chart.h_in, slice(0, 2))
+    u, _ = visual_span_feature(terminals, select(ctx.v_proj, 0), select(ctx.region_sum, 0))
     left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
     right = terminals.data[1] + cfg.gamma * u.data[1] + cfg.lam * pooled
     expect = naive_mlp(left, right, params["compose_in_w1"].data,
@@ -476,6 +475,35 @@ def test_step_graph_stays_under_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert held <= 0.75 * 30_863_489, held
+
+
+def test_loss_graph_stays_under_its_budget(monkeypatch):
+    # the same step at d = 32: the loss built 84 nodes that need a gradient and
+    # held 2,361,283 bytes when each objective was a graph of elementary ops,
+    # with the (rows, B, M) region similarities kept for backward
+    cfg = tiny_config(dropout=0.1, batch=16, d=32)
+    bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES, cfg)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    built = []
+    original = ad._from_op
+
+    def counted(*args, **kwargs):
+        node = original(*args, **kwargs)
+        built.append(node.requires_grad)
+        return node
+
+    monkeypatch.setattr(ad, "_from_op", counted)
+    batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    monkeypatch.undo()
+    assert sum(built) <= 12, sum(built)
+    assert held <= 0.4 * 2_361_283, held
 
 
 @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import mmgi
-from mmgi import nn
+from mmgi import autodiff, nn
 from mmgi.config import RunConfig, config_hash, load_config
 from mmgi.errors import ConfigError
 
@@ -104,3 +104,33 @@ def test_every_nn_op_is_called_outside_its_checks():
     # parse builds
     called = _called_names(Path(mmgi.__file__).parent, {"nn.py", "verify.py", "gradcheck.py"})
     assert sorted(set(nn.__all__) - called) == []
+
+
+def _autodiff_references(package: Path) -> set[str]:
+    """Names of `mmgi.autodiff` that the package's other modules reference: as
+    an attribute of the module, under whatever name it is imported as, or
+    through `from .autodiff import`. A bare call such as `np.tanh` is not one."""
+    referenced = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("autodiff", "mmgi.autodiff"):
+                referenced.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module in (None, "mmgi"):
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "autodiff")
+        referenced.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    return referenced
+
+
+def test_every_autodiff_op_is_referenced_outside_the_engine():
+    # an op no other module builds is kept alive only by its own checks; the
+    # ops behind Tensor's operators are reached through them
+    operators = {"add", "sub", "mul", "div", "neg", "matmul", "astensor"}
+    referenced = _autodiff_references(Path(mmgi.__file__).parent)
+    assert sorted(set(autodiff.__all__) - operators - referenced) == []

@@ -138,6 +138,36 @@ def test_schema_violation_names_line(tmp_path):
         load_corpus(path, "full")
 
 
+def _set_first_clip(field, value):
+    def edit(record):
+        record[field][0] = value
+    return edit
+
+
+MALFORMED_RECORDS = {
+    "no_f0_frame_lists": (lambda record: record.update(f0_frames=[]), "example {id}: "),
+    "vad_frames_a_string": (lambda record: record.update(vad_frames="x"), "line 2"),
+    "empty_image_size": (lambda record: record.update(image_size=[]), "line 2"),
+    "null_id": (lambda record: record.update(id=None), "line 2"),
+    "vad_clip_an_object": (_set_first_clip("vad_frames", {"a": 1, "b": 0}), "line 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_malformed_record_raises_data_validation_error(tmp_path, case):
+    # one record of three, changed in one field; nothing but the library's
+    # error may escape, and nothing malformed may load
+    edit, where = MALFORMED_RECORDS[case]
+    path = tmp_path / "c.jsonl"
+    save_corpus(_small_synth(sentence_count=3), path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    shown = where.format(id=lines[1]["id"])
+    edit(lines[1])
+    path.write_text("".join(json.dumps(record) + "\n" for record in lines))
+    with pytest.raises(DataValidationError, match=shown):
+        load_corpus(path, "full")
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -1,9 +1,11 @@
 """Reconstruction, contrastive, and representation objectives."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mmgi.autodiff import Tensor
+from mmgi.autodiff import Tensor, backward
 from mmgi.chart import BatchContext, Chart, run_chart, span_marginal
 from mmgi.features import PairRelevanceMatrix
 from mmgi.losses import (LossReport, _sample_negatives, batch_loss, contrastive_loss,
@@ -11,7 +13,8 @@ from mmgi.losses import (LossReport, _sample_negatives, batch_loss, contrastive_
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import naive_sample_negatives
+from .oracles import composite_batch_loss, naive_sample_negatives
+from .oracles import contrastive_loss as composite_contrastive_loss
 
 
 def _identity_params(v, d):
@@ -251,3 +254,85 @@ def test_batch_loss_textless_has_zero_reconstruction():
     total, report = batch_loss(chart, ctx, params, cfg, np.random.default_rng(2))
     assert report.l_rec == 0.0
     assert np.isfinite(total.data)
+
+
+# ---------------------------------------------------------------------------
+# fused objectives against the node-by-node composite
+
+
+def _mixed_case(mode, shapes, seed=21):
+    """A training step's chart over sentences of (n, region count) `shapes`,
+    with dropout and every modality."""
+    cfg = tiny_config(mode=mode, batch=len(shapes), dropout=0.1)
+    rng = np.random.default_rng(seed)
+    bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"m{k}")
+               for k, (n, regions) in enumerate(shapes)]
+    vocab_index = None if mode == "textless" else tiny_vocab_index(bundles)
+    params = build_params(cfg, 1 if vocab_index is None else len(vocab_index),
+                          np.random.default_rng(seed + 1))
+    pair = PairRelevanceMatrix(np.random.default_rng(seed + 2).random((5, 5)))
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(seed + 3))
+    return cfg, params, chart, ctx
+
+
+def _two_example_case(seed, n, single=False):
+    cfg, params, batch, alone = _two_example_batch(seed, n)
+    return (cfg, params) + (alone if single else batch)
+
+
+UNEQUAL_REGIONS = [(4, 2), (2, 1), (7, 4), (3, 3), (5, 1)]
+LOSS_CASES = {
+    "full_unequal_regions": lambda: _mixed_case("full", UNEQUAL_REGIONS),
+    "textless_unequal_regions": lambda: _mixed_case("textless", UNEQUAL_REGIONS),
+    "full_batch_of_one": lambda: _mixed_case("full", [(6, 3)]),
+    "textless_batch_of_one": lambda: _mixed_case("textless", [(6, 3)]),
+    # the batches the tests above chart
+    **{f"two_examples_seed{seed}_n{n}": (lambda seed=seed, n=n: _two_example_case(seed, n))
+       for seed, n in [(3, 2), (5, 3), (6, 3), (7, 3)]},
+    "two_examples_seed4_alone": lambda: _two_example_case(4, 2, single=True),
+}
+
+
+def _loss_with_leaf_inputs(loss_fn, cfg, params, chart, ctx):
+    """`loss_fn`'s total and report over copies of the chart's and the
+    context's tensors as leaves, with the gradient of each leaf and parameter."""
+    fields = {name: Tensor(getattr(chart, name).data.copy(), requires_grad=True)
+              for name in ("h_in", "s_in", "h_out", "s_out")}
+    leaf_chart = Chart(lengths=chart.lengths, plan=chart.plan, **fields)
+    inputs = {"v_proj": Tensor(ctx.v_proj.data.copy(), requires_grad=True)}
+    if ctx.word_rows is not None:
+        inputs["word_rows"] = Tensor(ctx.word_rows.data.copy(), requires_grad=True)
+    leaf_ctx = dataclasses.replace(ctx, **inputs)
+    copies = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    total, report = loss_fn(leaf_chart, leaf_ctx, copies, cfg, np.random.default_rng(31))
+    backward(total)
+    grads = {**{f"chart.{k}": t.grad for k, t in fields.items()},
+             **{f"ctx.{k}": t.grad for k, t in inputs.items()},
+             **{k: t.grad for k, t in copies.items()}}
+    return total, report, grads
+
+
+@pytest.mark.parametrize("case", sorted(LOSS_CASES))
+def test_fused_loss_matches_the_composite(case):
+    cfg, params, chart, ctx = LOSS_CASES[case]()
+    if "unequal" in case:
+        assert ctx.region_mask is not None
+    if case.endswith(("_of_one", "_alone")):
+        assert len(chart) == 1
+    fused_total, fused_report, fused_grads = _loss_with_leaf_inputs(
+        batch_loss, cfg, params, chart, ctx)
+    ref_total, ref_report, ref_grads = _loss_with_leaf_inputs(
+        composite_batch_loss, cfg, params, chart, ctx)
+    assert fused_total.data == ref_total.data
+    assert fused_report == ref_report
+    fused_examples, ref_examples = (
+        loss_fn(chart, ctx, cfg.margin, np.random.default_rng(32))[1]
+        for loss_fn in (contrastive_loss, composite_contrastive_loss))
+    assert fused_examples == ref_examples
+    for name, expect in ref_grads.items():
+        got = fused_grads[name]
+        if expect is None or not expect.any():
+            assert got is None or not got.any(), name
+            continue
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name

@@ -1,6 +1,7 @@
 """Composition MLP, LSTM, dropout, Adam, gradcheck harness, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpo
 from .conftest import tiny_config
 from .oracles import (adam_step, bilinear_score, composite_bilinear_score, composite_lstm,
                       composite_mlp_compose, composite_softmax_pool, concat, naive_lstm,
-                      naive_mlp, softmax_pool)
+                      naive_mlp, select, softmax_pool)
 
 
 def _mlp_params(rng, d):
@@ -36,7 +37,7 @@ def compose_rows(left, right, w1, b1, w2, b2, keep=None):
     score = ad.constant(np.zeros((count, 1)))
     out, _ = outside_step(concat([left, score], axis=1), concat([right, score], axis=1),
                           (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep)
-    return ad.select(out, (slice(None), slice(0, d)))
+    return select(out, (slice(None), slice(0, d)))
 
 
 def test_mlp_zero_params_zero_output(rng):
@@ -442,6 +443,24 @@ def test_checkpoint_config_fields_are_named(tmp_path):
     path = _saved(tmp_path, tiny_config(), ["a", "b"])
     _edit_meta(path, lambda meta: meta["config"].pop("margin"))
     with pytest.raises(CheckpointError, match="config field 'margin' is missing"):
+        load_checkpoint(path)
+
+
+CORRUPTIONS = {
+    "truncated_to_half": lambda raw: raw[:len(raw) // 2],
+    "truncated_by_10_bytes": lambda raw: raw[:-10],
+    "bit_flipped_mid_file": lambda raw: raw[:len(raw) // 2]
+    + bytes([raw[len(raw) // 2] ^ 0x10]) + raw[len(raw) // 2 + 1:],
+    "zeroed": lambda raw: bytes(len(raw)),
+    "empty": lambda raw: b"",
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_raises_checkpoint_error_naming_the_path(tmp_path, corruption):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
