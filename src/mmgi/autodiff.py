@@ -403,6 +403,11 @@ class Store:
             block._pull = (self._buffer, rows, cols)
             self._blocks += (block,)
 
+    def skip(self, rows: int) -> None:
+        """Leave the next `rows` rows unwritten: they read as zero and take no
+        gradient."""
+        self.size += rows
+
     def gather(self, rows, cols=slice(None)) -> Tensor:
         """Rows `rows` of columns `cols`.
 

@@ -22,6 +22,11 @@ attention) runs on per-sentence blocks padded to a common size, with a -inf
 mask where padding would otherwise be attended to, so its cost stays per
 sentence.
 
+In textless training the outside rows of single positions stay zero: the
+reconstruction loss on words is their only reader, and there are no words.
+The outside pass then composes only the cells of longer spans, which lead
+each distance's block (see `outside_pass`).
+
 A single example is a batch of one. Span indices are 1-based inclusive
 throughout.
 """
@@ -98,9 +103,11 @@ class _Plan:
     Inside storage is length-major: the block of length l holds the n-l+1
     spans of every sentence with n >= l, sentence by sentence, by start
     within a sentence. Outside storage is the same by distance r = n - l to
-    the root. Per-sentence blocks of length l are (B, n_max - l + 1): each
-    sentence's spans padded with copies of its last one (of row 0 when it is
-    shorter than l), rows that `_unpad` drops again. Padding thus never
+    the root, except that the single positions of sentences with n = r + 1
+    come last in block r (`outside_lead` counts the cells before them).
+    Per-sentence blocks of length l are (B, n_max - l + 1): each sentence's
+    spans padded with copies of its last one (of row 0 when it is shorter
+    than l), rows that `_unpad` drops again. Padding thus never
     feeds a real row of another sentence, and a non-finite input stays in
     its own sentence's rows.
 
@@ -172,10 +179,16 @@ class _Plan:
         self.inside = dict(zip(range(2, n_max + 1), zip(
             halves, _pieces(padded_row, self.block_start[2:]))))
 
+        # outside cells at distance r, sentence by sentence, except that the
+        # sentences with n = r + 1, whose cells there are single positions,
+        # come last: the other cells lead each block
         distance = np.arange(n_max)
-        out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
+        self.out_order = np.argsort(n == distance[:, None] + 1, axis=1, kind="stable")
+        out_cells = np.where(n[self.out_order] > distance[:, None], distance[:, None] + 1, 0)
         out_flat = out_cells.ravel()
-        out_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
+        step_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
+        out_offsets = np.empty_like(step_offsets)    # by sentence
+        np.put_along_axis(out_offsets, self.out_order, step_offsets, axis=1)
         self.out_perm = out_offsets[n[self.span_sentence] - span_length,
                                     self.span_sentence] + self.span_start - 1
 
@@ -185,8 +198,8 @@ class _Plan:
         # the contexts before the span, then after it (a row can be a parent
         # before one span and after another, but not twice on one side)
         cell_r = np.repeat(np.repeat(distance, count), out_flat)
-        cell_sent = np.repeat(np.tile(sentences, n_max), out_flat)
-        cell_start = np.arange(out_flat.sum()) - np.repeat(out_offsets.ravel(), out_flat) + 1
+        cell_sent = np.repeat(self.out_order.ravel(), out_flat)
+        cell_start = np.arange(out_flat.sum()) - np.repeat(step_offsets.ravel(), out_flat) + 1
         cell_end = cell_start + n[cell_sent] - cell_r - 1
         sent, i, j = (np.repeat(a, cell_r) for a in (cell_sent, cell_start, cell_end))
         t = np.arange(sent.size) - np.repeat(np.cumsum(cell_r) - cell_r, cell_r)
@@ -205,6 +218,9 @@ class _Plan:
             r: _parts(early, parent, sibling) + fields for r, parent, sibling, early, fields in
             zip(range(1, n_max), *(_pieces(a, pair_bounds) for a in pairs + (before,)),
                 zip(*(_pieces(a, cell_bounds) for a in cell_fields)))}
+        # per distance, the cells of spans longer than one position
+        lead = np.where(n > distance[:, None] + 1, distance[:, None] + 1, 0).sum(axis=1)
+        self.outside_lead = dict(zip(range(1, n_max), lead[1:].tolist()))
 
         # spans longer than one position, sentence by sentence, start-major
         long = np.flatnonzero(span_length > 1)
@@ -223,10 +239,10 @@ class _Plan:
         """Where the batched steps' dropout rows lie in draw order.
 
         Masks are drawn sentence by sentence (see `_dropout_masks`); the
-        steps take inside lengths 2..n_max, then outside distances
-        1..n_max-1, each over the sentences in batch order. Returns the
-        permutation from step order to draw order and the bounds of each
-        step's rows in step order.
+        steps take inside lengths 2..n_max over the sentences in batch
+        order, then outside distances 1..n_max-1 over them in `out_order`.
+        Returns the permutation from step order to draw order and the bounds
+        of each step's rows in step order.
         """
         n = np.array(self.lengths)
         length = np.arange(2, self.n_max + 1)[:, None]
@@ -234,8 +250,11 @@ class _Plan:
         sizes = np.concatenate([np.maximum(n - length + 1, 0) * (length - 1),
                                 np.where(n > distance, (distance + 1) * distance, 0)])
         draw = sizes.T.ravel()            # sentence by sentence
-        first = (np.cumsum(draw) - draw).reshape(sizes.T.shape).T.ravel()
-        step = sizes.ravel()              # step by step
+        first = (np.cumsum(draw) - draw).reshape(sizes.T.shape).T
+        order = np.concatenate([np.broadcast_to(np.arange(n.size), (self.n_max - 1, n.size)),
+                                self.out_order[1:]])
+        step = np.take_along_axis(sizes, order, axis=1).ravel()    # step by step
+        first = np.take_along_axis(first, order, axis=1).ravel()
         perm = np.arange(step.sum()) + np.repeat(first - (np.cumsum(step) - step), step)
         return perm, np.cumsum(sizes.sum(axis=1))
 
@@ -253,6 +272,12 @@ def _parts(early: np.ndarray, *rows: np.ndarray) -> tuple:
     parts = tuple(tuple((at, index[at]) for at in masks) for index in rows)
     _freeze(*masks, *(index for side in parts for _, index in side))
     return parts
+
+
+def _prefix(parts: tuple, size: int) -> tuple:
+    """`Store.gather` parts that read the first `size` rows of what `parts`
+    read, as views."""
+    return tuple((at[:size], index[:np.count_nonzero(at[:size])]) for at, index in parts)
 
 
 def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -603,9 +628,16 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     store. In training, the dropout masks are the ones the inside pass drew,
     so it must have run in training too; `rng` is taken for symmetry with
     `inside_pass` and not used.
+
+    Textless training leaves the outside rows of single positions at zero:
+    only the reconstruction loss reads them, and textless mode has no words
+    to reconstruct. Each step then runs on the cells that lead its block
+    (see `_Plan`), and a distance whose cells are all single positions
+    builds no node. Full-mode training and eval passes compute every cell.
     """
     plan = chart.plan
     masks = chart.outside_masks if training else None
+    every_cell = not training or cfg.mode != "textless"
     count = len(chart)
     root = params["root_outside_bias"] * np.ones((count, 1))
     d = root.data.shape[1]
@@ -616,17 +648,23 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                                               "bilinear_outside"))
     for r in range(1, plan.n_max):
         parents, siblings, cell_sent, cell_start, cell_end = plan.outside[r]
-        step, scores = outside_step(
-            outside.gather(parents), chart.span_store.gather(siblings), weights,
-            cells=cell_sent.size, keep=None if masks is None else masks[r])
-        bad = _first_nonfinite(scores)
-        if bad is not None:
-            c = bad[0]
-            raise ChartError(
-                f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
-                f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
-            )
-        outside.write(step)
+        cells = cell_sent.size
+        if not every_cell:
+            cells = plan.outside_lead[r]
+            parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
+        if cells:
+            step, scores = outside_step(
+                outside.gather(parents), chart.span_store.gather(siblings), weights,
+                cells=cells, keep=None if masks is None else masks[r][:cells * r])
+            bad = _first_nonfinite(scores)
+            if bad is not None:
+                c = bad[0]
+                raise ChartError(
+                    f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
+                    f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
+                )
+            outside.write(step)
+        outside.skip(cell_sent.size - cells)
     perm = ((slice(None), plan.out_perm),)
     chart.h_out = outside.gather(perm, slice(0, d))
     chart.s_out = outside.gather(perm, d)

@@ -12,14 +12,15 @@ Schema per line::
      "clips": [{"start": s, "end": s}, ...],
      "clip_feats_ref": base64,              # T x d_s float64
      "f0_frames": [[hz, ...], ...],         # per clip; 0 marks unvoiced frames
-     "vad_frames": [[0|1, ...], ...],       # per clip
+     "vad_frames": [[0|1, ...], ...],       # per clip; true/false as well
      "frame_period": s?,                    # f0/VAD frame length; default 0.01
      "regions": [{"feat_ref": base64, "bbox": [x0, y0, x1, y1],
                   "category": int}, ...],
      "image_size": [w, h],
      "gold_brackets": [[i, j], ...]?}       # 0-based inclusive token spans
 
-Other keys, such as the ``gold_labels`` of older corpora, are ignored.
+Other keys, such as the ``gold_labels`` of older corpora, are ignored. A JSON
+boolean stands for a number only as a VAD flag.
 """
 
 from __future__ import annotations
@@ -144,15 +145,16 @@ def _bundle_to_record(ex: ExampleBundle) -> dict:
     return record
 
 
-def _numbers(values, cast=float) -> list:
-    """One clip's frames, which must be a list of numbers, each cast."""
-    if isinstance(values, list):
-        try:
-            sum(values)   # a TypeError unless every value is a number
-            return list(map(cast, values))
-        except TypeError:
-            pass
-    raise TypeError(f"clip frames are not a list of numbers: {str(values)[:60]}")
+# JSON value types read as numbers: a boolean is not one, except as a voiced flag
+NUMBER, INTEGER, FLAG = frozenset({int, float}), frozenset({int}), frozenset({int, float, bool})
+
+
+def _numbers(values, cast=float, kinds=NUMBER) -> list:
+    """A list of values whose types are all in `kinds`, each cast."""
+    if isinstance(values, list) and set(map(type, values)) <= kinds:
+        return list(map(cast, values))
+    kind = "/".join(sorted(t.__name__ for t in kinds))
+    raise TypeError(f"expected a list of {kind}, got {str(values)[:60]}")
 
 
 def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
@@ -160,26 +162,29 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
         ex_id = record["id"]
         if not isinstance(ex_id, str):
             raise TypeError(f"id {ex_id!r} is not a string")
-        clips = [(float(c["start"]), float(c["end"])) for c in record["clips"]]
+        clips = [tuple(_numbers([c["start"], c["end"]])) for c in record["clips"]]
         clip_feats = _decode(record["clip_feats_ref"], len(clips))
         speech = SpeechTrack(
             clips=clips,
             clip_features=clip_feats,
             f0_frames=[_numbers(fr) for fr in record["f0_frames"]],
-            vad_frames=[_numbers(fr, bool) for fr in record["vad_frames"]],
-            frame_period=float(record.get("frame_period", 0.01)),
+            vad_frames=[_numbers(fr, bool, FLAG) for fr in record["vad_frames"]],
+            frame_period=_numbers([record.get("frame_period", 0.01)])[0],
         )
         feats = np.stack([_decode(r["feat_ref"], 1)[0] for r in record["regions"]]) \
             if record["regions"] else np.zeros((0, 0))
+        width, height = _numbers(record["image_size"])[:2]
         regions = RegionSet(
             features=feats,
-            bboxes=np.array([r["bbox"] for r in record["regions"]], dtype=np.float64),
-            categories=np.array([r["category"] for r in record["regions"]], dtype=np.intp),
-            image_size=(float(record["image_size"][0]), float(record["image_size"][1])),
+            bboxes=np.array([_numbers(r["bbox"]) for r in record["regions"]]),
+            categories=np.array(_numbers([r["category"] for r in record["regions"]], int,
+                                         INTEGER), dtype=np.intp),
+            image_size=(width, height),
         )
         gold = None
         if "gold_brackets" in record:
-            gold = [(int(i) + 1, int(j) + 1) for i, j in record["gold_brackets"]]
+            gold = [(i + 1, j + 1) for i, j in
+                    (_numbers(pair, int, INTEGER) for pair in record["gold_brackets"])]
         return ExampleBundle(
             id=ex_id,
             tokens=[str(t) for t in record["tokens"]] if "tokens" in record else None,

@@ -99,6 +99,19 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor],
     np.savez(path, **arrays)
 
 
+def _check_meta(path: Path, meta) -> None:
+    """The metadata must be an object whose vocabulary is a list of strings or
+    null and whose step is a non-negative integer."""
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    vocab, step = meta.get("vocab", ()), meta.get("step")
+    if not (vocab is None or isinstance(vocab, list) and all(isinstance(w, str) for w in vocab)):
+        raise CheckpointError(f"{path}: vocab {str(vocab)[:60]} is not a list of strings "
+                              f"or null")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"{path}: step {step!r} is not a non-negative integer")
+
+
 def _stored_config(path: Path, meta: dict) -> RunConfig:
     """The checkpoint's config; its fields and hash must match what was saved."""
     stored = meta.get("config")
@@ -141,6 +154,7 @@ def load_checkpoint(path: str | Path):
         raise CheckpointError(f"{path} is not a checkpoint (missing metadata)") from None
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+    _check_meta(path, meta)
     cfg = _stored_config(path, meta)
     params = {}
     moments = {"adam_m": {}, "adam_v": {}}

@@ -323,20 +323,22 @@ def visual_span_feature(h_in, v_proj, region_sum, mask=None):
 
 def split_dropout_masks(plan, hidden: int, rate: float, rng) -> tuple[dict, dict]:
     """`mmgi.chart._dropout_masks` as it assembled the masks before: one draw,
-    split into per-sentence pieces in draw order, concatenated per step."""
-    blocks, rows = [], []   # (pass, length or distance), mask rows, in draw order
+    split into per-sentence pieces in draw order, concatenated per step. At
+    distance r, the pieces of sentences with n = r + 1 go last."""
+    blocks, rows = [], []   # (pass, length or distance, last), mask rows, in draw order
     for n in plan.lengths:
         for length in range(2, n + 1):
-            blocks.append((0, length))
+            blocks.append((0, length, False))
             rows.append((n - length + 1) * (length - 1))
         for length in range(n - 1, 0, -1):
-            blocks.append((1, n - length))
+            blocks.append((1, n - length, length == 1))
             rows.append((n - length + 1) * (n - length))
     keep = dropout_mask(rng, (sum(rows), hidden), rate)
     drawn: tuple[dict, dict] = ({}, {})
-    for (kind, key), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
-        drawn[kind].setdefault(key, []).append(mask)
-    return tuple({key: np.concatenate(masks) for key, masks in d.items()} for d in drawn)
+    for (kind, key, last), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
+        drawn[kind].setdefault(key, ([], []))[last].append(mask)
+    return tuple({key: np.concatenate(first + last) for key, (first, last) in d.items()}
+                 for d in drawn)
 
 
 def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
@@ -711,17 +713,22 @@ def loop_plan(lengths) -> dict:
                           padded_row)
     plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
 
-    distance = np.arange(n_max)
-    out_cells = np.where(n > distance[:, None], distance[:, None] + 1, 0)
-    out_flat = out_cells.ravel()
-    out_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
+    # at distance r, the sentences with n = r + 1 (single positions) go last
+    order = [np.concatenate([np.flatnonzero(n != r + 1), np.flatnonzero(n == r + 1)])
+             for r in range(n_max)]
+    members = [sentences[n[sentences] > r] for r, sentences in enumerate(order)]
+    out_offsets = np.zeros((n_max, count), dtype=np.intp)
+    start = 0
+    for r in range(n_max):
+        out_offsets[r, members[r]] = start + (r + 1) * np.arange(members[r].size)
+        start += (r + 1) * members[r].size
+    plan["out_order"] = np.array(order)
     plan["out_perm"] = out_offsets[n[span_sentence] - span_length,
                                    span_sentence] + span_start - 1
-    outside = {}
+    outside, outside_lead = {}, {}
     for r in range(1, n_max):
-        members = np.flatnonzero(n > r)
-        cell_sent = np.repeat(members, r + 1)
-        cell_start = np.tile(np.arange(1, r + 2), members.size)
+        cell_sent = np.repeat(members[r], r + 1)
+        cell_start = np.tile(np.arange(1, r + 2), members[r].size)
         cell_end = cell_start + n[cell_sent] - r - 1
         sent, i, j = (np.repeat(a, r) for a in (cell_sent, cell_start, cell_end))
         t = np.tile(np.arange(r), cell_sent.size)
@@ -735,7 +742,8 @@ def loop_plan(lengths) -> dict:
         outside[r] = (((early, parent[early]), (late, parent[late])),
                       ((early, sibling[early]), (late, sibling[late])),
                       cell_sent, cell_start, cell_end)
-    plan["outside"] = outside
+        outside_lead[r] = (r + 1) * np.count_nonzero(n > r + 1)
+    plan.update(outside=outside, outside_lead=outside_lead)
 
     long = np.flatnonzero(span_length > 1)
     long = long[np.lexsort((plan["span_end"][long], span_start[long], span_sentence[long]))]

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
-from mmgi.chart import (_dropout_masks, _Plan, build_context, chart_dump, init_terminals,
-                        inside_pass, outside_pass, run_chart, sentence_plan, span_marginal,
-                        voice_activity_table)
+from mmgi.chart import (_dropout_masks, _Plan, _prefix, build_context, chart_dump,
+                        init_terminals, inside_pass, outside_pass, run_chart, sentence_plan,
+                        span_marginal, voice_activity_table)
 from mmgi.decode import cky_decode
 from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
 from mmgi.features import PairRelevanceMatrix
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
-from mmgi.nn import lstm_forward
+from mmgi.nn import lstm_forward, outside_step
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
@@ -397,19 +397,89 @@ def test_fused_passes_equal_the_node_by_node_passes(shapes, modalities, with_pai
                                             cfg, vocab_index, pair, seed)
     ref, ref_total, ref_grads = _step((composite_inside_pass, composite_outside_pass),
                                       bundles, params, cfg, vocab_index, pair, seed)
+    # textless training leaves the outside rows of single positions at zero;
+    # the node-by-node pass computes them
+    skipped = (fused.plan.span_start == fused.plan.span_end) & textless
     for name in ("h_in", "s_in", "h_out", "s_out"):
-        assert np.array_equal(getattr(fused, name).data, getattr(ref, name).data), name
+        got, expect = getattr(fused, name).data, getattr(ref, name).data
+        if name in ("h_out", "s_out"):
+            assert not got[skipped].any(), name
+            got, expect = got[~skipped], expect[~skipped]
+        assert np.array_equal(got, expect), name
     assert list(fused.split_in) == list(ref.split_in)
     for length, scores in ref.split_in.items():
         assert np.array_equal(fused.split_in[length].data, scores.data), length
     assert fused_total.data == ref_total.data
-    # the same gradients, summed in another order
+    # the same gradients, summed in another order; no gradient equals a zero
+    # one (a textless batch of n = 2 builds no outside step)
     for name, expect in ref_grads.items():
         got = fused_grads[name]
-        if expect is None:
-            assert got is None or not got.any(), name
+        if expect is None or got is None:
+            assert all(g is None or not g.any() for g in (got, expect)), name
             continue
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("shapes", [[(5, 2), (3, 1), (7, 3), (2, 2), (6, 4), (7, 1)],
+                                    [(5, 2), (5, 3), (5, 1), (5, 4)]], ids=["mixed", "equal"])
+def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch, shapes,
+                                                                     dropout):
+    # textless training leaves these rows at zero; no objective may read them
+    cfg = tiny_config(mode="textless", dropout=dropout)
+    bundles, vocab_index, params, pair = _mixed_batch(63, shapes, cfg)
+
+    def step(poison):
+        rng = np.random.default_rng(64)
+        chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                               rng=rng)
+        single = chart.plan.span_start == chart.plan.span_end
+        assert not chart.h_out.data[single].any() and not chart.s_out.data[single].any()
+        if poison:
+            chart.h_out.data[single] = np.nan
+            chart.s_out.data[single] = np.nan
+        total, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(65))
+        ad.zero_grads(params.values())
+        ad.backward(total)
+        return chart, ctx, rng, total.data, {name: p.grad for name, p in params.items()}
+
+    chart, ctx, rng, total, grads = step(poison=False)
+    *_, poisoned_total, poisoned_grads = step(poison=True)
+    assert np.isfinite(poisoned_total) and poisoned_total == total
+    for name, grad in grads.items():
+        got = poisoned_grads[name]
+        assert (got is None) == (grad is None), name
+        if grad is not None:
+            assert np.all(np.isfinite(got)) and np.array_equal(got, grad), name
+
+    # the masks of every pair are drawn, the skipped ones too
+    drawn = np.random.default_rng(64)
+    if dropout:
+        split_dropout_masks(chart.plan, params["compose_in_w1"].data.shape[1], dropout, drawn)
+    assert rng.bit_generator.state == drawn.bit_generator.state
+
+    # a distance whose cells are all single positions adds no node: neither
+    # its step nor the step's two gathers
+    plan = chart.plan
+    empty = [r for r, cells in plan.outside_lead.items() if not cells]
+    assert empty == [plan.n_max - 1]
+    counts, steps = {}, []
+    original, original_step = ad._from_op, outside_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(kwargs["cells"])
+        return original_step(*args, **kwargs)
+
+    for training in (True, False):
+        built = []
+        monkeypatch.setattr(ad, "_from_op", lambda *args: built.append(None) or original(*args))
+        monkeypatch.setattr("mmgi.chart.outside_step", counted_step)
+        outside_pass(chart, ctx, params, cfg, training=training)
+        monkeypatch.undo()
+        counts[training] = len(built)
+    every = [plan.outside[r][2].size for r in plan.outside]
+    assert steps == [cells for cells in plan.outside_lead.values() if cells] + every
+    assert counts[False] - counts[True] == 3 * len(empty), counts
 
 
 def test_training_loss_gradient_on_a_mixed_batch():
@@ -516,6 +586,13 @@ def test_plan_gather_parts_name_each_row_once(lengths):
     steps = [halves for halves, _ in plan.inside.values()]
     steps += [side for parents, siblings, *_ in plan.outside.values()
               for side in (parents, siblings)]
+    # the parts textless training reads: the first cells * r pairs of each side
+    for r, cells in plan.outside_lead.items():
+        for full in plan.outside[r][:2]:
+            lead = _prefix(full, cells * r)
+            assert sum(index.size for _, index in lead) == cells * r
+            assert np.array_equal(part_rows(lead), part_rows(full)[:cells * r])
+            steps.append(lead)
     for parts in steps:
         size = sum(index.size for _, index in parts)
         read = np.concatenate([np.arange(size)[at] for at, _ in parts])

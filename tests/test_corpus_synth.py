@@ -144,12 +144,34 @@ def _set_first_clip(field, value):
     return edit
 
 
+def _set_at(value, *keys):
+    def edit(record):
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+    return edit
+
+
+def _gold_one_a_boolean(record):
+    # every binary tree of n >= 2 has a bracket that starts or ends at 1
+    pair = next(pair for pair in record["gold_brackets"] if 1 in pair)
+    pair[pair.index(1)] = True
+
+
 MALFORMED_RECORDS = {
     "no_f0_frame_lists": (lambda record: record.update(f0_frames=[]), "example {id}: "),
     "vad_frames_a_string": (lambda record: record.update(vad_frames="x"), "line 2"),
     "empty_image_size": (lambda record: record.update(image_size=[]), "line 2"),
     "null_id": (lambda record: record.update(id=None), "line 2"),
     "vad_clip_an_object": (_set_first_clip("vad_frames", {"a": 1, "b": 0}), "line 2"),
+    # JSON booleans where the format has numbers
+    "frame_period_a_boolean": (_set_at(True, "frame_period"), "line 2"),
+    "f0_value_a_boolean": (_set_at(True, "f0_frames", 0, 0), "line 2"),
+    "bbox_coordinate_a_boolean": (_set_at(True, "regions", 0, "bbox", 0), "line 2"),
+    "category_a_boolean": (_set_at(True, "regions", 0, "category"), "line 2"),
+    "clip_start_a_boolean": (_set_at(False, "clips", 0, "start"), "line 2"),
+    "image_width_a_boolean": (_set_at(True, "image_size", 0), "line 2"),
+    "gold_bracket_end_a_boolean": (_gold_one_a_boolean, "line 2"),
 }
 
 
@@ -166,6 +188,19 @@ def test_malformed_record_raises_data_validation_error(tmp_path, case):
     path.write_text("".join(json.dumps(record) + "\n" for record in lines))
     with pytest.raises(DataValidationError, match=shown):
         load_corpus(path, "full")
+
+
+def test_vad_frames_may_be_booleans(tmp_path):
+    # VAD frames are voiced flags: true/false load as 1/0 do
+    path = tmp_path / "c.jsonl"
+    save_corpus(_small_synth(sentence_count=3), path)
+    expect = load_corpus(path, "full")
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in lines:
+        record["vad_frames"] = [[bool(v) for v in frames] for frames in record["vad_frames"]]
+    path.write_text("".join(json.dumps(record) + "\n" for record in lines))
+    for got, want in zip(load_corpus(path, "full"), expect):
+        assert got.speech.vad_frames == want.speech.vad_frames
 
 
 # ---------------------------------------------------------------------------

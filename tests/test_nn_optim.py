@@ -414,14 +414,21 @@ def test_textless_checkpoint_is_validated(tmp_path):
         load_checkpoint(_saved(tmp_path, cfg, None, clip_projection=np.zeros((2, 2))))
 
 
-def _edit_meta(path, edit) -> None:
-    """Rewrite a saved checkpoint's metadata in place through `edit(meta)`."""
+def _replace_meta(path, replace) -> None:
+    """Rewrite a saved checkpoint's metadata as `replace(meta)`."""
     with np.load(path) as archive:
         arrays = {key: archive[key] for key in archive.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    edit(meta)
+    meta = replace(json.loads(bytes(arrays["__meta__"]).decode()))
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
+
+
+def _edit_meta(path, edit) -> None:
+    """Rewrite a saved checkpoint's metadata in place through `edit(meta)`."""
+    def replace(meta):
+        edit(meta)
+        return meta
+    _replace_meta(path, replace)
 
 
 def test_checkpoint_tampered_config_fails_the_hash(tmp_path):
@@ -460,6 +467,27 @@ CORRUPTIONS = {
 def test_corrupt_checkpoint_raises_checkpoint_error_naming_the_path(tmp_path, corruption):
     path = _saved(tmp_path, tiny_config(), ["a", "b"])
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+
+
+BAD_METADATA = {
+    "a_list": lambda meta: [],
+    "no_step": lambda meta: {key: value for key, value in meta.items() if key != "step"},
+    "vocab_a_number": lambda meta: dict(meta, vocab=5),
+    "vocab_of_numbers": lambda meta: dict(meta, vocab=[1, 2]),
+    "step_a_string": lambda meta: dict(meta, step="x"),
+    "step_a_boolean": lambda meta: dict(meta, step=True),
+    "step_negative": lambda meta: dict(meta, step=-1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METADATA))
+def test_bad_checkpoint_metadata_raises_checkpoint_error_naming_the_path(tmp_path, case):
+    # an intact archive whose metadata JSON is rewritten: nothing but the
+    # library's error may escape, and nothing malformed may load
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _replace_meta(path, BAD_METADATA[case])
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
