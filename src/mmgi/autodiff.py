@@ -380,8 +380,8 @@ class Store:
 
     Each block, an op's output, is copied once into the next free rows (into
     columns `cols`; the others stay zero) and stays the graph node it was.
-    `gather` reads any rows written so far, in parts that each name a row at
-    most once, without concatenating the blocks again, and its vjp adds into
+    `gather` reads any rows written so far, each row at most once per read or
+    part, without concatenating the blocks again, and its vjp adds into
     one gradient buffer for the whole store. A block's rows of that buffer
     reach it when backward does, which is after every gather that read them:
     a gather's parents are all blocks written before it.
@@ -411,34 +411,32 @@ class Store:
     def gather(self, rows, cols=slice(None)) -> Tensor:
         """Rows `rows` of columns `cols`.
 
-        `rows` is a slice, read as a view, or a sequence of parts (at,
-        index): rows `at` (a slice, an index array or a boolean mask) of the
-        result are the store's rows `index`. No index names a row twice,
-        because the vjp adds each part's gradient with one fancy-index `+=`,
-        which would keep only one term of a repeated row; different parts
-        may name the same rows. `cols` is read by every part, or is a tuple
-        of one per part, all of one width.
+        `rows` is a slice, read as a view, an index array, read with one
+        fancy index, or a tuple of parts (at, index): rows `at` (a slice, an
+        index array or a boolean mask) of the result are the store's rows
+        `index`. An index array or a part names no row twice, because the
+        vjp adds its gradient with one fancy-index `+=`, which would keep
+        only one term of a repeated row; different parts may name the same
+        rows.
         """
         buffer, shape, parents = self._buffer, self.data.shape, self._blocks
-        view = isinstance(rows, slice)
-        if view:
-            data = self.data[rows, cols]
-        else:
-            if not isinstance(cols, tuple):
-                cols = (cols,) * len(rows)
+        parts = isinstance(rows, tuple)
+        if parts:
             size = sum(len(index) for _, index in rows)
-            data = np.empty((size,) + self.data[0, cols[0]].shape)
-            for (at, index), c in zip(rows, cols):
-                data[at] = self.data[index, c]
+            data = np.empty((size,) + self.data[0, cols].shape)
+            for at, index in rows:
+                data[at] = self.data[index, cols]
+        else:
+            data = self.data[rows, cols]
 
         def vjp(g):
             if buffer.grad is None:
                 buffer.grad = np.zeros(shape)
-            if view:
-                buffer.grad[rows, cols] += g
+            if parts:
+                for at, index in rows:
+                    buffer.grad[index, cols] += g[at]
             else:
-                for (at, index), c in zip(rows, cols):
-                    buffer.grad[index, c] += g[at]
+                buffer.grad[rows, cols] += g
             return (None,) * len(parents)
 
         return _from_op(data, parents, vjp)

@@ -12,15 +12,16 @@ The sentences of a batch share one chart. Every span of length l has exactly
 l-1 splits in every sentence, so the inside pass composes, scores and
 normalizes the spans of one length of all sentences together. Every span at
 distance r = n - l from its root has exactly r outside contexts, so the
-outside pass takes one step per distance. Each step is one fused node (see
-`nn.inside_step`, `nn.outside_step`). Its rows are appended once to a store
-(`autodiff.Store`), and later steps read children, parents and siblings from
-the stores with one gather each, by index arrays that depend only on the
-sentence lengths (see `_Plan`). Work that involves one sentence's own image
-or speech (region attention, pair scores, pitch pooling, word-to-clip
-attention) runs on per-sentence blocks padded to a common size, with a -inf
-mask where padding would otherwise be attended to, so its cost stays per
-sentence.
+outside pass takes one step per distance. Each step is one node of the same
+fused op, `nn.chart_step`: an inside step pairs left with right children, an
+outside step parents with siblings. Its rows are appended once to a store
+(`autodiff.Store`), and later steps read the left children, the right
+children, the parents and the siblings from the stores with one gather each,
+by index arrays that depend only on the sentence lengths (see `_Plan`). Work
+that involves one sentence's own image or speech (region attention, pair
+scores, pitch pooling, word-to-clip attention) runs on per-sentence blocks
+padded to a common size, with a -inf mask where padding would otherwise be
+attended to, so its cost stays per sentence.
 
 In textless training the outside rows of single positions stay zero: the
 reconstruction loss on words is their only reader, and there are no words.
@@ -45,7 +46,7 @@ from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
 from .features import PairRelevanceMatrix, pitch_indices, vad_aggregate
-from .nn import dropout_mask, inside_step, lstm_forward, outside_step, span_features
+from .nn import chart_step, dropout_mask, lstm_forward, span_features
 
 __all__ = [
     "BatchContext",
@@ -162,10 +163,10 @@ class _Plan:
                              _pieces(pool, np.concatenate([[0], np.cumsum(widths)]))))
 
         # (span, split) pairs of every span, split by split: split s of span
-        # (i, j) pairs (i, k) with (k + 1, j), k = i + s. Per length: the
-        # children's rows as two `Store.gather` parts, left ones then right
-        # ones (a child of one length fixes its span and split, so neither
-        # repeats a row), and each span's row in its per-sentence block
+        # (i, j) pairs (i, k) with (k + 1, j), k = i + s. Per length: the left
+        # and the right children's rows (a child of one length fixes its span
+        # and split, so neither repeats a row), and each span's row in its
+        # per-sentence block
         splits = span_length - 1
         sent, start, size = (np.repeat(a, splits) for a in
                              (self.span_sentence, self.span_start, span_length))
@@ -174,10 +175,9 @@ class _Plan:
         right = self.offsets[size - 1 - s, sent] + start + s
         bounds = np.cumsum(cells.sum(axis=1) * np.maximum(span_len - 1, 0))[1:]
         _freeze(left, right)
-        halves = [((slice(0, lefts.size), lefts), (slice(lefts.size, None), rights))
-                  for lefts, rights in zip(_pieces(left, bounds), _pieces(right, bounds))]
         self.inside = dict(zip(range(2, n_max + 1), zip(
-            halves, _pieces(padded_row, self.block_start[2:]))))
+            zip(_pieces(left, bounds), _pieces(right, bounds)),
+            _pieces(padded_row, self.block_start[2:]))))
 
         # outside cells at distance r, sentence by sentence, except that the
         # sentences with n = r + 1, whose cells there are single positions,
@@ -196,7 +196,8 @@ class _Plan:
         # root: contexts k < i first, then k > j, each ascending. Per
         # distance, the parents' and the siblings' rows as two parts each:
         # the contexts before the span, then after it (a row can be a parent
-        # before one span and after another, but not twice on one side)
+        # before one span and after another, but not twice on one side), and
+        # the number of cells
         cell_r = np.repeat(np.repeat(distance, count), out_flat)
         cell_sent = np.repeat(self.out_order.ravel(), out_flat)
         cell_start = np.arange(out_flat.sum()) - np.repeat(step_offsets.ravel(), out_flat) + 1
@@ -211,13 +212,11 @@ class _Plan:
                  self.offsets[s_end - s_start + 1, sent] + s_start - 1)
         per_distance = out_cells.sum(axis=1)
         pair_bounds = np.cumsum(per_distance * distance)
-        cell_bounds = np.cumsum(per_distance)
-        cell_fields = (cell_sent, cell_start, cell_end)
-        _freeze(*cell_fields)
         self.outside = {
-            r: _parts(early, parent, sibling) + fields for r, parent, sibling, early, fields in
-            zip(range(1, n_max), *(_pieces(a, pair_bounds) for a in pairs + (before,)),
-                zip(*(_pieces(a, cell_bounds) for a in cell_fields)))}
+            r: _parts(early, parent, sibling) + (cells,)
+            for r, parent, sibling, early, cells in zip(
+                range(1, n_max), *(_pieces(a, pair_bounds) for a in pairs + (before,)),
+                per_distance[1:].tolist())}
         # per distance, the cells of spans longer than one position
         lead = np.where(n > distance[:, None] + 1, distance[:, None] + 1, 0).sum(axis=1)
         self.outside_lead = dict(zip(range(1, n_max), lead[1:].tolist()))
@@ -586,16 +585,16 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     split_in = {}
     # a left child reads its pair columns, vector and score, a right child
     # its vector, score and attention (see `span_features`)
-    cols = (slice(0, regions + d + 1), slice(regions, None))
+    left_cols, right_cols = slice(0, regions + d + 1), slice(regions, None)
     for length in range(2, plan.n_max + 1):
-        halves, block_rows = plan.inside[length]
+        (lefts, rights), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
-        step, scores = inside_step(
-            children.gather(halves, cols), ctx.pitch_seq, weights,
-            cells=block.stop - block.start, regions=regions,
+        step, scores = chart_step(
+            children.gather(lefts, left_cols), children.gather(rights, right_cols), weights,
+            cells=block.stop - block.start,
+            keep=None if inside_masks is None else inside_masks[length], regions=regions,
             voice=None if voice is None else np.repeat(voice[block], length - 1),
-            pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam,
-            keep=None if inside_masks is None else inside_masks[length])
+            pitch=ctx.pitch_seq, pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam)
         bad = _first_nonfinite(scores)
         if bad is not None:
             row = block.start + bad[0]
@@ -647,27 +646,27 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                                               "compose_out_w2", "compose_out_b2",
                                               "bilinear_outside"))
     for r in range(1, plan.n_max):
-        parents, siblings, cell_sent, cell_start, cell_end = plan.outside[r]
-        cells = cell_sent.size
+        parents, siblings, total = plan.outside[r]
+        cells = total
         if not every_cell:
             cells = plan.outside_lead[r]
             parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
         if cells:
-            step, scores = outside_step(
+            step, scores = chart_step(
                 outside.gather(parents), chart.span_store.gather(siblings), weights,
                 cells=cells, keep=None if masks is None else masks[r][:cells * r])
             bad = _first_nonfinite(scores)
             if bad is not None:
-                c = bad[0]
+                span = np.flatnonzero(plan.out_perm == outside.size + bad[0])[0]
                 raise ChartError(
-                    f"example {ctx.ids[cell_sent[c]]}: non-finite outside score at span "
-                    f"({cell_start[c]}, {cell_end[c]}), context {bad[1]}"
+                    f"example {ctx.ids[plan.span_sentence[span]]}: non-finite outside score "
+                    f"at span ({plan.span_start[span]}, {plan.span_end[span]}), "
+                    f"context {bad[1]}"
                 )
             outside.write(step)
-        outside.skip(cell_sent.size - cells)
-    perm = ((slice(None), plan.out_perm),)
-    chart.h_out = outside.gather(perm, slice(0, d))
-    chart.s_out = outside.gather(perm, d)
+        outside.skip(total - cells)
+    chart.h_out = outside.gather(plan.out_perm, slice(0, d))
+    chart.s_out = outside.gather(plan.out_perm, d)
     return chart
 
 

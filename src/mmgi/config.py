@@ -13,6 +13,9 @@ from .errors import ConfigError
 __all__ = ["RunConfig", "load_config", "config_hash"]
 
 MODES = ("full", "textless")
+# the values a field takes, by the type of its default; bool is an int to
+# Python, so only a bool field takes one
+_KINDS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
 @dataclass
@@ -47,6 +50,10 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), type(field.default)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind]):
+                raise ConfigError(f"{field.name} must be a {kind.__name__}, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for field in ("d", "d_w", "d_v", "d_s", "d_a", "batch", "roi_count"):

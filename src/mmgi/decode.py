@@ -36,7 +36,7 @@ def cky_decode(split_scores: dict, span_scores: np.ndarray, n: int) -> tuple[Tre
     best = np.zeros(spans.size)
     back = np.zeros(spans.size, dtype=np.intp)
     for length in range(2, n + 1):
-        ((_, left), (_, right)), _ = plan.inside[length]
+        (left, right), _ = plan.inside[length]
         scores = np.asarray(split_scores[length], dtype=np.float64)
         if scores.shape != (n - length + 1, length - 1):
             raise ValueError(f"length {length}: split scores have shape {scores.shape}, "

@@ -1,14 +1,14 @@
-"""The chart's fused step ops, LSTM recurrence, dropout, and parameter
+"""The chart's fused step op, LSTM recurrence, dropout, and parameter
 initialization.
 
 Each op is one autodiff node with a hand-written vector-Jacobian product.
-One inside step (all spans of one length) and one outside step (all spans at
-one distance to the root) each run the compose MLP's hidden layer, the
-bilinear score and the split softmax pooling over (K, d) blocks of pairs,
-and the MLP's second layer once per pooled span; there is no standalone
-compose node. The region feature of a block of spans and the pitch LSTM over
-a (B, T, d) batch are one node each too, so a training step's graph has a
-few nodes per span length. Their forward expressions are those of elementary
+One chart step serves each inside length (all spans of one length) and each
+outside distance (all spans at one distance to the root): it runs the
+compose MLP's hidden layer, the bilinear score and the split softmax pooling
+over (K, d) blocks of pairs, and the MLP's second layer once per pooled
+span. The region feature of a block of spans and the pitch LSTM over a (B,
+T, d) batch are one node each too, so a training step's graph has a few
+nodes per span length. Their forward expressions are those of elementary
 ops, in the same order, so the composite of those ops gives the same values
 bit for bit.
 """
@@ -23,8 +23,7 @@ from .errors import ShapeError
 
 __all__ = [
     "glorot_uniform",
-    "inside_step",
-    "outside_step",
+    "chart_step",
     "span_features",
     "lstm_forward",
     "dropout_mask",
@@ -44,179 +43,116 @@ def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray,
     return (g @ w.T if need_x else None), (x.T @ g if need_w else None)
 
 
-class _PooledStep:
-    """The shared core of an inside and an outside step.
+def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cells: int,
+               keep: np.ndarray | None = None, regions: int = 0,
+               voice: np.ndarray | None = None, pitch: Tensor | None = None,
+               pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
+               lam: float = 0.0) -> tuple[Tensor, np.ndarray]:
+    """One inside or outside step, as one node: ((cells, d + 1) rows of
+    pooled vector and expected score, (cells, pairs per cell) pair scores).
 
-    Runs the compose MLP's hidden layer, tanh(left @ w1[:d] + right @ w1[d:]
-    + b1), on the K = cells * splits (left, right) pairs of one step and
-    gives their (K,) bilinear scores. `pool` takes the pairs' full scores
-    (the bilinear ones plus the caller's further terms), normalizes each
-    cell's with a softmax and pools the hidden layers (dropout mask `keep`
-    applied) and the scores into (cells, d + 1) rows: the pooled hidden
-    layer through the second layer (w2, b2), then the expected score. Each
-    cell's weights sum to 1, so this is the softmax-weighted mean of the
-    pairs' MLP outputs, with the second layer run once per cell. `vjp`
-    returns the gradients of the pairs' scores, of `left` and `right`, and
-    of the weights.
+    An inside step pairs the left and right children of each split of the
+    spans of one length; an outside step pairs the parent and sibling of
+    each context of the spans at one distance to the root. `left` and
+    `right` hold the K pairs, cell by cell. A left row is, with `regions`
+    M > 0, its attention through the pair matrix (M), then its vector and
+    score; a right row is its vector, its score and, with M > 0, its
+    attention (M). `weights` are the compose MLP's (w1, b1, w2, b2) and the
+    bilinear matrix. With `pitch` (B, T, d), both vectors gain `lam` times
+    the mean pitch state over the cell's positions: for cell c, row
+    `pool_rows[c]` of the (B, windows) means that the (windows, T) averaging
+    matrix `pool` gives.
+
+    A pair's score is, in this order, the bilinear score plus the pair term
+    (the left row's pair columns dotted with the right row's attention) plus
+    its `voice` term plus both rows' scores. Each cell's softmax over them
+    pools the MLP's hidden layers (dropout mask `keep` applied), which the
+    second layer maps once per cell, and the scores. Backward keeps the
+    unmasked hidden layer only.
     """
-
-    def __init__(self, left, right, weights, keep):
-        w1, b1, w_bil = weights[0].data, weights[1].data, weights[4].data
-        d = left.shape[1]
-        self.weights, self.left, self.right, self.keep = weights, left, right, keep
-        tanh = self.tanh = left @ w1[:d]
-        tanh += right @ w1[d:]
-        tanh += b1
-        np.tanh(tanh, out=tanh)
-        self.projected = left @ w_bil
-        self.bilinear = (self.projected * right).sum(axis=1)
-
-    def _hidden(self) -> np.ndarray:
-        """The hidden layers with the dropout mask applied, (cells, splits, hidden)."""
-        hidden = self.tanh if self.keep is None else self.tanh * self.keep
-        return hidden.reshape(self.softmax.shape + (-1,))
-
-    def pool(self, scores: np.ndarray, cells: int) -> np.ndarray:
-        scores = self.scores = scores.reshape(cells, -1)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        self.softmax = e / e.sum(axis=1, keepdims=True)
-        w2, b2 = self.weights[2].data, self.weights[3].data
-        self.pooled = (self.softmax[:, :, None] * self._hidden()).sum(axis=1)
-        out = np.empty((cells, w2.shape[1] + 1))
-        out[:, :-1] = self.pooled @ w2
-        out[:, :-1] += b2
-        out[:, -1] = (scores * self.softmax).sum(axis=1)
-        return out
-
-    def vjp(self, g, need_pairs: bool):
-        """(g_scores (K,), g_left, g_right, weight gradients) of a (cells, d + 1)
-        output gradient; g_left and g_right are None unless `need_pairs`."""
-        w1, b1, w2, b2, w_bil = self.weights
-        softmax, scores = self.softmax, self.scores
-        g_vector, g_score = g[:, :-1], g[:, -1:]
-        g_pooled, g_w2 = _linear_vjp(self.pooled, w2.data, g_vector, True, w2.requires_grad)
-        # b2 adds the same term to every split of a cell, which the softmax cancels
-        g_softmax = np.einsum("csh,ch->cs", self._hidden(), g_pooled) + g_score * scores
-        g_scores = (g_score * softmax
-                    + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
-                    * softmax).ravel()
-        g_pre = (g_pooled[:, None, :] * softmax[:, :, None]).reshape(self.tanh.shape)
-        if self.keep is not None:
-            g_pre *= self.keep
-        slope = self.tanh * self.tanh
-        g_pre *= np.subtract(1.0, slope, out=slope)
-        d = self.left.shape[1]
-        g_w1 = None
-        if w1.requires_grad:
-            g_w1 = np.empty(w1.data.shape)
-            g_w1[:d] = self.left.T @ g_pre
-            g_w1[d:] = self.right.T @ g_pre
-        g_projected = g_scores[:, None] * self.right
-        g_left, g_w_bil = _linear_vjp(self.left, w_bil.data, g_projected, need_pairs,
-                                      w_bil.requires_grad)
-        g_right = None
-        if need_pairs:
-            g_left += g_pre @ w1.data[:d].T
-            g_right = g_scores[:, None] * self.projected
-            g_right += g_pre @ w1.data[d:].T
-        return g_scores, g_left, g_right, (g_w1, g_pre.sum(axis=0), g_w2,
-                                           g_vector.sum(axis=0), g_w_bil)
-
-
-def inside_step(children: Tensor, pitch: Tensor | None, weights: tuple[Tensor, ...], *,
-                cells: int, regions: int = 0, voice: np.ndarray | None = None,
-                pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
-                lam: float = 0.0, keep: np.ndarray | None = None
-                ) -> tuple[Tensor, np.ndarray]:
-    """All spans of one length, as one node: ((cells, d + 1) rows of pooled
-    vector and expected score, (cells, splits) decomposition scores).
-
-    `children` holds the K = cells * splits left children, then the K right
-    ones, split by split within each span. A left child's row is, with
-    `regions` M > 0, its region attention through the pair matrix (M), then
-    its vector and its span score; a right child's row is its vector, its
-    span score and, with M > 0, its region attention (M). `weights` are the
-    compose MLP's (w1, b1, w2, b2) and the bilinear matrix. With `pitch`
-    (B, T, d), each child vector gains `lam` times the mean pitch state over
-    its parent's positions: for the c-th span, row `pool_rows[c]` of the (B,
-    windows) means the (windows, T) averaging matrix `pool` gives. A pair's
-    score is, in this order, the bilinear score plus the pair term (the left
-    child's attention through the pair matrix dotted with the right child's
-    attention) plus its `voice` term plus both children's span scores.
-    """
-    rows = children.data
-    pairs = rows.shape[0] // 2
-    d = weights[4].data.shape[0]
-    left_rows, right_rows = rows[:pairs], rows[pairs:]
-    left, right = left_rows[:, regions:regions + d], right_rows[:, :d]
+    w1, b1, w2, b2, w_bil = weights
+    d = w_bil.data.shape[0]
+    left_rows, right_rows = left.data, right.data
+    x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
     if pitch is not None:
         spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
         pooled = lam * (spread @ pitch.data)
         windows = pooled.shape[:2]
-        pooled = np.repeat(pooled.reshape(-1, d)[pool_rows], pairs // cells, axis=0)
-        left, right = left + pooled, right + pooled
-    step = _PooledStep(left, right, weights, keep)
-    scores = step.bilinear
+        pooled = np.repeat(pooled.reshape(-1, d)[pool_rows], x.shape[0] // cells, axis=0)
+        x, y = x + pooled, y + pooled
+    tanh = x @ w1.data[:d]
+    tanh += y @ w1.data[d:]
+    tanh += b1.data
+    np.tanh(tanh, out=tanh)
+    projected = x @ w_bil.data
+    scores = (projected * y).sum(axis=1)
     if regions:
         scores = scores + (left_rows[:, :regions] * right_rows[:, d + 1:]).sum(axis=1)
     if voice is not None:
         scores = scores + voice
-    out = step.pool((scores + left_rows[:, regions + d]) + right_rows[:, d], cells)
+    scores = ((scores + left_rows[:, regions + d]) + right_rows[:, d]).reshape(cells, -1)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    softmax = e / e.sum(axis=1, keepdims=True)
+
+    def hidden() -> np.ndarray:
+        """The hidden layers with the dropout mask applied, (cells, pairs, hidden)."""
+        masked = tanh if keep is None else tanh * keep
+        return masked.reshape(softmax.shape + (-1,))
+
+    pooled_hidden = (softmax[:, :, None] * hidden()).sum(axis=1)
+    out = np.empty((cells, d + 1))
+    out[:, :-1] = pooled_hidden @ w2.data
+    out[:, :-1] += b2.data
+    out[:, -1] = (scores * softmax).sum(axis=1)
 
     def vjp(g):
-        need_children = children.requires_grad
         need_pitch = pitch is not None and pitch.requires_grad
-        g_scores, g_left, g_right, g_weights = step.vjp(g, need_children or need_pitch)
-        g_children = g_pitch = None
-        if need_children:
-            g_children = np.empty(rows.shape)
-            g_left_rows, g_right_rows = g_children[:pairs], g_children[pairs:]
-            g_left_rows[:, regions:regions + d] = g_left
-            g_left_rows[:, regions + d] = g_scores
-            g_right_rows[:, :d] = g_right
-            g_right_rows[:, d] = g_scores
+        need_pairs = left.requires_grad or right.requires_grad or need_pitch
+        g_vector, g_score = g[:, :-1], g[:, -1:]
+        g_pooled, g_w2 = _linear_vjp(pooled_hidden, w2.data, g_vector, True,
+                                     w2.requires_grad)
+        # b2 adds the same term to every pair of a cell, which the softmax cancels
+        g_softmax = np.einsum("csh,ch->cs", hidden(), g_pooled) + g_score * scores
+        g_scores = (g_score * softmax
+                    + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
+                    * softmax).ravel()
+        g_pre = (g_pooled[:, None, :] * softmax[:, :, None]).reshape(tanh.shape)
+        if keep is not None:
+            g_pre *= keep
+        slope = tanh * tanh
+        g_pre *= np.subtract(1.0, slope, out=slope)
+        g_w1 = None
+        if w1.requires_grad:
+            g_w1 = np.empty(w1.data.shape)
+            g_w1[:d] = x.T @ g_pre
+            g_w1[d:] = y.T @ g_pre
+        g_x, g_w_bil = _linear_vjp(x, w_bil.data, g_scores[:, None] * y, need_pairs,
+                                   w_bil.requires_grad)
+        g_left = g_right = g_pitch = None
+        if need_pairs:
+            g_x += g_pre @ w1.data[:d].T
+            g_y = g_scores[:, None] * projected
+            g_y += g_pre @ w1.data[d:].T
+        if left.requires_grad:
+            g_left = np.empty(left_rows.shape)
+            g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
             if regions:
-                g_left_rows[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
-                g_right_rows[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
+                g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
+        if right.requires_grad:
+            g_right = np.empty(right_rows.shape)
+            g_right[:, :d], g_right[:, d] = g_y, g_scores
+            if regions:
+                g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
         if need_pitch:
-            g_pooled = np.zeros((windows[0] * windows[1], d))
-            g_pooled[pool_rows] = (g_left + g_right).reshape(cells, -1, d).sum(axis=1)
-            g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_pooled.reshape(windows + (d,)))
-        return (g_children,) + ((g_pitch,) if pitch is not None else ()) + g_weights
+            g_windows = np.zeros((windows[0] * windows[1], d))
+            g_windows[pool_rows] = (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
+            g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_windows.reshape(windows + (d,)))
+        return ((g_left, g_right) + ((g_pitch,) if pitch is not None else ())
+                + (g_w1, g_pre.sum(axis=0), g_w2, g_vector.sum(axis=0), g_w_bil))
 
-    inputs = (children,) + ((pitch,) if pitch is not None else ()) + tuple(weights)
-    return ad._from_op(out, inputs, vjp), step.scores
-
-
-def outside_step(parents: Tensor, siblings: Tensor, weights: tuple[Tensor, ...], *,
-                 cells: int, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """All spans at one distance to the root, as one node: ((cells, d + 1)
-    rows of pooled vector and expected score, (cells, contexts) scores).
-
-    `parents` and `siblings` are the K = cells * contexts (outside row,
-    inside row) pairs, context by context within each span, each row a
-    vector and its score. `weights` are the outside compose MLP's (w1, b1,
-    w2, b2) and the outside bilinear matrix. A pair's score is the bilinear
-    score plus the parent's outside score plus the sibling's inside score.
-    """
-    d = weights[4].data.shape[0]
-    parent, sibling = parents.data, siblings.data
-    step = _PooledStep(parent[:, :d], sibling[:, :d], weights, keep)
-    out = step.pool((step.bilinear + parent[:, d]) + sibling[:, d], cells)
-
-    def vjp(g):
-        need = parents.requires_grad or siblings.requires_grad
-        g_scores, g_parent, g_sibling, g_weights = step.vjp(g, need)
-        g_parents = g_siblings = None
-        if need:
-            g_parents = np.empty(parent.shape)
-            g_parents[:, :d], g_parents[:, d] = g_parent, g_scores
-            g_siblings = np.empty(sibling.shape)
-            g_siblings[:, :d], g_siblings[:, d] = g_sibling, g_scores
-        return (g_parents, g_siblings) + g_weights
-
-    return ad._from_op(out, (parents, siblings) + tuple(weights), vjp), step.scores
+    inputs = (left, right) + ((pitch,) if pitch is not None else ()) + tuple(weights)
+    return ad._from_op(out, inputs, vjp), scores
 
 
 def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: float,
@@ -234,7 +170,7 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
     feature) and the span score; given the (B, M, M) `pair` matrices, the
     attention through the pair matrix comes first and the attention last,
     so the left and the right child of a pair each read one contiguous
-    range of columns (see `inside_step`).
+    range of columns (see `chart_step`).
     """
     rows = spans.data
     d = rows.shape[1] - 1

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig, config_hash
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .nn import glorot_uniform
 from .optim import Adam
 
@@ -113,7 +113,8 @@ def _check_meta(path: Path, meta) -> None:
 
 
 def _stored_config(path: Path, meta: dict) -> RunConfig:
-    """The checkpoint's config; its fields and hash must match what was saved."""
+    """The checkpoint's config; its fields and hash must match what was saved,
+    and it must be valid."""
     stored = meta.get("config")
     if not isinstance(stored, dict):
         raise CheckpointError(f"{path}: metadata has no config block")
@@ -125,6 +126,10 @@ def _stored_config(path: Path, meta: dict) -> RunConfig:
         if name not in stored:
             raise CheckpointError(f"{path}: config field {name!r} is missing")
     cfg = RunConfig(**stored)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     vocab = meta.get("vocab")
     expected = config_hash(cfg, {"vocab_size": len(vocab) if vocab else 0})
     if meta.get("config_hash") != expected:

@@ -11,7 +11,7 @@ from .config import RunConfig
 from .gradcheck import grad_check
 from .inference import build_vocab, corpus_pair_matrix
 from .losses import batch_loss
-from .nn import dropout_mask, lstm_forward, outside_step
+from .nn import chart_step, dropout_mask, lstm_forward
 from .params import build_params
 from .synth import SynthConfig, generate_synthetic
 
@@ -89,8 +89,8 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
     probe = ad.constant(rng.normal(size=(cells, d + 1)))
     weights = tuple(step[name] for name in ("w1", "b1", "w2", "b2", "w_bil"))
     results["outside_step"] = grad_check(
-        lambda: ad.tensor_sum(outside_step(step["parents"], step["siblings"], weights,
-                                           cells=cells, keep=keep)[0] * probe),
+        lambda: ad.tensor_sum(chart_step(step["parents"], step["siblings"], weights,
+                                         cells=cells, keep=keep)[0] * probe),
         step, probes_per_tensor=6)
 
     # pitch sequences of 4 and 2 clips, padded: no state after an end is read

@@ -373,7 +373,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
     add_child_block(terminals, 1)
     split_in = {}
     for length in range(2, plan.n_max + 1):
-        ((_, left_rows), (_, right_rows)), block_rows = plan.inside[length]
+        (left_rows, right_rows), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         cells, splits = block.stop - block.start, length - 1
         children = concat(child_blocks)
@@ -428,7 +428,7 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
     for r in range(1, plan.n_max):
-        parents, siblings, cell_sent, _, _ = plan.outside[r]
+        parents, siblings, cells = plan.outside[r]
         parent_rows, sibling_rows = part_rows(parents), part_rows(siblings)
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
@@ -439,7 +439,7 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
         scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
             + ad.gather_rows(concat(s_blocks), parent_rows) \
             + ad.gather_rows(chart.s_in, sibling_rows)
-        scores = ad.reshape(scores, (cell_sent.size, r))
+        scores = ad.reshape(scores, (cells, r))
         h, s = softmax_pool(scores, hidden)
         h = ad.matmul(h, params["compose_out_w2"]) + params["compose_out_b2"]
         h_blocks.append(h)
@@ -709,8 +709,7 @@ def loop_plan(lengths) -> dict:
         s = np.tile(np.arange(splits), rows.stop - rows.start)
         left = offsets[s + 1, sent] + start - 1
         right = offsets[splits - s, sent] + start + s
-        inside[length] = (((slice(0, left.size), left), (slice(left.size, None), right)),
-                          padded_row)
+        inside[length] = ((left, right), padded_row)
     plan.update(pad=pad, unpad=unpad, pool=pool, inside=inside)
 
     # at distance r, the sentences with n = r + 1 (single positions) go last
@@ -741,7 +740,7 @@ def loop_plan(lengths) -> dict:
         early, late = before, ~before
         outside[r] = (((early, parent[early]), (late, parent[late])),
                       ((early, sibling[early]), (late, sibling[late])),
-                      cell_sent, cell_start, cell_end)
+                      cell_sent.size)
         outside_lead[r] = (r + 1) * np.count_nonzero(n > r + 1)
     plan.update(outside=outside, outside_lead=outside_lead)
 

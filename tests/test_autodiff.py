@@ -92,18 +92,19 @@ OPS = {
 
 def _store_reads(a, c):
     """A store read as the chart reads one: blocks appended (one of them made
-    from an earlier read, one into some columns only), then gathers whose
-    parts repeat each other's rows, interleave and read their own columns,
-    one column and a slice."""
+    from an earlier read, one into some columns only), then gathers of parts
+    that repeat each other's rows and interleave, of an index array, of one
+    column and of a slice."""
     store = ad.Store(6, 3)
     store.write(a * 1.0)                                      # rows 0-1
     early = store.gather(((slice(0, 2), np.array([1, 0])), (slice(2, 3), np.array([1]))))
     store.write(tanh(early))                               # rows 2-4
     store.write(-c, cols=slice(1, 3))                         # row 5, column 0 stays zero
     late = store.gather(((np.array([0, 3, 4]), np.array([5, 2, 3])),
-                         (np.array([1, 2]), np.array([2, 5]))), (slice(0, 2), slice(1, 3)))
-    return concat([ad.reshape(late, (10,)), store.gather(slice(None), 2),
-                   store.gather(slice(1, 3), 0)])
+                         (np.array([1, 2]), np.array([2, 5]))), slice(1, 3))
+    direct = store.gather(np.array([4, 0, 5, 2]), slice(0, 2))
+    return concat([ad.reshape(late, (10,)), ad.reshape(direct, (8,)),
+                   store.gather(slice(None), 2), store.gather(slice(1, 3), 0)])
 
 
 @pytest.mark.parametrize("name", sorted(OPS))

@@ -13,12 +13,13 @@ from mmgi.chart import (_dropout_masks, _Plan, _prefix, build_context, chart_dum
                         init_terminals, inside_pass, outside_pass, run_chart, sentence_plan,
                         span_marginal, voice_activity_table)
 from mmgi.decode import cky_decode
-from mmgi.errors import AlignmentError, DataValidationError, DegenerateChartError
+from mmgi.errors import (AlignmentError, ChartError, DataValidationError,
+                         DegenerateChartError)
 from mmgi.features import PairRelevanceMatrix
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
-from mmgi.nn import lstm_forward, outside_step
+from mmgi.nn import chart_step, lstm_forward
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
@@ -381,6 +382,26 @@ def _step(passes, bundles, params, cfg, vocab_index, pair, seed):
     return chart, total, {name: p.grad for name, p in params.items()}
 
 
+@pytest.mark.parametrize("bad", [0, 1, 3])
+def test_nonfinite_outside_score_names_its_example_and_span(bad):
+    # mixed lengths: at distance 1 the cells of sentence 3 (n = 2) are single
+    # positions and come after those of the later sentences 4 and 5
+    cfg = tiny_config()
+    shapes = [(5, 2), (3, 1), (7, 3), (2, 2), (4, 1), (6, 3)]
+    bundles, vocab_index, params, pair = _mixed_batch(67, shapes, cfg)
+    ctx = build_context(bundles, params, cfg, vocab_index, pair)
+    chart = inside_pass(ctx, params, cfg)
+    chart.span_store.data[chart.plan.sentence_rows(bad)] = np.nan
+    with pytest.raises(ChartError) as caught:
+        outside_pass(chart, ctx, params, cfg)
+    # every distance-1 cell of the sentence reads a non-finite sibling; the
+    # first is span (1, n - 1)
+    n = shapes[bad][0]
+    assert str(caught.value) == (f"example m{bad}: non-finite outside score at span "
+                                 f"(1, {n - 1}), context 0")
+    assert all(f"m{k}" not in str(caught.value) for k in range(len(shapes)) if k != bad)
+
+
 @given(shapes=st.lists(st.tuples(st.integers(2, 8), st.integers(1, 4)),
                       min_size=2, max_size=5),
        modalities=st.tuples(st.booleans(), st.booleans(), st.booleans()),
@@ -464,7 +485,7 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
     empty = [r for r, cells in plan.outside_lead.items() if not cells]
     assert empty == [plan.n_max - 1]
     counts, steps = {}, []
-    original, original_step = ad._from_op, outside_step
+    original, original_step = ad._from_op, chart_step
 
     def counted_step(*args, **kwargs):
         steps.append(kwargs["cells"])
@@ -473,11 +494,11 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
     for training in (True, False):
         built = []
         monkeypatch.setattr(ad, "_from_op", lambda *args: built.append(None) or original(*args))
-        monkeypatch.setattr("mmgi.chart.outside_step", counted_step)
+        monkeypatch.setattr("mmgi.chart.chart_step", counted_step)
         outside_pass(chart, ctx, params, cfg, training=training)
         monkeypatch.undo()
         counts[training] = len(built)
-    every = [plan.outside[r][2].size for r in plan.outside]
+    every = [plan.outside[r][2] for r in plan.outside]
     assert steps == [cells for cells in plan.outside_lead.values() if cells] + every
     assert counts[False] - counts[True] == 3 * len(empty), counts
 
@@ -580,12 +601,14 @@ def test_loss_graph_stays_under_its_budget(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @example(lengths=[12] * 4)
 def test_plan_gather_parts_name_each_row_once(lengths):
-    # a store gather adds each part's gradient with one fancy-index `+=`,
-    # which keeps one term of a repeated row
+    # a store gather adds each index array's or part's gradient with one
+    # fancy-index `+=`, which keeps one term of a repeated row
     plan = _Plan(tuple(lengths))
-    steps = [halves for halves, _ in plan.inside.values()]
-    steps += [side for parents, siblings, *_ in plan.outside.values()
-              for side in (parents, siblings)]
+    for children, _ in plan.inside.values():
+        for index in children:
+            assert np.unique(index).size == index.size
+    steps = [side for parents, siblings, _ in plan.outside.values()
+             for side in (parents, siblings)]
     # the parts textless training reads: the first cells * r pairs of each side
     for r, cells in plan.outside_lead.items():
         for full in plan.outside[r][:2]:

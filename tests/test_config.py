@@ -36,6 +36,14 @@ def test_validation_errors():
         RunConfig(dropout=1.0).resolved()
     with pytest.raises(ConfigError):
         RunConfig(batch=0).resolved()
+    # a field takes only values of its default's type: a string is truthy,
+    # and bool is an int to Python
+    for field, value in [("use_pitch", "no"), ("use_visual", 1), ("d", "abc"), ("d", 8.0),
+                         ("batch", True), ("dropout", "x"), ("lr", False), ("mode", 3)]:
+        with pytest.raises(ConfigError, match=field):
+            load_config(None, {field: value})
+    cfg = load_config(None, {"gamma": 1, "lr": 0.5, "seed": 3, "use_voice": False})
+    assert (cfg.gamma, cfg.lr, cfg.seed, cfg.use_voice) == (1, 0.5, 3, False)
 
 
 def test_load_config_file_and_overrides(tmp_path):

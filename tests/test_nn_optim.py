@@ -8,9 +8,10 @@ import pytest
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
+from mmgi.config import RunConfig, config_hash
 from mmgi.errors import CheckpointError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import dropout_mask, glorot_uniform, lstm_forward, outside_step
+from mmgi.nn import chart_step, dropout_mask, glorot_uniform, lstm_forward
 from mmgi.optim import Adam
 from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
@@ -30,13 +31,13 @@ def _mlp_params(rng, d):
 
 
 def compose_rows(left, right, w1, b1, w2, b2, keep=None):
-    """The compose MLP of K (left, right) row pairs, as `nn.outside_step` runs
+    """The compose MLP of K (left, right) row pairs, as `nn.chart_step` runs
     it: with one context per span, the split softmax weighs each composed row
     by exactly 1, so the step's vector columns are the MLP's output."""
     count, d = left.data.shape
     score = ad.constant(np.zeros((count, 1)))
-    out, _ = outside_step(concat([left, score], axis=1), concat([right, score], axis=1),
-                          (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep)
+    out, _ = chart_step(concat([left, score], axis=1), concat([right, score], axis=1),
+                        (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep)
     return select(out, (slice(None), slice(0, d)))
 
 
@@ -246,8 +247,8 @@ def test_fused_ops_build_one_node_each(monkeypatch):
     fused(*_tensors(arrays, ()).values())
     mlp = _tensors(FUSED["mlp_rows"][2], ())
     rows = [Tensor(np.hstack([mlp[side].data, np.ones((7, 1))])) for side in ("left", "right")]
-    outside_step(*rows, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], Tensor(np.eye(4))),
-                 cells=1)
+    chart_step(*rows, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], Tensor(np.eye(4))),
+               cells=1)
     assert len(made) == 5
 
 
@@ -450,6 +451,22 @@ def test_checkpoint_config_fields_are_named(tmp_path):
     path = _saved(tmp_path, tiny_config(), ["a", "b"])
     _edit_meta(path, lambda meta: meta["config"].pop("margin"))
     with pytest.raises(CheckpointError, match="config field 'margin' is missing"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("dropout", "x"), ("mode", 3),
+                                          ("use_visual", "no"), ("batch", 2.5)])
+def test_checkpoint_config_field_of_the_wrong_type_fails_with_its_hash_recomputed(
+        tmp_path, field, value):
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+
+    def retype(meta):
+        meta["config"][field] = value
+        cfg = RunConfig(**meta["config"])
+        meta["config_hash"] = config_hash(cfg, {"vocab_size": len(meta["vocab"])})
+
+    _edit_meta(path, retype)
+    with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: {field}"):
         load_checkpoint(path)
 
 
