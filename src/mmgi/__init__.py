@@ -3,7 +3,7 @@ text, speech, and image features, with CKY decoding and bracketing metrics."""
 
 __version__ = "0.1.0"
 
-from .autodiff import Tensor, backward, softmax
+from .autodiff import Tensor, backward
 from .chart import inside_pass, outside_pass, run_chart, span_marginal
 from .config import RunConfig, load_config
 from .corpus import ExampleBundle, load_corpus, save_corpus
@@ -19,7 +19,7 @@ from .trees import baseline_tree, bracket_set, parse_sexpr, to_sexpr
 
 __all__ = [
     "__version__",
-    "Tensor", "backward", "softmax",
+    "Tensor", "backward",
     "inside_pass", "outside_pass", "run_chart", "span_marginal",
     "RunConfig", "load_config",
     "ExampleBundle", "load_corpus", "save_corpus",

@@ -1,10 +1,15 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 A :class:`Tensor` wraps a dense ``numpy`` array plus an optional backward
-closure. Operations build a DAG; :func:`backward` runs a single reverse sweep
-from a scalar root and accumulates ``.grad`` arrays on every tensor that
-requires gradients. Everything is 64-bit and deterministic: no op introduces
-randomness, and reductions use numpy's fixed evaluation order.
+closure. Every op of a training step is one node with a hand-written
+vector-Jacobian product, built by ``_from_op`` in the module that owns it
+(the context, chart and loss ops of ``nn``, ``chart`` and ``losses``). The
+engine itself holds only what those nodes share: :func:`backward`, which
+runs a single reverse sweep from a scalar root and accumulates ``.grad``
+arrays on every tensor that requires gradients, the row gather
+:func:`gather_rows`, and the append-once :class:`Store` the chart passes
+read their cells from. Everything is 64-bit and deterministic: no op
+introduces randomness, and reductions use numpy's fixed evaluation order.
 """
 
 from __future__ import annotations
@@ -16,27 +21,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = [
-    "Tensor",
-    "astensor",
-    "constant",
-    "backward",
-    "zero_grads",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "matmul",
-    "bmm",
-    "tensor_sum",
-    "sqrt",
-    "softmax",
-    "gather_rows",
-    "Store",
-    "transpose",
-    "reshape",
-]
+__all__ = ["Tensor", "constant", "backward", "zero_grads", "gather_rows", "Store"]
 
 
 class Tensor:
@@ -60,40 +45,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # Arithmetic sugar; all dispatch to the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def astensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
 
 def constant(x) -> Tensor:
     """A tensor that never tracks gradients (input data, masks, weights)."""
@@ -115,19 +66,6 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out._parents = ()
     out._vjp = None
     return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 def backward(root: Tensor) -> None:
@@ -163,8 +101,9 @@ def backward(root: Tensor) -> None:
             topo.append(node)
 
     # Gradient arrays this sweep allocated, by id: only these are summed into
-    # in place. An array a vjp returned may be shared (`add` hands the same
-    # `g` to both parents) or a read-only view, so it is never written to.
+    # in place. An array a vjp returned may be shared (a vjp may hand its own
+    # `g` on, as the test oracles' `add` does to both parents) or a read-only
+    # view, so it is never written to.
     owned: set[int] = set()
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
@@ -206,139 +145,7 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise arithmetic
-
-
-def add(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    data = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _from_op(data, (a, b), vjp)
-
-
-def sub(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
-
-    return _from_op(data, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    data = a.data * b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return _from_op(data, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = astensor(a), astensor(b)
-    data = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _from_op(data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = astensor(a)
-    return _from_op(-a.data, (a,), lambda g: (-g,))
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product for the 1-D/2-D shape combinations numpy supports."""
-    a, b = astensor(a), astensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
-    a_nd, b_nd = a.data.ndim, b.data.ndim
-
-    def vjp(g):
-        if a_nd == 2 and b_nd == 2:
-            return g @ b.data.T, a.data.T @ g
-        if a_nd == 1 and b_nd == 2:
-            return b.data @ g, np.outer(a.data, g)
-        if a_nd == 2 and b_nd == 1:
-            return np.outer(g, b.data), a.data.T @ g
-        return g * b.data, g * a.data  # 1-D dot
-
-    return _from_op(data, (a, b), vjp)
-
-
-def bmm(a, b) -> Tensor:
-    """Batched matrix product over a shared leading axis: (B, n, k) @ (B, k, m)."""
-    a, b = astensor(a), astensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"bmm needs (B, n, k) @ (B, k, m), got {a.shape} @ {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"bmm shape mismatch: {a.shape} @ {b.shape}") from exc
-
-    def vjp(g):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
-
-    return _from_op(data, (a, b), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions and nonlinearities
-
-
-def tensor_sum(a, axis: int | None = None) -> Tensor:
-    a = astensor(a)
-    data = a.data.sum(axis=axis)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),)
-
-    return _from_op(data, (a,), vjp)
-
-
-def sqrt(a) -> Tensor:
-    a = astensor(a)
-    data = np.sqrt(a.data)
-    return _from_op(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
-    a = astensor(a)
-    if a.data.size == 0:
-        raise ValueError("softmax of an empty vector is undefined")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return ((g - inner) * data,)
-
-    return _from_op(data, (a,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# shape / selection
+# row reads
 
 
 def _scatter_add(shape: tuple[int, ...], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -351,9 +158,8 @@ def _scatter_add(shape: tuple[int, ...], rows: np.ndarray, g: np.ndarray) -> np.
     return np.bincount(targets, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
-def gather_rows(a, indices) -> Tensor:
+def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows `a[indices]` (integer array); scatter-add on backward."""
-    a = astensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
@@ -440,16 +246,3 @@ class Store:
             return (None,) * len(parents)
 
         return _from_op(data, parents, vjp)
-
-
-def transpose(a) -> Tensor:
-    """Swap the last two axes (the matrix transpose of a 2-D or batched 3-D tensor)."""
-    a = astensor(a)
-    return _from_op(np.swapaxes(a.data, -1, -2), (a,),
-                    lambda g: (np.swapaxes(g, -1, -2),))
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = astensor(a)
-    data = a.data.reshape(shape)
-    return _from_op(data, (a,), lambda g: (g.reshape(a.data.shape),))

@@ -1,5 +1,5 @@
-"""Differentiable span chart of a batch of sentences: terminal init, fused
-inside pass, outside pass.
+"""Differentiable span chart of a batch of sentences: context, terminal
+init, fused inside pass, outside pass.
 
 The chart holds, for every span (i, j) with 1 <= i <= j <= n of every
 sentence, an inside vector/score pair built bottom-up from its decompositions
@@ -22,6 +22,11 @@ that involves one sentence's own image or speech (region attention, pair
 scores, pitch pooling, word-to-clip attention) runs on per-sentence blocks
 padded to a common size, with a -inf mask where padding would otherwise be
 attended to, so its cost stays per sentence.
+
+The context that feeds the passes is a few fused nodes as well (`nn`'s
+region projection, box embedding sum, terminals and pitch LSTM, and the
+word and pitch embedding lookups), and the span marginals are plain numpy:
+the contrastive loss's node differentiates them itself.
 
 In textless training the outside rows of single positions stay zero: the
 reconstruction loss on words is their only reader, and there are no words.
@@ -46,7 +51,8 @@ from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
 from .features import PairRelevanceMatrix, pitch_indices, vad_aggregate
-from .nn import chart_step, dropout_mask, lstm_forward, span_features
+from .nn import (add_box_embedding, attend_clips, chart_step, dropout_mask, lstm_forward,
+                 normalize_clips, project_regions, span_features)
 
 __all__ = [
     "BatchContext",
@@ -108,7 +114,7 @@ class _Plan:
     come last in block r (`outside_lead` counts the cells before them).
     Per-sentence blocks of length l are (B, n_max - l + 1): each sentence's
     spans padded with copies of its last one (of row 0 when it is shorter
-    than l), rows that `_unpad` drops again. Padding thus never
+    than l), rows that `nn._unpad` drops again. Padding thus never
     feeds a real row of another sentence, and a non-finite input stays in
     its own sentence's rows.
 
@@ -298,21 +304,6 @@ def _plan(lengths: tuple[int, ...]) -> _Plan:
     return sentence_plan(lengths[0]) if len(lengths) == 1 else _Plan(lengths)
 
 
-def _pad(block: Tensor, plan: _Plan, length: int) -> Tensor:
-    """(cells, ...) rows of one length -> (B, n_max - length + 1, ...) blocks."""
-    if plan.uniform:
-        shape = (len(plan.lengths), plan.n_max - length + 1) + block.data.shape[1:]
-        return ad.reshape(block, shape)
-    return ad.gather_rows(block, plan.pad[length])
-
-
-def _unpad(blocks: Tensor, plan: _Plan, length: int) -> Tensor:
-    """Inverse of `_pad`: the rows of the real spans, in storage order."""
-    count, width = blocks.data.shape[:2]
-    flat = ad.reshape(blocks, (count * width,) + blocks.data.shape[2:])
-    return flat if plan.uniform else ad.gather_rows(flat, plan.unpad[length])
-
-
 def _dropout_masks(plan: _Plan, hidden: int, rate: float,
                    rng: np.random.Generator) -> tuple[dict, dict]:
     """Dropout masks of the batched inside and outside steps.
@@ -347,6 +338,7 @@ class Chart:
     """
 
     lengths: tuple[int, ...]
+    ids: list[str]                  # example id per sentence
     h_in: Tensor | None = None      # (spans, d)
     s_in: Tensor | None = None      # (spans,)
     split_in: dict = field(default_factory=dict)
@@ -427,16 +419,15 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
     region_mask = None
     if np.any(keep != most):
         region_mask = np.where(np.arange(most) < keep[:, None], 0.0, -np.inf)
-    v_proj = ad.reshape(ad.matmul(region_rows, params["vision_projection"]),
-                        (count, most, cfg.d))
+    v_proj = project_regions(region_rows.data, params["vision_projection"],
+                             (count, most, cfg.d))
     region_sum = pair_sub = None
     if cfg.use_visual:
         units = np.zeros((count, most, 4))
         for b, ex in enumerate(examples):
             units[b, :keep[b]] = ex.regions.unit_boxes(ex.id, keep[b])
-        boxes = ad.matmul(ad.constant(units.reshape(count * most, 4)),
-                          params["bbox_embed_w"]) + params["bbox_embed_b"]
-        region_sum = v_proj + ad.reshape(boxes, (count, most, cfg.d))
+        region_sum = add_box_embedding(v_proj, units.reshape(count * most, 4),
+                                       params["bbox_embed_w"], params["bbox_embed_b"])
         if pair_matrix is not None:
             pair_sub = np.zeros((count, most, most))
             for b, ex in enumerate(examples):
@@ -478,13 +469,11 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
     Full setting: each word attends over its own sentence's clip sequence
     (cross-attention without scaling) and takes the attention-weighted value
     projection of the clips. Textless: the projected clip itself,
-    L2-normalized.
+    L2-normalized. One node either way (see `nn.attend_clips` and
+    `nn.normalize_clips`).
     """
-    clip_proj = ad.matmul(ctx.clip_rows, params["clip_projection"])  # (sum T, d)
     if cfg.mode == "textless":
-        sq = ad.tensor_sum(clip_proj * clip_proj, axis=1)
-        norms = ad.reshape(ad.sqrt(sq + 1e-16), (ctx.clip_rows.data.shape[0], 1))
-        return ad.div(clip_proj, norms)
+        return normalize_clips(ctx.clip_rows.data, params["clip_projection"])
     for ex_id, n, clips in zip(ctx.ids, ctx.lengths, ctx.clip_counts):
         if n != clips:
             raise AlignmentError(
@@ -492,15 +481,11 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
                 f"got {n} tokens vs {clips} clips"
             )
     plan = ctx.plan
-    word_proj = ad.matmul(ctx.word_rows, params["word_projection"])  # (sum n, d)
-    queries = _pad(ad.matmul(word_proj, params["attn_q"]), plan, 1)
-    keys = _pad(ad.matmul(clip_proj, params["attn_k"]), plan, 1)
-    values = _pad(ad.matmul(clip_proj, params["attn_v"]), plan, 1)
-    logits = ad.bmm(queries, ad.transpose(keys))
-    if plan.position_mask is not None:
-        logits = logits + plan.position_mask[:, None, :]
-    attention = ad.softmax(logits, axis=-1)
-    return _unpad(ad.bmm(attention, values), plan, 1)
+    weights = tuple(params[name] for name in ("clip_projection", "word_projection",
+                                              "attn_q", "attn_k", "attn_v"))
+    return attend_clips(ctx.word_rows, ctx.clip_rows.data, weights,
+                        blocks=(len(plan.lengths), plan.n_max), pad=plan.pad.get(1),
+                        unpad=plan.unpad.get(1), mask=plan.position_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +592,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         spans.write(step)
         if children is not spans and length < plan.n_max:
             add_children(step, length)
-    return Chart(lengths=ctx.lengths, h_in=spans.gather(slice(None), slice(0, d)),
+    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=spans.gather(slice(None), slice(0, d)),
                  s_in=spans.gather(slice(None), d), split_in=split_in,
                  outside_masks=outside_masks, plan=plan, span_store=spans)
 
@@ -638,7 +623,8 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     masks = chart.outside_masks if training else None
     every_cell = not training or cfg.mode != "textless"
     count = len(chart)
-    root = params["root_outside_bias"] * np.ones((count, 1))
+    bias = params["root_outside_bias"]
+    root = ad._from_op(np.tile(bias.data, (count, 1)), (bias,), lambda g: (g.sum(axis=0),))
     d = root.data.shape[1]
     outside = ad.Store(plan.block_start[-1], d + 1)
     outside.write(root, cols=slice(0, d))
@@ -670,22 +656,23 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     return chart
 
 
-def span_marginal(chart: Chart, i, j, sentence=0) -> Tensor:
+def span_marginal(chart: Chart, i, j, sentence=0) -> np.ndarray:
     """q(i, j): inside times outside score, normalized by the root inside score.
 
     `i`, `j` and `sentence` may be equal-shape integer arrays, giving one
-    marginal per span.
+    marginal per span. A root score too small to normalize raises
+    DegenerateChartError naming its example. The contrastive loss's node
+    differentiates the marginals.
     """
-    root = ad.gather_rows(chart.s_in, chart.plan.root_rows[sentence])
-    small = np.abs(root.data) < ROOT_EPS
-    if np.any(small):
+    root = chart.s_in.data[chart.plan.root_rows[sentence]]
+    small = np.flatnonzero(np.abs(root) < ROOT_EPS)
+    if small.size:
         raise DegenerateChartError(
-            f"root inside score {float(np.asarray(root.data)[small].flat[0]):.3e} "
-            f"too small to normalize"
+            f"example {chart.ids[np.ravel(sentence)[small[0]]]}: root inside score "
+            f"{np.ravel(root)[small[0]]:.3e} too small to normalize"
         )
     rows = chart.row(i, j, sentence)
-    return ad.div(ad.gather_rows(chart.s_in, rows) * ad.gather_rows(chart.s_out, rows),
-                  root)
+    return chart.s_in.data[rows] * chart.s_out.data[rows] / root
 
 
 def run_chart(examples: ExampleBundle | list[ExampleBundle],
@@ -712,8 +699,7 @@ def chart_dump(chart: Chart, sentence: int = 0) -> dict:
     if chart.s_out is not None:
         starts, ends = np.array(spans).T
         doc["s_out"] = dict(zip(keys, chart.s_out.data[rows].tolist()))
-        doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends,
-                                                sentence).data.tolist()))
+        doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends, sentence).tolist()))
     splits, _ = chart.split_tables(sentence)
     for length, scores in splits.items():
         for i, k in enumerate(np.argmax(scores, axis=1).tolist(), start=1):

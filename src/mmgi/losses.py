@@ -3,7 +3,9 @@
 Each objective is computed per sentence and averaged over the batch, as one
 graph node for the whole batch with a hand-written backward: per-sentence
 sums and means are products with constant (B, rows) averaging matrices, and
-a backward keeps only what its gradient reads.
+a backward keeps only what its gradient reads. The contrastive node reads
+the span scores and differentiates the span marginals itself, and the
+weighted total is one more node.
 """
 
 from __future__ import annotations
@@ -164,13 +166,15 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
     Returns the batch-mean loss tensor plus per-example values.
     """
     plan, h_in, h_out, v_proj = chart.plan, chart.h_in, chart.h_out, ctx.v_proj
+    s_in, s_out = chart.s_in, chart.s_out
     count, owner = len(ctx.lengths), plan.position_owner
     sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
     if sampled is not None:
         rows = chart.row(plan.long_start, plan.long_end, plan.long_owner)
+        roots = plan.root_rows[plan.long_owner]
         marginals = span_marginal(chart, plan.long_start, plan.long_end, plan.long_owner)
         sims, span_best = _best_region(h_in.data[rows] + h_out.data[rows], ctx)
-        rel = sims * marginals.data.reshape(-1, 1)
+        rel = sims * marginals.reshape(-1, 1)
         pos_rows, neg_rows, neg_images, hinge_owner = sampled
         positives = rel[pos_rows, hinge_owner]
         neg_span = rel[neg_rows, hinge_owner] - positives + margin
@@ -199,14 +203,21 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
         np.add.at(g_rel, (pos_rows, neg_images), g_neg_img)
         np.add.at(g_rel, (pos_rows, hinge_owner), -(g_neg_span + g_neg_img))
         g_vecs, g_regions = _best_region_vjp(h_in.data[rows] + h_out.data[rows], span_best,
-                                             g_rel * marginals.data.reshape(-1, 1),
-                                             v_proj.data)
+                                             g_rel * marginals.reshape(-1, 1), v_proj.data)
         g_h_in[rows] += g_vecs
         g_h_out = np.zeros_like(h_out.data)
         g_h_out[rows] = g_vecs
-        return g_h_in, g_v + g_regions, g_h_out, (g_rel * sims).sum(axis=1)
+        # the marginals s_in[rows] * s_out[rows] / s_in[roots]
+        g_marginals = (g_rel * sims).sum(axis=1)
+        inside, outside, root = s_in.data[rows], s_out.data[rows], s_in.data[roots]
+        g_s_in = np.bincount(roots, -g_marginals * (inside * outside) / (root * root),
+                             minlength=s_in.data.size)
+        g_s_in[rows] += g_marginals / root * outside
+        g_s_out = np.zeros_like(s_out.data)
+        g_s_out[rows] = g_marginals / root * inside
+        return g_h_in, g_v + g_regions, g_h_out, g_s_in, g_s_out
 
-    parents = (h_in, v_proj) if sampled is None else (h_in, v_proj, h_out, marginals)
+    parents = (h_in, v_proj) if sampled is None else (h_in, v_proj, h_out, s_in, s_out)
     return ad._from_op(per_example.mean(), parents, vjp), per_example.tolist()
 
 
@@ -272,7 +283,9 @@ def batch_loss(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
         rec = reconstruction_loss(chart, ctx, params)
     contrastive, _ = contrastive_loss(chart, ctx, cfg.margin, rng)
     rep = representation_loss(ctx, params, cfg)
-    total = rec + cfg.alpha1 * contrastive + cfg.alpha2 * rep
+    total = ad._from_op((rec.data + cfg.alpha1 * contrastive.data) + cfg.alpha2 * rep.data,
+                        (rec, contrastive, rep),
+                        lambda g: (g, cfg.alpha1 * g, cfg.alpha2 * g))
     report = LossReport.build(float(rec.data), float(contrastive.data),
                               float(rep.data), cfg.alpha1, cfg.alpha2)
     return total, report

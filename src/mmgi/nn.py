@@ -1,16 +1,19 @@
-"""The chart's fused step op, LSTM recurrence, dropout, and parameter
+"""The fused ops of a training step, and dropout and parameter
 initialization.
 
 Each op is one autodiff node with a hand-written vector-Jacobian product.
+The context is a few of them: the region projection, the bounding-box
+embedding added to it (`project_regions`, `add_box_embedding`), the
+terminals (`attend_clips` in the full setting, `normalize_clips` in the
+textless one) and the pitch LSTM over a (B, T, d) batch (`lstm_forward`).
 One chart step serves each inside length (all spans of one length) and each
 outside distance (all spans at one distance to the root): it runs the
 compose MLP's hidden layer, the bilinear score and the split softmax pooling
 over (K, d) blocks of pairs, and the MLP's second layer once per pooled
-span. The region feature of a block of spans and the pitch LSTM over a (B,
-T, d) batch are one node each too, so a training step's graph has a few
-nodes per span length. Their forward expressions are those of elementary
-ops, in the same order, so the composite of those ops gives the same values
-bit for bit.
+span. The region feature of a block of spans is one node too, so a training
+step's graph has a few nodes per span length. Their forward expressions are
+those of elementary ops, in the same order, so the composite of those ops
+(see the test oracles) gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ from .errors import ShapeError
 
 __all__ = [
     "glorot_uniform",
+    "project_regions",
+    "add_box_embedding",
+    "attend_clips",
+    "normalize_clips",
     "chart_step",
     "span_features",
     "lstm_forward",
@@ -41,6 +48,108 @@ def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray,
                 need_x: bool, need_w: bool) -> tuple:
     """Gradients of ``x @ w`` for a (K, d) `x`: (dx, dw), None where not needed."""
     return (g @ w.T if need_x else None), (x.T @ g if need_w else None)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its max."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _pad(rows: np.ndarray, pad: np.ndarray | None, blocks: tuple[int, int]) -> np.ndarray:
+    """(cells, width) rows -> (B, C, width) per-sentence blocks, by the row
+    indices `pad` (None when every sentence has C rows)."""
+    rows = np.ascontiguousarray(rows) if pad is None else rows[pad]
+    return rows.reshape(blocks + (-1,))
+
+
+def _unpad(blocked: np.ndarray, unpad: np.ndarray | None) -> np.ndarray:
+    """Inverse of `_pad`: the rows of the real cells, in storage order."""
+    flat = blocked.reshape(-1, blocked.shape[-1])
+    return flat if unpad is None else flat[unpad]
+
+
+def _unpad_vjp(g: np.ndarray, unpad: np.ndarray | None,
+               blocks: tuple[int, int]) -> np.ndarray:
+    """The gradient of `_unpad`'s blocks: zero in the padding rows."""
+    if unpad is None:
+        return g.reshape(blocks + g.shape[1:])
+    full = np.zeros((blocks[0] * blocks[1],) + g.shape[1:])
+    full[unpad] = g
+    return full.reshape(blocks + g.shape[1:])
+
+
+def project_regions(features: np.ndarray, w: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The (B*M, d_v) constant region features times `w`, as (B, M, d)."""
+    return ad._from_op((features @ w.data).reshape(shape), (w,),
+                       lambda g: (features.T @ g.reshape(features.shape[0], -1),))
+
+
+def add_box_embedding(v_proj: Tensor, units: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """(B, M, d) `v_proj` plus the affine embedding `units @ w + b` of each
+    region's unit box, given as (B*M, 4) rows."""
+    boxes = units @ w.data + b.data
+
+    def vjp(g):
+        rows = g.reshape(boxes.shape)
+        return g, units.T @ rows, rows.sum(axis=0)
+
+    return ad._from_op(v_proj.data + boxes.reshape(v_proj.data.shape), (v_proj, w, b), vjp)
+
+
+def attend_clips(words: Tensor, clips: np.ndarray, weights: tuple[Tensor, ...], *,
+                 blocks: tuple[int, int], pad: np.ndarray | None = None,
+                 unpad: np.ndarray | None = None, mask: np.ndarray | None = None) -> Tensor:
+    """Full-setting terminals: each word attends over its own sentence's clips
+    (cross-attention without scaling) and takes the attention-weighted value
+    projection of the clips.
+
+    `words` (positions, d_w) and the constant `clips` (positions, d_s) hold
+    the sentences one after another; `weights` are the clip and word
+    projections and the query, key and value matrices. Each sentence's rows
+    are padded to `blocks` = (B, n_max) by the row indices `pad` and back by
+    `unpad` (both None when every sentence has n_max positions), with `mask`
+    (B, n_max) adding -inf to padding clips. Returns (positions, d) rows.
+    """
+    w_clip, w_word, w_q, w_k, w_v = weights
+    clip_proj = clips @ w_clip.data
+    word_proj = words.data @ w_word.data
+    queries = _pad(word_proj @ w_q.data, pad, blocks)
+    keys = _pad(clip_proj @ w_k.data, pad, blocks)
+    values = _pad(clip_proj @ w_v.data, pad, blocks)
+    logits = queries @ np.swapaxes(keys, -1, -2)
+    if mask is not None:
+        logits = logits + mask[:, None, :]
+    att = _softmax(logits)
+
+    def vjp(g):
+        # a padding row's gradient is zero: its output is dropped, and the mask
+        # gives its clip no attention
+        g_out = _unpad_vjp(g, unpad, blocks)
+        g_att = g_out @ np.swapaxes(values, -1, -2)
+        g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
+        g_q = _unpad(g_logits @ keys, unpad)
+        g_k = _unpad(np.swapaxes(g_logits, -1, -2) @ queries, unpad)
+        g_v = _unpad(np.swapaxes(att, -1, -2) @ g_out, unpad)
+        g_word = g_q @ w_q.data.T
+        g_clip = g_k @ w_k.data.T + g_v @ w_v.data.T
+        return (g_word @ w_word.data.T, clips.T @ g_clip, words.data.T @ g_word,
+                word_proj.T @ g_q, clip_proj.T @ g_k, clip_proj.T @ g_v)
+
+    return ad._from_op(_unpad(att @ values, unpad), (words,) + tuple(weights), vjp)
+
+
+def normalize_clips(clips: np.ndarray, w: Tensor) -> Tensor:
+    """Textless terminals: each constant clip row's projection `clips @ w`,
+    L2-normalized."""
+    proj = clips @ w.data
+    norms = np.sqrt((proj * proj).sum(axis=1) + 1e-16).reshape(-1, 1)
+    unit = proj / norms
+
+    def vjp(g):
+        return (clips.T @ ((g - unit * (g * unit).sum(axis=1, keepdims=True)) / norms),)
+
+    return ad._from_op(unit, (w,), vjp)
 
 
 def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cells: int,
@@ -91,9 +200,7 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
     if voice is not None:
         scores = scores + voice
     scores = ((scores + left_rows[:, regions + d]) + right_rows[:, d]).reshape(cells, -1)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    softmax = e / e.sum(axis=1, keepdims=True)
+    softmax = _softmax(scores)
 
     def hidden() -> np.ndarray:
         """The hidden layers with the dropout mask applied, (cells, pairs, hidden)."""
@@ -175,48 +282,33 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
     rows = spans.data
     d = rows.shape[1] - 1
     h = rows[:, :d]
-    hp = np.ascontiguousarray(h) if pad is None else h[pad]
-    hp = hp.reshape(blocks + (d,))
+    hp = _pad(h, pad, blocks)
     logits = hp @ np.swapaxes(v_proj.data, -1, -2)
     if mask is not None:
         logits = logits + mask[:, None, :]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    att = e / e.sum(axis=-1, keepdims=True)
+    att = _softmax(logits)
     regions = att.shape[-1]
-    cells = blocks[0] * blocks[1]
-
-    def real(padded: np.ndarray) -> np.ndarray:
-        flat = padded.reshape(cells, -1)
-        return flat if unpad is None else flat[unpad]
 
     lead = regions if pair is not None else 0
     out = np.empty((rows.shape[0], d + 1 + 2 * lead))
-    out[:, lead:lead + d] = h + gamma * real(att @ region_sum.data)
+    out[:, lead:lead + d] = h + gamma * _unpad(att @ region_sum.data, unpad)
     out[:, lead + d] = rows[:, d]
     if pair is not None:
-        out[:, :lead] = real(att @ pair)
-        out[:, lead + d + 1:] = real(att)
-
-    def padded(g: np.ndarray) -> np.ndarray:
-        if unpad is None:
-            return g.reshape(blocks + g.shape[1:])
-        full = np.zeros((cells,) + g.shape[1:])
-        full[unpad] = g
-        return full.reshape(blocks + g.shape[1:])
+        out[:, :lead] = _unpad(att @ pair, unpad)
+        out[:, lead + d + 1:] = _unpad(att, unpad)
 
     def vjp(g):
-        g_u = padded(gamma * g[:, lead:lead + d])
+        g_u = _unpad_vjp(gamma * g[:, lead:lead + d], unpad, blocks)
         g_att = g_u @ np.swapaxes(region_sum.data, -1, -2)
         if pair is not None:
-            g_att = g_att + padded(g[:, lead + d + 1:]) \
-                + padded(g[:, :lead]) @ np.swapaxes(pair, -1, -2)
+            g_att = g_att + _unpad_vjp(g[:, lead + d + 1:], unpad, blocks) \
+                + _unpad_vjp(g[:, :lead], unpad, blocks) @ np.swapaxes(pair, -1, -2)
         g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
         g_spans = None
         if spans.requires_grad:
             # padding rows are dropped, so they get no gradient: read the real ones
             g_spans = np.empty(rows.shape)
-            g_spans[:, :d] = real(g_logits @ v_proj.data) + g[:, lead:lead + d]
+            g_spans[:, :d] = _unpad(g_logits @ v_proj.data, unpad) + g[:, lead:lead + d]
             g_spans[:, d] = g[:, lead + d]
         g_v = np.swapaxes(g_logits, -1, -2) @ hp if v_proj.requires_grad else None
         g_region = np.swapaxes(att, -1, -2) @ g_u if region_sum.requires_grad else None

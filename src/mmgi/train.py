@@ -82,9 +82,9 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
             try:
                 chart, ctx = run_chart(chunk, params, cfg, vocab_index, pair_matrix,
                                        training=True, rng=dropout_rng)
+                total, report = batch_loss(chart, ctx, params, cfg, sample_rng)
             except ChartError as exc:
                 raise TrainingError(str(exc)) from exc
-            total, report = batch_loss(chart, ctx, params, cfg, sample_rng)
             if not np.isfinite(total.data):
                 raise TrainingError(
                     f"non-finite loss in batch of ids "

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .chart import run_chart
+from .chart import build_context, init_terminals, run_chart
 from .config import RunConfig
 from .gradcheck import grad_check
 from .inference import build_vocab, corpus_pair_matrix
@@ -54,25 +54,39 @@ def end_to_end_fixture(seed: int = 0, batch_size: int = 2):
     return loss_fn, params, examples, cfg
 
 
+def _probe_sum(outputs: tuple[Tensor, ...], probes: list[np.ndarray]) -> Tensor:
+    """The sum of each output's entries weighted by its fixed probe, as one
+    node: the scalar a check differentiates."""
+    data = sum((out.data * probe).sum() for out, probe in zip(outputs, probes))
+    return ad._from_op(np.asarray(data), tuple(outputs),
+                       lambda g: tuple(g * probe for probe in probes))
+
+
 def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, float]:
     """Max relative FD error per named check; all should fall below 1e-4."""
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
-    const = {"x": Tensor(rng.normal(size=(4,)), requires_grad=True)}
-    results["constant"] = grad_check(
-        lambda: ad.tensor_sum(const["x"] * 0.0) + 3.5, const, probes_per_tensor=4)
+    # the context of a full-mode batch as training builds it: 5, 5 and 6
+    # positions and 4, 5 and 4 regions, so the terminals' attention masks
+    # padding clips and the region features pad one image
+    examples = generate_synthetic(SynthConfig(sentence_count=3, seed=1, vocab_size=12, d_s=6,
+                                              d_v=10, max_length=6))
+    cfg = RunConfig(d=6, d_w=6, d_v=10, d_s=6, d_a=5, batch=3).resolved()
+    vocab_index = {t: i for i, t in enumerate(build_vocab(examples))}
+    params = build_params(cfg, len(vocab_index), rng)
+    pair = corpus_pair_matrix(examples)
 
-    slope = ad.constant(rng.normal(size=(4,)))
-    lin = {"x": Tensor(rng.normal(size=(4,)), requires_grad=True)}
-    results["linear"] = grad_check(
-        lambda: ad.tensor_sum(slope * lin["x"]), lin, probes_per_tensor=4)
+    def context() -> tuple[Tensor, ...]:
+        ctx = build_context(examples, params, cfg, vocab_index, pair)
+        return init_terminals(ctx, params, cfg), ctx.v_proj, ctx.region_sum
 
-    sm = {"v": Tensor(rng.normal(size=(6,)), requires_grad=True)}
-    direction = ad.constant(rng.normal(size=(6,)))
-    results["softmax"] = grad_check(
-        lambda: ad.tensor_sum(ad.softmax(sm["v"]) * direction), sm,
-        probes_per_tensor=6)
+    probes = [rng.normal(size=out.data.shape) for out in context()]
+    names = ("word_embeddings", "word_projection", "clip_projection", "attn_q", "attn_k",
+             "attn_v", "vision_projection", "bbox_embed_w", "bbox_embed_b")
+    results["context"] = grad_check(lambda: _probe_sum(context(), probes),
+                                    {name: params[name] for name in names},
+                                    probes_per_tensor=6)
 
     # an outside step as training runs it: 2 spans of 3 contexts, with dropout
     d, hidden, cells, pairs = 4, 5, 2, 6
@@ -86,11 +100,11 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
         "w_bil": Tensor(rng.normal(size=(d, d)) * 0.4, requires_grad=True),
     }
     keep = dropout_mask(rng, (pairs, hidden), 0.3)
-    probe = ad.constant(rng.normal(size=(cells, d + 1)))
+    probe = [rng.normal(size=(cells, d + 1))]
     weights = tuple(step[name] for name in ("w1", "b1", "w2", "b2", "w_bil"))
     results["outside_step"] = grad_check(
-        lambda: ad.tensor_sum(chart_step(step["parents"], step["siblings"], weights,
-                                         cells=cells, keep=keep)[0] * probe),
+        lambda: _probe_sum(chart_step(step["parents"], step["siblings"], weights,
+                                      cells=cells, keep=keep)[:1], probe),
         step, probes_per_tensor=6)
 
     # pitch sequences of 4 and 2 clips, padded: no state after an end is read
@@ -103,8 +117,8 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
     real = rng.normal(size=(2, 4, 3))
     real[1, 2:] = 0.0
     results["lstm"] = grad_check(
-        lambda: ad.tensor_sum(lstm_forward(lstm["x"], lstm["wx"], lstm["wh"],
-                                           lstm["b"]) * ad.constant(real)),
+        lambda: _probe_sum((lstm_forward(lstm["x"], lstm["wx"], lstm["wh"], lstm["b"]),),
+                           [real]),
         lstm, probes_per_tensor=8)
 
     loss_fn, params, _, _ = end_to_end_fixture(seed=seed)

@@ -3,12 +3,13 @@
 Everything here is plain numpy, written recursively, scalar-at-a-time or
 loop by loop on purpose: these are the oracles the vectorized library code is
 checked against, so they deliberately share no code with it. The exceptions
-are the composite references of the fused ops, the node-by-node chart
-passes and the composite training loss, which are built from elementary
-autodiff ops (and, for the passes and the loss, the library's terminals,
-padding, averaging matrices and negative sampling, which the fused code
-leaves unchanged) so that their gradients come from elementary
-vector-Jacobian products.
+are the elementary autodiff ops (add, matmul, softmax and the rest, which
+the library no longer builds: every op of a training step is a fused node)
+and the composites built from them: the composite references of the fused
+ops, the node-by-node context and chart passes and the composite training
+loss. Those use the library's constants, terminals, plan padding, averaging
+matrices and negative sampling, which the fused code leaves unchanged, so
+that their gradients come from elementary vector-Jacobian products.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import math
 import numpy as np
 
 from mmgi import autodiff as ad
-from mmgi.chart import Chart, _pad, _unpad, init_terminals, span_marginal
+from mmgi.autodiff import Tensor
+from mmgi.chart import Chart, init_terminals
+from mmgi.errors import ShapeError
 from mmgi.losses import NORM_EPS, LossReport, _sample_negatives, _segment_matrix
 from mmgi.nn import dropout_mask
 from mmgi.optim import BETA1, BETA2, EPS
@@ -78,29 +81,186 @@ def naive_lstm(inputs, wx, wh, b):
 # elementary ops that only the composite references build
 #
 # The library fuses every block that used them into a node with its own vjp,
-# so they live here, checked against finite differences like the engine's ops.
+# so they live here, checked against finite differences in test_autodiff.
+# They are called as functions: a Tensor has no arithmetic operators.
+
+
+def astensor(x) -> Tensor:
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(x)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def add(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    data = a.data + b.data
+
+    def vjp(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def sub(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    data = a.data - b.data
+
+    def vjp(g):
+        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def mul(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    data = a.data * b.data
+
+    def vjp(g):
+        return (
+            _unbroadcast(g * b.data, a.data.shape),
+            _unbroadcast(g * a.data, b.data.shape),
+        )
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def div(a, b) -> Tensor:
+    a, b = astensor(a), astensor(b)
+    data = a.data / b.data
+
+    def vjp(g):
+        return (
+            _unbroadcast(g / b.data, a.data.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+        )
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def neg(a) -> Tensor:
+    a = astensor(a)
+    return ad._from_op(-a.data, (a,), lambda g: (-g,))
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product for the 1-D/2-D shape combinations numpy supports."""
+    a, b = astensor(a), astensor(b)
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
+    try:
+        data = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
+    a_nd, b_nd = a.data.ndim, b.data.ndim
+
+    def vjp(g):
+        if a_nd == 2 and b_nd == 2:
+            return g @ b.data.T, a.data.T @ g
+        if a_nd == 1 and b_nd == 2:
+            return b.data @ g, np.outer(a.data, g)
+        if a_nd == 2 and b_nd == 1:
+            return np.outer(g, b.data), a.data.T @ g
+        return g * b.data, g * a.data  # 1-D dot
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def bmm(a, b) -> Tensor:
+    """Batched matrix product over a shared leading axis: (B, n, k) @ (B, k, m)."""
+    a, b = astensor(a), astensor(b)
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]:
+        raise ShapeError(f"bmm needs (B, n, k) @ (B, k, m), got {a.shape} @ {b.shape}")
+    try:
+        data = a.data @ b.data
+    except ValueError as exc:
+        raise ShapeError(f"bmm shape mismatch: {a.shape} @ {b.shape}") from exc
+
+    def vjp(g):
+        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def tensor_sum(a, axis: int | None = None) -> Tensor:
+    a = astensor(a)
+    data = a.data.sum(axis=axis)
+
+    def vjp(g):
+        if axis is None:
+            return (np.broadcast_to(g, a.data.shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def sqrt(a) -> Tensor:
+    a = astensor(a)
+    data = np.sqrt(a.data)
+    return ad._from_op(data, (a,), lambda g: (g * 0.5 / data,))
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along `axis` (max-subtraction)."""
+    a = astensor(a)
+    if a.data.size == 0:
+        raise ValueError("softmax of an empty vector is undefined")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        return ((g - inner) * data,)
+
+    return ad._from_op(data, (a,), vjp)
+
+
+def transpose(a) -> Tensor:
+    """Swap the last two axes (the matrix transpose of a 2-D or batched 3-D tensor)."""
+    a = astensor(a)
+    return ad._from_op(np.swapaxes(a.data, -1, -2), (a,),
+                       lambda g: (np.swapaxes(g, -1, -2),))
+
+
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    a = astensor(a)
+    data = a.data.reshape(shape)
+    return ad._from_op(data, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
 def tanh(a):
-    a = ad.astensor(a)
+    a = astensor(a)
     data = np.tanh(a.data)
     return ad._from_op(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(a):
-    a = ad.astensor(a)
+    a = astensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
     return ad._from_op(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def relu(a):
-    a = ad.astensor(a)
+    a = astensor(a)
     data = np.maximum(a.data, 0.0)
     return ad._from_op(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def log_softmax(a, axis: int = -1):
-    a = ad.astensor(a)
+    a = astensor(a)
     if a.data.size == 0:
         raise ValueError("log_softmax of an empty vector is undefined")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -114,7 +274,7 @@ def log_softmax(a, axis: int = -1):
 
 
 def tensor_mean(a, axis: int | None = None):
-    a = ad.astensor(a)
+    a = astensor(a)
     count = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.mean(axis=axis)
 
@@ -128,7 +288,7 @@ def tensor_mean(a, axis: int | None = None):
 
 def tensor_max(a, axis: int):
     """Max along `axis`; ties route the gradient to the smallest index."""
-    a = ad.astensor(a)
+    a = astensor(a)
     idx = np.expand_dims(a.data.argmax(axis=axis), axis)
     data = np.take_along_axis(a.data, idx, axis=axis).squeeze(axis)
 
@@ -142,7 +302,7 @@ def tensor_max(a, axis: int):
 
 def take_pairs(a, rows, cols):
     """Select `a[rows[i], cols[i]]` for each i, returning a 1-D tensor."""
-    a = ad.astensor(a)
+    a = astensor(a)
     r = np.asarray(rows, dtype=np.intp)
     c = np.asarray(cols, dtype=np.intp)
     data = a.data[r, c]
@@ -157,7 +317,7 @@ def take_pairs(a, rows, cols):
 
 def select(a, key):
     """Basic (slice/integer) indexing `a[key]`; zero-filled scatter on backward."""
-    a = ad.astensor(a)
+    a = astensor(a)
     data = a.data[key]
 
     def vjp(g):
@@ -169,7 +329,7 @@ def select(a, key):
 
 
 def stack(tensors, axis: int = 0):
-    tensors = [ad.astensor(t) for t in tensors]
+    tensors = [astensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 
     def vjp(g):
@@ -179,7 +339,7 @@ def stack(tensors, axis: int = 0):
 
 
 def concat(tensors, axis: int = 0):
-    tensors = [ad.astensor(t) for t in tensors]
+    tensors = [astensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def vjp(g):
@@ -209,43 +369,43 @@ def concat(tensors, axis: int = 0):
 def composite_mlp_hidden(left, right, w1, b1, keep=None):
     """The compose MLP's hidden layer of (K, d) row pairs, `keep` applied."""
     d = left.data.shape[1]
-    h = tanh(ad.matmul(left, select(w1, slice(0, d)))
-             + ad.matmul(right, select(w1, slice(d, None))) + b1)
-    return h if keep is None else h * keep
+    h = tanh(add(add(matmul(left, select(w1, slice(0, d))),
+                     matmul(right, select(w1, slice(d, None)))), b1))
+    return h if keep is None else mul(h, keep)
 
 
 def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
-    return ad.matmul(composite_mlp_hidden(left, right, w1, b1, keep), w2) + b2
+    return add(matmul(composite_mlp_hidden(left, right, w1, b1, keep), w2), b2)
 
 
 def composite_bilinear_score(left, w, right):
-    return ad.tensor_sum(ad.matmul(left, w) * right, axis=1)
+    return tensor_sum(mul(matmul(left, w), right), axis=1)
 
 
 def composite_softmax_pool(scores, vectors):
     cells, count = scores.data.shape
-    weights = ad.softmax(scores, axis=1)
-    stacked = ad.reshape(vectors, (cells, count, vectors.data.shape[1]))
-    pooled = ad.tensor_sum(ad.reshape(weights, (cells, count, 1)) * stacked, axis=1)
-    return pooled, ad.tensor_sum(scores * weights, axis=1)
+    weights = softmax(scores, axis=1)
+    stacked = reshape(vectors, (cells, count, vectors.data.shape[1]))
+    pooled = tensor_sum(mul(reshape(weights, (cells, count, 1)), stacked), axis=1)
+    return pooled, tensor_sum(mul(scores, weights), axis=1)
 
 
 def composite_lstm(inputs, w_x, w_h, b):
     batch, steps, d = inputs.data.shape
-    projected = ad.matmul(ad.reshape(inputs, (batch * steps, d)), w_x) + b
-    projected = ad.reshape(projected, (batch, steps, 4 * d))
+    projected = add(matmul(reshape(inputs, (batch * steps, d)), w_x), b)
+    projected = reshape(projected, (batch, steps, 4 * d))
     h = ad.constant(np.zeros((batch, d)))
     c = ad.constant(np.zeros((batch, d)))
     outs = []
     for t in range(steps):
-        z = select(projected, (slice(None), t)) + ad.matmul(h, w_h)
+        z = add(select(projected, (slice(None), t)), matmul(h, w_h))
         gates = sigmoid(z)
         gi = select(gates, (slice(None), slice(0, d)))
         gf = select(gates, (slice(None), slice(d, 2 * d)))
         gc = tanh(select(z, (slice(None), slice(2 * d, 3 * d))))
         go = select(gates, (slice(None), slice(3 * d, 4 * d)))
-        c = gf * c + gi * gc
-        h = go * tanh(c)
+        c = add(mul(gf, c), mul(gi, gc))
+        h = mul(go, tanh(c))
         outs.append(h)
     return stack(outs, axis=1)
 
@@ -297,6 +457,64 @@ def softmax_pool(scores, vectors):
 
 
 # ---------------------------------------------------------------------------
+# the context node by node
+#
+# `mmgi.chart.build_context`'s region tensors and `init_terminals` as they
+# were before each became one node (`mmgi.nn.project_regions`,
+# `add_box_embedding`, `attend_clips` and `normalize_clips`). The fused
+# nodes must give the same values bit for bit and the same gradients up to
+# the order of their sums.
+
+
+def pad_blocks(block, plan, length: int):
+    """(cells, ...) rows of one length -> (B, n_max - length + 1, ...) blocks."""
+    if plan.uniform:
+        shape = (len(plan.lengths), plan.n_max - length + 1) + block.data.shape[1:]
+        return reshape(block, shape)
+    return ad.gather_rows(block, plan.pad[length])
+
+
+def unpad_blocks(blocks, plan, length: int):
+    """Inverse of `pad_blocks`: the rows of the real spans, in storage order."""
+    count, width = blocks.data.shape[:2]
+    flat = reshape(blocks, (count * width,) + blocks.data.shape[2:])
+    return flat if plan.uniform else ad.gather_rows(flat, plan.unpad[length])
+
+
+def composite_context(examples, ctx, params, cfg) -> dict:
+    """The projected regions, their sum with the box embeddings (None with
+    region features off) and the terminals of `ctx`'s batch, which supplies
+    the constant features and the word embedding rows."""
+    count = len(examples)
+    most = ctx.region_rows.data.shape[0] // count
+    v_proj = reshape(matmul(ctx.region_rows, params["vision_projection"]), (count, most, cfg.d))
+    region_sum = None
+    if cfg.use_visual:
+        units = np.zeros((count, most, 4))
+        for b, ex in enumerate(examples):
+            units[b, :ctx.region_counts[b]] = ex.regions.unit_boxes(ex.id, ctx.region_counts[b])
+        boxes = add(matmul(ad.constant(units.reshape(count * most, 4)), params["bbox_embed_w"]),
+                    params["bbox_embed_b"])
+        region_sum = add(v_proj, reshape(boxes, (count, most, cfg.d)))
+    clip_proj = matmul(ctx.clip_rows, params["clip_projection"])
+    if cfg.mode == "textless":
+        sq = tensor_sum(mul(clip_proj, clip_proj), axis=1)
+        norms = reshape(sqrt(add(sq, 1e-16)), (ctx.clip_rows.data.shape[0], 1))
+        terminals = div(clip_proj, norms)
+    else:
+        plan = ctx.plan
+        word_proj = matmul(ctx.word_rows, params["word_projection"])
+        queries = pad_blocks(matmul(word_proj, params["attn_q"]), plan, 1)
+        keys = pad_blocks(matmul(clip_proj, params["attn_k"]), plan, 1)
+        values = pad_blocks(matmul(clip_proj, params["attn_v"]), plan, 1)
+        logits = bmm(queries, transpose(keys))
+        if plan.position_mask is not None:
+            logits = add(logits, plan.position_mask[:, None, :])
+        terminals = unpad_blocks(bmm(softmax(logits, axis=-1), values), plan, 1)
+    return {"v_proj": v_proj, "region_sum": region_sum, "terminals": terminals}
+
+
+# ---------------------------------------------------------------------------
 # the chart passes node by node
 #
 # `mmgi.chart.inside_pass` and `outside_pass` as they were before each step
@@ -313,11 +531,11 @@ def visual_span_feature(h_in, v_proj, region_sum, mask=None):
     sentence's own (B, M, d) regions, with `mask` (B, M) adding -inf to
     padding regions.
     """
-    product = ad.bmm if h_in.data.ndim == 3 else ad.matmul
-    logits = product(h_in, ad.transpose(v_proj))
+    product = bmm if h_in.data.ndim == 3 else matmul
+    logits = product(h_in, transpose(v_proj))
     if mask is not None:
-        logits = logits + mask[:, None, :]
-    att = ad.softmax(logits, axis=-1)
+        logits = add(logits, mask[:, None, :])
+    att = softmax(logits, axis=-1)
     return product(att, region_sum), att
 
 
@@ -363,12 +581,12 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         if ctx.region_sum is None:
             child_blocks.append(h)
             return
-        u, att = visual_span_feature(_pad(h, plan, length), ctx.v_proj,
+        u, att = visual_span_feature(pad_blocks(h, plan, length), ctx.v_proj,
                                      ctx.region_sum, ctx.region_mask)
-        child_blocks.append(h + gamma * _unpad(u, plan, length))
-        att_blocks.append(_unpad(att, plan, length))
+        child_blocks.append(add(h, mul(gamma, unpad_blocks(u, plan, length))))
+        att_blocks.append(unpad_blocks(att, plan, length))
         if ctx.pair_sub is not None:
-            pair_blocks.append(_unpad(ad.bmm(att, ctx.pair_sub), plan, length))
+            pair_blocks.append(unpad_blocks(bmm(att, ctx.pair_sub), plan, length))
 
     add_child_block(terminals, 1)
     split_in = {}
@@ -381,11 +599,11 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         right = ad.gather_rows(children, right_rows)
         if ctx.pitch_seq is not None:
             pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
-            pooled = lam * ad.bmm(pool, ctx.pitch_seq)
-            pooled = ad.gather_rows(ad.reshape(pooled, (-1, pooled.data.shape[2])),
+            pooled = mul(lam, bmm(pool, ctx.pitch_seq))
+            pooled = ad.gather_rows(reshape(pooled, (-1, pooled.data.shape[2])),
                                     np.repeat(block_rows, length - 1))
-            left = left + pooled
-            right = right + pooled
+            left = add(left, pooled)
+            right = add(right, pooled)
 
         hidden = composite_mlp_hidden(
             left, right, params["compose_in_w1"], params["compose_in_b1"],
@@ -393,23 +611,23 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         )
         scores = bilinear_score(left, params["bilinear_inside"], right)
         if pair_blocks:
-            scores = scores + ad.tensor_sum(
-                ad.gather_rows(concat(pair_blocks), left_rows)
-                * ad.gather_rows(concat(att_blocks), right_rows), axis=1)
+            scores = add(scores, tensor_sum(
+                mul(ad.gather_rows(concat(pair_blocks), left_rows),
+                    ad.gather_rows(concat(att_blocks), right_rows)), axis=1))
         if voice is not None:
-            scores = scores + np.repeat(voice[block], splits)
+            scores = add(scores, np.repeat(voice[block], splits))
         span_scores = concat(s_blocks)
-        scores = scores + ad.gather_rows(span_scores, left_rows) \
-            + ad.gather_rows(span_scores, right_rows)
-        scores = ad.reshape(scores, (cells, splits))
+        scores = add(add(scores, ad.gather_rows(span_scores, left_rows)),
+                     ad.gather_rows(span_scores, right_rows))
+        scores = reshape(scores, (cells, splits))
         h, s = softmax_pool(scores, hidden)
-        h = ad.matmul(h, params["compose_in_w2"]) + params["compose_in_b2"]
+        h = add(matmul(h, params["compose_in_w2"]), params["compose_in_b2"])
         split_in[length] = scores
         h_blocks.append(h)
         s_blocks.append(s)
         if length < plan.n_max:
             add_child_block(h, length)
-    return Chart(lengths=ctx.lengths, h_in=concat(h_blocks), s_in=concat(s_blocks),
+    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=concat(h_blocks), s_in=concat(s_blocks),
                  split_in=split_in, outside_masks=outside_masks, plan=plan)
 
 
@@ -425,7 +643,7 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     plan = chart.plan
     masks = chart.outside_masks if training else None
     count = len(chart)
-    h_blocks = [params["root_outside_bias"] * np.ones((count, 1))]   # distance 0 first
+    h_blocks = [mul(params["root_outside_bias"], np.ones((count, 1)))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
     for r in range(1, plan.n_max):
         parents, siblings, cells = plan.outside[r]
@@ -436,12 +654,12 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
             parent, sibling, params["compose_out_w1"], params["compose_out_b1"],
             keep=None if masks is None else masks[r],
         )
-        scores = bilinear_score(parent, params["bilinear_outside"], sibling) \
-            + ad.gather_rows(concat(s_blocks), parent_rows) \
-            + ad.gather_rows(chart.s_in, sibling_rows)
-        scores = ad.reshape(scores, (cells, r))
+        scores = add(add(bilinear_score(parent, params["bilinear_outside"], sibling),
+                         ad.gather_rows(concat(s_blocks), parent_rows)),
+                     ad.gather_rows(chart.s_in, sibling_rows))
+        scores = reshape(scores, (cells, r))
         h, s = softmax_pool(scores, hidden)
-        h = ad.matmul(h, params["compose_out_w2"]) + params["compose_out_b2"]
+        h = add(matmul(h, params["compose_out_w2"]), params["compose_out_b2"])
         h_blocks.append(h)
         s_blocks.append(s)
     chart.h_out = ad.gather_rows(concat(h_blocks), plan.out_perm)
@@ -788,71 +1006,79 @@ def naive_sample_negatives(sizes, rng):
 # order of their sums.
 
 
+def composite_span_marginal(chart, i, j, sentence):
+    """`mmgi.chart.span_marginal` as three gathers, a product and a quotient."""
+    root = ad.gather_rows(chart.s_in, chart.plan.root_rows[sentence])
+    rows = chart.row(i, j, sentence)
+    return div(mul(ad.gather_rows(chart.s_in, rows), ad.gather_rows(chart.s_out, rows)), root)
+
+
 def reconstruction_loss(chart, ctx, params):
     positions = ctx.token_ids.size
     h_out = select(chart.h_out, slice(0, positions))
-    logits = ad.matmul(
-        ad.matmul(h_out, ad.transpose(params["word_projection"])),
-        ad.transpose(params["word_embeddings"]),
+    logits = matmul(
+        matmul(h_out, transpose(params["word_projection"])),
+        transpose(params["word_embeddings"]),
     )
     log_probs = log_softmax(logits, axis=1)
     picked = take_pairs(log_probs, np.arange(positions), ctx.token_ids)
-    return -tensor_mean(ad.matmul(_segment_matrix(ctx.lengths), picked))
+    return neg(tensor_mean(matmul(_segment_matrix(ctx.lengths), picked)))
 
 
 def contrastive_loss(chart, ctx, margin, rng):
     plan = chart.plan
     count, regions, d = ctx.v_proj.data.shape
-    regions_t = ad.transpose(ad.reshape(ctx.v_proj, (count * regions, d)))
+    regions_t = transpose(reshape(ctx.v_proj, (count * regions, d)))
 
     def best_region(rows):
-        sims = ad.reshape(ad.matmul(rows, regions_t), (-1, count, regions))
+        sims = reshape(matmul(rows, regions_t), (-1, count, regions))
         if ctx.region_mask is not None:
-            sims = sims + ctx.region_mask
+            sims = add(sims, ctx.region_mask)
         return tensor_max(sims, axis=2)
 
     per_example = None
     sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
     if sampled is not None:
         starts, ends, owner = plan.long_start, plan.long_end, plan.long_owner
-        vecs = ad.gather_rows(chart.h_in + chart.h_out, chart.row(starts, ends, owner))
-        marginals = span_marginal(chart, starts, ends, owner)
-        rel = best_region(vecs) * ad.reshape(marginals, (-1, 1))
+        vecs = ad.gather_rows(add(chart.h_in, chart.h_out), chart.row(starts, ends, owner))
+        marginals = composite_span_marginal(chart, starts, ends, owner)
+        rel = mul(best_region(vecs), reshape(marginals, (-1, 1)))
         pos_rows, neg_rows, neg_images, hinge_owner = sampled
         positives = take_pairs(rel, pos_rows, hinge_owner)
         neg_span = take_pairs(rel, neg_rows, hinge_owner)
         neg_img = take_pairs(rel, pos_rows, neg_images)
-        hinges = relu(neg_span - positives + margin) + relu(neg_img - positives + margin)
-        per_example = ad.matmul(np.eye(count)[:, hinge_owner], hinges)
+        hinges = add(relu(add(sub(neg_span, positives), margin)),
+                     relu(add(sub(neg_img, positives), margin)))
+        per_example = matmul(np.eye(count)[:, hinge_owner], hinges)
 
     positions = plan.position_owner.size
     terminals = select(chart.h_in, slice(0, positions))
     log_probs = log_softmax(best_region(terminals), axis=1)
     own = take_pairs(log_probs, np.arange(positions), plan.position_owner)
-    word = ad.matmul(_segment_matrix(ctx.lengths, mean=False), own)
-    per_example = -word if per_example is None else per_example - word
+    word = matmul(_segment_matrix(ctx.lengths, mean=False), own)
+    per_example = neg(word) if per_example is None else sub(per_example, word)
     return tensor_mean(per_example), per_example.data.tolist()
 
 
 def _cosine_rows(a, b):
-    num = ad.tensor_sum(a * b, axis=1)
-    na = ad.sqrt(ad.tensor_sum(a * a, axis=1) + NORM_EPS ** 2)
-    nb = ad.sqrt(ad.tensor_sum(b * b, axis=1) + NORM_EPS ** 2)
-    return ad.div(num, na * nb)
+    num = tensor_sum(mul(a, b), axis=1)
+    na = sqrt(add(tensor_sum(mul(a, a), axis=1), NORM_EPS ** 2))
+    nb = sqrt(add(tensor_sum(mul(b, b), axis=1), NORM_EPS ** 2))
+    return div(num, mul(na, nb))
 
 
 def representation_loss(ctx, params, cfg):
-    speech = ad.matmul(ctx.clip_rows, params["align_proj_speech"])
-    vision = ad.matmul(ctx.region_rows, params["align_proj_vision"])
+    speech = matmul(ctx.clip_rows, params["align_proj_speech"])
+    vision = matmul(ctx.region_rows, params["align_proj_vision"])
     stride = ctx.region_rows.data.shape[0] // len(ctx.region_counts)
-    global_term = 1.0 - _cosine_rows(
-        ad.matmul(_segment_matrix(ctx.clip_counts), speech),
-        ad.matmul(_segment_matrix(ctx.region_counts, stride), vision))
+    global_term = sub(1.0, _cosine_rows(
+        matmul(_segment_matrix(ctx.clip_counts), speech),
+        matmul(_segment_matrix(ctx.region_counts, stride), vision)))
     if cfg.mode == "textless" or ctx.word_rows is None:
         return tensor_mean(global_term)
-    text = ad.matmul(ctx.word_rows, params["align_proj_text"])
-    word_term = ad.matmul(_segment_matrix(ctx.lengths), 1.0 - _cosine_rows(speech, text))
-    return tensor_mean(word_term + global_term)
+    text = matmul(ctx.word_rows, params["align_proj_text"])
+    word_term = matmul(_segment_matrix(ctx.lengths), sub(1.0, _cosine_rows(speech, text)))
+    return tensor_mean(add(word_term, global_term))
 
 
 def composite_batch_loss(chart, ctx, params, cfg, rng):
@@ -862,7 +1088,7 @@ def composite_batch_loss(chart, ctx, params, cfg, rng):
         rec = reconstruction_loss(chart, ctx, params)
     contrastive, _ = contrastive_loss(chart, ctx, cfg.margin, rng)
     rep = representation_loss(ctx, params, cfg)
-    total = rec + cfg.alpha1 * contrastive + cfg.alpha2 * rep
+    total = add(add(rec, mul(cfg.alpha1, contrastive)), mul(cfg.alpha2, rep))
     report = LossReport.build(float(rec.data), float(contrastive.data),
                               float(rep.data), cfg.alpha1, cfg.alpha2)
     return total, report

@@ -1,6 +1,6 @@
-"""Gradients of every exported op, and of the elementary ops the composite
-references build, against the finite-difference oracle, plus the softmax
-contract."""
+"""Gradients of the engine's gather and store reads, and of the elementary
+ops the composite references build, against the finite-difference oracle,
+plus the softmax contract and the engine's gradient accumulation."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,9 @@ from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
 from mmgi.errors import ShapeError
 
-from .oracles import (concat, fd_gradient, log_softmax, relu, select, sigmoid, stack,
-                      take_pairs, tanh, tensor_max, tensor_mean)
+from .oracles import (add, bmm, concat, div, fd_gradient, log_softmax, matmul, mul, neg,
+                      relu, reshape, select, sigmoid, softmax, sqrt, stack, sub, take_pairs,
+                      tanh, tensor_max, tensor_mean, tensor_sum, transpose)
 
 RTOL = 1e-4
 
@@ -25,7 +26,7 @@ def check_op(build, arrays, probe_seed=0):
     weights = probe_rng.normal(size=out_shape)
 
     def scalar_from(ts):
-        return ad.tensor_sum(build(ts) * ad.constant(weights))
+        return tensor_sum(mul(build(ts), weights))
 
     loss = scalar_from(tensors)
     backward(loss)
@@ -43,25 +44,25 @@ def check_op(build, arrays, probe_seed=0):
 
 
 OPS = {
-    "add_broadcast": (lambda t: t["a"] + t["b"], {"a": (3, 4), "b": (4,)}),
-    "sub": (lambda t: t["a"] - t["b"], {"a": (3, 4), "b": (3, 4)}),
-    "mul_broadcast": (lambda t: t["a"] * t["b"], {"a": (3, 4), "b": (3, 1)}),
-    "div": (lambda t: ad.div(t["a"], t["b"] * t["b"] + 1.0), {"a": (4,), "b": (4,)}),
-    "neg": (lambda t: -t["a"], {"a": (5,)}),
-    "matmul_22": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4, 2)}),
-    "matmul_12": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (4,), "b": (4, 2)}),
-    "matmul_21": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
-    "matmul_11": (lambda t: ad.matmul(t["a"], t["b"]), {"a": (4,), "b": (4,)}),
-    "sum_all": (lambda t: ad.tensor_sum(t["a"]), {"a": (3, 4)}),
-    "sum_axis": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (3, 4)}),
+    "add_broadcast": (lambda t: add(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+    "sub": (lambda t: sub(t["a"], t["b"]), {"a": (3, 4), "b": (3, 4)}),
+    "mul_broadcast": (lambda t: mul(t["a"], t["b"]), {"a": (3, 4), "b": (3, 1)}),
+    "div": (lambda t: div(t["a"], add(mul(t["b"], t["b"]), 1.0)), {"a": (4,), "b": (4,)}),
+    "neg": (lambda t: neg(t["a"]), {"a": (5,)}),
+    "matmul_22": (lambda t: matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4, 2)}),
+    "matmul_12": (lambda t: matmul(t["a"], t["b"]), {"a": (4,), "b": (4, 2)}),
+    "matmul_21": (lambda t: matmul(t["a"], t["b"]), {"a": (3, 4), "b": (4,)}),
+    "matmul_11": (lambda t: matmul(t["a"], t["b"]), {"a": (4,), "b": (4,)}),
+    "sum_all": (lambda t: tensor_sum(t["a"]), {"a": (3, 4)}),
+    "sum_axis": (lambda t: tensor_sum(t["a"], axis=1), {"a": (3, 4)}),
     "mean_axis": (lambda t: tensor_mean(t["a"], axis=0), {"a": (3, 4)}),
     "max_axis": (lambda t: tensor_max(t["a"], axis=1), {"a": (3, 4)}),
     "tanh": (lambda t: tanh(t["a"]), {"a": (3, 3)}),
     "sigmoid": (lambda t: sigmoid(t["a"]), {"a": (6,)}),
-    "sqrt": (lambda t: ad.sqrt(t["a"] * t["a"] + 0.1), {"a": (5,)}),
+    "sqrt": (lambda t: sqrt(add(mul(t["a"], t["a"]), 0.1)), {"a": (5,)}),
     "relu": (lambda t: relu(t["a"]), {"a": (7,)}),
-    "softmax_vec": (lambda t: ad.softmax(t["a"]), {"a": (6,)}),
-    "softmax_rows": (lambda t: ad.softmax(t["a"], axis=1), {"a": (3, 5)}),
+    "softmax_vec": (lambda t: softmax(t["a"]), {"a": (6,)}),
+    "softmax_rows": (lambda t: softmax(t["a"], axis=1), {"a": (3, 5)}),
     "log_softmax": (lambda t: log_softmax(t["a"], axis=1), {"a": (3, 5)}),
     "concat": (lambda t: concat([t["a"], t["b"]], axis=0), {"a": (2, 3), "b": (4, 3)}),
     "stack": (lambda t: stack([t["a"], t["b"], t["a"]]), {"a": (4,), "b": (4,)}),
@@ -70,22 +71,22 @@ OPS = {
                              {"a": (4, 3)}),
     "gather_rows_vector": (lambda t: ad.gather_rows(t["a"], np.array([[4, 1, 1], [0, 4, 1]])),
                            {"a": (5,)}),
-    "gather_rows_scalar": (lambda t: ad.gather_rows(t["a"], 3) * t["a"], {"a": (5,)}),
+    "gather_rows_scalar": (lambda t: mul(ad.gather_rows(t["a"], 3), t["a"]), {"a": (5,)}),
     "concat_many": (lambda t: concat([t["a"], t["b"], t["a"]]), {"a": (2, 3), "b": (1, 3)}),
-    "mul_broadcast_3d": (lambda t: t["a"] * t["b"], {"a": (2, 3, 1), "b": (2, 3, 4)}),
-    "sum_axis1_3d": (lambda t: ad.tensor_sum(t["a"], axis=1), {"a": (2, 3, 4)}),
-    "sum_last_axis": (lambda t: ad.tensor_sum(t["a"], axis=-1), {"a": (3, 4)}),
-    "reshape_3d": (lambda t: ad.reshape(t["a"], (2, 3, 4)), {"a": (6, 4)}),
+    "mul_broadcast_3d": (lambda t: mul(t["a"], t["b"]), {"a": (2, 3, 1), "b": (2, 3, 4)}),
+    "sum_axis1_3d": (lambda t: tensor_sum(t["a"], axis=1), {"a": (2, 3, 4)}),
+    "sum_last_axis": (lambda t: tensor_sum(t["a"], axis=-1), {"a": (3, 4)}),
+    "reshape_3d": (lambda t: reshape(t["a"], (2, 3, 4)), {"a": (6, 4)}),
     "take_pairs": (lambda t: take_pairs(t["a"], np.array([0, 1, 1]),
                                         np.array([2, 0, 0])), {"a": (3, 4)}),
     "select_rows": (lambda t: select(t["a"], slice(1, 3)), {"a": (5, 3)}),
-    "transpose": (lambda t: ad.transpose(t["a"]), {"a": (3, 4)}),
-    "transpose_3d": (lambda t: ad.transpose(t["a"]), {"a": (2, 3, 4)}),
-    "bmm": (lambda t: ad.bmm(t["a"], t["b"]), {"a": (2, 3, 4), "b": (2, 4, 5)}),
+    "transpose": (lambda t: transpose(t["a"]), {"a": (3, 4)}),
+    "transpose_3d": (lambda t: transpose(t["a"]), {"a": (2, 3, 4)}),
+    "bmm": (lambda t: bmm(t["a"], t["b"]), {"a": (2, 3, 4), "b": (2, 4, 5)}),
     "select_time_step": (lambda t: select(t["a"], (slice(None), 1)), {"a": (2, 3, 4)}),
     "select_last_axis": (lambda t: select(t["a"], (slice(None), slice(2, 5))),
                          {"a": (3, 6)}),
-    "reshape": (lambda t: ad.reshape(t["a"], (6,)), {"a": (2, 3)}),
+    "reshape": (lambda t: reshape(t["a"], (6,)), {"a": (2, 3)}),
     "store_reads": (lambda t: _store_reads(t["a"], t["c"]), {"a": (2, 3), "c": (1, 2)}),
 }
 
@@ -96,14 +97,14 @@ def _store_reads(a, c):
     that repeat each other's rows and interleave, of an index array, of one
     column and of a slice."""
     store = ad.Store(6, 3)
-    store.write(a * 1.0)                                      # rows 0-1
+    store.write(mul(a, 1.0))                                  # rows 0-1
     early = store.gather(((slice(0, 2), np.array([1, 0])), (slice(2, 3), np.array([1]))))
     store.write(tanh(early))                               # rows 2-4
-    store.write(-c, cols=slice(1, 3))                         # row 5, column 0 stays zero
+    store.write(neg(c), cols=slice(1, 3))                     # row 5, column 0 stays zero
     late = store.gather(((np.array([0, 3, 4]), np.array([5, 2, 3])),
                          (np.array([1, 2]), np.array([2, 5]))), slice(1, 3))
     direct = store.gather(np.array([4, 0, 5, 2]), slice(0, 2))
-    return concat([ad.reshape(late, (10,)), ad.reshape(direct, (8,)),
+    return concat([reshape(late, (10,)), reshape(direct, (8,)),
                    store.gather(slice(None), 2), store.gather(slice(1, 3), 0)])
 
 
@@ -116,14 +117,14 @@ def test_op_gradient_matches_finite_differences(name):
 
 
 def test_softmax_basics():
-    assert np.allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
-    two_thirds = ad.softmax(Tensor([np.log(2.0), 0.0])).data
+    assert np.allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
+    two_thirds = softmax(Tensor([np.log(2.0), 0.0])).data
     assert np.allclose(two_thirds, [2 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_empty_rejected():
     with pytest.raises(ValueError):
-        ad.softmax(Tensor(np.zeros(0)))
+        softmax(Tensor(np.zeros(0)))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12),
@@ -131,35 +132,35 @@ def test_softmax_empty_rejected():
 @settings(max_examples=100, deadline=None)
 def test_softmax_sums_to_one_and_shift_invariant(values, shift):
     v = np.array(values)
-    s = ad.softmax(Tensor(v)).data
+    s = softmax(Tensor(v)).data
     assert np.all(s >= 0)
     assert abs(s.sum() - 1.0) <= 1e-12
-    shifted = ad.softmax(Tensor(v + shift)).data
+    shifted = softmax(Tensor(v + shift)).data
     assert np.allclose(s, shifted, atol=1e-12)
 
 
 def test_backward_requires_scalar_root():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(t + 1.0)
+        backward(add(t, 1.0))
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+        matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
 def test_bmm_shape_mismatch():
     with pytest.raises(ShapeError):
-        ad.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+        bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
     with pytest.raises(ShapeError):
-        ad.bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 2))))
+        bmm(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 2))))
 
 
 def test_backward_frees_interior_gradients():
     leaf = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    interior = tanh(leaf * 2.0)
-    root = ad.tensor_sum(interior * interior)
+    interior = tanh(mul(leaf, 2.0))
+    root = tensor_sum(mul(interior, interior))
     backward(root)
     assert leaf.grad is not None
     assert np.allclose(leaf.grad, 2 * interior.data * (1 - interior.data ** 2) * 2.0)
@@ -169,14 +170,14 @@ def test_backward_frees_interior_gradients():
 def test_forward_is_deterministic():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 4))
-    first = ad.softmax(ad.matmul(Tensor(a), Tensor(a)), axis=1).data
-    second = ad.softmax(ad.matmul(Tensor(a), Tensor(a)), axis=1).data
+    first = softmax(matmul(Tensor(a), Tensor(a)), axis=1).data
+    second = softmax(matmul(Tensor(a), Tensor(a)), axis=1).data
     assert np.array_equal(first, second)
 
 
 def test_max_gradient_ties_go_to_first():
     t = Tensor(np.array([[1.0, 1.0, 0.5]]), requires_grad=True)
-    out = ad.tensor_sum(tensor_max(t, axis=1))
+    out = tensor_sum(tensor_max(t, axis=1))
     backward(out)
     assert np.array_equal(t.grad, [[1.0, 0.0, 0.0]])
 
@@ -190,10 +191,10 @@ def _grads(build, **arrays):
 
 def test_gradient_of_a_tensor_used_twice():
     x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(_grads(lambda x: ad.tensor_sum(x + x), x=x)["x"], [2.0, 2.0, 2.0])
-    assert np.array_equal(_grads(lambda x: ad.tensor_sum(x * x), x=x)["x"], 2 * x)
+    assert np.array_equal(_grads(lambda x: tensor_sum(add(x, x)), x=x)["x"], [2.0, 2.0, 2.0])
+    assert np.array_equal(_grads(lambda x: tensor_sum(mul(x, x)), x=x)["x"], 2 * x)
     # three uses: the third contribution is added in place into the second's sum
-    got = _grads(lambda x: ad.tensor_sum(x + x + x * 2.0), x=x)["x"]
+    got = _grads(lambda x: tensor_sum(add(add(x, x), mul(x, 2.0))), x=x)["x"]
     assert np.array_equal(got, [4.0, 4.0, 4.0])
 
 
@@ -203,10 +204,10 @@ def test_shared_gradient_array_is_never_written_in_place(order):
     then gathers more gradient; summing that in place would also change the
     other parent's gradient, and through it x's."""
     def build(x, y):
-        p, q = tanh(x), y * 2.0
-        shared = ad.tensor_sum(p + q)
-        more = ad.tensor_sum(p * 3.0) + ad.tensor_sum(sigmoid(p))
-        return shared + more if order == "shared_first" else more + shared
+        p, q = tanh(x), mul(y, 2.0)
+        shared = tensor_sum(add(p, q))
+        more = add(tensor_sum(mul(p, 3.0)), tensor_sum(sigmoid(p)))
+        return add(shared, more) if order == "shared_first" else add(more, shared)
 
     x, y = np.array([0.3, -0.7]), np.array([1.5, 0.2])
     got = _grads(build, x=x, y=y)
@@ -219,29 +220,29 @@ def test_shared_gradient_array_is_never_written_in_place(order):
 
 def test_broadcast_gradient_views_are_copied_before_summing():
     x = np.arange(6.0).reshape(2, 3)
-    got = _grads(lambda x: ad.tensor_sum(x) + ad.tensor_sum(x * 2.0)
-                 + ad.tensor_sum(ad.tensor_sum(x, axis=1)), x=x)["x"]
+    got = _grads(lambda x: add(add(tensor_sum(x), tensor_sum(mul(x, 2.0))),
+                               tensor_sum(tensor_sum(x, axis=1))), x=x)["x"]
     assert np.array_equal(got, np.full((2, 3), 4.0))
     assert got.flags.writeable and got.base is None
 
 
 def test_second_backward_leaves_the_first_gradient_alone():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    backward(ad.tensor_sum(x * 3.0) + ad.tensor_sum(x) + ad.tensor_sum(x))
+    backward(add(add(tensor_sum(mul(x, 3.0)), tensor_sum(x)), tensor_sum(x)))
     first = x.grad
     kept = first.copy()
-    backward(ad.tensor_sum(x * 3.0) + ad.tensor_sum(x) + ad.tensor_sum(x))
+    backward(add(add(tensor_sum(mul(x, 3.0)), tensor_sum(x)), tensor_sum(x)))
     assert np.array_equal(first, kept)
     assert np.array_equal(x.grad, 2 * kept)
 
 
 def test_store_blocks_take_a_copy_and_leave_the_buffer_clear():
     x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-    block = x * 2.0
+    block = mul(x, 2.0)
     store = ad.Store(2, 2)
     store.write(block)
     read = store.gather(((slice(0, 2), np.array([0, 1])), (slice(2, 3), np.array([1]))))
-    loss = ad.tensor_sum(read * ad.constant([[1.0, 2.0]]))
+    loss = tensor_sum(mul(read, ad.constant([[1.0, 2.0]])))
     backward(loss)
     first = x.grad.copy()
     assert np.array_equal(first, [[2.0, 4.0], [4.0, 8.0]])
@@ -255,7 +256,7 @@ def test_store_blocks_are_op_outputs_written_once():
     store = ad.Store(4, 3)
     with pytest.raises(ValueError, match="op's output"):
         store.write(leaf)
-    block = leaf * 1.0
+    block = mul(leaf, 1.0)
     store.write(block)
     with pytest.raises(ValueError, match="once"):
         store.write(block)

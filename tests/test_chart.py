@@ -23,9 +23,10 @@ from mmgi.nn import chart_step, lstm_forward
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import (composite_inside_pass, composite_outside_pass, loop_plan,
-                      naive_chart, naive_mlp, np_sigmoid, part_rows, scalar_pitch_index,
-                      scalar_unit_box, scalar_vad_aggregate, select, split_dropout_masks,
+from .oracles import (add, composite_context, composite_inside_pass, composite_outside_pass,
+                      loop_plan, matmul, mul, naive_chart, naive_mlp, np_sigmoid, part_rows,
+                      reshape, scalar_pitch_index, scalar_unit_box, scalar_vad_aggregate,
+                      select, softmax, split_dropout_masks, tensor_sum, transpose,
                       visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
@@ -56,11 +57,11 @@ def test_terminals_single_position_is_value_projection():
 def test_terminals_attention_rows_sum_to_one():
     cfg, bundle, vocab_index, params, pair = _setup(1, 4)
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
-    word_proj = ad.matmul(ctx.word_rows, params["word_projection"])
-    clip_proj = ad.matmul(ctx.clip_rows, params["clip_projection"])
-    logits = ad.matmul(ad.matmul(word_proj, params["attn_q"]),
-                       ad.transpose(ad.matmul(clip_proj, params["attn_k"])))
-    rows = ad.softmax(logits, axis=1).data
+    word_proj = matmul(ctx.word_rows, params["word_projection"])
+    clip_proj = matmul(ctx.clip_rows, params["clip_projection"])
+    logits = matmul(matmul(word_proj, params["attn_q"]),
+                    transpose(matmul(clip_proj, params["attn_k"])))
+    rows = softmax(logits, axis=1).data
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -78,6 +79,59 @@ def test_terminals_length_mismatch_rejected():
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
     with pytest.raises(AlignmentError):
         init_terminals(ctx, params, cfg)
+
+
+# (config overrides, (n, region count) per sentence, with a pair matrix)
+CONTEXT_CASES = {
+    "full_mixed": ({}, [(5, 2), (3, 4), (7, 1), (2, 3)], True),
+    "full_equal": ({}, [(4, 2), (4, 3), (4, 2)], True),
+    "textless_mixed": ({"mode": "textless"}, [(5, 2), (3, 4), (7, 1)], True),
+    "no_visual": ({"use_visual": False}, [(5, 2), (3, 4), (2, 1)], True),
+    "no_pair": ({}, [(6, 3), (2, 1), (4, 2)], False),
+    "full_batch_of_one": ({}, [(5, 3)], True),
+    "textless_batch_of_one": ({"mode": "textless"}, [(4, 2)], True),
+}
+
+
+def _context_step(composite, bundles, params, cfg, vocab_index, pair):
+    """The context's projected regions, region sums and terminals, fused or
+    node by node, and the parameter gradients of a fixed probe of them."""
+    copies = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    ctx = build_context(bundles, copies, cfg, vocab_index, pair)
+    if composite:
+        outputs = composite_context(bundles, ctx, copies, cfg)
+    else:
+        outputs = {"v_proj": ctx.v_proj, "region_sum": ctx.region_sum,
+                   "terminals": init_terminals(ctx, copies, cfg)}
+    outputs = {name: out for name, out in outputs.items() if out is not None}
+    probe_rng = np.random.default_rng(72)
+    loss = ad.constant(0.0)
+    for name in sorted(outputs):
+        probe = probe_rng.normal(size=outputs[name].data.shape)
+        loss = add(loss, tensor_sum(mul(outputs[name], probe)))
+    ad.backward(loss)
+    return ctx, outputs, {name: p.grad for name, p in copies.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CONTEXT_CASES))
+def test_fused_context_equals_the_node_by_node_context(case):
+    overrides, shapes, with_pair = CONTEXT_CASES[case]
+    cfg = tiny_config(**overrides)
+    bundles, vocab_index, params, pair = _mixed_batch(71, shapes, cfg, with_pair)
+    ctx, fused, fused_grads = _context_step(False, bundles, params, cfg, vocab_index, pair)
+    _, ref, ref_grads = _context_step(True, bundles, params, cfg, vocab_index, pair)
+    if case.endswith("mixed"):
+        assert ctx.plan.position_mask is not None and ctx.region_mask is not None
+    names = ["v_proj", "region_sum", "terminals"] if cfg.use_visual else ["v_proj", "terminals"]
+    assert list(fused) == list(ref) == names
+    for name, expect in ref.items():
+        assert np.array_equal(fused[name].data, expect.data), name
+    for name, expect in ref_grads.items():
+        got = fused_grads[name]
+        if expect is None or not expect.any():
+            assert got is None or not got.any(), name
+            continue
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect)), name
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +215,7 @@ def _assert_sentence_matches_oracle(chart, sentence, oracle):
         assert np.allclose(float(chart.s_out.data[row]), oracle["s_out"][key],
                            atol=1e-8, rtol=1e-8), ("s_out", sentence, key)
         if chart.lengths[sentence] >= 2:
-            assert np.allclose(float(span_marginal(chart, *key, sentence).data),
+            assert np.allclose(float(span_marginal(chart, *key, sentence)),
                                oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", sentence, key)
 
 
@@ -243,7 +297,7 @@ def test_inside_two_tokens_single_split():
     cfg, bundle, vocab_index, params, pair = _setup(31, 2)
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
     chart = inside_pass(ctx, params, cfg)
-    assert np.allclose(ad.softmax(chart.split_in[2].data[0]).data, [1.0])
+    assert np.allclose(softmax(chart.split_in[2].data[0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
     pooled = ctx.pitch_seq.data[0, 0:2].mean(axis=0)
     terminals = select(chart.h_in, slice(0, 2))
@@ -264,7 +318,7 @@ def test_chart_shape_invariants():
     assert chart.split_in[4].data[0].shape == (3,)
     for scores in chart.split_in.values():
         for row in scores.data:
-            assert abs(ad.softmax(Tensor(row)).data.sum() - 1.0) <= 1e-12
+            assert abs(softmax(Tensor(row)).data.sum() - 1.0) <= 1e-12
 
 
 def test_outside_two_tokens_context_formula():
@@ -282,9 +336,9 @@ def test_outside_two_tokens_context_formula():
 def test_span_marginal_contract():
     cfg, bundle, vocab_index, params, pair = _setup(34, 3)
     chart, _ = run_chart(bundle, params, cfg, vocab_index, pair)
-    assert float(span_marginal(chart, 1, 3).data) == 0.0  # root outside score is 0
-    first = span_marginal(chart, 1, 2).data
-    second = span_marginal(chart, 1, 2).data
+    assert float(span_marginal(chart, 1, 3)) == 0.0  # root outside score is 0
+    first = span_marginal(chart, 1, 2)
+    second = span_marginal(chart, 1, 2)
     assert np.array_equal(first, second)
 
     dump = chart_dump(chart)
@@ -296,6 +350,22 @@ def test_span_marginal_contract():
     chart.s_in.data[chart.row(1, 3)] = 0.0
     with pytest.raises(DegenerateChartError):
         span_marginal(chart, 1, 2)
+
+
+def test_degenerate_root_score_names_its_example():
+    # a batch of 4 with one sentence's root inside score zeroed: the span
+    # marginals of the loss and of a dump name that sentence's example only
+    cfg = tiny_config()
+    bundles, vocab_index, params, pair = _mixed_batch(73, [(4, 2), (3, 1), (5, 3), (2, 2)],
+                                                      cfg)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair)
+    chart.s_in.data[chart.plan.root_rows[2]] = 0.0
+    message = r"^example m2: root inside score 0\.000e\+00 too small to normalize$"
+    with pytest.raises(DegenerateChartError, match=message):
+        batch_loss(chart, ctx, params, cfg, np.random.default_rng(0))
+    with pytest.raises(DegenerateChartError, match=message):
+        chart_dump(chart, 2)
+    assert chart_dump(chart, 1)["q"]
 
 
 def test_fusion_terms_are_additive_only():
@@ -547,6 +617,27 @@ def test_step_graph_stays_under_its_node_budget(monkeypatch):
     batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
     monkeypatch.undo()
     assert sum(built) <= 0.52 * 825, sum(built)
+
+
+@pytest.mark.parametrize("mode", ["full", "textless"])
+def test_context_builds_at_most_six_nodes_that_need_a_gradient(monkeypatch, mode):
+    # the word and pitch lookups, the pitch LSTM, the region projection, its
+    # sum with the box embeddings and the terminals; elementary ops built 24
+    # for this batch in full mode and 15 in textless mode
+    cfg = tiny_config(dropout=0.1, batch=16, mode=mode)
+    bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES, cfg)
+    built = []
+    original = ad._from_op
+
+    def counted(*args, **kwargs):
+        node = original(*args, **kwargs)
+        built.append(node.requires_grad)
+        return node
+
+    monkeypatch.setattr(ad, "_from_op", counted)
+    init_terminals(build_context(bundles, params, cfg, vocab_index, pair), params, cfg)
+    monkeypatch.undo()
+    assert sum(built) <= 6, sum(built)
 
 
 def test_step_graph_stays_under_its_memory_budget():
@@ -809,9 +900,9 @@ def test_batch_context_features_match_per_clip_oracles():
                          params["pitch_lstm_wx"], params["pitch_lstm_wh"],
                          params["pitch_lstm_b"])
     assert np.array_equal(ctx.pitch_seq.data, pitch.data)
-    boxes = ad.matmul(ad.constant(units.reshape(-1, 4)), params["bbox_embed_w"]) \
-        + params["bbox_embed_b"]
-    expect = ctx.v_proj + ad.reshape(boxes, (len(bundles), 4, cfg.d))
+    boxes = add(matmul(ad.constant(units.reshape(-1, 4)), params["bbox_embed_w"]),
+                params["bbox_embed_b"])
+    expect = add(ctx.v_proj, reshape(boxes, (len(bundles), 4, cfg.d)))
     assert np.array_equal(ctx.region_sum.data, expect.data)
 
 

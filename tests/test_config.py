@@ -137,8 +137,6 @@ def _autodiff_references(package: Path) -> set[str]:
 
 
 def test_every_autodiff_op_is_referenced_outside_the_engine():
-    # an op no other module builds is kept alive only by its own checks; the
-    # ops behind Tensor's operators are reached through them
-    operators = {"add", "sub", "mul", "div", "neg", "matmul", "astensor"}
+    # an op no other module builds is kept alive only by its own checks
     referenced = _autodiff_references(Path(mmgi.__file__).parent)
-    assert sorted(set(autodiff.__all__) - operators - referenced) == []
+    assert sorted(set(autodiff.__all__) - referenced) == []

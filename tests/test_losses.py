@@ -27,7 +27,8 @@ def _identity_params(v, d):
 
 def _fake_chart_ctx(h_rows, token_ids):
     n = len(token_ids)
-    chart = Chart(lengths=(n,), h_out=Tensor(h_rows))  # the terminal rows lead the chart
+    # the terminal rows lead the chart
+    chart = Chart(lengths=(n,), ids=["fake"], h_out=Tensor(h_rows))
     ctx = BatchContext(
         ids=["fake"], lengths=(n,), token_ids=np.array(token_ids), word_rows=None,
         clip_rows=Tensor(np.zeros((n, 2))), clip_counts=(n,),
@@ -94,10 +95,10 @@ def test_contrastive_two_span_two_image_manual_expansion():
     for e in range(2):
         other = 1 - e
         vec = chart.h_in.data[chart.row(1, 2, e)] + chart.h_out.data[chart.row(1, 2, e)]
-        q = float(span_marginal(chart, 1, 2, e).data)
+        q = float(span_marginal(chart, 1, 2, e))
         other_vec = chart.h_in.data[chart.row(1, 2, other)] \
             + chart.h_out.data[chart.row(1, 2, other)]
-        other_q = float(span_marginal(chart, 1, 2, other).data)
+        other_q = float(span_marginal(chart, 1, 2, other))
         pos = (vp[e] @ vec).max() * q
         neg_span = (vp[e] @ other_vec).max() * other_q  # other span, this image
         neg_img = (vp[other] @ vec).max() * q           # this span, other image
@@ -299,7 +300,7 @@ def _loss_with_leaf_inputs(loss_fn, cfg, params, chart, ctx):
     context's tensors as leaves, with the gradient of each leaf and parameter."""
     fields = {name: Tensor(getattr(chart, name).data.copy(), requires_grad=True)
               for name in ("h_in", "s_in", "h_out", "s_out")}
-    leaf_chart = Chart(lengths=chart.lengths, plan=chart.plan, **fields)
+    leaf_chart = Chart(lengths=chart.lengths, ids=chart.ids, plan=chart.plan, **fields)
     inputs = {"v_proj": Tensor(ctx.v_proj.data.copy(), requires_grad=True)}
     if ctx.word_rows is not None:
         inputs["word_rows"] = Tensor(ctx.word_rows.data.copy(), requires_grad=True)

@@ -16,9 +16,9 @@ from mmgi.optim import Adam
 from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
 
 from .conftest import tiny_config
-from .oracles import (adam_step, bilinear_score, composite_bilinear_score, composite_lstm,
-                      composite_mlp_compose, composite_softmax_pool, concat, naive_lstm,
-                      naive_mlp, select, softmax_pool)
+from .oracles import (adam_step, add, bilinear_score, composite_bilinear_score,
+                      composite_lstm, composite_mlp_compose, composite_softmax_pool, concat,
+                      mul, naive_lstm, naive_mlp, select, softmax_pool, tensor_sum)
 
 
 def _mlp_params(rng, d):
@@ -74,9 +74,8 @@ def test_mlp_matches_naive_and_gradient(rng):
 
     probe = np.random.default_rng(0).normal(size=(3, d))
     err = grad_check(
-        lambda: ad.tensor_sum(compose_rows(p["left"], p["right"], p["w1"],
-                                           p["b1"], p["w2"], p["b2"])
-                              * ad.constant(probe)),
+        lambda: tensor_sum(mul(compose_rows(p["left"], p["right"], p["w1"],
+                                            p["b1"], p["w2"], p["b2"]), probe)),
         p, probes_per_tensor=8, eps=1e-5)
     assert err < 1e-4
 
@@ -123,8 +122,7 @@ def test_lstm_matches_naive_and_gradient(rng):
 
     probe = np.random.default_rng(1).normal(size=(2, 6, d))
     err = grad_check(
-        lambda: ad.tensor_sum(lstm_forward(p["x"], p["wx"], p["wh"], p["b"])
-                              * ad.constant(probe)),
+        lambda: tensor_sum(mul(lstm_forward(p["x"], p["wx"], p["wh"], p["b"]), probe)),
         p, probes_per_tensor=8, eps=1e-5)
     assert err < 1e-4
 
@@ -183,7 +181,7 @@ def _loss(outputs, probes):
     outputs = outputs if isinstance(outputs, tuple) else (outputs,)
     total = ad.constant(0.0)
     for out, probe in zip(outputs, probes):
-        total = total + ad.tensor_sum(out * ad.constant(probe))
+        total = add(total, tensor_sum(mul(out, probe)))
     return total
 
 
@@ -258,7 +256,7 @@ def test_padded_lstm_padding_gets_no_gradient():
     out = lstm_forward(*tensors.values())
     real = np.ones((3, 5, 1))
     real[1, 2:] = real[2, 4:] = 0.0
-    backward(ad.tensor_sum(out * ad.constant(real)))
+    backward(tensor_sum(mul(out, real)))
     assert not tensors["x"].grad[1, 2:].any() and not tensors["x"].grad[2, 4:].any()
     assert tensors["x"].grad[1, :2].all()
 
@@ -296,7 +294,7 @@ def test_adam_descends_quadratic():
     opt = Adam(p, lr=0.1)
     for _ in range(500):
         opt.zero_grad()
-        loss = ad.tensor_sum(p["w"] * p["w"])
+        loss = tensor_sum(mul(p["w"], p["w"]))
         backward(loss)
         opt.step()
     assert abs(float(p["w"].data[0])) < 1e-2
@@ -342,10 +340,10 @@ def test_adam_updates_its_moments_in_place():
 
 def test_grad_check_constant_and_linear():
     p = {"x": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-    err = grad_check(lambda: ad.tensor_sum(p["x"] * 0.0) + 2.0, p)
+    err = grad_check(lambda: add(tensor_sum(mul(p["x"], 0.0)), 2.0), p)
     assert err == 0.0
     slope = ad.constant(np.array([3.0, -1.5]))
-    err = grad_check(lambda: ad.tensor_sum(slope * p["x"]), p)
+    err = grad_check(lambda: tensor_sum(mul(slope, p["x"])), p)
     assert err < 1e-8
 
 

@@ -90,6 +90,27 @@ def test_nonfinite_input_aborts_with_example_id():
         assert ex.id not in str(caught.value)
 
 
+def test_degenerate_root_score_aborts_with_example_id(monkeypatch):
+    # the loss cannot normalize the span marginals of a sentence whose root
+    # inside score is zero: training stops and names that sentence's example
+    corpus = _corpus(count=4)
+    train_module = importlib.import_module("mmgi.train")
+    run_chart = train_module.run_chart
+    zeroed = []
+
+    def zero_one_root(*args, **kwargs):
+        chart, ctx = run_chart(*args, **kwargs)
+        chart.s_in.data[chart.plan.root_rows[2]] = 0.0
+        zeroed.append(ctx.ids[2])
+        return chart, ctx
+
+    monkeypatch.setattr(train_module, "run_chart", zero_one_root)
+    with pytest.raises(TrainingError, match="root inside score") as caught:
+        train(_cfg(epochs=1, batch=4), corpus)
+    assert str(caught.value).startswith(f"example {zeroed[0]}: ")
+    assert all(ex.id not in str(caught.value) for ex in corpus if ex.id != zeroed[0])
+
+
 def test_step_graph_released_before_next_step(monkeypatch):
     train_module = importlib.import_module("mmgi.train")
     original = train_module.batch_loss
