@@ -8,8 +8,11 @@ engine itself holds only what those nodes share: :func:`backward`, which
 runs a single reverse sweep from a scalar root and accumulates ``.grad``
 arrays on every tensor that requires gradients, the row gather
 :func:`gather_rows`, and the append-once :class:`Store` the chart passes
-read their cells from. Everything is 64-bit and deterministic: no op
-introduces randomness, and reductions use numpy's fixed evaluation order.
+read their cells from. A chart step takes its pairs as :class:`Read` s of
+the stores rather than as gathered tensors, and reads them again in its
+vjp, so a step's graph keeps no per-pair copy of them. Everything is 64-bit
+and deterministic: no op introduces randomness, and reductions use numpy's
+fixed evaluation order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["Tensor", "constant", "backward", "zero_grads", "gather_rows", "Store"]
+__all__ = ["Tensor", "constant", "backward", "zero_grads", "gather_rows", "Store", "Read",
+           "rows_of"]
 
 
 class Tensor:
@@ -181,16 +185,58 @@ class _Buffer:
         self.grad: np.ndarray | None = None
 
 
+class Read:
+    """Rows `rows` of columns `cols` of a store, as one op reads them.
+
+    It holds the store's array, its gradient buffer and the blocks written
+    before the read, never the store itself, so a node that keeps it adds no
+    reference cycle. The rows it names are written already, and a store is
+    append-once, so a vjp can read them again instead of keeping a copy.
+    `rows` is a slice, an index array or a tuple of parts, as in
+    `Store.gather`.
+    """
+
+    __slots__ = ("data", "buffer", "blocks", "rows", "cols")
+
+    def __init__(self, data: np.ndarray, buffer: _Buffer, blocks: tuple[Tensor, ...],
+                 rows, cols):
+        self.data, self.buffer, self.blocks = data, buffer, blocks
+        self.rows, self.cols = rows, cols
+
+    def values(self) -> np.ndarray:
+        """The rows read: a view for a slice, else a new array."""
+        if not isinstance(self.rows, tuple):
+            return self.data[self.rows, self.cols]
+        size = sum(len(index) for _, index in self.rows)
+        out = np.empty((size,) + self.data[0, self.cols].shape)
+        for at, index in self.rows:
+            out[at] = self.data[index, self.cols]
+        return out
+
+    def add_grad(self, g: np.ndarray) -> None:
+        """Add `g`, the gradient of the rows read, into the store's buffer."""
+        buffer, rows, cols = self.buffer, self.rows, self.cols
+        if buffer.grad is None:
+            buffer.grad = np.zeros(self.data.shape)
+        if isinstance(rows, tuple):
+            for at, index in rows:
+                buffer.grad[index, cols] += g[at]
+        else:
+            buffer.grad[rows, cols] += g
+
+
 class Store:
     """Rows of one chart field, appended block by block and read by gathers.
 
     Each block, an op's output, is copied once into the next free rows (into
     columns `cols`; the others stay zero) and stays the graph node it was.
-    `gather` reads any rows written so far, each row at most once per read or
-    part, without concatenating the blocks again, and its vjp adds into
-    one gradient buffer for the whole store. A block's rows of that buffer
-    reach it when backward does, which is after every gather that read them:
-    a gather's parents are all blocks written before it.
+    Written rows never change. An op reads any of them through a `Read`:
+    the chart steps read their pairs that way and re-read them in their
+    vjps, and `gather` turns a read into a node of its own. Either way the
+    rows are read without concatenating the blocks again, and the vjp adds
+    into one gradient buffer for the whole store. A block's rows of that
+    buffer reach it when backward does, which is after every op that read
+    them: a read's parents are all blocks written before it.
     """
 
     def __init__(self, rows: int, width: int):
@@ -214,8 +260,12 @@ class Store:
         gradient."""
         self.size += rows
 
+    def read(self, rows, cols=slice(None)) -> Read:
+        """Rows `rows` of columns `cols`, for an op to read (see `gather`)."""
+        return Read(self.data, self._buffer, self._blocks, rows, cols)
+
     def gather(self, rows, cols=slice(None)) -> Tensor:
-        """Rows `rows` of columns `cols`.
+        """Rows `rows` of columns `cols`, as a node.
 
         `rows` is a slice, read as a view, an index array, read with one
         fancy index, or a tuple of parts (at, index): rows `at` (a slice, an
@@ -225,24 +275,20 @@ class Store:
         only one term of a repeated row; different parts may name the same
         rows.
         """
-        buffer, shape, parents = self._buffer, self.data.shape, self._blocks
-        parts = isinstance(rows, tuple)
-        if parts:
-            size = sum(len(index) for _, index in rows)
-            data = np.empty((size,) + self.data[0, cols].shape)
-            for at, index in rows:
-                data[at] = self.data[index, cols]
-        else:
-            data = self.data[rows, cols]
+        read = self.read(rows, cols)
 
         def vjp(g):
-            if buffer.grad is None:
-                buffer.grad = np.zeros(shape)
-            if parts:
-                for at, index in rows:
-                    buffer.grad[index, cols] += g[at]
-            else:
-                buffer.grad[rows, cols] += g
-            return (None,) * len(parents)
+            read.add_grad(g)
+            return (None,) * len(read.blocks)
 
-        return _from_op(data, parents, vjp)
+        return _from_op(read.values(), read.blocks, vjp)
+
+
+def rows_of(t: Tensor) -> Read:
+    """A read of every row of a (rows, width) `t`, from a store of its own:
+    how a check or a test feeds a tensor to an op that takes reads, such as
+    `nn.chart_step`. A tensor that needs a gradient enters the store as an
+    identity node, so it may be a leaf."""
+    store = Store(*t.data.shape)
+    store.write(_from_op(t.data, (t,), lambda g: (g,)) if t.requires_grad else t)
+    return store.read(slice(None))

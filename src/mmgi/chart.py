@@ -16,8 +16,10 @@ outside pass takes one step per distance. Each step is one node of the same
 fused op, `nn.chart_step`: an inside step pairs left with right children, an
 outside step parents with siblings. Its rows are appended once to a store
 (`autodiff.Store`), and later steps read the left children, the right
-children, the parents and the siblings from the stores with one gather each,
-by index arrays that depend only on the sentence lengths (see `_Plan`). Work
+children, the parents and the siblings from the stores themselves, by index
+arrays that depend only on the sentence lengths (see `_Plan`): a step is
+one node, whose parents are the blocks written before it, and its backward
+reads those rows again from the stores instead of keeping a copy. Work
 that involves one sentence's own image or speech (region attention, pair
 scores, pitch pooling, word-to-clip attention) runs on per-sentence blocks
 padded to a common size, with a -inf mask where padding would otherwise be
@@ -313,7 +315,8 @@ def _dropout_masks(plan: _Plan, hidden: int, rate: float,
     n-1..1 (span by span, context by context). That is the order in which a
     sentence charted on its own draws them, so a seeded run consumes the
     same stream at any batch size. Returns {length: mask} and
-    {distance: mask}, rows in the batched steps' order.
+    {distance: mask}, rows in the batched steps' order. The masks are
+    boolean, one byte per hidden unit; `nn.chart_step` scales the kept units.
     """
     perm, bounds = plan.dropout_order()
     keep = dropout_mask(rng, (perm.size, hidden), rate)[perm]
@@ -536,8 +539,9 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     with region features on, its vector plus gamma times its region feature,
     its score, and with a pair matrix its region attention and that
     attention through the pair matrix (without region features the two
-    stores are one). In training with dropout, the masks of this pass and of
-    the outside pass are drawn here, in the order `_dropout_masks` fixes.
+    stores are one). In training with dropout, the boolean masks of this
+    pass and of the outside pass are drawn here, in the order
+    `_dropout_masks` fixes.
     """
     plan = ctx.plan
     terminals = init_terminals(ctx, params, cfg)
@@ -575,9 +579,10 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         (lefts, rights), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
         step, scores = chart_step(
-            children.gather(lefts, left_cols), children.gather(rights, right_cols), weights,
+            children.read(lefts, left_cols), children.read(rights, right_cols), weights,
             cells=block.stop - block.start,
-            keep=None if inside_masks is None else inside_masks[length], regions=regions,
+            keep=None if inside_masks is None else inside_masks[length], rate=cfg.dropout,
+            regions=regions,
             voice=None if voice is None else np.repeat(voice[block], length - 1),
             pitch=ctx.pitch_seq, pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam)
         bad = _first_nonfinite(scores)
@@ -639,8 +644,9 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
             parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
         if cells:
             step, scores = chart_step(
-                outside.gather(parents), chart.span_store.gather(siblings), weights,
-                cells=cells, keep=None if masks is None else masks[r][:cells * r])
+                outside.read(parents), chart.span_store.read(siblings), weights,
+                cells=cells, keep=None if masks is None else masks[r][:cells * r],
+                rate=cfg.dropout)
             bad = _first_nonfinite(scores)
             if bad is not None:
                 span = np.flatnonzero(plan.out_perm == outside.size + bad[0])[0]

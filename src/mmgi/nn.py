@@ -152,8 +152,8 @@ def normalize_clips(clips: np.ndarray, w: Tensor) -> Tensor:
     return ad._from_op(unit, (w,), vjp)
 
 
-def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cells: int,
-               keep: np.ndarray | None = None, regions: int = 0,
+def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, cells: int,
+               keep: np.ndarray | None = None, rate: float = 0.0, regions: int = 0,
                voice: np.ndarray | None = None, pitch: Tensor | None = None,
                pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
                lam: float = 0.0) -> tuple[Tensor, np.ndarray]:
@@ -163,32 +163,47 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
     An inside step pairs the left and right children of each split of the
     spans of one length; an outside step pairs the parent and sibling of
     each context of the spans at one distance to the root. `left` and
-    `right` hold the K pairs, cell by cell. A left row is, with `regions`
-    M > 0, its attention through the pair matrix (M), then its vector and
-    score; a right row is its vector, its score and, with M > 0, its
-    attention (M). `weights` are the compose MLP's (w1, b1, w2, b2) and the
-    bilinear matrix. With `pitch` (B, T, d), both vectors gain `lam` times
-    the mean pitch state over the cell's positions: for cell c, row
-    `pool_rows[c]` of the (B, windows) means that the (windows, T) averaging
-    matrix `pool` gives.
+    `right` read the K pairs, cell by cell, from their stores, and the node's
+    parents are the blocks written into those stores before the reads. A
+    left row is, with `regions` M > 0, its attention through the pair matrix
+    (M), then its vector and score; a right row is its vector, its score
+    and, with M > 0, its attention (M). `weights` are the compose MLP's (w1,
+    b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d), both vectors
+    gain `lam` times the mean pitch state over the cell's positions: for
+    cell c, row `pool_rows[c]` of the (B, windows) means that the (windows,
+    T) averaging matrix `pool` gives.
 
     A pair's score is, in this order, the bilinear score plus the pair term
     (the left row's pair columns dotted with the right row's attention) plus
     its `voice` term plus both rows' scores. Each cell's softmax over them
-    pools the MLP's hidden layers (dropout mask `keep` applied), which the
-    second layer maps once per cell, and the scores. Backward keeps the
-    unmasked hidden layer only.
+    pools the MLP's hidden layers, which the second layer maps once per cell,
+    and the scores. In training, the boolean mask `keep` drops hidden units
+    and the kept ones are scaled by 1 / (1 - `rate`).
+
+    For backward the node keeps the unmasked hidden layer, the bilinear
+    projection of the left vectors, the softmax and the small per-window
+    pitch means. It keeps no copy of the pairs' rows: its vjp reads them from
+    the stores again, and adds their gradients into the stores' buffers.
     """
     w1, b1, w2, b2, w_bil = weights
     d = w_bil.data.shape[0]
-    left_rows, right_rows = left.data, right.data
-    x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
+    scale = None if keep is None else 1.0 / (1.0 - rate)
+    pooled = windows = spread = None
     if pitch is not None:
         spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
         pooled = lam * (spread @ pitch.data)
         windows = pooled.shape[:2]
-        pooled = np.repeat(pooled.reshape(-1, d)[pool_rows], x.shape[0] // cells, axis=0)
-        x, y = x + pooled, y + pooled
+
+    def pairs() -> tuple[np.ndarray, ...]:
+        """The left and right rows and the pairs' (pitch-shifted) vectors."""
+        left_rows, right_rows = left.values(), right.values()
+        x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
+        if pooled is not None:
+            shift = np.repeat(pooled.reshape(-1, d)[pool_rows], x.shape[0] // cells, axis=0)
+            x, y = x + shift, y + shift
+        return left_rows, right_rows, x, y
+
+    left_rows, right_rows, x, y = pairs()
     tanh = x @ w1.data[:d]
     tanh += y @ w1.data[d:]
     tanh += b1.data
@@ -204,7 +219,7 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
 
     def hidden() -> np.ndarray:
         """The hidden layers with the dropout mask applied, (cells, pairs, hidden)."""
-        masked = tanh if keep is None else tanh * keep
+        masked = tanh if keep is None else (tanh * keep) * scale
         return masked.reshape(softmax.shape + (-1,))
 
     pooled_hidden = (softmax[:, :, None] * hidden()).sum(axis=1)
@@ -212,10 +227,12 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
     out[:, :-1] = pooled_hidden @ w2.data
     out[:, :-1] += b2.data
     out[:, -1] = (scores * softmax).sum(axis=1)
+    blocks = left.blocks if right.blocks is left.blocks else left.blocks + right.blocks
 
     def vjp(g):
+        left_rows, right_rows, x, y = pairs()
         need_pitch = pitch is not None and pitch.requires_grad
-        need_pairs = left.requires_grad or right.requires_grad or need_pitch
+        need_pairs = bool(blocks) or need_pitch
         g_vector, g_score = g[:, :-1], g[:, -1:]
         g_pooled, g_w2 = _linear_vjp(pooled_hidden, w2.data, g_vector, True,
                                      w2.requires_grad)
@@ -227,6 +244,7 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
         g_pre = (g_pooled[:, None, :] * softmax[:, :, None]).reshape(tanh.shape)
         if keep is not None:
             g_pre *= keep
+            g_pre *= scale
         slope = tanh * tanh
         g_pre *= np.subtract(1.0, slope, out=slope)
         g_w1 = None
@@ -236,29 +254,34 @@ def chart_step(left: Tensor, right: Tensor, weights: tuple[Tensor, ...], *, cell
             g_w1[d:] = y.T @ g_pre
         g_x, g_w_bil = _linear_vjp(x, w_bil.data, g_scores[:, None] * y, need_pairs,
                                    w_bil.requires_grad)
-        g_left = g_right = g_pitch = None
         if need_pairs:
             g_x += g_pre @ w1.data[:d].T
             g_y = g_scores[:, None] * projected
             g_y += g_pre @ w1.data[d:].T
-        if left.requires_grad:
-            g_left = np.empty(left_rows.shape)
-            g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
-            if regions:
-                g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
-        if right.requires_grad:
+        # right before left: a row both sides read sums its two terms in this
+        # order, the order the sweep reached separate gather nodes in, so
+        # training stays bit-identical to gathering each side as a node
+        if right.blocks:
             g_right = np.empty(right_rows.shape)
             g_right[:, :d], g_right[:, d] = g_y, g_scores
             if regions:
                 g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
+            right.add_grad(g_right)
+        if left.blocks:
+            g_left = np.empty(left_rows.shape)
+            g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
+            if regions:
+                g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
+            left.add_grad(g_left)
+        g_pitch = None
         if need_pitch:
             g_windows = np.zeros((windows[0] * windows[1], d))
             g_windows[pool_rows] = (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
             g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_windows.reshape(windows + (d,)))
-        return ((g_left, g_right) + ((g_pitch,) if pitch is not None else ())
+        return ((None,) * len(blocks) + ((g_pitch,) if pitch is not None else ())
                 + (g_w1, g_pre.sum(axis=0), g_w2, g_vector.sum(axis=0), g_w_bil))
 
-    inputs = (left, right) + ((pitch,) if pitch is not None else ()) + tuple(weights)
+    inputs = blocks + ((pitch,) if pitch is not None else ()) + tuple(weights)
     return ad._from_op(out, inputs, vjp), scores
 
 
@@ -381,7 +404,9 @@ def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...],
                  rate: float) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability `rate`, else 1 / (1 - rate)."""
+    """Inverted-dropout keep mask: False with probability `rate`, one uniform
+    draw per unit. The op that applies it scales the kept units by
+    1 / (1 - `rate`) (see `chart_step`)."""
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return rng.random(shape) >= rate

@@ -103,8 +103,8 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
     probe = [rng.normal(size=(cells, d + 1))]
     weights = tuple(step[name] for name in ("w1", "b1", "w2", "b2", "w_bil"))
     results["outside_step"] = grad_check(
-        lambda: _probe_sum(chart_step(step["parents"], step["siblings"], weights,
-                                      cells=cells, keep=keep)[:1], probe),
+        lambda: _probe_sum(chart_step(ad.rows_of(step["parents"]), ad.rows_of(step["siblings"]),
+                                      weights, cells=cells, keep=keep, rate=0.3)[:1], probe),
         step, probes_per_tensor=6)
 
     # pitch sequences of 4 and 2 clips, padded: no state after an end is read

@@ -542,7 +542,9 @@ def visual_span_feature(h_in, v_proj, region_sum, mask=None):
 def split_dropout_masks(plan, hidden: int, rate: float, rng) -> tuple[dict, dict]:
     """`mmgi.chart._dropout_masks` as it assembled the masks before: one draw,
     split into per-sentence pieces in draw order, concatenated per step. At
-    distance r, the pieces of sentences with n = r + 1 go last."""
+    distance r, the pieces of sentences with n = r + 1 go last. The masks are
+    float, 0 or 1 / (1 - rate), as they were before the chart kept boolean
+    masks and scaled in its steps."""
     blocks, rows = [], []   # (pass, length or distance, last), mask rows, in draw order
     for n in plan.lengths:
         for length in range(2, n + 1):
@@ -551,7 +553,7 @@ def split_dropout_masks(plan, hidden: int, rate: float, rng) -> tuple[dict, dict
         for length in range(n - 1, 0, -1):
             blocks.append((1, n - length, length == 1))
             rows.append((n - length + 1) * (n - length))
-    keep = dropout_mask(rng, (sum(rows), hidden), rate)
+    keep = dropout_mask(rng, (sum(rows), hidden), rate) / (1.0 - rate)
     drawn: tuple[dict, dict] = ({}, {})
     for (kind, key, last), mask in zip(blocks, np.split(keep, np.cumsum(rows)[:-1])):
         drawn[kind].setdefault(key, ([], []))[last].append(mask)

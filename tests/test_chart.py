@@ -1,6 +1,8 @@
 """Chart passes against the independent recursive oracle, plus the span ops."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -422,7 +424,10 @@ def test_dropout_masks_match_the_split_and_concatenate_assembly(lengths, hidden,
     for masks, want in zip(got, expect):
         assert list(masks) == list(want)
         for key in want:
-            assert np.array_equal(masks[key], want[key]), key
+            # one byte per unit; the step scales the kept ones as the float
+            # masks did
+            assert masks[key].dtype == bool, key
+            assert np.array_equal(masks[key] * (1.0 / (1.0 - rate)), want[key]), key
     assert rng.bit_generator.state == old_rng.bit_generator.state
 
 
@@ -549,8 +554,8 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
         split_dropout_masks(chart.plan, params["compose_in_w1"].data.shape[1], dropout, drawn)
     assert rng.bit_generator.state == drawn.bit_generator.state
 
-    # a distance whose cells are all single positions adds no node: neither
-    # its step nor the step's two gathers
+    # a distance whose cells are all single positions adds no node: its step
+    # is the only node a distance builds
     plan = chart.plan
     empty = [r for r, cells in plan.outside_lead.items() if not cells]
     assert empty == [plan.n_max - 1]
@@ -570,7 +575,7 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
         counts[training] = len(built)
     every = [plan.outside[r][2] for r in plan.outside]
     assert steps == [cells for cells in plan.outside_lead.values() if cells] + every
-    assert counts[False] - counts[True] == 3 * len(empty), counts
+    assert counts[False] - counts[True] == len(empty), counts
 
 
 def test_training_loss_gradient_on_a_mixed_batch():
@@ -640,11 +645,8 @@ def test_context_builds_at_most_six_nodes_that_need_a_gradient(monkeypatch, mode
     assert sum(built) <= 6, sum(built)
 
 
-def test_step_graph_stays_under_its_memory_budget():
-    # the same step at d = 32: its graph held 30,863,489 bytes when every
-    # (span, split) pair's MLP input, pre-activation, masked hidden layer and
-    # output, and every gathered child's unread columns, stayed alive until
-    # backward
+def _step_graph_bytes() -> int:
+    """Bytes a d = 32 training step of BUDGET_SHAPES holds until backward."""
     cfg = tiny_config(dropout=0.1, batch=16, d=32)
     bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES, cfg)
     tracemalloc.start()
@@ -656,7 +658,99 @@ def test_step_graph_stays_under_its_memory_budget():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return held
+
+
+def test_step_graph_stays_under_its_memory_budget():
+    # the same step at d = 32: its graph held 30,863,489 bytes when every
+    # (span, split) pair's MLP input, pre-activation, masked hidden layer and
+    # output, and every gathered child's unread columns, stayed alive until
+    # backward
+    held = _step_graph_bytes()
     assert held <= 0.75 * 30_863_489, held
+
+
+def test_step_graph_keeps_no_pair_copies():
+    # the same step held 17,764,680 bytes when each chart step kept its
+    # gathered pair rows, their pitch-shifted vectors and float dropout masks
+    # until backward
+    held = _step_graph_bytes()
+    assert held <= 0.6 * 17_764_680, held
+
+
+def test_step_graph_is_freed_by_reference_counting_alone(monkeypatch):
+    # a node that kept a Store would close a store -> block -> vjp -> store
+    # cycle, which only the cyclic collector frees: a step's graph, stores
+    # and their arrays must go as soon as their last reference does
+    cfg = tiny_config(dropout=0.1, batch=16)
+    bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES[:6], cfg)
+    made = []
+
+    class Recorded(ad.Store):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.extend((weakref.ref(self), weakref.ref(self.data)))
+
+    monkeypatch.setattr(ad, "Store", Recorded)
+    gc.disable()
+    try:
+        chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                               rng=np.random.default_rng(0))
+        loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+        ad.backward(loss)
+        # spans, children (region features on) and outside, each with its
+        # array, which the steps still read
+        assert len(made) == 6 and all(ref() is not None for ref in made[1::2])
+        del chart, ctx, loss
+        alive = [ref for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert not alive, len(alive)
+
+
+def test_each_chart_step_is_one_node_that_no_gather_feeds(monkeypatch):
+    # a step reads its pairs from the stores itself: one node per inside
+    # length and per outside distance, whose parents are the stores' blocks
+    n = 7
+    cfg, bundle, vocab_index, params, pair = _setup(44, n, tiny_config(dropout=0.1))
+    ctx = build_context(bundle, params, cfg, vocab_index, pair)
+    built, gathered, steps = [], [], []
+    make, gather = ad._from_op, ad.Store.gather
+
+    def counted(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    def recorded_gather(store, *args):
+        gathered.append(gather(store, *args))
+        return gathered[-1]
+
+    def recorded_step(*args, **kwargs):
+        step, scores = chart_step(*args, **kwargs)
+        steps.append(step)
+        return step, scores
+
+    monkeypatch.setattr(ad, "_from_op", counted)
+    monkeypatch.setattr(ad.Store, "gather", recorded_gather)
+    monkeypatch.setattr("mmgi.chart.chart_step", recorded_step)
+    chart = inside_pass(ctx, params, cfg, training=True, rng=np.random.default_rng(0))
+    outside_pass(chart, ctx, params, cfg, training=True)
+    monkeypatch.undo()
+
+    assert len(steps) == 2 * (n - 1)
+    built_ids = {id(node) for node in built}
+    assert all(id(step) in built_ids and step.requires_grad for step in steps)
+    # the only gathers: the length-1 children and the chart's four fields
+    assert len(gathered) == 5
+    gather_ids = {id(node) for node in gathered}
+    weights = {id(p) for p in params.values()} | {id(ctx.pitch_seq)}
+    for step in steps:
+        assert not gather_ids & {id(parent) for parent in step._parents}
+        assert all(parent._pull is not None or id(parent) in weights
+                   for parent in step._parents)
+    # the terminals, the span features of lengths 1..n-1, the root row, the
+    # steps and the gathers
+    assert len(built) == 1 + (n - 1) + 1 + 2 * (n - 1) + 5
 
 
 def test_loss_graph_stays_under_its_budget(monkeypatch):

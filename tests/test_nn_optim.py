@@ -30,14 +30,16 @@ def _mlp_params(rng, d):
     }
 
 
-def compose_rows(left, right, w1, b1, w2, b2, keep=None):
+def compose_rows(left, right, w1, b1, w2, b2, keep=None, rate=0.0):
     """The compose MLP of K (left, right) row pairs, as `nn.chart_step` runs
     it: with one context per span, the split softmax weighs each composed row
     by exactly 1, so the step's vector columns are the MLP's output."""
     count, d = left.data.shape
     score = ad.constant(np.zeros((count, 1)))
-    out, _ = chart_step(concat([left, score], axis=1), concat([right, score], axis=1),
-                        (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep)
+    out, _ = chart_step(ad.rows_of(concat([left, score], axis=1)),
+                        ad.rows_of(concat([right, score], axis=1)),
+                        (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep,
+                        rate=rate)
     return select(out, (slice(None), slice(0, d)))
 
 
@@ -140,7 +142,7 @@ def _fused_cases():
     mlp = {"left": rng.normal(size=(k, d)), "right": rng.normal(size=(k, d)),
            "w1": rng.normal(size=(2 * d, hidden)) * 0.5, "b1": rng.normal(size=hidden),
            "w2": rng.normal(size=(hidden, d)) * 0.5, "b2": rng.normal(size=d)}
-    keep = dropout_mask(rng, (k, hidden), 0.3)
+    keep = dropout_mask(rng, (k, hidden), 0.3)   # the composite takes it scaled
     lstm = {"x": rng.normal(size=(3, 5, d)), "wx": rng.normal(size=(d, 4 * d)) * 0.5,
             "wh": rng.normal(size=(d, 4 * d)) * 0.5, "b": rng.normal(size=4 * d)}
     lstm["x"][1, 2:] = 0.0
@@ -148,15 +150,16 @@ def _fused_cases():
     pool = {"scores": rng.normal(size=(3, 4)), "vectors": rng.normal(size=(12, d))}
     bilinear = {"left": mlp["left"], "w": rng.normal(size=(d, d)), "right": mlp["right"]}
 
-    def with_keep(op):
-        return lambda *ts: op(*ts, keep=keep)
+    def fused_keep(*ts):
+        return compose_rows(*ts, keep=keep, rate=0.3)
+
+    def composite_keep(*ts):
+        return composite_mlp_compose(*ts, keep=keep / (1.0 - 0.3))
 
     return {
         "mlp_rows": (compose_rows, composite_mlp_compose, mlp, ()),
-        "mlp_rows_dropout": (with_keep(compose_rows), with_keep(composite_mlp_compose),
-                             mlp, ()),
-        "mlp_constant_weights": (with_keep(compose_rows), with_keep(composite_mlp_compose),
-                                 mlp, ("w1", "b2")),
+        "mlp_rows_dropout": (fused_keep, composite_keep, mlp, ()),
+        "mlp_constant_weights": (fused_keep, composite_keep, mlp, ("w1", "b2")),
         "mlp_constant_inputs": (compose_rows, composite_mlp_compose, mlp, ("left", "right")),
         "bilinear": (bilinear_score, composite_bilinear_score, bilinear, ()),
         "bilinear_constant_w": (bilinear_score, composite_bilinear_score, bilinear, ("w",)),
@@ -244,10 +247,46 @@ def test_fused_ops_build_one_node_each(monkeypatch):
     fused, _, arrays, _ = FUSED["softmax_pool"]
     fused(*_tensors(arrays, ()).values())
     mlp = _tensors(FUSED["mlp_rows"][2], ())
-    rows = [Tensor(np.hstack([mlp[side].data, np.ones((7, 1))])) for side in ("left", "right")]
+    rows = [ad.rows_of(Tensor(np.hstack([mlp[side].data, np.ones((7, 1))])))
+            for side in ("left", "right")]
     chart_step(*rows, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], Tensor(np.eye(4))),
                cells=1)
     assert len(made) == 5
+
+
+def test_chart_step_gradients_ignore_rows_written_after_its_reads():
+    # a step reads its pairs again from the stores in backward; the stores
+    # are append-once, so blocks written after its reads change nothing
+    rng = np.random.default_rng(12)
+    d, hidden, cells, pairs = 4, 5, 2, 6
+    shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
+    weights = tuple(Tensor(rng.normal(size=shape) * 0.4, requires_grad=True)
+                    for shape in shapes)
+    rows = [Tensor(rng.normal(size=(pairs, d + 1)), requires_grad=True) for _ in range(2)]
+    later = Tensor(rng.normal(size=(3, d + 1)), requires_grad=True)
+    keep = dropout_mask(rng, (pairs, hidden), 0.3)
+    probe = rng.normal(size=(cells, d + 1))
+
+    def gradients(write_later: bool) -> list:
+        leaves = rows + [later] + list(weights)
+        ad.zero_grads(leaves)
+        stores = [ad.Store(pairs + 3, d + 1) for _ in rows]
+        for store, block in zip(stores, rows):
+            store.write(mul(block, 1.0))
+        # an index read and a read in two parts, as the outside pass's
+        left = stores[0].read(np.array([5, 0, 3, 1, 4, 2]))
+        right = stores[1].read(((slice(0, 3), np.array([2, 0, 1])),
+                                (slice(3, 6), np.array([4, 5, 3]))))
+        out, _ = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3)
+        if write_later:
+            for store in stores:
+                store.write(mul(later, 2.0))
+        backward(tensor_sum(mul(out, probe)))
+        assert later.grad is None
+        return [leaf.grad for leaf in rows + list(weights)]
+
+    for got, want in zip(gradients(True), gradients(False)):
+        assert np.array_equal(got, want)
 
 
 def test_padded_lstm_padding_gets_no_gradient():
@@ -264,10 +303,19 @@ def test_padded_lstm_padding_gets_no_gradient():
 def test_dropout_scales_and_is_seeded(rng):
     out1 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
     out2 = dropout_mask(np.random.default_rng(9), (200, 10), 0.3)
-    assert np.array_equal(out1, out2)
-    kept = out1[out1 > 0]
-    assert np.allclose(kept, 1.0 / 0.7)
-    assert abs((out1 == 0).mean() - 0.3) < 0.05
+    assert out1.dtype == bool and np.array_equal(out1, out2)
+    assert abs((~out1).mean() - 0.3) < 0.05
+    # the step that applies a mask scales the kept units by 1 / (1 - rate):
+    # with one pair per cell and an identity second layer, its vectors are
+    # the hidden layer itself
+    d = 4
+    w1 = Tensor(rng.normal(size=(2 * d, d)))
+    b1, b2, w2 = Tensor(rng.normal(size=d)), Tensor(np.zeros(d)), Tensor(np.eye(d))
+    left, right = Tensor(rng.normal(size=(3, d))), Tensor(rng.normal(size=(3, d)))
+    plain = compose_rows(left, right, w1, b1, w2, b2).data
+    kept = compose_rows(left, right, w1, b1, w2, b2, keep=np.ones((3, d), dtype=bool),
+                        rate=0.3).data
+    assert np.allclose(kept, plain / 0.7, rtol=1e-15, atol=0)
 
 
 def test_glorot_bounds(rng):
