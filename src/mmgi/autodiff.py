@@ -8,8 +8,8 @@ engine itself holds only what those nodes share: :func:`backward`, which
 runs a single reverse sweep from a scalar root and accumulates ``.grad``
 arrays on every tensor that requires gradients, the row gather
 :func:`gather_rows`, and the append-once :class:`Store` the chart passes
-read their cells from. A chart step takes its pairs as :class:`Read` s of
-the stores rather than as gathered tensors, and reads them again in its
+read their cells from. A chart step takes its pairs as reads of the stores
+(:class:`Read`) rather than as gathered tensors, and reads them again in its
 vjp, so a step's graph keeps no per-pair copy of them. Everything is 64-bit
 and deterministic: no op introduces randomness, and reductions use numpy's
 fixed evaluation order.

@@ -12,7 +12,8 @@ from .errors import GradCheckError
 __all__ = ["grad_check"]
 
 
-# the widest step, as a multiple of `eps`, that a small derivative gets
+# the widest step, as a multiple of `eps`, that a small derivative gets; at
+# 2e-3 some end-to-end checks crossed a kink of the hinge losses
 MAX_STEP = 100.0
 
 
@@ -29,14 +30,13 @@ def grad_check(fn: Callable[[], Tensor], params: dict[str, Tensor],
 
     over all probed coordinates.
 
-    The step is chosen per coordinate. A central difference at `eps` first
-    estimates the derivative g. Its roundoff error is about the loss's
-    rounding noise over the step, which swamps a small g: a pitch LSTM
-    weight with g near 1e-8 read 1e-3 relative error at eps = 1e-5. So when
-    |g| < 1 the difference is taken again at eps * |g| ** (-1/3), at most
-    `MAX_STEP` * eps, the step that balances roundoff against truncation
-    when the third derivative scales with the first. A coordinate with
-    |g| >= 1 keeps the difference at `eps`.
+    The step is chosen per coordinate. A central difference at `eps`
+    estimates the derivative g; its roundoff, the loss's rounding noise over
+    the step, swamps a small g (a pitch LSTM weight with g near 1e-8 read
+    1e-3 relative error at eps = 1e-5). So for |g| < 1 the difference is
+    taken again at eps * |g| ** (-1/3), at most `MAX_STEP` * eps: the step
+    that balances roundoff against truncation when the third derivative
+    scales with the first.
     """
     if rng is None:
         rng = np.random.default_rng(0)
