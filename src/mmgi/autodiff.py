@@ -7,17 +7,16 @@ vector-Jacobian product, built by ``_from_op`` in the module that owns it
 engine itself holds only what those nodes share: :func:`backward`, which
 runs a single reverse sweep from a scalar root and accumulates ``.grad``
 arrays on every tensor that requires gradients, the row gather
-:func:`gather_rows`, and the append-once :class:`Store` the chart passes
-read their cells from. A chart step takes its pairs as reads of the stores
-(:class:`Read`) rather than as gathered tensors, and reads them again in its
-vjp, so a step's graph keeps no per-pair copy of them. Everything is 64-bit
-and deterministic: no op introduces randomness, and reductions use numpy's
-fixed evaluation order.
+:func:`gather_rows`, and the write-once :class:`Store` the chart passes
+read their cells from. Each block is written at the rows it fills. A chart
+step takes its pairs as reads of the stores (:class:`Read`) rather than as
+gathered tensors, and reads them again in its vjp, so a step's graph keeps
+no per-pair copy of them. Everything is 64-bit and deterministic: no op
+introduces randomness, and reductions use numpy's fixed evaluation order.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -114,9 +113,9 @@ def backward(root: Tensor) -> None:
         if node._pull is not None:
             buffer, rows, cols = node._pull
             if buffer.grad is not None:
-                pulled = buffer.grad[rows, cols]
-                _accumulate(node, pulled, owned)
-                pulled[...] = 0.0   # leave the buffer clear for another sweep
+                _accumulate(node, buffer.grad[rows, cols], owned)
+                # by assignment: the rows an index array pulls are a copy
+                buffer.grad[rows, cols] = 0.0   # leave the buffer clear for another sweep
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
@@ -152,29 +151,21 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
 # row reads
 
 
-def _scatter_add(shape: tuple[int, ...], rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Zeros of `shape` plus each slice of `g` added at its row, in index
-    order, as ``np.add.at`` would."""
-    width = math.prod(shape[1:])
-    targets = rows.ravel()
-    if width != 1:
-        targets = (targets[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(targets, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows `a[indices]` (integer array); scatter-add on backward."""
     idx = np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     def vjp(g):
-        return (_scatter_add(a.data.shape, idx % a.data.shape[0], g),)
+        grad = np.zeros(a.data.shape)
+        np.add.at(grad, idx, g)
+        return (grad,)
 
     return _from_op(data, (a,), vjp)
 
 
 class _Buffer:
-    """The gradient of one store: filled by its gathers' vjps, emptied by its
+    """The gradient of one store: filled by the vjps of its reads, emptied by its
     blocks as backward reaches them. Nodes hold this, never the store, so
     a chart's graph has no reference cycle and is freed as soon as it is
     dropped."""
@@ -190,8 +181,8 @@ class Read:
 
     It holds the store's array, its gradient buffer and the blocks written
     before the read, never the store itself, so a node that keeps it adds no
-    reference cycle. The rows it names are written already, and a store is
-    append-once, so a vjp can read them again instead of keeping a copy.
+    reference cycle. The rows it names are written already, and written rows
+    never change, so a vjp can read them again instead of keeping a copy.
     `rows` is a slice, an index array or a tuple of parts, as in
     `Store.gather`.
     """
@@ -226,39 +217,34 @@ class Read:
 
 
 class Store:
-    """Rows of one chart field, appended block by block and read by gathers.
+    """Rows of one chart field, written block by block and read by ops.
 
-    Each block, an op's output, is copied once into the next free rows (into
-    columns `cols`; the others stay zero) and stays the graph node it was.
-    Written rows never change. An op reads any of them through a `Read`:
-    the chart steps read their pairs that way and re-read them in their
-    vjps, and `gather` turns a read into a node of its own. Either way the
-    rows are read without concatenating the blocks again, and the vjp adds
-    into one gradient buffer for the whole store. A block's rows of that
-    buffer reach it when backward does, which is after every op that read
-    them: a read's parents are all blocks written before it.
+    Each block, an op's output, is copied once into the rows it fills (a
+    slice or an index array; into columns `cols`, the others stay zero) and
+    stays the graph node it was. Rows no block fills read as zero and take
+    no gradient, and written rows never change. An op reads any of them
+    through a `Read`: the chart steps read their pairs that way and re-read
+    them in their vjps, and `gather` turns a read into a node of its own.
+    Either way the rows are read without concatenating the blocks again, and
+    the vjp adds into one gradient buffer for the whole store. A block's
+    rows of that buffer reach it when backward does, which is after every op
+    that read them: a read's parents are all blocks written before it.
     """
 
     def __init__(self, rows: int, width: int):
         self.data = np.zeros((rows, width))
-        self.size = 0                           # rows written so far
         self._blocks: tuple[Tensor, ...] = ()   # written blocks that need a gradient
         self._buffer = _Buffer()
 
-    def write(self, block: Tensor, cols=slice(None)) -> None:
+    def write(self, block: Tensor, rows, cols=slice(None)) -> None:
+        """Copy `block` into rows `rows` (a slice or an index array naming no
+        row twice) of columns `cols`."""
         if block.requires_grad and (block._pull is not None or block._vjp is None):
             raise ValueError("a block is an op's output, written into one store once")
-        rows = slice(self.size, self.size + block.data.shape[0])
         self.data[rows, cols] = block.data
-        self.size = rows.stop
         if block.requires_grad:
             block._pull = (self._buffer, rows, cols)
             self._blocks += (block,)
-
-    def skip(self, rows: int) -> None:
-        """Leave the next `rows` rows unwritten: they read as zero and take no
-        gradient."""
-        self.size += rows
 
     def read(self, rows, cols=slice(None)) -> Read:
         """Rows `rows` of columns `cols`, for an op to read (see `gather`)."""
@@ -290,5 +276,5 @@ def rows_of(t: Tensor) -> Read:
     `nn.chart_step`. A tensor that needs a gradient enters the store as an
     identity node, so it may be a leaf."""
     store = Store(*t.data.shape)
-    store.write(_from_op(t.data, (t,), lambda g: (g,)) if t.requires_grad else t)
+    store.write(_from_op(t.data, (t,), lambda g: (g,)) if t.requires_grad else t, slice(None))
     return store.read(slice(None))

@@ -14,16 +14,16 @@ normalizes the spans of one length of all sentences together. Every span at
 distance r = n - l from its root has exactly r outside contexts, so the
 outside pass takes one step per distance. Each step is one node of the same
 fused op, `nn.chart_step`: an inside step pairs left with right children, an
-outside step parents with siblings. Its rows are appended once to a store
-(`autodiff.Store`), and later steps read the left children, the right
-children, the parents and the siblings from the stores themselves, by index
-arrays that depend only on the sentence lengths (see `_Plan`): a step is
-one node, whose parents are the blocks written before it, and its backward
-reads those rows again from the stores instead of keeping a copy. Work
-that involves one sentence's own image or speech (region attention, pair
-scores, pitch pooling, word-to-clip attention) runs on per-sentence blocks
-padded to a common size, with a -inf mask where padding would otherwise be
-attended to, so its cost stays per sentence.
+outside step parents with siblings. Its rows are written once into a store
+(`autodiff.Store`), at the span rows of its cells, and later steps read the
+left children, the right children, the parents and the siblings from the
+stores themselves, by index arrays that depend only on the sentence lengths
+(see `_Plan`): a step is one node, whose parents are the blocks written
+before it, and its backward reads those rows again from the stores instead
+of keeping a copy. Work that involves one sentence's own image or speech
+(region attention, pair scores, pitch pooling, word-to-clip attention) runs
+on per-sentence blocks padded to a common size, with a -inf mask where
+padding would otherwise be attended to, so its cost stays per sentence.
 
 The context that feeds the passes is a few fused nodes as well (`nn`'s
 region projection, box embedding sum, terminals and pitch LSTM, and the
@@ -33,7 +33,7 @@ the contrastive loss's node differentiates them itself.
 In textless training the outside rows of single positions stay zero: the
 reconstruction loss on words is their only reader, and there are no words.
 The outside pass then composes only the cells of longer spans, which lead
-each distance's block (see `outside_pass`).
+each distance's step (see `outside_pass`).
 
 A single example is a batch of one. Span indices are 1-based inclusive
 throughout.
@@ -109,11 +109,14 @@ class BatchContext:
 class _Plan:
     """Index arrays of one batch's chart; they depend only on the lengths.
 
-    Inside storage is length-major: the block of length l holds the n-l+1
-    spans of every sentence with n >= l, sentence by sentence, by start
-    within a sentence. Outside storage is the same by distance r = n - l to
-    the root, except that the single positions of sentences with n = r + 1
-    come last in block r (`outside_lead` counts the cells before them).
+    Every store of the chart is indexed by span row, length-major: the block
+    of length l holds the n-l+1 spans of every sentence with n >= l,
+    sentence by sentence, by start within a sentence (`offsets[l, b]` is the
+    row of sentence b's first span of length l). The outside step at
+    distance r = n - l to the root takes its cells in the order of
+    `out_rows[r]`, their span rows: sentence by sentence, except that the
+    single positions of sentences with n = r + 1 come last
+    (`outside_lead[r]` counts the cells before them).
     Per-sentence blocks of length l are (B, n_max - l + 1): each sentence's
     spans padded with copies of its last one (of row 0 when it is shorter
     than l), rows that `nn._unpad` drops again. Padding thus never
@@ -189,36 +192,32 @@ class _Plan:
 
         # outside cells at distance r, sentence by sentence, except that the
         # sentences with n = r + 1, whose cells there are single positions,
-        # come last: the other cells lead each block
+        # come last: the other cells lead each step
         distance = np.arange(n_max)
         self.out_order = np.argsort(n == distance[:, None] + 1, axis=1, kind="stable")
         out_cells = np.where(n[self.out_order] > distance[:, None], distance[:, None] + 1, 0)
         out_flat = out_cells.ravel()
-        step_offsets = (np.cumsum(out_flat) - out_flat).reshape(out_cells.shape)
-        out_offsets = np.empty_like(step_offsets)    # by sentence
-        np.put_along_axis(out_offsets, self.out_order, step_offsets, axis=1)
-        self.out_perm = out_offsets[n[self.span_sentence] - span_length,
-                                    self.span_sentence] + self.span_start - 1
-
-        # (span, context) pairs of every outside cell, by distance r to the
-        # root: contexts k < i first, then k > j, each ascending. Per
-        # distance, the parents' and the siblings' rows as two parts each:
-        # the contexts before the span, then after it (a row can be a parent
-        # before one span and after another, but not twice on one side), and
-        # the number of cells
         cell_r = np.repeat(np.repeat(distance, count), out_flat)
         cell_sent = np.repeat(self.out_order.ravel(), out_flat)
-        cell_start = np.arange(out_flat.sum()) - np.repeat(step_offsets.ravel(), out_flat) + 1
+        cell_start = np.arange(out_flat.sum()) - np.repeat(np.cumsum(out_flat) - out_flat,
+                                                           out_flat) + 1
         cell_end = cell_start + n[cell_sent] - cell_r - 1
+        # (span, context) pairs of every outside cell, by distance r to the
+        # root: contexts k < i first, then k > j, each ascending. Per
+        # distance, the span rows of its cells in step order, the parents'
+        # and the siblings' rows as two parts each: the contexts before the
+        # span, then after it (a row can be a parent before one span and
+        # after another, but not twice on one side), and the number of cells
         sent, i, j = (np.repeat(a, cell_r) for a in (cell_sent, cell_start, cell_end))
         t = np.arange(sent.size) - np.repeat(np.cumsum(cell_r) - cell_r, cell_r)
         before = t < i - 1
         k = np.where(before, t + 1, j + 1 + t - (i - 1))
-        p_start, p_end = np.where(before, k, i), np.where(before, j, k)
-        s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
-        pairs = (out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1,
-                 self.offsets[s_end - s_start + 1, sent] + s_start - 1)
+        pairs = (self.row(np.where(before, k, i), np.where(before, j, k), sent),
+                 self.row(np.where(before, k, j + 1), np.where(before, i - 1, k), sent))
         per_distance = out_cells.sum(axis=1)
+        cell_rows = self.row(cell_start, cell_end, cell_sent)
+        _freeze(cell_rows)
+        self.out_rows = dict(zip(range(1, n_max), _pieces(cell_rows, np.cumsum(per_distance))))
         pair_bounds = np.cumsum(per_distance * distance)
         self.outside = {
             r: _parts(early, parent, sibling) + (cells,)
@@ -237,6 +236,10 @@ class _Plan:
         self.long_start, self.long_end = self.span_start[long], self.span_end[long]
         self.long_sizes = np.bincount(self.long_owner, minlength=count)
         _freeze(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
+
+    def row(self, i, j, sentence=0):
+        """Storage row of span (i, j) of a sentence; elementwise on arrays."""
+        return self.offsets[np.asarray(j) - i + 1, sentence] + np.asarray(i) - 1
 
     def sentence_rows(self, sentence: int) -> np.ndarray:
         """Storage rows of one sentence's spans, by length then start."""
@@ -360,7 +363,7 @@ class Chart:
 
     def row(self, i, j, sentence=0):
         """Storage row of span (i, j) of a sentence; elementwise on arrays."""
-        return self.plan.offsets[np.asarray(j) - i + 1, sentence] + np.asarray(i) - 1
+        return self.plan.row(i, j, sentence)
 
     def spans(self, sentence: int = 0) -> list[tuple[int, int]]:
         """Every span of one sentence, in storage order."""
@@ -551,20 +554,21 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
             plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
     count, (positions, d) = len(ctx.lengths), terminals.data.shape
     spans = ad.Store(plan.block_start[-1], d + 1)
-    spans.write(terminals, cols=slice(0, d))
+    spans.write(terminals, slice(0, positions), cols=slice(0, d))
     children, regions = spans, 0
     if ctx.region_sum is not None:
         if ctx.pair_sub is not None:
             regions = ctx.pair_sub.shape[1]
         children = ad.Store(plan.block_start[-2], d + 1 + 2 * regions)
 
-        def add_children(block: Tensor, length: int) -> None:
+        def add_children(length: int) -> None:
+            block = slice(plan.block_start[length], plan.block_start[length + 1])
             children.write(span_features(
-                block, ctx.v_proj, ctx.region_sum, gamma=cfg.gamma,
+                spans.read(block), ctx.v_proj, ctx.region_sum, gamma=cfg.gamma,
                 blocks=(count, plan.n_max - length + 1), pad=plan.pad.get(length),
-                unpad=plan.unpad.get(length), mask=ctx.region_mask, pair=ctx.pair_sub))
+                unpad=plan.unpad.get(length), mask=ctx.region_mask, pair=ctx.pair_sub), block)
 
-        add_children(spans.gather(slice(0, positions)), 1)
+        add_children(1)
     voice = None
     if ctx.voice is not None:
         voice = ctx.voice[plan.span_sentence, plan.span_start - 1, plan.span_end - 1]
@@ -594,9 +598,9 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
         split_in[length] = ad.constant(scores)
-        spans.write(step)
+        spans.write(step, block)
         if children is not spans and length < plan.n_max:
-            add_children(step, length)
+            add_children(length)
     return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=spans.gather(slice(None), slice(0, d)),
                  s_in=spans.gather(slice(None), d), split_in=split_in,
                  outside_masks=outside_masks, plan=plan, span_store=spans)
@@ -612,17 +616,17 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     k < i uses parent (k, j) and sibling (k, i-1). The root has no context;
     its outside vector is a learned bias and its outside score is zero.
     Each distance r to the root is one step over all (span, context) pairs
-    of every sentence with n > r, reading parents from a distance-major
-    store of outside vectors and scores and siblings from the inside pass's
-    store. In training, the dropout masks are the ones the inside pass drew,
-    so it must have run in training too; `rng` is taken for symmetry with
-    `inside_pass` and not used.
+    of every sentence with n > r, reading parents from the store of outside
+    vectors and scores and siblings from the inside pass's store; both are
+    indexed by span row. In training, the dropout masks are the ones the
+    inside pass drew, so it must have run in training too; `rng` is taken
+    for symmetry with `inside_pass` and not used.
 
     Textless training leaves the outside rows of single positions at zero:
     only the reconstruction loss reads them, and textless mode has no words
-    to reconstruct. Each step then runs on the cells that lead its block
-    (see `_Plan`), and a distance whose cells are all single positions
-    builds no node. Full-mode training and eval passes compute every cell.
+    to reconstruct. Each step then runs on the cells that lead it (see
+    `_Plan`), and a distance whose cells are all single positions builds no
+    node. Full-mode training and eval passes compute every cell.
     """
     plan = chart.plan
     masks = chart.outside_masks if training else None
@@ -632,33 +636,33 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     root = ad._from_op(np.tile(bias.data, (count, 1)), (bias,), lambda g: (g.sum(axis=0),))
     d = root.data.shape[1]
     outside = ad.Store(plan.block_start[-1], d + 1)
-    outside.write(root, cols=slice(0, d))
+    outside.write(root, plan.root_rows, cols=slice(0, d))
     weights = tuple(params[name] for name in ("compose_out_w1", "compose_out_b1",
                                               "compose_out_w2", "compose_out_b2",
                                               "bilinear_outside"))
     for r in range(1, plan.n_max):
-        parents, siblings, total = plan.outside[r]
-        cells = total
+        parents, siblings, cells = plan.outside[r]
         if not every_cell:
             cells = plan.outside_lead[r]
             parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
-        if cells:
-            step, scores = chart_step(
-                outside.read(parents), chart.span_store.read(siblings), weights,
-                cells=cells, keep=None if masks is None else masks[r][:cells * r],
-                rate=cfg.dropout)
-            bad = _first_nonfinite(scores)
-            if bad is not None:
-                span = np.flatnonzero(plan.out_perm == outside.size + bad[0])[0]
-                raise ChartError(
-                    f"example {ctx.ids[plan.span_sentence[span]]}: non-finite outside score "
-                    f"at span ({plan.span_start[span]}, {plan.span_end[span]}), "
-                    f"context {bad[1]}"
-                )
-            outside.write(step)
-        outside.skip(total - cells)
-    chart.h_out = outside.gather(plan.out_perm, slice(0, d))
-    chart.s_out = outside.gather(plan.out_perm, d)
+        if not cells:
+            continue
+        step, scores = chart_step(
+            outside.read(parents), chart.span_store.read(siblings), weights,
+            cells=cells, keep=None if masks is None else masks[r][:cells * r],
+            rate=cfg.dropout)
+        rows = plan.out_rows[r][:cells]
+        bad = _first_nonfinite(scores)
+        if bad is not None:
+            span = rows[bad[0]]
+            raise ChartError(
+                f"example {ctx.ids[plan.span_sentence[span]]}: non-finite outside score "
+                f"at span ({plan.span_start[span]}, {plan.span_end[span]}), "
+                f"context {bad[1]}"
+            )
+        outside.write(step, rows)
+    chart.h_out = outside.gather(slice(None), slice(0, d))
+    chart.s_out = outside.gather(slice(None), d)
     return chart
 
 

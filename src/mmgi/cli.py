@@ -12,12 +12,12 @@ from .config import RunConfig, load_config
 from .corpus import load_corpus, save_corpus
 from .errors import MMGIError
 from .features import PairRelevanceMatrix
-from .inference import check_dims, parse_corpus, parse_example
+from .inference import check_dims, parse_example
 from .metrics import bracketing_f1, scf1
 from .params import load_checkpoint
 from .synth import SynthConfig, default_grammar, generate_synthetic, right_chain_grammar
 from .train import train
-from .trees import format_interval, parse_interval, parse_sexpr, to_sexpr
+from .trees import baseline_tree, format_interval, parse_interval, parse_sexpr, to_sexpr
 from .verify import TOLERANCE, verification_suite
 
 __all__ = ["main"]
@@ -65,8 +65,9 @@ def cmd_parse(args) -> int:
     if args.baseline is not None:
         cfg = RunConfig(mode=args.mode or "full").resolved()
         corpus = load_corpus(args.corpus, mode=cfg.mode)
-        trees = parse_corpus(corpus, {}, cfg, None, None,
-                             baseline=args.baseline, seed=args.seed or 0)
+        seed = args.seed or 0
+        trees = [baseline_tree(ex.n, args.baseline, seed=seed + idx)
+                 for idx, ex in enumerate(corpus)]
         _write_trees(Path(args.out), [ex.id for ex in corpus], trees,
                      [_leaf_strings(ex, cfg.mode) for ex in corpus])
         return 0

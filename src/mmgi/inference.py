@@ -11,7 +11,7 @@ from .decode import cky_decode
 from .errors import DataValidationError
 from .features import PairRelevanceMatrix, build_pair_matrix
 from .metrics import bracketing_f1
-from .trees import Tree, baseline_tree
+from .trees import Tree
 
 __all__ = [
     "build_vocab",
@@ -67,11 +67,7 @@ def parse_example(example: ExampleBundle, params: dict[str, Tensor],
 
 def parse_corpus(examples: list[ExampleBundle], params: dict[str, Tensor],
                  cfg: RunConfig, vocab: list[str] | None,
-                 pair_matrix: PairRelevanceMatrix | None,
-                 baseline: str | None = None, seed: int = 0) -> list[Tree]:
-    if baseline is not None:
-        return [baseline_tree(ex.n, baseline, seed=seed + idx)
-                for idx, ex in enumerate(examples)]
+                 pair_matrix: PairRelevanceMatrix | None) -> list[Tree]:
     vocab_index = {t: i for i, t in enumerate(vocab)} if vocab else None
     return [parse_example(ex, params, cfg, vocab_index, pair_matrix)
             for ex in examples]

@@ -285,13 +285,14 @@ def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, ce
     return ad._from_op(out, inputs, vjp), scores
 
 
-def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: float,
+def span_features(spans: ad.Read, v_proj: Tensor, region_sum: Tensor, *, gamma: float,
                   blocks: tuple[int, int], pad: np.ndarray | None = None,
                   unpad: np.ndarray | None = None, mask: np.ndarray | None = None,
                   pair: np.ndarray | None = None) -> Tensor:
     """What a parent reads of a block of child spans, as one node.
 
-    `spans` holds (cells, d + 1) rows of span vector h and span score. Each
+    `spans` reads (cells, d + 1) rows of span vector h and span score from
+    a store, whose blocks written before the read are the node's parents. Each
     sentence's spans attend over its own regions: padded to `blocks` = (B,
     C) per-sentence blocks by the row indices `pad` and back by `unpad`
     (both None when every sentence has C of them), against the (B, M, d)
@@ -302,7 +303,7 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
     so the left and the right child of a pair each read one contiguous
     range of columns (see `chart_step`).
     """
-    rows = spans.data
+    rows = spans.values()
     d = rows.shape[1] - 1
     h = rows[:, :d]
     hp = _pad(h, pad, blocks)
@@ -327,17 +328,17 @@ def span_features(spans: Tensor, v_proj: Tensor, region_sum: Tensor, *, gamma: f
             g_att = g_att + _unpad_vjp(g[:, lead + d + 1:], unpad, blocks) \
                 + _unpad_vjp(g[:, :lead], unpad, blocks) @ np.swapaxes(pair, -1, -2)
         g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
-        g_spans = None
-        if spans.requires_grad:
+        if spans.blocks:
             # padding rows are dropped, so they get no gradient: read the real ones
             g_spans = np.empty(rows.shape)
             g_spans[:, :d] = _unpad(g_logits @ v_proj.data, unpad) + g[:, lead:lead + d]
             g_spans[:, d] = g[:, lead + d]
+            spans.add_grad(g_spans)
         g_v = np.swapaxes(g_logits, -1, -2) @ hp if v_proj.requires_grad else None
         g_region = np.swapaxes(att, -1, -2) @ g_u if region_sum.requires_grad else None
-        return g_spans, g_v, g_region
+        return (None,) * len(spans.blocks) + (g_v, g_region)
 
-    return ad._from_op(out, (spans, v_proj, region_sum), vjp)
+    return ad._from_op(out, spans.blocks + (v_proj, region_sum), vjp)
 
 
 def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ class Adam:
 
     A parameter whose ``.grad`` is ``None`` is treated as having a zero
     gradient for the step. From a fresh state that leaves it untouched. The
-    moments are updated in place; `load_state` takes copies of its arrays.
+    moments are updated in place.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4):
@@ -46,11 +46,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-    def state(self) -> dict:
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict) -> None:
-        self.step_count = int(state["step"])
-        self.m = {k: np.array(v, dtype=np.float64) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=np.float64) for k, v in state["v"].items()}

@@ -8,6 +8,8 @@ the structure and are paired with leaves by position.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import DataValidationError
@@ -110,22 +112,7 @@ def to_sexpr(tree: Tree, leaves: list[str] | None = None) -> str:
 
 def parse_sexpr(text: str) -> tuple[Tree, list[str]]:
     """Parse one bracketed line; returns the tree and leaf payload strings."""
-    tokens: list[str] = []
-    buf = []
-    for ch in text.strip():
-        if ch in "()":
-            if buf:
-                tokens.append("".join(buf))
-                buf.clear()
-            tokens.append(ch)
-        elif ch.isspace():
-            if buf:
-                tokens.append("".join(buf))
-                buf.clear()
-        else:
-            buf.append(ch)
-    if buf:
-        tokens.append("".join(buf))
+    tokens = re.findall(r"[()]|[^\s()]+", text)
     if not tokens:
         raise DataValidationError("empty tree line")
 

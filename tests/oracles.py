@@ -647,9 +647,13 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     count = len(chart)
     h_blocks = [mul(params["root_outside_bias"], np.ones((count, 1)))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
+    # each span row's place among the cells in step order
+    order = np.concatenate([plan.root_rows] + [plan.out_rows[r] for r in range(1, plan.n_max)])
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
     for r in range(1, plan.n_max):
         parents, siblings, cells = plan.outside[r]
-        parent_rows, sibling_rows = part_rows(parents), part_rows(siblings)
+        parent_rows, sibling_rows = place[part_rows(parents)], part_rows(siblings)
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
         hidden = composite_mlp_hidden(
@@ -664,8 +668,8 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
         h = add(matmul(h, params["compose_out_w2"]), params["compose_out_b2"])
         h_blocks.append(h)
         s_blocks.append(s)
-    chart.h_out = ad.gather_rows(concat(h_blocks), plan.out_perm)
-    chart.s_out = ad.gather_rows(concat(s_blocks), plan.out_perm)
+    chart.h_out = ad.gather_rows(concat(h_blocks), place)
+    chart.s_out = ad.gather_rows(concat(s_blocks), place)
     return chart
 
 
@@ -936,33 +940,27 @@ def loop_plan(lengths) -> dict:
     order = [np.concatenate([np.flatnonzero(n != r + 1), np.flatnonzero(n == r + 1)])
              for r in range(n_max)]
     members = [sentences[n[sentences] > r] for r, sentences in enumerate(order)]
-    out_offsets = np.zeros((n_max, count), dtype=np.intp)
-    start = 0
-    for r in range(n_max):
-        out_offsets[r, members[r]] = start + (r + 1) * np.arange(members[r].size)
-        start += (r + 1) * members[r].size
     plan["out_order"] = np.array(order)
-    plan["out_perm"] = out_offsets[n[span_sentence] - span_length,
-                                   span_sentence] + span_start - 1
-    outside, outside_lead = {}, {}
+    out_rows, outside, outside_lead = {}, {}, {}
     for r in range(1, n_max):
         cell_sent = np.repeat(members[r], r + 1)
         cell_start = np.tile(np.arange(1, r + 2), members[r].size)
         cell_end = cell_start + n[cell_sent] - r - 1
+        out_rows[r] = offsets[n[cell_sent] - r, cell_sent] + cell_start - 1
         sent, i, j = (np.repeat(a, r) for a in (cell_sent, cell_start, cell_end))
         t = np.tile(np.arange(r), cell_sent.size)
         before = t < i - 1
         k = np.where(before, t + 1, j + 1 + t - (i - 1))
         p_start, p_end = np.where(before, k, i), np.where(before, j, k)
         s_start, s_end = np.where(before, k, j + 1), np.where(before, i - 1, k)
-        parent = out_offsets[n[sent] - (p_end - p_start + 1), sent] + p_start - 1
+        parent = offsets[p_end - p_start + 1, sent] + p_start - 1
         sibling = offsets[s_end - s_start + 1, sent] + s_start - 1
         early, late = before, ~before
         outside[r] = (((early, parent[early]), (late, parent[late])),
                       ((early, sibling[early]), (late, sibling[late])),
                       cell_sent.size)
         outside_lead[r] = (r + 1) * np.count_nonzero(n > r + 1)
-    plan.update(outside=outside, outside_lead=outside_lead)
+    plan.update(out_rows=out_rows, outside=outside, outside_lead=outside_lead)
 
     long = np.flatnonzero(span_length > 1)
     long = long[np.lexsort((plan["span_end"][long], span_start[long], span_sentence[long]))]

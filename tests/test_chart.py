@@ -43,6 +43,17 @@ def _setup(seed, n, cfg=None, **bundle_kw):
     return cfg, bundle, vocab_index, params, pair
 
 
+def test_build_context_names_the_example_without_tokens_or_with_an_unknown_one():
+    cfg, bundle, vocab_index, params, pair = _setup(3, 4, ex_id="strays")
+    del vocab_index[bundle.tokens[2]]
+    with pytest.raises(DataValidationError,
+                       match=f"example strays: token '{bundle.tokens[2]}' outside the vocab"):
+        build_context(bundle, params, cfg, vocab_index, pair)
+    bundle.tokens = None
+    with pytest.raises(AlignmentError, match="example strays: full mode requires tokens"):
+        build_context(bundle, params, cfg, vocab_index, pair)
+
+
 # ---------------------------------------------------------------------------
 # terminals
 
@@ -740,8 +751,8 @@ def test_each_chart_step_is_one_node_that_no_gather_feeds(monkeypatch):
     assert len(steps) == 2 * (n - 1)
     built_ids = {id(node) for node in built}
     assert all(id(step) in built_ids and step.requires_grad for step in steps)
-    # the only gathers: the length-1 children and the chart's four fields
-    assert len(gathered) == 5
+    # the only gathers: the chart's four fields
+    assert len(gathered) == 4
     gather_ids = {id(node) for node in gathered}
     weights = {id(p) for p in params.values()} | {id(ctx.pitch_seq)}
     for step in steps:
@@ -750,7 +761,7 @@ def test_each_chart_step_is_one_node_that_no_gather_feeds(monkeypatch):
                    for parent in step._parents)
     # the terminals, the span features of lengths 1..n-1, the root row, the
     # steps and the gathers
-    assert len(built) == 1 + (n - 1) + 1 + 2 * (n - 1) + 5
+    assert len(built) == 1 + (n - 1) + 1 + 2 * (n - 1) + 4
 
 
 def test_loss_graph_stays_under_its_budget(monkeypatch):
@@ -812,6 +823,26 @@ def test_plan_gather_parts_name_each_row_once(lengths):
     if max(lengths) >= 2:
         parents = [part_rows(parents) for parents, *_ in plan.outside.values()]
         assert any(np.unique(rows).size < rows.size for rows in parents)
+
+
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+@example(lengths=[1, 3, 1, 2])
+def test_outside_steps_write_every_span_row_once(lengths):
+    # the outside store is indexed by span row: the root and the steps'
+    # cells fill each row once, and a step's cells of spans longer than one
+    # position lead it
+    plan = _Plan(tuple(lengths))
+    rows = np.concatenate([plan.root_rows] + [plan.out_rows[r] for r in range(1, plan.n_max)])
+    assert np.array_equal(np.sort(rows), np.arange(plan.block_start[-1]))
+    n = np.array(lengths)
+    assert np.array_equal(plan.span_end[plan.root_rows] - plan.span_start[plan.root_rows] + 1, n)
+    for r, cells in plan.out_rows.items():
+        assert cells.size == plan.outside[r][2]
+        length = plan.span_end[cells] - plan.span_start[cells] + 1
+        assert np.array_equal(length, n[plan.span_sentence[cells]] - r)
+        lead = plan.outside_lead[r]
+        assert np.all(length[:lead] > 1) and np.all(length[lead:] == 1)
 
 
 def test_graph_nodes_grow_linearly_in_sentence_length(monkeypatch):

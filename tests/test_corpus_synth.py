@@ -1,5 +1,6 @@
 """Corpus I/O, validation, and the synthetic generator's planted structure."""
 
+import base64
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from mmgi.corpus import load_corpus, save_corpus
 from mmgi.errors import AlignmentError, DataValidationError, GenerationError
-from mmgi.features import pitch_indices, vad_aggregate
+from mmgi.features import RegionSet, pitch_indices, vad_aggregate
 from mmgi.metrics import bracketing_f1
 from mmgi.synth import (SynthConfig, generate_synthetic, lexicon_slices,
                         right_chain_grammar)
@@ -188,6 +189,88 @@ def test_malformed_record_raises_data_validation_error(tmp_path, case):
     path.write_text("".join(json.dumps(record) + "\n" for record in lines))
     with pytest.raises(DataValidationError, match=shown):
         load_corpus(path, "full")
+
+
+def _blob_one_float_long(record):
+    raw = base64.b64decode(record["clip_feats_ref"]) + np.zeros(1).tobytes()
+    record["clip_feats_ref"] = base64.b64encode(raw).decode()
+
+
+LOAD_ERRORS = {
+    "not_json": (None, "corpus line 2: "),
+    "feature_blob_of_the_wrong_size": (_blob_one_float_long, "corpus line 2: .*feature blob of"),
+    "full_mode_without_tokens": (lambda record: record.pop("tokens"),
+                                 "example {id}: full mode needs tokens"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_load_errors_name_the_line_or_example(tmp_path, case):
+    edit, where = LOAD_ERRORS[case]
+    path = tmp_path / "c.jsonl"
+    save_corpus(_small_synth(sentence_count=3), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    if edit is None:
+        lines[1] = lines[1][:-1]        # the closing brace cut off
+    else:
+        edit(record)
+        lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataValidationError, match=where.format(id=record["id"])) as raised:
+        load_corpus(path, "full")
+    assert type(raised.value) is DataValidationError
+
+
+def _no_regions(ex):
+    ex.regions = RegionSet(features=np.zeros((0, 4)), bboxes=np.zeros((0, 4)),
+                           categories=np.zeros(0, dtype=np.intp), image_size=(320.0, 240.0))
+
+
+def _shift_clip(start, end):
+    def edit(ex):
+        ex.speech.clips[1] = (start(ex.speech.clips), end(ex.speech.clips))
+    return edit
+
+
+def _set_speech(**fields):
+    def edit(ex):
+        for name, value in fields.items():
+            setattr(ex.speech, name, value(ex.speech) if callable(value) else value)
+    return edit
+
+
+def _negative_f0(ex):
+    ex.speech.f0_frames[2][0] = -1.0
+
+
+BUNDLE_ERRORS = {
+    "no_regions": (_no_regions, "needs at least one region"),
+    "negative_category": (lambda ex: ex.regions.categories.__setitem__(1, -1),
+                          "negative category id"),
+    "no_clips": (_set_speech(clips=[], clip_features=np.zeros((0, 4)), f0_frames=[],
+                             vad_frames=[]), "speech track has no clips"),
+    "clip_start_at_its_end": (_shift_clip(lambda c: c[1][1], lambda c: c[1][1]),
+                              "clip 1 has start .* >= end"),
+    "clip_overlapping_the_last": (_shift_clip(lambda c: c[0][0], lambda c: c[1][1]),
+                                  "clip 1 overlaps or precedes clip 0"),
+    "clip_feature_rows_short": (_set_speech(clip_features=lambda s: s.clip_features[:-1]),
+                                "3 clips but 2 clip feature rows"),
+    "clip_with_zero_frames": (_set_speech(f0_frames=lambda s: [[]] + s.f0_frames[1:]),
+                              "clip 0 has zero frames"),
+    "negative_f0": (_negative_f0, "clip 2 has a negative f0 value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_ERRORS))
+def test_region_and_speech_validation_names_the_example(rng, case):
+    edit, message = BUNDLE_ERRORS[case]
+    bundle = random_bundle(rng, 3, tiny_config(), ex_id="odd-one")
+    bundle.validate("full")
+    edit(bundle)
+    with pytest.raises(DataValidationError, match=f"^example odd-one: {message}") as raised:
+        bundle.validate("full")
+    assert type(raised.value) is DataValidationError
 
 
 def test_vad_frames_may_be_booleans(tmp_path):

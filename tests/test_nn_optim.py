@@ -272,7 +272,7 @@ def test_chart_step_gradients_ignore_rows_written_after_its_reads():
         ad.zero_grads(leaves)
         stores = [ad.Store(pairs + 3, d + 1) for _ in rows]
         for store, block in zip(stores, rows):
-            store.write(mul(block, 1.0))
+            store.write(mul(block, 1.0), slice(0, pairs))
         # an index read and a read in two parts, as the outside pass's
         left = stores[0].read(np.array([5, 0, 3, 1, 4, 2]))
         right = stores[1].read(((slice(0, 3), np.array([2, 0, 1])),
@@ -280,7 +280,7 @@ def test_chart_step_gradients_ignore_rows_written_after_its_reads():
         out, _ = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3)
         if write_later:
             for store in stores:
-                store.write(mul(later, 2.0))
+                store.write(mul(later, 2.0), slice(pairs, pairs + 3))
         backward(tensor_sum(mul(out, probe)))
         assert later.grad is None
         return [leaf.grad for leaf in rows + list(weights)]
@@ -459,6 +459,26 @@ def test_textless_checkpoint_is_validated(tmp_path):
         load_checkpoint(_saved(tmp_path, cfg, None, pitch_lstm_b=None))
     with pytest.raises(CheckpointError, match="clip_projection"):
         load_checkpoint(_saved(tmp_path, cfg, None, clip_projection=np.zeros((2, 2))))
+
+
+def test_checkpoint_load_errors_name_the_path_or_tensor(tmp_path):
+    missing = tmp_path / "absent.npz"
+    with pytest.raises(CheckpointError, match=f"checkpoint not found: {re.escape(str(missing))}"):
+        load_checkpoint(missing)
+    bare = tmp_path / "bare.npz"
+    np.savez(bare, weights=np.zeros(2))
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(str(bare))} is not a checkpoint \\(missing metadata"):
+        load_checkpoint(bare)
+    path = _saved(tmp_path, tiny_config(), ["a", "b"], surplus=np.zeros(2))
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(str(path))}: unexpected tensor surplus$"):
+        load_checkpoint(path)
+    path = _saved(tmp_path, tiny_config(), ["a", "b"])
+    _edit_meta(path, lambda meta: meta.pop("config"))
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(str(path))}: metadata has no config block"):
+        load_checkpoint(path)
 
 
 def _replace_meta(path, replace) -> None:

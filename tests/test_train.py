@@ -176,12 +176,12 @@ def test_metrics_of_finished_epochs_survive_a_failed_run(tmp_path, monkeypatch):
     assert not (tmp_path / "checkpoint.npz").exists()
 
 
-def test_parse_corpus_baselines_ignore_model():
+def test_training_without_usable_examples_fails():
+    # sentences longer than max_text_length are skipped: here all of them
     corpus = _corpus(count=4)
-    cfg = _cfg()
-    trees = parse_corpus(corpus, {}, cfg, None, None, baseline="right")
-    from mmgi.trees import right_branching
-    assert trees == [right_branching(ex.n) for ex in corpus]
+    cfg = _cfg(max_text_length=min(ex.n for ex in corpus) - 1)
+    with pytest.raises(TrainingError, match="no usable examples after length filtering"):
+        train(cfg, corpus)
 
 
 def test_vocab_and_pair_matrix_shapes():

@@ -66,6 +66,20 @@ def test_sexpr_rejects_nonbinary_and_unbalanced():
         parse_sexpr("")
 
 
+@pytest.mark.parametrize("text, message", [
+    (")", "unexpected '\\)'"), (") (a b)", "unexpected '\\)'"),
+    ("(a b) c", "trailing content"), ("(a b))", "trailing content"),
+    ("a b", "trailing content")])
+def test_sexpr_rejects_stray_closers_and_trailing_content(text, message):
+    with pytest.raises(DataValidationError, match=message):
+        parse_sexpr(text)
+
+
+def test_sexpr_splits_on_any_whitespace_and_brackets():
+    tree, leaves = parse_sexpr("\t( (a\u00a0b)c )\n")
+    assert tree == ((1, 2), 3) and leaves == ["a", "b", "c"]
+
+
 def test_interval_leaves_roundtrip():
     token = format_interval(0.25, 1.5)
     assert parse_interval(token) == (0.25, 1.5)
