@@ -52,7 +52,7 @@ from .config import RunConfig
 from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
-from .features import PairRelevanceMatrix, pitch_indices, vad_aggregate
+from .features import PairRelevanceMatrix, pitch_indices
 from .nn import (add_box_embedding, attend_clips, chart_step, dropout_mask, lstm_forward,
                  normalize_clips, project_regions, span_features)
 
@@ -62,7 +62,6 @@ __all__ = [
     "build_context",
     "init_terminals",
     "sentence_plan",
-    "voice_activity_table",
     "inside_pass",
     "outside_pass",
     "span_marginal",
@@ -74,12 +73,17 @@ ROOT_EPS = 1e-12
 # index plans of single sentences kept, by length: one for every length a
 # sentence may have under the default max_text_length, and one to spare
 PLAN_CACHE = RunConfig.max_text_length + 1
+# the attributes of a plan that only the outside pass and its dropout masks read
+OUTSIDE_PART = frozenset({"out_order", "out_rows", "outside", "outside_lead"})
 
 
 @dataclass
 class BatchContext:
-    """Per-batch tensors the passes consume; rebuilt per optimization step
-    because projections are functions of the current parameters.
+    """Per-batch tensors the passes consume. The projections are functions
+    of the current parameters and are built again for every optimization
+    step; the parameter-free arrays (`pair_sub`, `voice`, and the unit boxes
+    and pitch rows behind `region_sum` and `pitch_seq`) only pad what each
+    bundle keeps from its first use (see `features`).
 
     Position fields concatenate the sentences in batch order. Region fields
     are padded per image to the batch's largest region count M; pitch and
@@ -123,13 +127,16 @@ class _Plan:
     feeds a real row of another sentence, and a non-finite input stays in
     its own sentence's rows.
 
+    A plan built with `outside=False` (a cached single sentence's) builds
+    its outside part (`OUTSIDE_PART`) at the first read of one of them.
+
     Sentences of one length (`uniform`; every parse) need no padding gathers.
     Padding them too parsed the parse-long benchmark 4% slower on a 2-core
     Xeon (medians 156.0 against 162.7 sentences/s over ten alternating pairs
     of 12 s runs, 4 of the 10 pairs the other way), so both paths stay.
     """
 
-    def __init__(self, lengths: tuple[int, ...]):
+    def __init__(self, lengths: tuple[int, ...], outside: bool = True):
         n = np.array(lengths, dtype=np.intp)
         count, n_max = n.size, int(n.max())
         self.lengths, self.n_max = lengths, n_max
@@ -190,6 +197,29 @@ class _Plan:
             zip(_pieces(left, bounds), _pieces(right, bounds)),
             _pieces(padded_row, self.block_start[2:]))))
 
+        # spans longer than one position, sentence by sentence, start-major
+        long = np.flatnonzero(span_length > 1)
+        long = long[np.lexsort((self.span_end[long], self.span_start[long],
+                                self.span_sentence[long]))]
+        self.long_owner = self.span_sentence[long]
+        self.long_start, self.long_end = self.span_start[long], self.span_end[long]
+        self.long_sizes = np.bincount(self.long_owner, minlength=count)
+        _freeze(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
+        if outside:
+            self._build_outside()
+
+    def __getattr__(self, name: str):
+        """The outside part of a plan built without it, at its first read."""
+        if name not in OUTSIDE_PART:
+            raise AttributeError(name)
+        self._build_outside()
+        return vars(self)[name]
+
+    def _build_outside(self) -> None:
+        """The outside pass's index arrays: `out_order`, `out_rows`, `outside`
+        and `outside_lead`."""
+        n = np.array(self.lengths, dtype=np.intp)
+        count, n_max = n.size, self.n_max
         # outside cells at distance r, sentence by sentence, except that the
         # sentences with n = r + 1, whose cells there are single positions,
         # come last: the other cells lead each step
@@ -227,15 +257,7 @@ class _Plan:
         # per distance, the cells of spans longer than one position
         lead = np.where(n > distance[:, None] + 1, distance[:, None] + 1, 0).sum(axis=1)
         self.outside_lead = dict(zip(range(1, n_max), lead[1:].tolist()))
-
-        # spans longer than one position, sentence by sentence, start-major
-        long = np.flatnonzero(span_length > 1)
-        long = long[np.lexsort((self.span_end[long], self.span_start[long],
-                                self.span_sentence[long]))]
-        self.long_owner = self.span_sentence[long]
-        self.long_start, self.long_end = self.span_start[long], self.span_end[long]
-        self.long_sizes = np.bincount(self.long_owner, minlength=count)
-        _freeze(*(value for value in vars(self).values() if isinstance(value, np.ndarray)))
+        _freeze(self.out_order)
 
     def row(self, i, j, sentence=0):
         """Storage row of span (i, j) of a sentence; elementwise on arrays."""
@@ -298,8 +320,9 @@ def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=PLAN_CACHE)
 def sentence_plan(n: int) -> _Plan:
-    """The cached plan of a single sentence of n positions."""
-    return _Plan((n,))
+    """The cached plan of a single sentence of n positions. Its outside part
+    is built at its first read: parsing never reads it."""
+    return _Plan((n,), outside=False)
 
 
 def _plan(lengths: tuple[int, ...]) -> _Plan:
@@ -390,7 +413,8 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
                   vocab_index: dict[str, int] | None,
                   pair_matrix: PairRelevanceMatrix | None) -> BatchContext:
     """Project the raw modalities of one example or a batch once; regions are
-    capped at roi_count."""
+    capped at roi_count. The parameter-free features are the ones each
+    bundle keeps from its first use (see `features`), padded."""
     if isinstance(examples, ExampleBundle):
         examples = [examples]
     textless = cfg.mode == "textless"
@@ -415,7 +439,17 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
 
     clip_rows = ad.constant(np.concatenate([ex.speech.clip_features for ex in examples]))
 
-    count = len(examples)
+    ids = [ex.id for ex in examples]
+    tracks = [ex.speech for ex in examples]
+    clip_counts = tuple(track.count for track in tracks)
+    count, most_clips = len(examples), max(clip_counts)
+    pitch_rows = pitch_indices(tracks, ids) if cfg.use_pitch else None
+    voice = None
+    if cfg.use_voice:
+        voice = np.zeros((count, most_clips, most_clips))
+        for b, (ex_id, track) in enumerate(zip(ids, tracks)):
+            voice[b, :track.count, :track.count] = track.voice_table(ex_id)
+
     keep = np.array([min(ex.regions.count, cfg.roi_count) for ex in examples])
     most = int(keep.max())
     features = np.zeros((count, most, examples[0].regions.features.shape[1]))
@@ -437,23 +471,14 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
         if pair_matrix is not None:
             pair_sub = np.zeros((count, most, most))
             for b, ex in enumerate(examples):
-                pair_sub[b, :keep[b], :keep[b]] = pair_matrix.submatrix(
-                    ex.regions.categories[:keep[b]])
+                pair_sub[b, :keep[b], :keep[b]] = \
+                    ex.regions.pair_submatrix(pair_matrix)[:keep[b], :keep[b]]
 
-    ids = [ex.id for ex in examples]
-    tracks = [ex.speech for ex in examples]
-    clip_counts = tuple(track.count for track in tracks)
     pitch_seq = None
     if cfg.use_pitch:
-        rows = ad.gather_rows(params["pitch_embedding"], pitch_indices(tracks, ids))
+        rows = ad.gather_rows(params["pitch_embedding"], pitch_rows)
         pitch_seq = lstm_forward(rows, params["pitch_lstm_wx"], params["pitch_lstm_wh"],
                                  params["pitch_lstm_b"])
-
-    voice = None
-    if cfg.use_voice:
-        clips = np.arange(max(clip_counts)) < np.array(clip_counts)[:, None]
-        voice = np.where(clips[:, :, None] & clips[:, None, :],
-                         voice_activity_table(*vad_aggregate(tracks, ids)), 0.0)
 
     return BatchContext(
         ids=ids, lengths=lengths, token_ids=token_ids,
@@ -492,32 +517,6 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
     return attend_clips(ctx.word_rows, ctx.clip_rows.data, weights,
                         blocks=(len(plan.lengths), plan.n_max), pad=plan.pad.get(1),
                         unpad=plan.unpad.get(1), mask=plan.position_mask)
-
-
-# ---------------------------------------------------------------------------
-# fusion features
-
-
-def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:
-    """Speech-rhythm density of every span (i, j) of one sentence, at [i-1, j-1].
-
-    Span (i, j) ranges over clips i..j-1 and is penalized for its longest
-    internal pause relative to its mean voiced time; a single position has
-    an empty range and scores 0. Always in (-1, 0) otherwise. Entries below
-    the diagonal are 0 and unused. Leading axes are a batch: (B, T) clip
-    times give (B, T, T) tables, one per sentence.
-    """
-    n = voice_time.shape[-1]
-    first, end = np.indices((n, n))     # span (first + 1, end + 1) covers clips first..end-1
-    pauses = np.where(end >= first, nonvoice_time[..., None, :], -np.inf)
-    longest = np.full(pauses.shape, -np.inf)
-    longest[..., 1:] = np.maximum.accumulate(pauses, axis=-1)[..., :-1]
-    voiced = np.cumsum(voice_time, axis=-1)
-    voiced = np.concatenate([np.zeros(voiced.shape[:-1] + (1,)), voiced], axis=-1)
-    clips = end - first
-    mean_voice = (voiced[..., end] - voiced[..., first]) / np.maximum(clips, 1)
-    ratio = np.where(clips > 0, longest / (mean_voice + 1e-6), 0.0)
-    return np.where(clips > 0, -1.0 / (1.0 + np.exp(-ratio)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,10 @@ class RunConfig:
             value, kind = getattr(self, field.name), type(field.default)
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS[kind]):
                 raise ConfigError(f"{field.name} must be a {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
+        if self.lr < 0:
+            raise ConfigError(f"lr must be >= 0, got {self.lr!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for field in ("d", "d_w", "d_v", "d_s", "d_a", "batch", "roi_count"):

@@ -3,14 +3,21 @@
 This module never runs detectors, pitch trackers, or VAD models; it consumes
 their outputs (region features and boxes, clip boundaries and embeddings, f0
 frames, voice-activity frames) and produces the parameter-free quantities the
-chart fuses: unit boxes, the category pair-relevance matrix, pitch embedding
-rows, and per-clip voice/non-voice durations. The per-clip features of a
-batch of tracks are computed together, over all of their frames at once.
+chart fuses: unit boxes, the category pair-relevance matrix and each image's
+pair submatrix, pitch embedding rows, per-clip voice/non-voice durations and
+each sentence's voice-activity table.
+
+None of them depends on the model's parameters, so each is computed at its
+first use, one track or image at a time, and kept on its `SpeechTrack` or
+`RegionSet` for every later step and parse; loading a corpus computes none of
+them. A bundle's raw inputs must therefore not change after its first use.
+The batch functions `pitch_indices` and `vad_aggregate` pad the kept
+per-track values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -25,11 +32,23 @@ __all__ = [
     "build_pair_matrix",
     "pitch_indices",
     "vad_aggregate",
+    "voice_activity_table",
 ]
 
 F0_MIN = 50.0
 F0_MAX = 500.0
 UNVOICED_INDEX = 0
+
+
+def _kept():
+    """A dataclass field for a value computed at its first use."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """`array`, read-only: kept values are shared by every later use."""
+    array.setflags(write=False)
+    return array
 
 
 @dataclass
@@ -40,6 +59,8 @@ class RegionSet:
     bboxes: np.ndarray            # (M, 4) as (x_min, y_min, x_max, y_max) pixels
     categories: np.ndarray        # (M,) ints in [0, C)
     image_size: tuple[float, float]  # (w, h) pixels
+    _units: tuple | None = _kept()   # (unit boxes, valid) of all regions
+    _pairs: tuple | None = _kept()   # (pair matrix, its (M, M) submatrix)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -53,28 +74,53 @@ class RegionSet:
     def validate(self, owner: str = "?") -> None:
         if self.count < 1:
             raise DataValidationError(f"example {owner}: needs at least one region")
-        self.unit_boxes(owner)
+        self._check_boxes(self._valid_boxes(), owner)
         if self.categories.min(initial=0) < 0:
             raise DataValidationError(f"example {owner}: negative category id")
+
+    def _valid_boxes(self) -> np.ndarray:
+        """(M,) whether each box has an area and lies inside the image."""
+        w, h = self.image_size
+        x0, y0, x1, y1 = self.bboxes.T
+        return (0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h)
+
+    def _check_boxes(self, valid: np.ndarray, owner: str) -> None:
+        if not valid.all():
+            m = int(np.argmin(valid))
+            x0, y0, x1, y1 = self.bboxes[m]
+            w, h = self.image_size
+            raise DataValidationError(
+                f"example {owner}: region {m} has invalid bbox "
+                f"({x0}, {y0}, {x1}, {y1}) for image size ({w}, {h})"
+            )
 
     def unit_boxes(self, owner: str = "?", count: int | None = None) -> np.ndarray:
         """(count, 4) boxes of the first `count` regions (default all) in the
         unit square, with the image's top-left corner as the origin.
 
+        The boxes of all regions are computed at the first call and kept.
         Raises DataValidationError naming the example, the region and its box
-        when a box is zero-area or reaches outside the image.
+        when one of the first `count` boxes is zero-area or reaches outside
+        the image.
         """
-        boxes = self.bboxes[:count]
-        w, h = self.image_size
-        x0, y0, x1, y1 = boxes.T
-        ok = (0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h)
-        if not ok.all():
-            m = int(np.argmin(ok))
-            raise DataValidationError(
-                f"example {owner}: region {m} has invalid bbox "
-                f"({x0[m]}, {y0[m]}, {x1[m]}, {y1[m]}) for image size ({w}, {h})"
-            )
-        return boxes / np.array([w, h, w, h], dtype=np.float64)
+        if self._units is None:
+            w, h = self.image_size
+            valid = self._valid_boxes()
+            units = np.divide(self.bboxes, np.array([w, h, w, h], dtype=np.float64),
+                              out=np.zeros_like(self.bboxes), where=valid[:, None])
+            self._units = _frozen(units), valid
+        units, valid = self._units
+        self._check_boxes(valid[:count], owner)
+        return units[:count]
+
+    def pair_submatrix(self, matrix: PairRelevanceMatrix) -> np.ndarray:
+        """(M, M) relevance of this image's category pairs under `matrix`.
+
+        Kept for the last matrix asked for: another matrix recomputes it.
+        """
+        if self._pairs is None or self._pairs[0] is not matrix:
+            self._pairs = matrix, _frozen(matrix.submatrix(self.categories))
+        return self._pairs[1]
 
 
 @dataclass
@@ -86,6 +132,9 @@ class SpeechTrack:
     f0_frames: list[list[float]]           # per clip, Hz; 0 marks an unvoiced frame
     vad_frames: list[list[bool]]           # per clip, True = voiced
     frame_period: float = 0.01
+    _pitch_rows: np.ndarray | None = _kept()
+    _voice_times: tuple | None = _kept()
+    _voice_table: np.ndarray | None = _kept()
 
     def __post_init__(self):
         self.clip_features = np.asarray(self.clip_features, dtype=np.float64)
@@ -130,22 +179,72 @@ class SpeechTrack:
                     f"example {owner}: clip {t} has a negative f0 value"
                 )
 
+    def pitch_rows(self, owner: str = "?") -> np.ndarray:
+        """(T,) pitch-embedding row of every clip, computed at the first call
+        and kept.
+
+        A clip's row comes from its averaged voiced (positive) f0, clamped to
+        [50, 500], rounded half-up, mapped to rows 1..451; all-unvoiced clips
+        use row 0. Each clip's voiced frames are summed after a leading zero,
+        which gives the sum ``np.mean`` takes (0 plus a pairwise sum), so the
+        averages are those of ``np.mean`` bit for bit. A negative f0 raises
+        DataValidationError naming the example, the clip and the value.
+        """
+        if self._pitch_rows is None:
+            f0, sizes, clip_of = _clip_frames(self.f0_frames, np.float64)
+            negative = f0 < 0
+            if negative.any():
+                frame = int(np.argmax(negative))
+                raise DataValidationError(f"example {owner}: clip {clip_of[frame]} has a "
+                                          f"negative f0 value {f0[frame]}")
+            voiced = f0 > 0.0
+            counts = np.bincount(clip_of[voiced], minlength=sizes.size)
+            starts = np.cumsum(counts) - counts
+            led = np.insert(f0[voiced], starts, 0.0)
+            sums = np.add.reduceat(led, starts + np.arange(counts.size))
+            average = sums / np.maximum(counts, 1)
+            rounded = np.floor(np.minimum(np.maximum(average, F0_MIN), F0_MAX) + 0.5)
+            self._pitch_rows = _frozen(np.where(
+                counts > 0, rounded.astype(np.intp) - int(F0_MIN) + 1, UNVOICED_INDEX))
+        return self._pitch_rows
+
+    def voice_times(self, owner: str = "?") -> tuple[np.ndarray, np.ndarray]:
+        """(T,) voice and non-voice time of every clip in seconds, computed at
+        the first call and kept. A clip without VAD frames raises
+        DataValidationError naming the example and the clip."""
+        if self._voice_times is None:
+            voiced, sizes, clip_of = _clip_frames(self.vad_frames, np.bool_)
+            if not sizes.all():
+                raise DataValidationError(f"example {owner}: clip {int(np.argmin(sizes))} "
+                                          f"has zero VAD frames")
+            on = np.bincount(clip_of[voiced], minlength=sizes.size)
+            self._voice_times = (_frozen(on * self.frame_period),
+                                 _frozen((sizes - on) * self.frame_period))
+        return self._voice_times
+
+    def voice_table(self, owner: str = "?") -> np.ndarray:
+        """(T, T) `voice_activity_table` of the track, computed at the first
+        call and kept."""
+        if self._voice_table is None:
+            self._voice_table = _frozen(voice_activity_table(*self.voice_times(owner)))
+        return self._voice_table
+
 
 @dataclass
 class PairRelevanceMatrix:
-    """C x C co-occurrence-derived relevance scores in [0, 1]."""
+    """C x C co-occurrence-derived relevance scores in [0, 1], read-only:
+    images keep their submatrices of it (see `RegionSet.pair_submatrix`)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _frozen(np.array(self.values, dtype=np.float64))
 
     def submatrix(self, categories: np.ndarray) -> np.ndarray:
         """(M, M) slice for one image's object category list."""
         return self.values[np.ix_(categories, categories)]
 
 
-# ---------------------------------------------------------------------------
 # pair relevance
 
 
@@ -181,79 +280,59 @@ def build_pair_matrix(category_sets: Iterable[Iterable[int]],
 # per-clip frame statistics
 
 
-def _clip_frames(tracks: Sequence[SpeechTrack], frames_of,
-                 dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every clip's frames of a batch of tracks, concatenated clip by clip:
+def _clip_frames(clips: Sequence[Sequence], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every clip's frames of one track, concatenated clip by clip:
     (frames, frame count per clip, clip of each frame)."""
-    clips = [frames for track in tracks for frames in frames_of(track)]
     sizes = np.fromiter(map(len, clips), dtype=np.intp, count=len(clips))
     values = np.fromiter(chain.from_iterable(clips), dtype=dtype, count=int(sizes.sum()))
     return values, sizes, np.repeat(np.arange(sizes.size), sizes)
 
 
-def _raise_at(tracks: Sequence[SpeechTrack], owners: Sequence[str] | None,
-              clip: int, problem: str) -> None:
-    """Raise DataValidationError about the `clip`-th clip of the batch."""
-    for b, track in enumerate(tracks):
-        if clip < track.count:
-            owner = "?" if owners is None else owners[b]
-            raise DataValidationError(f"example {owner}: clip {clip} {problem}")
-        clip -= track.count
-
-
-def _padded(tracks: Sequence[SpeechTrack], per_clip: np.ndarray) -> np.ndarray:
-    """Per-clip values of a batch, concatenated -> (B, T_max), zero after
-    each track's end."""
-    counts = np.array([track.count for track in tracks])
-    out = np.zeros((len(tracks), int(counts.max())), dtype=per_clip.dtype)
-    out[np.arange(out.shape[1]) < counts[:, None]] = per_clip
+def _padded(per_track: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-clip values of a batch of tracks -> (B, T_max), zero after each
+    track's end."""
+    counts = np.array([values.size for values in per_track])
+    out = np.zeros((len(per_track), int(counts.max())), dtype=per_track[0].dtype)
+    out[np.arange(out.shape[1]) < counts[:, None]] = np.concatenate(per_track)
     return out
-
-
-# ---------------------------------------------------------------------------
-# pitch
 
 
 def pitch_indices(tracks: Sequence[SpeechTrack],
                   owners: Sequence[str] | None = None) -> np.ndarray:
-    """(B, T_max) embedding rows of every clip of a batch of tracks, padded
-    with the unvoiced row after each track's end.
-
-    A clip's row comes from its averaged voiced (positive) f0, clamped to
-    [50, 500], rounded half-up, mapped to rows 1..451; all-unvoiced clips use
-    row 0. Each clip's voiced frames are summed after a leading zero, which
-    gives the sum ``np.mean`` takes (0 plus a pairwise sum), so the averages
-    are those of ``np.mean`` bit for bit. A negative f0 raises
-    DataValidationError naming the example, the clip and the value.
-    """
-    f0, sizes, clip_of = _clip_frames(tracks, lambda track: track.f0_frames, np.float64)
-    negative = f0 < 0
-    if negative.any():
-        frame = int(np.argmax(negative))
-        _raise_at(tracks, owners, clip_of[frame], f"has a negative f0 value {f0[frame]}")
-    voiced = f0 > 0.0
-    counts = np.bincount(clip_of[voiced], minlength=sizes.size)
-    starts = np.cumsum(counts) - counts
-    led = np.insert(f0[voiced], starts, 0.0)
-    sums = np.add.reduceat(led, starts + np.arange(counts.size))
-    average = sums / np.maximum(counts, 1)
-    rounded = np.floor(np.minimum(np.maximum(average, F0_MIN), F0_MAX) + 0.5)
-    rows = np.where(counts > 0, rounded.astype(np.intp) - int(F0_MIN) + 1, UNVOICED_INDEX)
-    return _padded(tracks, rows)
-
-
-# ---------------------------------------------------------------------------
-# voice activity
+    """(B, T_max) embedding rows of every clip of a batch of tracks
+    (`SpeechTrack.pitch_rows`), padded with the unvoiced row after each
+    track's end."""
+    owners = ["?"] * len(tracks) if owners is None else owners
+    return _padded([track.pitch_rows(owner) for track, owner in zip(tracks, owners)])
 
 
 def vad_aggregate(tracks: Sequence[SpeechTrack], owners: Sequence[str] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T_max) voice and non-voice time of every clip of a batch of tracks,
-    in seconds at each track's frame period, zero after each track's end."""
-    voiced, sizes, clip_of = _clip_frames(tracks, lambda track: track.vad_frames, np.bool_)
-    if not sizes.all():
-        _raise_at(tracks, owners, int(np.argmin(sizes)), "has zero VAD frames")
-    on = np.bincount(clip_of[voiced], minlength=sizes.size)
-    period = np.repeat([track.frame_period for track in tracks],
-                       [track.count for track in tracks])
-    return _padded(tracks, on * period), _padded(tracks, (sizes - on) * period)
+    """(B, T_max) voice and non-voice time of every clip of a batch of tracks
+    (`SpeechTrack.voice_times`), in seconds at each track's frame period, zero
+    after each track's end."""
+    owners = ["?"] * len(tracks) if owners is None else owners
+    times = [track.voice_times(owner) for track, owner in zip(tracks, owners)]
+    return _padded([voice for voice, _ in times]), _padded([nonvoice for _, nonvoice in times])
+
+
+def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:
+    """Speech-rhythm density of every span (i, j) of one sentence, at [i-1, j-1].
+
+    Span (i, j) ranges over clips i..j-1 and is penalized for its longest
+    internal pause relative to its mean voiced time; a single position has
+    an empty range and scores 0. Always in (-1, 0) otherwise. Entries below
+    the diagonal are 0 and unused. Leading axes are a batch: (B, T) clip
+    times give (B, T, T) tables, one per sentence.
+    """
+    n = voice_time.shape[-1]
+    first, end = np.indices((n, n))     # span (first + 1, end + 1) covers clips first..end-1
+    pauses = np.where(end >= first, nonvoice_time[..., None, :], -np.inf)
+    longest = np.full(pauses.shape, -np.inf)
+    longest[..., 1:] = np.maximum.accumulate(pauses, axis=-1)[..., :-1]
+    voiced = np.cumsum(voice_time, axis=-1)
+    voiced = np.concatenate([np.zeros(voiced.shape[:-1] + (1,)), voiced], axis=-1)
+    clips = end - first
+    mean_voice = (voiced[..., end] - voiced[..., first]) / np.maximum(clips, 1)
+    ratio = np.where(clips > 0, longest / (mean_voice + 1e-6), 0.0)
+    return np.where(clips > 0, -1.0 / (1.0 + np.exp(-ratio)), 0.0)

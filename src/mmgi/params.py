@@ -24,10 +24,14 @@ __all__ = [
 
 # 451 voiced pitch bins (50..500 Hz inclusive) plus one reserved unvoiced row.
 PITCH_VOCAB = 452
+# Tensors only words read: a textless model draws them and then drops them.
+TEXT_ONLY = frozenset({"word_embeddings", "word_projection", "attn_q", "attn_k", "attn_v",
+                       "align_proj_text"})
 
 
-def _shapes(cfg: RunConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...], tuple[int, int]]]:
-    """(name, shape, (fan_in, fan_out)) for every learnable tensor, in a fixed order."""
+def _draws(cfg: RunConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...], tuple[int, int]]]:
+    """(name, shape, (fan_in, fan_out)) for every tensor `build_params` draws,
+    in a fixed order, whatever the mode."""
     d, d_w, d_v, d_s, d_a = cfg.d, cfg.d_w, cfg.d_v, cfg.d_s, cfg.d_a
     return [
         ("word_embeddings", (vocab_size, d_w), (vocab_size, d_w)),
@@ -60,16 +64,31 @@ def _shapes(cfg: RunConfig, vocab_size: int) -> list[tuple[str, tuple[int, ...],
     ]
 
 
+def _shapes(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """{name: shape} of every tensor a model of `cfg` keeps: all that
+    `_draws` lists but the `TEXT_ONLY` ones in textless mode."""
+    textless = cfg.mode == "textless"
+    return {name: shape for name, shape, _ in _draws(cfg, vocab_size)
+            if not (textless and name in TEXT_ONLY)}
+
+
 def build_params(cfg: RunConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, Tensor]:
     """Seeded glorot-uniform init for matrices; biases start at zero except the
-    root outside bias, which needs symmetry breaking."""
+    root outside bias, which needs symmetry breaking.
+
+    Every tensor of `_draws` is drawn, in its order, so a tensor starts at
+    the same value in both modes; a textless model then keeps only the
+    tensors of `_shapes`, without the `TEXT_ONLY` ones no gradient reaches.
+    """
+    kept = _shapes(cfg, vocab_size)
     params: dict[str, Tensor] = {}
-    for name, shape, (fi, fo) in _shapes(cfg, vocab_size):
+    for name, shape, (fi, fo) in _draws(cfg, vocab_size):
         if len(shape) == 1 and name != "root_outside_bias":
             data = np.zeros(shape)
         else:
             data = glorot_uniform(rng, shape, fan_in=fi, fan_out=fo)
-        params[name] = Tensor(data, requires_grad=True)
+        if name in kept:
+            params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -144,9 +163,11 @@ def load_checkpoint(path: str | Path):
     """Returns (params, cfg, vocab, step, adam_state|None, pair_matrix|None).
 
     The stored config must have exactly RunConfig's fields and hash to the
-    stored `config_hash`. Every parameter tensor must be present with the
-    shape the stored config and vocabulary imply (vocabulary size 1 in
-    textless mode).
+    stored `config_hash`. The parameter tensors must be exactly those a model
+    of the stored config keeps (`_shapes`; a textless model has no
+    `TEXT_ONLY` tensor), each with the shape the stored config and
+    vocabulary imply (vocabulary size 1 in textless mode). A textless
+    checkpoint that holds a text-only tensor fails, naming it.
     """
     path = Path(path)
     if not path.exists():
@@ -170,7 +191,7 @@ def load_checkpoint(path: str | Path):
         elif kind in moments:
             moments[kind][name] = array
     pair_matrix = arrays.get("pair_matrix")
-    expected = {name: shape for name, shape, _ in _shapes(cfg, len(meta["vocab"] or []) or 1)}
+    expected = _shapes(cfg, len(meta["vocab"] or []) or 1)
     missing = sorted(set(expected) - set(params))
     if missing:
         raise CheckpointError(f"{path}: missing tensors {missing}")

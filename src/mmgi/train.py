@@ -92,9 +92,10 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
                 )
             optimizer.zero_grad()
             backward(total)
-            optimizer.step()
-            # the next step's graph must not be built while this one is alive
+            # Adam reads only the gradients: free the graph before its step,
+            # and before the next step's graph is built
             del chart, ctx, total
+            optimizer.step()
             for name, p in params.items():
                 if not np.all(np.isfinite(p.data)):
                     raise TrainingError(

@@ -1,5 +1,7 @@
 """Chart passes against the independent recursive oracle, plus the span ops."""
 
+import copy
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -11,13 +13,13 @@ from hypothesis import strategies as st
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor
-from mmgi.chart import (_dropout_masks, _Plan, _prefix, build_context, chart_dump,
-                        init_terminals, inside_pass, outside_pass, run_chart, sentence_plan,
-                        span_marginal, voice_activity_table)
+from mmgi.chart import (OUTSIDE_PART, _dropout_masks, _Plan, _prefix, build_context,
+                        chart_dump, init_terminals, inside_pass, outside_pass, run_chart,
+                        sentence_plan, span_marginal)
 from mmgi.decode import cky_decode
 from mmgi.errors import (AlignmentError, ChartError, DataValidationError,
                          DegenerateChartError)
-from mmgi.features import PairRelevanceMatrix
+from mmgi.features import PairRelevanceMatrix, voice_activity_table
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
@@ -929,6 +931,24 @@ def test_sentence_plans_stay_cached_across_forty_lengths():
     assert info.hits >= 80, info
 
 
+def test_parsing_leaves_the_outside_part_of_its_plan_unbuilt():
+    n = 9
+    cfg, bundle, vocab_index, params, pair = _setup(57, n)
+    sentence_plan.cache_clear()
+    tree = parse_example(bundle, params, cfg, vocab_index, pair)
+    plan = sentence_plan(n)
+    assert OUTSIDE_PART.isdisjoint(vars(plan))
+    # a dump runs the outside pass, which builds the part at its first read
+    scored, dump = parse_example(bundle, params, cfg, vocab_index, pair, with_scores=True)
+    assert scored == tree and OUTSIDE_PART <= vars(plan).keys()
+    _assert_same(vars(plan), vars(_Plan((n,))), "plan")
+    ctx = build_context(bundle, params, cfg, vocab_index, pair)
+    ctx.plan = _Plan((n,))
+    chart = inside_pass(ctx, params, cfg)
+    assert dump == chart_dump(outside_pass(chart, ctx, params, cfg))
+    sentence_plan.cache_clear()
+
+
 def test_split_tables_of_one_sentence_are_views_of_the_chart():
     cfg, bundle, vocab_index, params, pair = _setup(54, 5)
     chart = inside_pass(build_context(bundle, params, cfg, vocab_index, pair), params, cfg)
@@ -1029,6 +1049,74 @@ def test_batch_context_features_match_per_clip_oracles():
                 params["bbox_embed_b"])
     expect = add(ctx.v_proj, reshape(boxes, (len(bundles), 4, cfg.d)))
     assert np.array_equal(ctx.region_sum.data, expect.data)
+
+
+def _kept_features(bundle):
+    return (bundle.speech._pitch_rows, bundle.speech._voice_times, bundle.speech._voice_table,
+            bundle.regions._units, bundle.regions._pairs)
+
+
+@given(shapes=st.lists(st.tuples(st.integers(2, 7), st.integers(1, 5)), min_size=1,
+                       max_size=6),
+       textless=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_kept_features_chart_as_fresh_ones(shapes, textless, seed):
+    # random batches of a random corpus, each charted twice: the first pass
+    # computes the parameter-free features the bundles keep, the second reads
+    # them; both must equal a chart of fresh copies, which keep nothing, under
+    # two region caps and two pair matrices
+    cfg = tiny_config(mode="textless" if textless else "full", roi_count=5)
+    bundles, vocab_index, params, pair = _mixed_batch(seed, shapes, cfg)
+    fresh = copy.deepcopy(bundles)
+    rng = np.random.default_rng(seed)
+    other = PairRelevanceMatrix(rng.random((5, 5)))
+    order = rng.permutation(len(bundles))
+    batches = np.split(order, np.flatnonzero(rng.random(order.size - 1) < 0.5) + 1)
+    for roi_count, matrix in [(5, pair), (2, other), (5, other), (2, pair)]:
+        run = dataclasses.replace(cfg, roi_count=roi_count)
+        for batch in batches:
+            expect_chart, expect = run_chart(copy.deepcopy([fresh[b] for b in batch]), params,
+                                             run, vocab_index, matrix)
+            for _ in range(2):
+                chart, ctx = run_chart([bundles[b] for b in batch], params, run, vocab_index,
+                                       matrix)
+                assert all(value is not None for b in batch
+                           for value in _kept_features(bundles[b]))
+                for name in ("voice", "pair_sub"):
+                    assert np.array_equal(getattr(ctx, name), getattr(expect, name)), name
+                for name in ("region_sum", "pitch_seq", "v_proj"):
+                    assert np.array_equal(getattr(ctx, name).data,
+                                          getattr(expect, name).data), name
+                for name in ("h_in", "s_in", "h_out", "s_out"):
+                    assert np.array_equal(getattr(chart, name).data,
+                                          getattr(expect_chart, name).data), name
+                assert chart.split_in.keys() == expect_chart.split_in.keys()
+                for length, scores in chart.split_in.items():
+                    assert np.array_equal(scores.data, expect_chart.split_in[length].data)
+    assert not any(value is not None for ex in fresh for value in _kept_features(ex))
+
+
+def test_a_bundle_never_validated_fails_at_every_use():
+    cfg = tiny_config(roi_count=3)
+    rng = np.random.default_rng(58)
+    bad_box, bad_f0, late_box = (random_bundle(rng, 4, cfg, regions=4, ex_id=name)
+                                 for name in ("box", "f0", "late"))
+    bad_box.regions.bboxes[2] = (30.0, 10.0, 20.0, 40.0)
+    bad_f0.speech.f0_frames[1][3] = -7.0
+    late_box.regions.bboxes[3] = (30.0, 10.0, 20.0, 40.0)   # beyond roi_count
+    bundles = [bad_box, bad_f0, late_box]
+    vocab_index = tiny_vocab_index(bundles)
+    params = build_params(cfg, len(vocab_index), np.random.default_rng(59))
+    for _ in range(2):
+        with pytest.raises(DataValidationError,
+                           match=r"example box: region 2 .*\(30.0, 10.0, 20.0, 40.0\)"):
+            build_context(bad_box, params, cfg, vocab_index, None)
+        with pytest.raises(DataValidationError, match="example f0: clip 1 .* -7.0"):
+            build_context(bad_f0, params, cfg, vocab_index, None)
+        build_context(late_box, params, cfg, vocab_index, None)
+    with pytest.raises(DataValidationError, match="example late: region 3"):
+        build_context(late_box, params, dataclasses.replace(cfg, roi_count=4), vocab_index,
+                      None)
 
 
 def test_batch_context_names_the_bad_example():

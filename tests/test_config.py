@@ -46,6 +46,19 @@ def test_validation_errors():
     assert (cfg.gamma, cfg.lr, cfg.seed, cfg.use_voice) == (1, 0.5, 3, False)
 
 
+def test_float_fields_must_be_finite_and_lr_non_negative(tmp_path):
+    for field, value in [("lr", float("nan")), ("lr", -1.0), ("gamma", float("inf")),
+                         ("margin", float("nan")), ("lam", -float("inf")),
+                         ("dropout", float("nan"))]:
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            RunConfig(**{field: value}).validate()
+    assert RunConfig(lr=0.0).resolved().lr == 0.0
+    path = tmp_path / "c.json"
+    path.write_text('{"lr": NaN}')     # Python's json reads and writes NaN
+    with pytest.raises(ConfigError, match="lr must be finite"):
+        load_config(path)
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"d": 24, "lr": 0.001, "mode": "textless"}))

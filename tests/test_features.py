@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mmgi.chart import voice_activity_table
+from mmgi.features import voice_activity_table
 from mmgi.errors import DataValidationError
 from mmgi.features import (F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_matrix,
                            pitch_indices, vad_aggregate)

@@ -1,5 +1,6 @@
 """Composition MLP, LSTM, dropout, Adam, gradcheck harness, checkpoints."""
 
+import dataclasses
 import json
 import re
 
@@ -13,7 +14,8 @@ from mmgi.errors import CheckpointError
 from mmgi.gradcheck import grad_check
 from mmgi.nn import chart_step, dropout_mask, glorot_uniform, lstm_forward
 from mmgi.optim import Adam
-from mmgi.params import PITCH_VOCAB, build_params, load_checkpoint, save_checkpoint
+from mmgi.params import (PITCH_VOCAB, TEXT_ONLY, build_params, load_checkpoint,
+                         save_checkpoint)
 
 from .conftest import tiny_config
 from .oracles import (adam_step, add, bilinear_score, composite_bilinear_score,
@@ -459,6 +461,49 @@ def test_textless_checkpoint_is_validated(tmp_path):
         load_checkpoint(_saved(tmp_path, cfg, None, pitch_lstm_b=None))
     with pytest.raises(CheckpointError, match="clip_projection"):
         load_checkpoint(_saved(tmp_path, cfg, None, clip_projection=np.zeros((2, 2))))
+
+
+def test_textless_params_keep_the_full_draw_without_the_text_only_tensors():
+    cfg = tiny_config()
+    full = build_params(cfg, 1, np.random.default_rng(8))
+    textless = build_params(tiny_config(mode="textless"), 1, np.random.default_rng(8))
+    assert TEXT_ONLY == {"word_embeddings", "word_projection", "attn_q", "attn_k", "attn_v",
+                         "align_proj_text"}
+    assert list(textless) == [name for name in full if name not in TEXT_ONLY]
+    for name, p in textless.items():
+        assert np.array_equal(p.data, full[name].data), name
+
+
+def test_textless_checkpoint_roundtrip_and_text_only_tensor(tmp_path):
+    cfg = tiny_config(mode="textless")
+    params = build_params(cfg, 1, np.random.default_rng(9))
+    opt = Adam(params, lr=cfg.lr)
+    for p in params.values():
+        p.grad = np.full_like(p.data, 0.5)
+    opt.step()
+    path = tmp_path / "textless.npz"
+    save_checkpoint(path, params, cfg, None, optimizer=opt)
+    with np.load(path) as archive:
+        assert not any(key.endswith(tuple(TEXT_ONLY)) for key in archive.files)
+    loaded, _, vocab, step, adam_state, _ = load_checkpoint(path)
+    assert vocab is None and step == 1 and list(loaded) == list(params)
+    for name, p in params.items():
+        assert np.array_equal(loaded[name].data, p.data), name
+        assert np.array_equal(adam_state["m"][name], opt.m[name]), name
+    # a textless checkpoint written before the text-only tensors were dropped
+    older = tmp_path / "older.npz"
+    save_checkpoint(older, {**params, "attn_q": Tensor(np.zeros((cfg.d, cfg.d)))}, cfg, None)
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(str(older))}: unexpected tensor attn_q"):
+        load_checkpoint(older)
+
+
+def test_checkpoint_config_with_a_non_finite_float_names_the_field(tmp_path):
+    cfg = dataclasses.replace(tiny_config(), margin=float("nan"))
+    path = _saved(tmp_path, cfg, ["a"])
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(str(path))}: margin must be finite"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_load_errors_name_the_path_or_tensor(tmp_path):

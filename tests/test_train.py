@@ -1,5 +1,6 @@
 """Training loop determinism, edge cases, and failure diagnostics."""
 
+import gc
 import importlib
 import json
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from mmgi.errors import ChartError, DataValidationError, TrainingError
+from mmgi.optim import Adam
 from mmgi.inference import build_vocab, corpus_pair_matrix, heldout_sent_f1, parse_corpus
 from mmgi.synth import SynthConfig, generate_synthetic
 from mmgi.train import train, usable_examples
@@ -126,6 +128,31 @@ def test_step_graph_released_before_next_step(monkeypatch):
     monkeypatch.setattr(train_module, "batch_loss", watched)
     train(_cfg(epochs=1, batch=4), _corpus(count=8))
     assert len(losses) == 2
+
+
+def test_step_graph_freed_before_adam_steps(monkeypatch):
+    # Adam reads only the gradients; reference counting alone frees the graph
+    train_module = importlib.import_module("mmgi.train")
+    run_chart, adam_step = train_module.run_chart, Adam.step
+    charts, alive = [], []
+
+    def recorded(*args, **kwargs):
+        chart, ctx = run_chart(*args, **kwargs)
+        charts.append(weakref.ref(chart))
+        return chart, ctx
+
+    def step(optimizer):
+        alive.append(charts[-1]() is not None)
+        adam_step(optimizer)
+
+    monkeypatch.setattr(train_module, "run_chart", recorded)
+    monkeypatch.setattr(Adam, "step", step)
+    gc.disable()
+    try:
+        train(_cfg(epochs=1, batch=4), _corpus(count=8))
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 def test_mixed_feature_dims_fail_before_training():
