@@ -9,18 +9,21 @@ Schema per line::
 
     {"id": str,
      "tokens": [str, ...]?,                 # absent in textless-only corpora
-     "clips": [{"start": s, "end": s}, ...],
+     "clips": [{"start": s, "end": s}, ...],  # finite
      "clip_feats_ref": base64,              # T x d_s float64
-     "f0_frames": [[hz, ...], ...],         # per clip; 0 marks unvoiced frames
+     "f0_frames": [[hz, ...], ...],         # per clip, finite, >= 0; 0 marks unvoiced
      "vad_frames": [[0|1, ...], ...],       # per clip; true/false as well
      "frame_period": s?,                    # f0/VAD frame length; default 0.01
      "regions": [{"feat_ref": base64, "bbox": [x0, y0, x1, y1],
                   "category": int}, ...],
-     "image_size": [w, h],
+     "image_size": [w, h],                  # finite
      "gold_brackets": [[i, j], ...]?}       # 0-based inclusive token spans
 
 Other keys, such as the ``gold_labels`` of older corpora, are ignored. A JSON
-boolean stands for a number only as a VAD flag.
+boolean stands for a number only as a VAD flag, and no integer may exceed
+what a float64 (an intp for a category) holds. Loading packs each track's
+frames into flat arrays (`SpeechTrack.f0`, `.vad` and their per-clip counts);
+saving splits them by clip again, so a loaded corpus saves to the same bytes.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -122,14 +126,20 @@ def brackets_to_tree(brackets: list[tuple[int, int]], n: int) -> Tree:
 # serialization
 
 
+def _per_clip(frames: np.ndarray, counts: np.ndarray) -> list[list]:
+    """A track's flat frames split into one list per clip."""
+    values, ends = frames.tolist(), np.cumsum(counts).tolist()
+    return [values[end - count:end] for count, end in zip(counts.tolist(), ends)]
+
+
 def _bundle_to_record(ex: ExampleBundle) -> dict:
     record: dict = {"id": ex.id}
     if ex.tokens is not None:
         record["tokens"] = list(ex.tokens)
     record["clips"] = [{"start": s, "end": e} for s, e in ex.speech.clips]
     record["clip_feats_ref"] = _encode(ex.speech.clip_features)
-    record["f0_frames"] = [[float(v) for v in fr] for fr in ex.speech.f0_frames]
-    record["vad_frames"] = [[1 if v else 0 for v in fr] for fr in ex.speech.vad_frames]
+    record["f0_frames"] = _per_clip(ex.speech.f0, ex.speech.f0_counts)
+    record["vad_frames"] = _per_clip(ex.speech.vad.view(np.uint8), ex.speech.vad_counts)
     record["frame_period"] = ex.speech.frame_period
     record["regions"] = [
         {
@@ -157,6 +167,16 @@ def _numbers(values, cast=float, kinds=NUMBER) -> list:
     raise TypeError(f"expected a list of {kind}, got {str(values)[:60]}")
 
 
+def _frames(clips, kinds: frozenset) -> list:
+    """`clips`, a track's per-clip frames, if it is a list of lists whose
+    values' types are all in `kinds`."""
+    if (isinstance(clips, list) and all(type(clip) is list for clip in clips)
+            and set(map(type, chain.from_iterable(clips))) <= kinds):
+        return clips
+    kind = "/".join(sorted(t.__name__ for t in kinds))
+    raise TypeError(f"expected a list of lists of {kind}, got {str(clips)[:60]}")
+
+
 def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
     try:
         ex_id = record["id"]
@@ -167,13 +187,13 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
         speech = SpeechTrack(
             clips=clips,
             clip_features=clip_feats,
-            f0_frames=[_numbers(fr) for fr in record["f0_frames"]],
-            vad_frames=[_numbers(fr, bool, FLAG) for fr in record["vad_frames"]],
+            f0_frames=_frames(record["f0_frames"], NUMBER),
+            vad_frames=_frames(record["vad_frames"], FLAG),
             frame_period=_numbers([record.get("frame_period", 0.01)])[0],
         )
         feats = np.stack([_decode(r["feat_ref"], 1)[0] for r in record["regions"]]) \
             if record["regions"] else np.zeros((0, 0))
-        width, height = _numbers(record["image_size"])[:2]
+        width, height = _numbers(record["image_size"])
         regions = RegionSet(
             features=feats,
             bboxes=np.array([_numbers(r["bbox"]) for r in record["regions"]]),
@@ -185,14 +205,18 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
         if "gold_brackets" in record:
             gold = [(i + 1, j + 1) for i, j in
                     (_numbers(pair, int, INTEGER) for pair in record["gold_brackets"])]
+        tokens = record.get("tokens")
+        if "tokens" in record and not (isinstance(tokens, list)
+                                       and all(type(t) is str for t in tokens)):
+            raise TypeError(f"tokens {str(tokens)[:60]} are not a list of strings")
         return ExampleBundle(
             id=ex_id,
-            tokens=[str(t) for t in record["tokens"]] if "tokens" in record else None,
+            tokens=tokens,
             speech=speech,
             regions=regions,
             gold_brackets=gold,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DataValidationError(f"corpus line {line_no}: {exc!r}") from exc
 
 

@@ -10,14 +10,16 @@ each sentence's voice-activity table.
 None of them depends on the model's parameters, so each is computed at its
 first use, one track or image at a time, and kept on its `SpeechTrack` or
 `RegionSet` for every later step and parse; loading a corpus computes none of
-them. A bundle's raw inputs must therefore not change after its first use.
+them. A bundle's raw inputs must therefore not change after its first use; a
+track's f0 and VAD frames are flat read-only arrays, so they cannot.
 The batch functions `pitch_indices` and `vad_aggregate` pad the kept
 per-track values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -74,15 +76,20 @@ class RegionSet:
     def validate(self, owner: str = "?") -> None:
         if self.count < 1:
             raise DataValidationError(f"example {owner}: needs at least one region")
+        if self.bboxes.shape != (self.count, 4):
+            raise DataValidationError(f"example {owner}: {self.count} regions but bboxes of "
+                                      f"shape {self.bboxes.shape}")
         self._check_boxes(self._valid_boxes(), owner)
         if self.categories.min(initial=0) < 0:
             raise DataValidationError(f"example {owner}: negative category id")
 
     def _valid_boxes(self) -> np.ndarray:
-        """(M,) whether each box has an area and lies inside the image."""
+        """(M,) whether each box has an area and lies inside the image, whose
+        size must be finite."""
         w, h = self.image_size
         x0, y0, x1, y1 = self.bboxes.T
-        return (0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h)
+        return ((0 <= x0) & (x0 < x1) & (x1 <= w) & (0 <= y0) & (y0 < y1) & (y1 <= h)
+                & np.isfinite(w) & np.isfinite(h))
 
     def _check_boxes(self, valid: np.ndarray, owner: str) -> None:
         if not valid.all():
@@ -125,19 +132,29 @@ class RegionSet:
 
 @dataclass
 class SpeechTrack:
-    """Speech clips with representations, pitch frames, and VAD frames."""
+    """Speech clips with representations, pitch frames, and VAD frames.
+
+    The frames are given one sequence per clip and packed at construction:
+    `f0` (float64) and `vad` (bool) hold every clip's frames back to back,
+    `f0_counts` and `vad_counts` each clip's number of frames."""
 
     clips: list[tuple[float, float]]       # (start_s, end_s), ordered, non-overlapping
     clip_features: np.ndarray              # (T, d_s)
-    f0_frames: list[list[float]]           # per clip, Hz; 0 marks an unvoiced frame
-    vad_frames: list[list[bool]]           # per clip, True = voiced
+    f0_frames: InitVar[Sequence[Sequence[float]]]  # per clip, Hz; 0 marks an unvoiced frame
+    vad_frames: InitVar[Sequence[Sequence[bool]]]  # per clip, True = voiced
     frame_period: float = 0.01
+    f0: np.ndarray = field(init=False, repr=False)
+    f0_counts: np.ndarray = field(init=False, repr=False)
+    vad: np.ndarray = field(init=False, repr=False)
+    vad_counts: np.ndarray = field(init=False, repr=False)
     _pitch_rows: np.ndarray | None = _kept()
     _voice_times: tuple | None = _kept()
     _voice_table: np.ndarray | None = _kept()
 
-    def __post_init__(self):
+    def __post_init__(self, f0_frames, vad_frames):
         self.clip_features = np.asarray(self.clip_features, dtype=np.float64)
+        self.f0, self.f0_counts = _packed(f0_frames, np.float64)
+        self.vad, self.vad_counts = _packed(vad_frames, np.bool_)
 
     @property
     def count(self) -> int:
@@ -153,6 +170,10 @@ class SpeechTrack:
             )
         prev_end = -np.inf
         for t, (start, end) in enumerate(self.clips):
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise DataValidationError(
+                    f"example {owner}: clip {t} has a non-finite time ({start}, {end})"
+                )
             if not start < end:
                 raise DataValidationError(
                     f"example {owner}: clip {t} has start {start} >= end {end}"
@@ -167,17 +188,28 @@ class SpeechTrack:
                 f"example {owner}: {self.count} clips but "
                 f"{self.clip_features.shape[0]} clip feature rows"
             )
-        if len(self.f0_frames) != self.count or len(self.vad_frames) != self.count:
+        if self.f0_counts.size != self.count or self.vad_counts.size != self.count:
             raise DataValidationError(f"example {owner}: {self.count} clips but "
-                                      f"{len(self.f0_frames)} f0 and "
-                                      f"{len(self.vad_frames)} VAD frame lists")
-        for t in range(self.count):
-            if len(self.f0_frames[t]) == 0 or len(self.vad_frames[t]) == 0:
-                raise DataValidationError(f"example {owner}: clip {t} has zero frames")
-            if any(v < 0 for v in self.f0_frames[t]):
-                raise DataValidationError(
-                    f"example {owner}: clip {t} has a negative f0 value"
-                )
+                                      f"{self.f0_counts.size} f0 and "
+                                      f"{self.vad_counts.size} VAD frame lists")
+        empty = (self.f0_counts == 0) | (self.vad_counts == 0)
+        if empty.any():
+            raise DataValidationError(f"example {owner}: clip {int(np.argmax(empty))} has "
+                                      f"zero frames")
+        self._check_f0(owner)
+
+    def _check_f0(self, owner: str) -> None:
+        """Raises DataValidationError naming the example, the clip and the
+        value for the first f0 value that is negative or not finite."""
+        bad = ~(np.isfinite(self.f0) & (self.f0 >= 0.0))
+        if bad.any():
+            frame = int(np.argmax(bad))
+            clip = int(np.searchsorted(np.cumsum(self.f0_counts), frame, side="right"))
+            value = self.f0[frame]
+            fault = ("a negative f0 value {}" if value < 0 else
+                     "a non-finite f0 value {}; 0 marks an unvoiced frame")
+            raise DataValidationError(f"example {owner}: clip {clip} has "
+                                      + fault.format(value))
 
     def pitch_rows(self, owner: str = "?") -> np.ndarray:
         """(T,) pitch-embedding row of every clip, computed at the first call
@@ -187,16 +219,14 @@ class SpeechTrack:
         [50, 500], rounded half-up, mapped to rows 1..451; all-unvoiced clips
         use row 0. Each clip's voiced frames are summed after a leading zero,
         which gives the sum ``np.mean`` takes (0 plus a pairwise sum), so the
-        averages are those of ``np.mean`` bit for bit. A negative f0 raises
-        DataValidationError naming the example, the clip and the value.
+        averages are those of ``np.mean`` bit for bit. A negative or
+        non-finite f0 raises DataValidationError naming the example, the clip
+        and the value.
         """
         if self._pitch_rows is None:
-            f0, sizes, clip_of = _clip_frames(self.f0_frames, np.float64)
-            negative = f0 < 0
-            if negative.any():
-                frame = int(np.argmax(negative))
-                raise DataValidationError(f"example {owner}: clip {clip_of[frame]} has a "
-                                          f"negative f0 value {f0[frame]}")
+            self._check_f0(owner)
+            f0, sizes = self.f0, self.f0_counts
+            clip_of = np.repeat(np.arange(sizes.size), sizes)
             voiced = f0 > 0.0
             counts = np.bincount(clip_of[voiced], minlength=sizes.size)
             starts = np.cumsum(counts) - counts
@@ -213,11 +243,12 @@ class SpeechTrack:
         the first call and kept. A clip without VAD frames raises
         DataValidationError naming the example and the clip."""
         if self._voice_times is None:
-            voiced, sizes, clip_of = _clip_frames(self.vad_frames, np.bool_)
+            sizes = self.vad_counts
             if not sizes.all():
                 raise DataValidationError(f"example {owner}: clip {int(np.argmin(sizes))} "
                                           f"has zero VAD frames")
-            on = np.bincount(clip_of[voiced], minlength=sizes.size)
+            on = np.bincount(np.repeat(np.arange(sizes.size), sizes)[self.vad],
+                             minlength=sizes.size)
             self._voice_times = (_frozen(on * self.frame_period),
                                  _frozen((sizes - on) * self.frame_period))
         return self._voice_times
@@ -280,12 +311,12 @@ def build_pair_matrix(category_sets: Iterable[Iterable[int]],
 # per-clip frame statistics
 
 
-def _clip_frames(clips: Sequence[Sequence], dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every clip's frames of one track, concatenated clip by clip:
-    (frames, frame count per clip, clip of each frame)."""
-    sizes = np.fromiter(map(len, clips), dtype=np.intp, count=len(clips))
-    values = np.fromiter(chain.from_iterable(clips), dtype=dtype, count=int(sizes.sum()))
-    return values, sizes, np.repeat(np.arange(sizes.size), sizes)
+def _packed(clips: Sequence[Sequence], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every clip's frames of one track, back to back, and the frame count of
+    each clip; both read-only."""
+    counts = np.fromiter(map(len, clips), dtype=np.intp, count=len(clips))
+    frames = np.fromiter(chain.from_iterable(clips), dtype=dtype, count=int(counts.sum()))
+    return _frozen(frames), _frozen(counts)
 
 
 def _padded(per_track: Sequence[np.ndarray]) -> np.ndarray:

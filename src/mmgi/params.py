@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import lzma
 import zipfile
 from pathlib import Path
 
@@ -178,7 +179,10 @@ def load_checkpoint(path: str | Path):
         meta = json.loads(bytes(arrays.pop("__meta__")).decode())
     except KeyError:
         raise CheckpointError(f"{path} is not a checkpoint (missing metadata)") from None
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile, lzma.LZMAError,
+            NotImplementedError, RuntimeError) as exc:
+        # a corrupt compression method, flag or encryption bit makes zipfile
+        # decode with the wrong codec or raise the last two
         raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
     _check_meta(path, meta)
     cfg = _stored_config(path, meta)

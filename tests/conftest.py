@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from mmgi.config import RunConfig
 from mmgi.corpus import ExampleBundle
 from mmgi.features import RegionSet, SpeechTrack
 from mmgi.params import build_params
+
+from .oracles import per_clip
 
 
 def tiny_config(**overrides) -> RunConfig:
@@ -55,6 +59,25 @@ def random_bundle(rng: np.random.Generator, n: int, cfg: RunConfig,
         image_size=(width, height),
     )
     return ExampleBundle(id=ex_id, tokens=tokens, speech=speech, regions=region_set)
+
+
+def with_clip(track: SpeechTrack, clip: int, f0=None, vad=None) -> SpeechTrack:
+    """A new track equal to `track` but for the f0 and/or VAD frames given
+    for clip `clip`: a track's own frames are read-only."""
+    f0_frames = per_clip(track.f0, track.f0_counts)
+    vad_frames = per_clip(track.vad, track.vad_counts)
+    if f0 is not None:
+        f0_frames[clip] = f0
+    if vad is not None:
+        vad_frames[clip] = vad
+    return dataclasses.replace(track, f0_frames=f0_frames, vad_frames=vad_frames)
+
+
+def with_f0(track: SpeechTrack, clip: int, frame: int, value: float) -> SpeechTrack:
+    """A new track equal to `track` but for one f0 value."""
+    f0 = per_clip(track.f0, track.f0_counts)[clip]
+    f0[frame] = value
+    return with_clip(track, clip, f0=f0)
 
 
 def tiny_vocab_index(examples) -> dict[str, int]:

@@ -698,11 +698,18 @@ def scalar_pitch_index(f0_values) -> int:
     return int(np.floor(clamped + 0.5)) - 50 + 1
 
 
+def per_clip(frames: np.ndarray, counts: np.ndarray) -> list[list]:
+    """A track's flat frames (`SpeechTrack.f0` or `.vad`) split into one list
+    per clip by its frame counts."""
+    ends = np.cumsum(counts)
+    return [frames[end - count:end].tolist() for count, end in zip(counts, ends)]
+
+
 def scalar_vad_aggregate(track) -> tuple[np.ndarray, np.ndarray]:
     """Per clip (voice_time, nonvoice_time) of one track, clip by clip."""
     voice = np.empty(track.count)
     nonvoice = np.empty(track.count)
-    for t, frames in enumerate(track.vad_frames):
+    for t, frames in enumerate(per_clip(track.vad, track.vad_counts)):
         on = sum(1 for f in frames if f)
         voice[t] = on * track.frame_period
         nonvoice[t] = (len(frames) - on) * track.frame_period
@@ -775,16 +782,17 @@ def naive_chart(example, weights: dict[str, np.ndarray], cfg, pair_values,
 
     pitch = None
     if cfg.use_pitch:
-        rows = np.array([scalar_pitch_index(fr) for fr in example.speech.f0_frames])
+        f0_frames = per_clip(example.speech.f0, example.speech.f0_counts)
+        rows = np.array([scalar_pitch_index(fr) for fr in f0_frames])
         pitch = naive_lstm(weights["pitch_embedding"][rows], weights["pitch_lstm_wx"],
                            weights["pitch_lstm_wh"], weights["pitch_lstm_b"])
 
     voice = nonvoice = None
     if cfg.use_voice:
         period = example.speech.frame_period
-        voice = np.array([sum(map(bool, fr)) * period for fr in example.speech.vad_frames])
-        nonvoice = np.array([(len(fr) - sum(map(bool, fr))) * period
-                             for fr in example.speech.vad_frames])
+        vad_frames = per_clip(example.speech.vad, example.speech.vad_counts)
+        voice = np.array([sum(map(bool, fr)) * period for fr in vad_frames])
+        nonvoice = np.array([(len(fr) - sum(map(bool, fr))) * period for fr in vad_frames])
 
     h_in: dict = {}
     s_in: dict = {}

@@ -26,12 +26,12 @@ from mmgi.losses import batch_loss
 from mmgi.nn import chart_step, lstm_forward
 from mmgi.params import build_params
 
-from .conftest import random_bundle, tiny_config, tiny_vocab_index
+from .conftest import random_bundle, tiny_config, tiny_vocab_index, with_clip, with_f0
 from .oracles import (add, composite_context, composite_inside_pass, composite_outside_pass,
                       loop_plan, matmul, mul, naive_chart, naive_mlp, np_sigmoid, part_rows,
-                      reshape, scalar_pitch_index, scalar_unit_box, scalar_vad_aggregate,
-                      select, softmax, split_dropout_masks, tensor_sum, transpose,
-                      visual_span_feature)
+                      per_clip, reshape, scalar_pitch_index, scalar_unit_box,
+                      scalar_vad_aggregate, select, softmax, split_dropout_masks, tensor_sum,
+                      transpose, visual_span_feature)
 from .test_features import PAIRWISE_CLIP
 
 
@@ -251,8 +251,8 @@ def test_chart_matches_naive_oracle_on_a_pairwise_mean_clip():
     # left-to-right sum gives row 152
     cfg, bundle, vocab_index, params, pair = _setup(16, 3)
     assert cfg.use_pitch
-    bundle.speech.f0_frames[1] = list(PAIRWISE_CLIP)
-    bundle.speech.vad_frames[1] = [True] * len(PAIRWISE_CLIP)
+    bundle.speech = with_clip(bundle.speech, 1, list(PAIRWISE_CLIP),
+                              [True] * len(PAIRWISE_CLIP))
     _assert_matches_naive_oracle(cfg, bundle, vocab_index, params, pair)
 
 
@@ -292,10 +292,10 @@ def test_batch_chart_matches_naive_oracle(shapes, modalities, with_pair, textles
     bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"h{k}")
                for k, (n, regions) in enumerate(shapes)]
     if pairwise is not None:
-        speech = bundles[pairwise[0] % len(bundles)].speech
-        clip = pairwise[1] % speech.count
-        speech.f0_frames[clip] = list(PAIRWISE_CLIP)
-        speech.vad_frames[clip] = [True] * len(PAIRWISE_CLIP)
+        bundle = bundles[pairwise[0] % len(bundles)]
+        clip = pairwise[1] % bundle.speech.count
+        bundle.speech = with_clip(bundle.speech, clip, list(PAIRWISE_CLIP),
+                                  [True] * len(PAIRWISE_CLIP))
     vocab_index = None if textless else tiny_vocab_index(bundles)
     params = build_params(cfg, 1 if textless else len(vocab_index),
                           np.random.default_rng(seed + 1))
@@ -1037,7 +1037,8 @@ def test_batch_context_features_match_per_clip_oracles():
         table = voice_activity_table(*scalar_vad_aggregate(ex.speech))
         assert np.array_equal(ctx.voice[b, :count, :count], table)
         assert not ctx.voice[b, count:].any() and not ctx.voice[b, :, count:].any()
-        rows[b, :count] = [scalar_pitch_index(frames) for frames in ex.speech.f0_frames]
+        rows[b, :count] = [scalar_pitch_index(frames)
+                           for frames in per_clip(ex.speech.f0, ex.speech.f0_counts)]
         width, height = ex.regions.image_size
         units[b, :ex.regions.count] = [scalar_unit_box(box, width, height)
                                        for box in ex.regions.bboxes]
@@ -1102,7 +1103,7 @@ def test_a_bundle_never_validated_fails_at_every_use():
     bad_box, bad_f0, late_box = (random_bundle(rng, 4, cfg, regions=4, ex_id=name)
                                  for name in ("box", "f0", "late"))
     bad_box.regions.bboxes[2] = (30.0, 10.0, 20.0, 40.0)
-    bad_f0.speech.f0_frames[1][3] = -7.0
+    bad_f0.speech = with_f0(bad_f0.speech, 1, 3, -7.0)
     late_box.regions.bboxes[3] = (30.0, 10.0, 20.0, 40.0)   # beyond roi_count
     bundles = [bad_box, bad_f0, late_box]
     vocab_index = tiny_vocab_index(bundles)
@@ -1125,10 +1126,11 @@ def test_batch_context_names_the_bad_example():
     bundles = [random_bundle(rng, 3, cfg, ex_id=f"v{k}") for k in range(3)]
     vocab_index = tiny_vocab_index(bundles)
     params = build_params(cfg, len(vocab_index), np.random.default_rng(50))
-    bundles[1].speech.f0_frames[2][0] = -40.0
+    speech = bundles[1].speech
+    bundles[1].speech = with_f0(speech, 2, 0, -40.0)
     with pytest.raises(DataValidationError, match="example v1: clip 2 .* -40.0"):
         build_context(bundles, params, cfg, vocab_index, None)
-    bundles[1].speech.f0_frames[2][0] = 0.0
+    bundles[1].speech = with_f0(speech, 2, 0, 0.0)
     bundles[2].regions.bboxes[1] = (10.0, 10.0, 5.0, 30.0)
     with pytest.raises(DataValidationError, match=r"example v2: region 1 .*\(10.0, 10.0, 5.0"):
         build_context(bundles, params, cfg, vocab_index, None)

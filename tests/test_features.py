@@ -10,7 +10,7 @@ from mmgi.errors import DataValidationError
 from mmgi.features import (F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_matrix,
                            pitch_indices, vad_aggregate)
 
-from .conftest import random_bundle, tiny_config
+from .conftest import random_bundle, tiny_config, with_clip
 from .oracles import (scalar_pair_matrix, scalar_pitch_index, scalar_unit_box,
                       scalar_vad_aggregate)
 
@@ -262,8 +262,7 @@ def test_vad_aggregate_mixed():
 
 
 def test_vad_zero_frames_rejected():
-    track = _track([[True], [True]])
-    track.vad_frames = [[True], []]
+    track = with_clip(_track([[True], [True]]), 1, vad=[])
     with pytest.raises(DataValidationError, match="example a: clip 1 has zero VAD frames"):
         vad_aggregate([_track([[True]]), track], ["b", "a"])
 

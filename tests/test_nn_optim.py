@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import re
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmgi import autodiff as ad
 from mmgi.autodiff import Tensor, backward
@@ -597,6 +602,43 @@ def test_corrupt_checkpoint_raises_checkpoint_error_naming_the_path(tmp_path, co
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
     with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+@cache
+def _fuzz_checkpoint() -> bytes:
+    """A checkpoint with Adam moments and a pair matrix, as bytes."""
+    cfg = tiny_config()
+    params = build_params(cfg, 3, np.random.default_rng(5))
+    opt = Adam(params, lr=cfg.lr)
+    for p in params.values():
+        p.grad = np.full_like(p.data, 0.5)
+    opt.step()
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "ck.npz"
+        save_checkpoint(path, params, cfg, ["a", "b", "c"], optimizer=opt,
+                        pair_matrix=np.eye(5))
+        return path.read_bytes()
+
+
+# a byte anywhere, or among the last 512, where the zip directory lies
+_BYTE_AT = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 512))
+
+
+@given(flips=st.lists(st.tuples(_BYTE_AT, st.integers(1, 255)), min_size=1, max_size=4))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_byte_flipped_checkpoint_raises_only_checkpoint_error(flips):
+    # a load may succeed, since some bytes are not read, but the only error
+    # that may escape is the library's, naming the path
+    raw = bytearray(_fuzz_checkpoint())
+    for at, mask in flips:
+        raw[int(at * len(raw)) if isinstance(at, float) else -at] ^= mask
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "ck.npz"
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc), str(exc)
 
 
 BAD_METADATA = {
