@@ -12,18 +12,22 @@ The sentences of a batch share one chart. Every span of length l has exactly
 l-1 splits in every sentence, so the inside pass composes, scores and
 normalizes the spans of one length of all sentences together. Every span at
 distance r = n - l from its root has exactly r outside contexts, so the
-outside pass takes one step per distance. Each step is one node of the same
-fused op, `nn.chart_step`: an inside step pairs left with right children, an
-outside step parents with siblings. Its rows are written once into a store
-(`autodiff.Store`), at the span rows of its cells, and later steps read the
-left children, the right children, the parents and the siblings from the
-stores themselves, by index arrays that depend only on the sentence lengths
-(see `_Plan`): a step is one node, whose parents are the blocks written
-before it, and its backward reads those rows again from the stores instead
-of keeping a copy. Work that involves one sentence's own image or speech
-(region attention, pair scores, pitch pooling, word-to-clip attention) runs
-on per-sentence blocks padded to a common size, with a -inf mask where
-padding would otherwise be attended to, so its cost stays per sentence.
+outside pass takes one step per distance. Each step runs the same fused
+numpy function, `nn.chart_step`: an inside step pairs left with right
+children, an outside step parents with siblings. It writes its rows once
+into its pass's (spans, d + 1) array, at the span rows of its cells, and
+later steps read the left children, the right children, the parents and the
+siblings from those arrays by index arrays that depend only on the sentence
+lengths (see `_Plan`). Each pass is one autodiff node: its vjp runs the
+steps' vjps in reverse order (Eisner, "Inside-Outside and Forward-Backward
+Algorithms Are Just Backprop", 2016), each reading its pairs again from the
+pass arrays instead of keeping a copy, and summing their gradients into one
+gradient array the vjp owns. The chart's read-outs `h_in`, `s_in`, `h_out`
+and `s_out` are column views of the two pass outputs. Work that involves
+one sentence's own image or speech (region attention, pair scores, pitch
+pooling, word-to-clip attention) runs on per-sentence blocks padded to a
+common size, with a -inf mask where padding would otherwise be attended
+to, so its cost stays per sentence.
 
 The context that feeds the passes is a few fused nodes as well (`nn`'s
 region projection, box embedding sum, terminals and pitch LSTM, and the
@@ -59,6 +63,7 @@ from .nn import (add_box_embedding, attend_clips, chart_step, dropout_mask, lstm
 __all__ = [
     "BatchContext",
     "Chart",
+    "check_dims",
     "build_context",
     "init_terminals",
     "sentence_plan",
@@ -113,7 +118,7 @@ class BatchContext:
 class _Plan:
     """Index arrays of one batch's chart; they depend only on the lengths.
 
-    Every store of the chart is indexed by span row, length-major: the block
+    Every array of the chart is indexed by span row, length-major: the block
     of length l holds the n-l+1 spans of every sentence with n >= l,
     sentence by sentence, by start within a sentence (`offsets[l, b]` is the
     row of sentence b's first span of length l). The outside step at
@@ -298,8 +303,9 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def _parts(early: np.ndarray, *rows: np.ndarray) -> tuple:
-    """Each of `rows` as two `Store.gather` parts, where the mask `early`
-    holds and where it does not; they share the two masks."""
+    """Each of `rows` as two parts (at, index) of a read (see `nn._take`),
+    where the mask `early` holds and where it does not; they share the two
+    masks."""
     masks = early, ~early
     parts = tuple(tuple((at, index[at]) for at in masks) for index in rows)
     _freeze(*masks, *(index for side in parts for _, index in side))
@@ -307,8 +313,8 @@ def _parts(early: np.ndarray, *rows: np.ndarray) -> tuple:
 
 
 def _prefix(parts: tuple, size: int) -> tuple:
-    """`Store.gather` parts that read the first `size` rows of what `parts`
-    read, as views."""
+    """Parts of a read that read the first `size` rows of what `parts` read,
+    as views."""
     return tuple((at[:size], index[:np.count_nonzero(at[:size])]) for at, index in parts)
 
 
@@ -360,10 +366,11 @@ class Chart:
     (i, j) of sentence b; the spans of one length of all sentences form one
     block. ``split_in[l]`` holds that block's (cells, l-1) decomposition
     scores, column k-i for split point k, as a constant: decoding reads it,
-    and no gradient flows through it. ``h_in`` and ``s_in`` read the columns
-    of ``span_store``, the store the inside pass wrote, which the outside
-    pass reads siblings from. The outside fields stay None until the outside
-    pass runs. ``len(chart)`` is the number of sentences.
+    and no gradient flows through it. ``h_in`` and ``s_in`` are column views
+    of ``inside``, the inside pass's node, which the outside pass reads
+    siblings from; ``h_out`` and ``s_out`` are those of the outside pass's.
+    The outside fields stay None until the outside pass runs. ``len(chart)``
+    is the number of sentences.
     """
 
     lengths: tuple[int, ...]
@@ -375,7 +382,7 @@ class Chart:
     s_out: Tensor | None = None
     outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
     plan: _Plan | None = field(default=None, repr=False)
-    span_store: ad.Store | None = field(default=None, repr=False)   # (spans, d + 1): h | s
+    inside: Tensor | None = field(default=None, repr=False)   # (spans, d + 1): h | s
 
     def __post_init__(self):
         if self.plan is None:
@@ -408,15 +415,33 @@ class Chart:
         return splits, spans
 
 
+def check_dims(cfg: RunConfig, examples: list[ExampleBundle]) -> None:
+    """Fail fast, naming the example, when a model's dims cannot consume its features."""
+    for ex in examples:
+        d_s = ex.speech.clip_features.shape[1]
+        d_v = ex.regions.features.shape[1]
+        if d_s != cfg.d_s:
+            raise DataValidationError(
+                f"example {ex.id}: clip features have dim {d_s}, the model expects {cfg.d_s}"
+            )
+        if d_v != cfg.d_v:
+            raise DataValidationError(
+                f"example {ex.id}: region features have dim {d_v}, the model expects {cfg.d_v}"
+            )
+
+
 def build_context(examples: ExampleBundle | list[ExampleBundle],
                   params: dict[str, Tensor], cfg: RunConfig,
                   vocab_index: dict[str, int] | None,
                   pair_matrix: PairRelevanceMatrix | None) -> BatchContext:
     """Project the raw modalities of one example or a batch once; regions are
     capped at roi_count. The parameter-free features are the ones each
-    bundle keeps from its first use (see `features`), padded."""
+    bundle keeps from its first use (see `features`), padded. Features of
+    dims the model cannot consume fail here, naming the example (see
+    `check_dims`): every chart, parse and training step starts here."""
     if isinstance(examples, ExampleBundle):
         examples = [examples]
+    check_dims(cfg, examples)
     textless = cfg.mode == "textless"
     lengths = tuple(ex.speech.count if textless else len(ex.tokens or [])
                     for ex in examples)
@@ -530,20 +555,45 @@ def _first_nonfinite(scores: np.ndarray) -> tuple[int, int] | None:
     return int(cell), int(column)
 
 
+def _columns(rows: Tensor, cols) -> Tensor:
+    """Columns `cols` of a pass's rows, as a view."""
+    def vjp(g):
+        grad = np.zeros(rows.data.shape)
+        grad[:, cols] = g
+        return (grad,)
+
+    return ad._from_op(rows.data[:, cols], (rows,), vjp)
+
+
+def _sum_into(totals: list, terms) -> None:
+    """Add each of `terms` into its slot of `totals`, in place after the
+    first, skipping None: summed in sweep order, as separate step nodes'
+    gradients were. The terms are fresh arrays of a step's vjp."""
+    for k, term in enumerate(terms):
+        if term is None:
+            continue
+        if totals[k] is None:
+            totals[k] = term
+        else:
+            totals[k] += term
+
+
 def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 training: bool = False,
                 rng: np.random.Generator | None = None) -> Chart:
     """Fill inside vectors/scores bottom-up, caching decomposition scores.
 
     Each length is one step over all of its (span, split) pairs in every
-    sentence. Two stores hold the spans, length-major: `spans` the vector
-    and score of each span, and `children` what a parent reads of a child:
-    with region features on, its vector plus gamma times its region feature,
-    its score, and with a pair matrix its region attention and that
-    attention through the pair matrix (without region features the two
-    stores are one). In training with dropout, the boolean masks of this
-    pass and of the outside pass are drawn here, in the order
-    `_dropout_masks` fixes.
+    sentence, and the whole pass is one node. Its output holds the vector
+    and score of each span, (spans, d + 1) rows, length-major; its vjp runs
+    the steps' vjps from the longest length down, on one gradient array of
+    its own. With region features on, the steps read a second array of what
+    a parent reads of a child: its vector plus gamma times its region
+    feature, its score, and with a pair matrix its region attention and that
+    attention through the pair matrix. When no input needs a gradient (every
+    parse), the pass keeps no step's backward state. In training with
+    dropout, the boolean masks of this pass and of the outside pass are
+    drawn here, in the order `_dropout_masks` fixes.
     """
     plan = ctx.plan
     terminals = init_terminals(ctx, params, cfg)
@@ -552,28 +602,36 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         inside_masks, outside_masks = _dropout_masks(
             plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
     count, (positions, d) = len(ctx.lengths), terminals.data.shape
-    spans = ad.Store(plan.block_start[-1], d + 1)
-    spans.write(terminals, slice(0, positions), cols=slice(0, d))
+    weights = tuple(params[name] for name in ("compose_in_w1", "compose_in_b1",
+                                              "compose_in_w2", "compose_in_b2",
+                                              "bilinear_inside"))
+    visual = ctx.region_sum is not None
+    pitch = None if ctx.pitch_seq is None else ctx.pitch_seq.data
+    inputs = ((terminals,) + ((ctx.v_proj, ctx.region_sum) if visual else ())
+              + (() if pitch is None else (ctx.pitch_seq,)) + weights)
+    grad = any(t.requires_grad for t in inputs)
+    spans = np.zeros((plan.block_start[-1], d + 1))
+    spans[:positions, :d] = terminals.data
     children, regions = spans, 0
-    if ctx.region_sum is not None:
+    features, steps = [], []   # the vjps of lengths 1.., and of lengths 2..
+    if visual:
         if ctx.pair_sub is not None:
             regions = ctx.pair_sub.shape[1]
-        children = ad.Store(plan.block_start[-2], d + 1 + 2 * regions)
+        children = np.empty((plan.block_start[-2], d + 1 + 2 * regions))
 
         def add_children(length: int) -> None:
             block = slice(plan.block_start[length], plan.block_start[length + 1])
-            children.write(span_features(
-                spans.read(block), ctx.v_proj, ctx.region_sum, gamma=cfg.gamma,
+            children[block], vjp = span_features(
+                spans[block], ctx.v_proj.data, ctx.region_sum.data, gamma=cfg.gamma,
                 blocks=(count, plan.n_max - length + 1), pad=plan.pad.get(length),
-                unpad=plan.unpad.get(length), mask=ctx.region_mask, pair=ctx.pair_sub), block)
+                unpad=plan.unpad.get(length), mask=ctx.region_mask, pair=ctx.pair_sub,
+                grad=grad)
+            features.append(vjp)
 
         add_children(1)
     voice = None
     if ctx.voice is not None:
         voice = ctx.voice[plan.span_sentence, plan.span_start - 1, plan.span_end - 1]
-    weights = tuple(params[name] for name in ("compose_in_w1", "compose_in_b1",
-                                              "compose_in_w2", "compose_in_b2",
-                                              "bilinear_inside"))
     split_in = {}
     # a left child reads its pair columns, vector and score, a right child
     # its vector, score and attention (see `span_features`)
@@ -581,13 +639,14 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     for length in range(2, plan.n_max + 1):
         (lefts, rights), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
-        step, scores = chart_step(
-            children.read(lefts, left_cols), children.read(rights, right_cols), weights,
-            cells=block.stop - block.start,
+        spans[block], scores, vjp = chart_step(
+            (children, lefts, left_cols), (children, rights, right_cols),
+            tuple(w.data for w in weights), cells=block.stop - block.start,
             keep=None if inside_masks is None else inside_masks[length], rate=cfg.dropout,
             regions=regions,
             voice=None if voice is None else np.repeat(voice[block], length - 1),
-            pitch=ctx.pitch_seq, pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam)
+            pitch=pitch, pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam,
+            grad=grad)
         bad = _first_nonfinite(scores)
         if bad is not None:
             row = block.start + bad[0]
@@ -597,12 +656,27 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
         split_in[length] = ad.constant(scores)
-        spans.write(step, block)
-        if children is not spans and length < plan.n_max:
+        steps.append(vjp)
+        if visual and length < plan.n_max:
             add_children(length)
-    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=spans.gather(slice(None), slice(0, d)),
-                 s_in=spans.gather(slice(None), d), split_in=split_in,
-                 outside_masks=outside_masks, plan=plan, span_store=spans)
+
+    def vjp(g):
+        g_spans = g.copy()
+        g_children = g_spans if children is spans else np.zeros(children.shape)
+        g_regions, g_steps = [None, None], [None] * 6   # v_proj, region_sum; pitch, weights
+        for length in range(plan.n_max, 0, -1):
+            block = slice(plan.block_start[length], plan.block_start[length + 1])
+            if length <= len(features):
+                _sum_into(g_regions, features[length - 1](g_children[block], g_spans[block]))
+            if length > 1:
+                _sum_into(g_steps, steps[length - 2](g_spans[block], g_children, g_children))
+        return ((g_spans[:positions, :d],) + (tuple(g_regions) if visual else ())
+                + tuple(g_steps[pitch is None:]))
+
+    rows = ad._from_op(spans, inputs, vjp)
+    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=_columns(rows, slice(0, d)),
+                 s_in=_columns(rows, d), split_in=split_in, outside_masks=outside_masks,
+                 plan=plan, inside=rows)
 
 
 def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
@@ -615,30 +689,32 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     k < i uses parent (k, j) and sibling (k, i-1). The root has no context;
     its outside vector is a learned bias and its outside score is zero.
     Each distance r to the root is one step over all (span, context) pairs
-    of every sentence with n > r, reading parents from the store of outside
-    vectors and scores and siblings from the inside pass's store; both are
-    indexed by span row. In training, the dropout masks are the ones the
-    inside pass drew, so it must have run in training too; `rng` is taken
-    for symmetry with `inside_pass` and not used.
+    of every sentence with n > r, reading parents from the pass's own rows
+    and siblings from the inside pass's; both are indexed by span row. The
+    whole pass is one node, as the inside pass is. In training, the dropout
+    masks are the ones the inside pass drew, so it must have run in training
+    too; `rng` is taken for symmetry with `inside_pass` and not used.
 
     Textless training leaves the outside rows of single positions at zero:
     only the reconstruction loss reads them, and textless mode has no words
     to reconstruct. Each step then runs on the cells that lead it (see
-    `_Plan`), and a distance whose cells are all single positions builds no
-    node. Full-mode training and eval passes compute every cell.
+    `_Plan`), and a distance whose cells are all single positions runs no
+    step. Full-mode training and eval passes compute every cell.
     """
     plan = chart.plan
     masks = chart.outside_masks if training else None
     every_cell = not training or cfg.mode != "textless"
-    count = len(chart)
     bias = params["root_outside_bias"]
-    root = ad._from_op(np.tile(bias.data, (count, 1)), (bias,), lambda g: (g.sum(axis=0),))
-    d = root.data.shape[1]
-    outside = ad.Store(plan.block_start[-1], d + 1)
-    outside.write(root, plan.root_rows, cols=slice(0, d))
+    d = bias.data.shape[0]
     weights = tuple(params[name] for name in ("compose_out_w1", "compose_out_b1",
                                               "compose_out_w2", "compose_out_b2",
                                               "bilinear_outside"))
+    inputs = (chart.inside, bias) + weights
+    grad = any(t.requires_grad for t in inputs)
+    inside = chart.inside.data
+    outside = np.zeros((plan.block_start[-1], d + 1))
+    outside[plan.root_rows, :d] = bias.data
+    steps = []
     for r in range(1, plan.n_max):
         parents, siblings, cells = plan.outside[r]
         if not every_cell:
@@ -646,10 +722,10 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
             parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
         if not cells:
             continue
-        step, scores = chart_step(
-            outside.read(parents), chart.span_store.read(siblings), weights,
-            cells=cells, keep=None if masks is None else masks[r][:cells * r],
-            rate=cfg.dropout)
+        step, scores, vjp = chart_step(
+            (outside, parents, slice(None)), (inside, siblings, slice(None)),
+            tuple(w.data for w in weights), cells=cells,
+            keep=None if masks is None else masks[r][:cells * r], rate=cfg.dropout, grad=grad)
         rows = plan.out_rows[r][:cells]
         bad = _first_nonfinite(scores)
         if bad is not None:
@@ -659,9 +735,19 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                 f"at span ({plan.span_start[span]}, {plan.span_end[span]}), "
                 f"context {bad[1]}"
             )
-        outside.write(step, rows)
-    chart.h_out = outside.gather(slice(None), slice(0, d))
-    chart.s_out = outside.gather(slice(None), d)
+        outside[rows] = step
+        steps.append((rows, vjp))
+
+    def vjp(g):
+        g_outside = g.copy()
+        g_inside = np.zeros(inside.shape)
+        g_steps = [None] * 6   # no pitch; the weights
+        for rows, step_vjp in reversed(steps):
+            _sum_into(g_steps, step_vjp(g_outside[rows], g_outside, g_inside))
+        return (g_inside, g_outside[plan.root_rows, :d].sum(axis=0)) + tuple(g_steps[1:])
+
+    rows = ad._from_op(outside, inputs, vjp)
+    chart.h_out, chart.s_out = _columns(rows, slice(0, d)), _columns(rows, d)
     return chart
 
 

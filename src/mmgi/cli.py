@@ -12,7 +12,7 @@ from .config import RunConfig, load_config
 from .corpus import load_corpus, save_corpus
 from .errors import MMGIError
 from .features import PairRelevanceMatrix
-from .inference import check_dims, parse_example
+from .inference import parse_example
 from .metrics import bracketing_f1, scf1
 from .params import load_checkpoint
 from .synth import SynthConfig, default_grammar, generate_synthetic, right_chain_grammar
@@ -74,7 +74,6 @@ def cmd_parse(args) -> int:
     params, cfg, vocab, _, _, pair_values = load_checkpoint(args.checkpoint)
     cfg = cfg.resolved()
     corpus = load_corpus(args.corpus, mode=cfg.mode)
-    check_dims(cfg, corpus)
     pair = PairRelevanceMatrix(pair_values) if pair_values is not None else None
     vocab_index = {t: i for i, t in enumerate(vocab)} if vocab else None
     trees = []

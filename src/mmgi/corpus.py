@@ -177,13 +177,22 @@ def _frames(clips, kinds: frozenset) -> list:
     raise TypeError(f"expected a list of lists of {kind}, got {str(clips)[:60]}")
 
 
+def _finite(rows: np.ndarray, name: str) -> np.ndarray:
+    """`rows` of decoded features, once all are finite; `name` names their
+    field, with "{}" for the row."""
+    if not np.isfinite(rows).all():
+        at = tuple(np.argwhere(~np.isfinite(rows))[0])
+        raise ValueError(f"{name.format(at[0])} holds the non-finite value {rows[at]}")
+    return rows
+
+
 def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
     try:
         ex_id = record["id"]
         if not isinstance(ex_id, str):
             raise TypeError(f"id {ex_id!r} is not a string")
         clips = [tuple(_numbers([c["start"], c["end"]])) for c in record["clips"]]
-        clip_feats = _decode(record["clip_feats_ref"], len(clips))
+        clip_feats = _finite(_decode(record["clip_feats_ref"], len(clips)), "clip_feats_ref")
         speech = SpeechTrack(
             clips=clips,
             clip_features=clip_feats,
@@ -191,7 +200,8 @@ def _record_to_bundle(record: dict, line_no: int) -> ExampleBundle:
             vad_frames=_frames(record["vad_frames"], FLAG),
             frame_period=_numbers([record.get("frame_period", 0.01)])[0],
         )
-        feats = np.stack([_decode(r["feat_ref"], 1)[0] for r in record["regions"]]) \
+        feats = _finite(np.stack([_decode(r["feat_ref"], 1)[0] for r in record["regions"]]),
+                        "region {} feat_ref") \
             if record["regions"] else np.zeros((0, 0))
         width, height = _numbers(record["image_size"])
         regions = RegionSet(

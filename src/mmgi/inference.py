@@ -8,7 +8,6 @@ from .chart import build_context, chart_dump, inside_pass, outside_pass
 from .config import RunConfig
 from .corpus import ExampleBundle
 from .decode import cky_decode
-from .errors import DataValidationError
 from .features import PairRelevanceMatrix, build_pair_matrix
 from .metrics import bracketing_f1
 from .trees import Tree
@@ -19,7 +18,6 @@ __all__ = [
     "parse_example",
     "parse_corpus",
     "heldout_sent_f1",
-    "check_dims",
 ]
 
 
@@ -82,18 +80,3 @@ def heldout_sent_f1(examples: list[ExampleBundle], params: dict[str, Tensor],
     preds = parse_corpus(scored, params, cfg, vocab, pair_matrix)
     golds = [ex.gold_tree() for ex in scored]
     return bracketing_f1(preds, golds, mode="sentence")
-
-
-def check_dims(cfg: RunConfig, examples: list[ExampleBundle]) -> None:
-    """Fail fast, naming the example, when a model's dims cannot consume its features."""
-    for ex in examples:
-        d_s = ex.speech.clip_features.shape[1]
-        d_v = ex.regions.features.shape[1]
-        if d_s != cfg.d_s:
-            raise DataValidationError(
-                f"example {ex.id}: clip features have dim {d_s}, the model expects {cfg.d_s}"
-            )
-        if d_v != cfg.d_v:
-            raise DataValidationError(
-                f"example {ex.id}: region features have dim {d_v}, the model expects {cfg.d_v}"
-            )

@@ -1,19 +1,21 @@
 """The fused ops of a training step, and dropout and parameter
 initialization.
 
-Each op is one autodiff node with a hand-written vector-Jacobian product.
-The context is a few of them: the region projection, the bounding-box
-embedding added to it (`project_regions`, `add_box_embedding`), the
-terminals (`attend_clips` in the full setting, `normalize_clips` in the
-textless one) and the pitch LSTM over a (B, T, d) batch (`lstm_forward`).
-One chart step serves each inside length (all spans of one length) and each
-outside distance (all spans at one distance to the root): it runs the
-compose MLP's hidden layer, the bilinear score and the split softmax pooling
-over (K, d) blocks of pairs, and the MLP's second layer once per pooled
-span. The region feature of a block of spans is one node too, so a training
-step's graph has a few nodes per span length. Their forward expressions are
-those of elementary ops, in the same order, so the composite of those ops
-(see the test oracles) gives the same values bit for bit.
+The context ops are one autodiff node each, with a hand-written
+vector-Jacobian product: the region projection, the bounding-box embedding
+added to it (`project_regions`, `add_box_embedding`), the terminals
+(`attend_clips` in the full setting, `normalize_clips` in the textless one)
+and the pitch LSTM over a (B, T, d) batch (`lstm_forward`). The chart's ops
+are plain numpy functions that return their output and, when asked, their
+vjp: the chart pass that calls them is the node (see `chart`). One chart
+step serves each inside length (all spans of one length) and each outside
+distance (all spans at one distance to the root): it runs the compose MLP's
+hidden layer, the bilinear score and the split softmax pooling over (K, d)
+blocks of pairs, and the MLP's second layer once per pooled span
+(`chart_step`); `span_features` gives what a parent reads of a block of
+child spans. Their forward expressions are those of elementary ops, in the
+same order, so the composite of those ops (see the test oracles) gives the
+same values bit for bit.
 """
 
 from __future__ import annotations
@@ -152,26 +154,53 @@ def normalize_clips(clips: np.ndarray, w: Tensor) -> Tensor:
     return ad._from_op(unit, (w,), vjp)
 
 
-def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, cells: int,
+def _take(read: tuple) -> np.ndarray:
+    """The rows a read (array, rows, cols) names: a view for a slice, else a
+    new array. `rows` is a slice, an index array or a tuple of parts (at,
+    index): rows `at` (a slice, an index array or a boolean mask) of the
+    result are the array's rows `index`."""
+    array, rows, cols = read
+    if not isinstance(rows, tuple):
+        return array[rows, cols]
+    out = np.empty((sum(len(index) for _, index in rows),) + array[0, cols].shape)
+    for at, index in rows:
+        out[at] = array[index, cols]
+    return out
+
+
+def _add_at(grad: np.ndarray, read: tuple, g: np.ndarray) -> None:
+    """Add `g`, the gradient of the rows `read` names, into `grad`, an array
+    shaped like the one read. An index array or a part names no row twice:
+    a fancy-index `+=` keeps one term of a repeated row. Different parts may
+    name the same rows."""
+    _, rows, cols = read
+    if isinstance(rows, tuple):
+        for at, index in rows:
+            grad[index, cols] += g[at]
+    else:
+        grad[rows, cols] += g
+
+
+def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, cells: int,
                keep: np.ndarray | None = None, rate: float = 0.0, regions: int = 0,
-               voice: np.ndarray | None = None, pitch: Tensor | None = None,
+               voice: np.ndarray | None = None, pitch: np.ndarray | None = None,
                pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
-               lam: float = 0.0) -> tuple[Tensor, np.ndarray]:
-    """One inside or outside step, as one node: ((cells, d + 1) rows of
-    pooled vector and expected score, (cells, pairs per cell) pair scores).
+               lam: float = 0.0, grad: bool = True):
+    """One inside or outside step on numpy arrays: ((cells, d + 1) rows of
+    pooled vector and expected score, (cells, pairs per cell) pair scores,
+    and the step's vjp, None unless `grad`).
 
     An inside step pairs the left and right children of each split of the
     spans of one length; an outside step pairs the parent and sibling of
     each context of the spans at one distance to the root. `left` and
-    `right` read the K pairs, cell by cell, from their stores, and the node's
-    parents are the blocks written into those stores before the reads. A
-    left row is, with `regions` M > 0, its attention through the pair matrix
-    (M), then its vector and score; a right row is its vector, its score
-    and, with M > 0, its attention (M). `weights` are the compose MLP's (w1,
-    b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d), both vectors
-    gain `lam` times the mean pitch state over the cell's positions: for
-    cell c, row `pool_rows[c]` of the (B, windows) means that the (windows,
-    T) averaging matrix `pool` gives.
+    `right` are reads (array, rows, cols) of the K pairs, cell by cell (see
+    `_take`). A left row is, with `regions` M > 0, its attention through the
+    pair matrix (M), then its vector and score; a right row is its vector,
+    its score and, with M > 0, its attention (M). `weights` are the compose
+    MLP's (w1, b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d),
+    both vectors gain `lam` times the mean pitch state over the cell's
+    positions: for cell c, row `pool_rows[c]` of the (B, windows) means that
+    the (windows, T) averaging matrix `pool` gives.
 
     A pair's score is, in this order, the bilinear score plus the pair term
     (the left row's pair columns dotted with the right row's attention) plus
@@ -180,23 +209,27 @@ def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, ce
     and the scores. In training, the boolean mask `keep` drops hidden units
     and the kept ones are scaled by 1 / (1 - `rate`).
 
-    For backward the node keeps the unmasked hidden layer, the bilinear
-    projection of the left vectors, the softmax and the small per-window
-    pitch means. It keeps no copy of the pairs' rows: its vjp reads them from
-    the stores again, and adds their gradients into the stores' buffers.
+    The vjp, `vjp(g, left_grad, right_grad)`, adds the pair rows' gradients
+    into `left_grad` and `right_grad`, arrays shaped like the ones read (the
+    same array when both sides read one), right before left, and returns
+    the gradients of `pitch` (None without it) and of the weights. It keeps
+    the unmasked hidden layer, the bilinear projection of the left vectors,
+    the softmax and the small per-window pitch means, but no copy of the
+    pairs' rows: it reads them again, so the rows it names must not change
+    before it runs.
     """
     w1, b1, w2, b2, w_bil = weights
-    d = w_bil.data.shape[0]
+    d = w_bil.shape[0]
     scale = None if keep is None else 1.0 / (1.0 - rate)
     pooled = windows = spread = None
     if pitch is not None:
-        spread = np.broadcast_to(pool, (pitch.data.shape[0],) + pool.shape)
-        pooled = lam * (spread @ pitch.data)
+        spread = np.broadcast_to(pool, (pitch.shape[0],) + pool.shape)
+        pooled = lam * (spread @ pitch)
         windows = pooled.shape[:2]
 
     def pairs() -> tuple[np.ndarray, ...]:
         """The left and right rows and the pairs' (pitch-shifted) vectors."""
-        left_rows, right_rows = left.values(), right.values()
+        left_rows, right_rows = _take(left), _take(right)
         x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
         if pooled is not None:
             shift = np.repeat(pooled.reshape(-1, d)[pool_rows], x.shape[0] // cells, axis=0)
@@ -204,11 +237,11 @@ def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, ce
         return left_rows, right_rows, x, y
 
     left_rows, right_rows, x, y = pairs()
-    tanh = x @ w1.data[:d]
-    tanh += y @ w1.data[d:]
-    tanh += b1.data
+    tanh = x @ w1[:d]
+    tanh += y @ w1[d:]
+    tanh += b1
     np.tanh(tanh, out=tanh)
-    projected = x @ w_bil.data
+    projected = x @ w_bil
     scores = (projected * y).sum(axis=1)
     if regions:
         scores = scores + (left_rows[:, :regions] * right_rows[:, d + 1:]).sum(axis=1)
@@ -224,18 +257,16 @@ def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, ce
 
     pooled_hidden = (softmax[:, :, None] * hidden()).sum(axis=1)
     out = np.empty((cells, d + 1))
-    out[:, :-1] = pooled_hidden @ w2.data
-    out[:, :-1] += b2.data
+    out[:, :-1] = pooled_hidden @ w2
+    out[:, :-1] += b2
     out[:, -1] = (scores * softmax).sum(axis=1)
-    blocks = left.blocks if right.blocks is left.blocks else left.blocks + right.blocks
+    if not grad:
+        return out, scores, None
 
-    def vjp(g):
+    def vjp(g, left_grad, right_grad):
         left_rows, right_rows, x, y = pairs()
-        need_pitch = pitch is not None and pitch.requires_grad
-        need_pairs = bool(blocks) or need_pitch
         g_vector, g_score = g[:, :-1], g[:, -1:]
-        g_pooled, g_w2 = _linear_vjp(pooled_hidden, w2.data, g_vector, True,
-                                     w2.requires_grad)
+        g_pooled = g_vector @ w2.T
         # b2 adds the same term to every pair of a cell, which the softmax cancels
         g_softmax = np.einsum("csh,ch->cs", hidden(), g_pooled) + g_score * scores
         g_scores = (g_score * softmax
@@ -247,52 +278,47 @@ def chart_step(left: ad.Read, right: ad.Read, weights: tuple[Tensor, ...], *, ce
             g_pre *= scale
         slope = tanh * tanh
         g_pre *= np.subtract(1.0, slope, out=slope)
-        g_w1 = None
-        if w1.requires_grad:
-            g_w1 = np.empty(w1.data.shape)
-            g_w1[:d] = x.T @ g_pre
-            g_w1[d:] = y.T @ g_pre
-        g_x, g_w_bil = _linear_vjp(x, w_bil.data, g_scores[:, None] * y, need_pairs,
-                                   w_bil.requires_grad)
-        if need_pairs:
-            g_x += g_pre @ w1.data[:d].T
-            g_y = g_scores[:, None] * projected
-            g_y += g_pre @ w1.data[d:].T
+        g_w1 = np.empty(w1.shape)
+        g_w1[:d] = x.T @ g_pre
+        g_w1[d:] = y.T @ g_pre
+        g_bilinear = g_scores[:, None] * y
+        g_x = g_bilinear @ w_bil.T
+        g_x += g_pre @ w1[:d].T
+        g_y = g_scores[:, None] * projected
+        g_y += g_pre @ w1[d:].T
         # right before left: a row both sides read sums its two terms in this
-        # order, the order the sweep reached separate gather nodes in, so
-        # training stays bit-identical to gathering each side as a node
-        if right.blocks:
+        # order, the order the sweep reached separate gather nodes in
+        if right_grad is not None:
             g_right = np.empty(right_rows.shape)
             g_right[:, :d], g_right[:, d] = g_y, g_scores
             if regions:
                 g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
-            right.add_grad(g_right)
-        if left.blocks:
+            _add_at(right_grad, right, g_right)
+        if left_grad is not None:
             g_left = np.empty(left_rows.shape)
             g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
             if regions:
                 g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
-            left.add_grad(g_left)
+            _add_at(left_grad, left, g_left)
         g_pitch = None
-        if need_pitch:
+        if pitch is not None:
             g_windows = np.zeros((windows[0] * windows[1], d))
             g_windows[pool_rows] = (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
             g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_windows.reshape(windows + (d,)))
-        return ((None,) * len(blocks) + ((g_pitch,) if pitch is not None else ())
-                + (g_w1, g_pre.sum(axis=0), g_w2, g_vector.sum(axis=0), g_w_bil))
+        return (g_pitch, g_w1, g_pre.sum(axis=0), pooled_hidden.T @ g_vector,
+                g_vector.sum(axis=0), x.T @ g_bilinear)
 
-    inputs = blocks + ((pitch,) if pitch is not None else ()) + tuple(weights)
-    return ad._from_op(out, inputs, vjp), scores
+    return out, scores, vjp
 
 
-def span_features(spans: ad.Read, v_proj: Tensor, region_sum: Tensor, *, gamma: float,
-                  blocks: tuple[int, int], pad: np.ndarray | None = None,
+def span_features(rows: np.ndarray, v_proj: np.ndarray, region_sum: np.ndarray, *,
+                  gamma: float, blocks: tuple[int, int], pad: np.ndarray | None = None,
                   unpad: np.ndarray | None = None, mask: np.ndarray | None = None,
-                  pair: np.ndarray | None = None) -> Tensor:
-    """What a parent reads of a block of child spans, as one node.
+                  pair: np.ndarray | None = None, grad: bool = True):
+    """What a parent reads of a block of child spans, on numpy arrays: the
+    rows, and their vjp (None unless `grad`).
 
-    `spans` reads (cells, d + 1) rows of span vector h and span score from
-    a store, whose blocks written before the read are the node's parents. Each
+    `rows` are (cells, d + 1) rows of span vector h and span score. Each
     sentence's spans attend over its own regions: padded to `blocks` = (B,
     C) per-sentence blocks by the row indices `pad` and back by `unpad`
     (both None when every sentence has C of them), against the (B, M, d)
@@ -301,13 +327,14 @@ def span_features(spans: ad.Read, v_proj: Tensor, region_sum: Tensor, *, gamma: 
     feature) and the span score; given the (B, M, M) `pair` matrices, the
     attention through the pair matrix comes first and the attention last,
     so the left and the right child of a pair each read one contiguous
-    range of columns (see `chart_step`).
+    range of columns (see `chart_step`). The vjp, `vjp(g, rows_grad)`, adds
+    the rows' gradient into `rows_grad` and returns those of `v_proj` and
+    `region_sum`.
     """
-    rows = spans.values()
     d = rows.shape[1] - 1
     h = rows[:, :d]
     hp = _pad(h, pad, blocks)
-    logits = hp @ np.swapaxes(v_proj.data, -1, -2)
+    logits = hp @ np.swapaxes(v_proj, -1, -2)
     if mask is not None:
         logits = logits + mask[:, None, :]
     att = _softmax(logits)
@@ -315,30 +342,27 @@ def span_features(spans: ad.Read, v_proj: Tensor, region_sum: Tensor, *, gamma: 
 
     lead = regions if pair is not None else 0
     out = np.empty((rows.shape[0], d + 1 + 2 * lead))
-    out[:, lead:lead + d] = h + gamma * _unpad(att @ region_sum.data, unpad)
+    out[:, lead:lead + d] = h + gamma * _unpad(att @ region_sum, unpad)
     out[:, lead + d] = rows[:, d]
     if pair is not None:
         out[:, :lead] = _unpad(att @ pair, unpad)
         out[:, lead + d + 1:] = _unpad(att, unpad)
+    if not grad:
+        return out, None
 
-    def vjp(g):
+    def vjp(g, rows_grad):
         g_u = _unpad_vjp(gamma * g[:, lead:lead + d], unpad, blocks)
-        g_att = g_u @ np.swapaxes(region_sum.data, -1, -2)
+        g_att = g_u @ np.swapaxes(region_sum, -1, -2)
         if pair is not None:
             g_att = g_att + _unpad_vjp(g[:, lead + d + 1:], unpad, blocks) \
                 + _unpad_vjp(g[:, :lead], unpad, blocks) @ np.swapaxes(pair, -1, -2)
         g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
-        if spans.blocks:
-            # padding rows are dropped, so they get no gradient: read the real ones
-            g_spans = np.empty(rows.shape)
-            g_spans[:, :d] = _unpad(g_logits @ v_proj.data, unpad) + g[:, lead:lead + d]
-            g_spans[:, d] = g[:, lead + d]
-            spans.add_grad(g_spans)
-        g_v = np.swapaxes(g_logits, -1, -2) @ hp if v_proj.requires_grad else None
-        g_region = np.swapaxes(att, -1, -2) @ g_u if region_sum.requires_grad else None
-        return (None,) * len(spans.blocks) + (g_v, g_region)
+        # padding rows are dropped, so they get no gradient: read the real ones
+        rows_grad[:, :d] += _unpad(g_logits @ v_proj, unpad) + g[:, lead:lead + d]
+        rows_grad[:, d] += g[:, lead + d]
+        return np.swapaxes(g_logits, -1, -2) @ hp, np.swapaxes(att, -1, -2) @ g_u
 
-    return ad._from_op(out, spans.blocks + (v_proj, region_sum), vjp)
+    return out, vjp
 
 
 def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

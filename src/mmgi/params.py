@@ -174,7 +174,9 @@ def load_checkpoint(path: str | Path):
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load closes a file it opened itself only when its archive opens,
+        # so a corrupt zip would leave the handle to the collector
+        with path.open("rb") as handle, np.load(handle, allow_pickle=False) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays.pop("__meta__")).decode())
     except KeyError:

@@ -9,12 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, backward
-from .chart import run_chart
+from .chart import check_dims, run_chart
 from .config import RunConfig
 from .corpus import ExampleBundle
 from .errors import ChartError, TrainingError
 from .features import PairRelevanceMatrix
-from .inference import build_vocab, check_dims, corpus_pair_matrix, heldout_sent_f1
+from .inference import build_vocab, corpus_pair_matrix, heldout_sent_f1
 from .losses import batch_loss
 from .optim import Adam
 from .params import build_params, save_checkpoint

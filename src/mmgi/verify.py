@@ -102,10 +102,22 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
     keep = dropout_mask(rng, (pairs, hidden), 0.3)
     probe = [rng.normal(size=(cells, d + 1))]
     weights = tuple(step[name] for name in ("w1", "b1", "w2", "b2", "w_bil"))
-    results["outside_step"] = grad_check(
-        lambda: _probe_sum(chart_step(ad.rows_of(step["parents"]), ad.rows_of(step["siblings"]),
-                                      weights, cells=cells, keep=keep, rate=0.3)[:1], probe),
-        step, probes_per_tensor=6)
+
+    def outside_step() -> Tensor:
+        """The step as a node of its own, reading every row of each side."""
+        sides = (step["parents"], step["siblings"])
+        out, _, vjp = chart_step(*((t.data, slice(None), slice(None)) for t in sides),
+                                 tuple(w.data for w in weights), cells=cells, keep=keep,
+                                 rate=0.3)
+
+        def node_vjp(g):
+            rows = [np.zeros((pairs, d + 1)) for _ in sides]
+            return (*rows, *vjp(g, *rows)[1:])
+
+        return ad._from_op(out, sides + weights, node_vjp)
+
+    results["outside_step"] = grad_check(lambda: _probe_sum((outside_step(),), probe), step,
+                                         probes_per_tensor=6)
 
     # pitch sequences of 4 and 2 clips, padded: no state after an end is read
     lstm = {

@@ -23,7 +23,7 @@ from mmgi.autodiff import Tensor
 from mmgi.chart import Chart, init_terminals
 from mmgi.errors import ShapeError
 from mmgi.losses import NORM_EPS, LossReport, _sample_negatives, _segment_matrix
-from mmgi.nn import dropout_mask
+from mmgi.nn import chart_step, dropout_mask
 from mmgi.optim import BETA1, BETA2, EPS
 
 
@@ -456,6 +456,20 @@ def softmax_pool(scores, vectors):
             ad._from_op(expected, (scores,), expected_vjp))
 
 
+def step_node(left, right, weights, left_rows=slice(None), right_rows=slice(None), **kw):
+    """`mmgi.nn.chart_step` on the rows `left_rows` and `right_rows` of the
+    tensors `left` and `right`, as a node of its own: how the tests take
+    gradients of one step, which the chart passes run as numpy functions."""
+    reads = ((left.data, left_rows, slice(None)), (right.data, right_rows, slice(None)))
+    out, _, vjp = chart_step(*reads, tuple(w.data for w in weights), **kw)
+
+    def node_vjp(g):
+        grads = [np.zeros(left.data.shape), np.zeros(right.data.shape)]
+        return (*grads, *vjp(g, *grads)[1:])
+
+    return ad._from_op(out, (left, right) + tuple(weights), node_vjp)
+
+
 # ---------------------------------------------------------------------------
 # the context node by node
 #
@@ -634,7 +648,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
 
 
 def part_rows(parts) -> np.ndarray:
-    """The index array whose `Store.gather` parts (at, index) are `parts`."""
+    """The index array whose read parts (at, index) are `parts`."""
     rows = np.empty(sum(index.size for _, index in parts), dtype=np.intp)
     for at, index in parts:
         rows[at] = index

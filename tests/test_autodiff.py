@@ -1,4 +1,4 @@
-"""Gradients of the engine's gather and store reads, and of the elementary
+"""Gradients of the engine's row gather, and of the elementary
 ops the composite references build, against the finite-difference oracle,
 plus the softmax contract and the engine's gradient accumulation."""
 
@@ -87,25 +87,7 @@ OPS = {
     "select_last_axis": (lambda t: select(t["a"], (slice(None), slice(2, 5))),
                          {"a": (3, 6)}),
     "reshape": (lambda t: reshape(t["a"], (6,)), {"a": (2, 3)}),
-    "store_reads": (lambda t: _store_reads(t["a"], t["c"]), {"a": (2, 3), "c": (1, 2)}),
 }
-
-
-def _store_reads(a, c):
-    """A store read as the chart reads one: blocks written at a slice or an
-    index array of rows (one of them made from an earlier read, one into
-    some columns only), then gathers of parts that repeat each other's rows
-    and interleave, of an index array, of one column and of a slice."""
-    store = ad.Store(6, 3)
-    store.write(mul(a, 1.0), slice(0, 2))
-    early = store.gather(((slice(0, 2), np.array([1, 0])), (slice(2, 3), np.array([1]))))
-    store.write(tanh(early), np.array([4, 2, 3]))
-    store.write(neg(c), slice(5, 6), cols=slice(1, 3))        # column 0 stays zero
-    late = store.gather(((np.array([0, 3, 4]), np.array([5, 2, 3])),
-                         (np.array([1, 2]), np.array([2, 5]))), slice(1, 3))
-    direct = store.gather(np.array([4, 0, 5, 2]), slice(0, 2))
-    return concat([reshape(late, (10,)), reshape(direct, (8,)),
-                   store.gather(slice(None), 2), store.gather(slice(1, 3), 0)])
 
 
 @pytest.mark.parametrize("name", sorted(OPS))
@@ -234,42 +216,3 @@ def test_second_backward_leaves_the_first_gradient_alone():
     backward(add(add(tensor_sum(mul(x, 3.0)), tensor_sum(x)), tensor_sum(x)))
     assert np.array_equal(first, kept)
     assert np.array_equal(x.grad, 2 * kept)
-
-
-def test_store_blocks_take_a_copy_and_leave_the_buffer_clear():
-    _sweep_twice(slice(0, 2), [[2.0, 4.0], [4.0, 8.0]])
-
-
-def test_store_blocks_written_at_an_index_array_leave_the_buffer_clear():
-    # an index array pulls a copy of its rows: zeroing that copy would leave
-    # the buffer's rows for the next sweep
-    _sweep_twice(np.array([1, 0]), [[4.0, 8.0], [2.0, 4.0]])
-
-
-def _sweep_twice(rows, expect):
-    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
-    block = mul(x, 2.0)
-    store = ad.Store(2, 2)
-    store.write(block, rows)
-    read = store.gather(((slice(0, 2), np.array([0, 1])), (slice(2, 3), np.array([1]))))
-    loss = tensor_sum(mul(read, ad.constant([[1.0, 2.0]])))
-    backward(loss)
-    first = x.grad.copy()
-    assert np.array_equal(first, expect)
-    # a second sweep over the same graph adds the same gradient again
-    backward(loss)
-    assert np.array_equal(x.grad, 2 * first)
-
-
-def test_store_blocks_are_op_outputs_written_once():
-    leaf = Tensor(np.ones((2, 3)), requires_grad=True)
-    store = ad.Store(4, 3)
-    with pytest.raises(ValueError, match="op's output"):
-        store.write(leaf, slice(0, 2))
-    block = mul(leaf, 1.0)
-    store.write(block, slice(0, 2))
-    with pytest.raises(ValueError, match="once"):
-        store.write(block, slice(2, 4))
-    read = store.gather(((slice(None), np.array([1, 0])),))
-    assert read._parents == (block,)
-    assert np.array_equal(read.data, np.ones((2, 3)))

@@ -479,7 +479,7 @@ def test_nonfinite_outside_score_names_its_example_and_span(bad):
     bundles, vocab_index, params, pair = _mixed_batch(67, shapes, cfg)
     ctx = build_context(bundles, params, cfg, vocab_index, pair)
     chart = inside_pass(ctx, params, cfg)
-    chart.span_store.data[chart.plan.sentence_rows(bad)] = np.nan
+    chart.inside.data[chart.plan.sentence_rows(bad)] = np.nan
     with pytest.raises(ChartError) as caught:
         outside_pass(chart, ctx, params, cfg)
     # every distance-1 cell of the sentence reads a non-finite sibling; the
@@ -567,8 +567,8 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
         split_dropout_masks(chart.plan, params["compose_in_w1"].data.shape[1], dropout, drawn)
     assert rng.bit_generator.state == drawn.bit_generator.state
 
-    # a distance whose cells are all single positions adds no node: its step
-    # is the only node a distance builds
+    # a distance whose cells are all single positions runs no step, and the
+    # pass is one node either way: the same nodes in training and eval
     plan = chart.plan
     empty = [r for r, cells in plan.outside_lead.items() if not cells]
     assert empty == [plan.n_max - 1]
@@ -588,7 +588,7 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
         counts[training] = len(built)
     every = [plan.outside[r][2] for r in plan.outside]
     assert steps == [cells for cells in plan.outside_lead.values() if cells] + every
-    assert counts[False] - counts[True] == len(empty), counts
+    assert counts[False] == counts[True], counts
 
 
 def test_training_loss_gradient_on_a_mixed_batch():
@@ -635,6 +635,32 @@ def test_step_graph_stays_under_its_node_budget(monkeypatch):
     batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
     monkeypatch.undo()
     assert sum(built) <= 0.52 * 825, sum(built)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("use_visual", [True, False], ids=["visual", "no_visual"])
+@pytest.mark.parametrize("mode", ["full", "textless"])
+def test_every_node_a_training_step_builds_is_reachable_from_its_loss(monkeypatch, mode,
+                                                                      use_visual, dropout):
+    # a node no loss reads is work for nothing: every column view, pass and
+    # context node must lead to the loss
+    cfg = tiny_config(mode=mode, use_visual=use_visual, dropout=dropout, batch=6)
+    bundles, vocab_index, params, pair = _mixed_batch(66, BUDGET_SHAPES[:6], cfg)
+    built = []
+    original = ad._from_op
+    monkeypatch.setattr(ad, "_from_op", lambda *args: built.append(original(*args)) or built[-1])
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    monkeypatch.undo()
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    assert built and all(id(node) in seen for node in built), \
+        [node.shape for node in built if id(node) not in seen]
 
 
 @pytest.mark.parametrize("mode", ["full", "textless"])
@@ -692,78 +718,93 @@ def test_step_graph_keeps_no_pair_copies():
 
 
 def test_step_graph_is_freed_by_reference_counting_alone(monkeypatch):
-    # a node that kept a Store would close a store -> block -> vjp -> store
-    # cycle, which only the cyclic collector frees: a step's graph, stores
-    # and their arrays must go as soon as their last reference does
+    # a vjp that kept its own node would close a node -> vjp -> node cycle,
+    # which only the cyclic collector frees: a step's graph, the passes' row
+    # arrays and the arrays their vjps keep must go as soon as their last
+    # reference does
     cfg = tiny_config(dropout=0.1, batch=16)
     bundles, vocab_index, params, pair = _mixed_batch(61, BUDGET_SHAPES[:6], cfg)
     made = []
+    original = ad._from_op
 
-    class Recorded(ad.Store):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.extend((weakref.ref(self), weakref.ref(self.data)))
+    def recorded(data, *args):
+        node = original(data, *args)
+        made.append(weakref.ref(node))
+        if isinstance(data, np.ndarray):   # not a numpy scalar
+            made.append(weakref.ref(data))
+        return node
 
-    monkeypatch.setattr(ad, "Store", Recorded)
+    monkeypatch.setattr(ad, "_from_op", recorded)
     gc.disable()
     try:
         chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
                                rng=np.random.default_rng(0))
         loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
         ad.backward(loss)
-        # spans, children (region features on) and outside, each with its
-        # array, which the steps still read
-        assert len(made) == 6 and all(ref() is not None for ref in made[1::2])
-        del chart, ctx, loss
-        alive = [ref for ref in made if ref() is not None]
+        monkeypatch.undo()
+        passes = (chart.inside, chart.h_out._parents[0])
+        pass_rows = [weakref.ref(node.data) for node in passes]
+        assert all(ref() is not None for ref in made)
+        del chart, ctx, loss, passes
+        alive = [ref for ref in made + pass_rows if ref() is not None]
     finally:
         gc.enable()
     assert not alive, len(alive)
 
 
-def test_each_chart_step_is_one_node_that_no_gather_feeds(monkeypatch):
-    # a step reads its pairs from the stores itself: one node per inside
-    # length and per outside distance, whose parents are the stores' blocks
-    n = 7
-    cfg, bundle, vocab_index, params, pair = _setup(44, n, tiny_config(dropout=0.1))
-    ctx = build_context(bundle, params, cfg, vocab_index, pair)
-    built, gathered, steps = [], [], []
-    make, gather = ad._from_op, ad.Store.gather
-
-    def counted(*args):
-        built.append(make(*args))
-        return built[-1]
-
-    def recorded_gather(store, *args):
-        gathered.append(gather(store, *args))
-        return gathered[-1]
+@pytest.mark.parametrize("textless", [False, True])
+def test_each_chart_pass_is_one_node_whatever_the_length(monkeypatch, textless):
+    # the steps are numpy functions that build no node: the terminals, one
+    # node per pass and the chart's four column views, at every length
+    cfg = tiny_config(dropout=0.1, mode="textless" if textless else "full")
+    built, steps = {}, []
 
     def recorded_step(*args, **kwargs):
-        step, scores = chart_step(*args, **kwargs)
-        steps.append(step)
-        return step, scores
+        out = chart_step(*args, **kwargs)
+        steps.append(out[0])
+        return out
 
-    monkeypatch.setattr(ad, "_from_op", counted)
-    monkeypatch.setattr(ad.Store, "gather", recorded_gather)
-    monkeypatch.setattr("mmgi.chart.chart_step", recorded_step)
-    chart = inside_pass(ctx, params, cfg, training=True, rng=np.random.default_rng(0))
-    outside_pass(chart, ctx, params, cfg, training=True)
-    monkeypatch.undo()
+    for n in (3, 7):
+        cfg, bundle, vocab_index, params, pair = _setup(44, n, cfg)
+        ctx = build_context(bundle, params, cfg, vocab_index, pair)
+        nodes = built[n] = []
+        make = ad._from_op
+        monkeypatch.setattr(ad, "_from_op", lambda *args: nodes.append(make(*args)) or nodes[-1])
+        monkeypatch.setattr("mmgi.chart.chart_step", recorded_step)
+        chart = inside_pass(ctx, params, cfg, training=True, rng=np.random.default_rng(0))
+        outside_pass(chart, ctx, params, cfg, training=True)
+        monkeypatch.undo()
+        assert all(node.requires_grad for node in nodes)
+        assert not any(isinstance(step, Tensor) for step in steps)
+        inside, outside = chart.inside, chart.h_out._parents[0]
+        assert [node for node in nodes if node._parents and node._parents[0] is inside] \
+            == [chart.h_in, chart.s_in, outside]
+        assert chart.s_out._parents == (outside,)
+        weights = tuple(params[name] for name in ("compose_in_w1", "compose_in_b1",
+                                                  "compose_in_w2", "compose_in_b2",
+                                                  "bilinear_inside"))
+        context = (() if ctx.region_sum is None else (ctx.v_proj, ctx.region_sum)) \
+            + (() if ctx.pitch_seq is None else (ctx.pitch_seq,))
+        assert inside._parents == (nodes[0],) + context + weights
+        assert outside._parents[:2] == (inside, params["root_outside_bias"])
+    assert len(built[3]) == len(built[7]) == 7
 
-    assert len(steps) == 2 * (n - 1)
-    built_ids = {id(node) for node in built}
-    assert all(id(step) in built_ids and step.requires_grad for step in steps)
-    # the only gathers: the chart's four fields
-    assert len(gathered) == 4
-    gather_ids = {id(node) for node in gathered}
-    weights = {id(p) for p in params.values()} | {id(ctx.pitch_seq)}
-    for step in steps:
-        assert not gather_ids & {id(parent) for parent in step._parents}
-        assert all(parent._pull is not None or id(parent) in weights
-                   for parent in step._parents)
-    # the terminals, the span features of lengths 1..n-1, the root row, the
-    # steps and the gathers
-    assert len(built) == 1 + (n - 1) + 1 + 2 * (n - 1) + 4
+
+def test_a_second_backward_over_a_step_gives_the_same_gradients():
+    # the passes' vjps sum into arrays of their own and change nothing they
+    # keep, so a second sweep over the same graph gives the same gradients
+    cfg = tiny_config(dropout=0.3)
+    bundles, vocab_index, params, pair = _mixed_batch(62, [(5, 2), (3, 1), (6, 3)], cfg)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    sweeps = []
+    for _ in range(2):
+        ad.zero_grads(params.values())
+        ad.backward(loss)
+        sweeps.append({name: p.grad for name, p in params.items()})
+    for name, grad in sweeps[0].items():
+        assert grad is not None and np.array_equal(sweeps[1][name], grad), name
 
 
 def test_loss_graph_stays_under_its_budget(monkeypatch):

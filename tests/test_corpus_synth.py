@@ -163,6 +163,17 @@ def _set_at(value, *keys):
     return edit
 
 
+def _blob_value(value, *keys):
+    """An edit that sets the second float of the feature blob at `keys`."""
+    def edit(record):
+        for key in keys[:-1]:
+            record = record[key]
+        raw = np.frombuffer(base64.b64decode(record[keys[-1]]), dtype=np.float64).copy()
+        raw[1] = value
+        record[keys[-1]] = base64.b64encode(raw.tobytes()).decode()
+    return edit
+
+
 def _gold_one_a_boolean(record):
     # every binary tree of n >= 2 has a bracket that starts or ends at 1
     pair = next(pair for pair in record["gold_brackets"] if 1 in pair)
@@ -207,6 +218,11 @@ MALFORMED_RECORDS = {
                           r"^example {id}: clip 0 has a non-finite time \(0.0, inf\)$"),
     "image_width_infinite": (_set_at(float("inf"), "image_size", 0),
                              r"^example {id}: region 0 .* for image size \(inf, "),
+    "clip_feature_nan": (_blob_value(float("nan"), "clip_feats_ref"),
+                         "^corpus line 2: .*clip_feats_ref holds the non-finite value nan"),
+    "region_feature_infinite": (_blob_value(float("-inf"), "regions", 1, "feat_ref"),
+                                "^corpus line 2: .*region 1 feat_ref holds the non-finite "
+                                "value -inf"),
     # boxes and image sizes of the wrong length
     "every_bbox_three_numbers": (lambda record: [region.update(bbox=region["bbox"][:3])
                                                  for region in record["regions"]],

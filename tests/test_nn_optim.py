@@ -25,7 +25,8 @@ from mmgi.params import (PITCH_VOCAB, TEXT_ONLY, build_params, load_checkpoint,
 from .conftest import tiny_config
 from .oracles import (adam_step, add, bilinear_score, composite_bilinear_score,
                       composite_lstm, composite_mlp_compose, composite_softmax_pool, concat,
-                      mul, naive_lstm, naive_mlp, select, softmax_pool, tensor_sum)
+                      mul, naive_lstm, naive_mlp, select, softmax_pool, step_node,
+                      tensor_sum)
 
 
 def _mlp_params(rng, d):
@@ -43,10 +44,9 @@ def compose_rows(left, right, w1, b1, w2, b2, keep=None, rate=0.0):
     by exactly 1, so the step's vector columns are the MLP's output."""
     count, d = left.data.shape
     score = ad.constant(np.zeros((count, 1)))
-    out, _ = chart_step(ad.rows_of(concat([left, score], axis=1)),
-                        ad.rows_of(concat([right, score], axis=1)),
-                        (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep,
-                        rate=rate)
+    out = step_node(concat([left, score], axis=1), concat([right, score], axis=1),
+                    (w1, b1, w2, b2, Tensor(np.zeros((d, d)))), cells=count, keep=keep,
+                    rate=rate)
     return select(out, (slice(None), slice(0, d)))
 
 
@@ -253,47 +253,71 @@ def test_fused_ops_build_one_node_each(monkeypatch):
         fused(*_tensors(arrays, ()).values())
     fused, _, arrays, _ = FUSED["softmax_pool"]
     fused(*_tensors(arrays, ()).values())
-    mlp = _tensors(FUSED["mlp_rows"][2], ())
-    rows = [ad.rows_of(Tensor(np.hstack([mlp[side].data, np.ones((7, 1))])))
-            for side in ("left", "right")]
-    chart_step(*rows, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], Tensor(np.eye(4))),
-               cells=1)
-    assert len(made) == 5
+    # a chart step is a numpy function: the pass that runs it is the node
+    mlp = FUSED["mlp_rows"][2]
+    sides = [(np.hstack([mlp[side], np.ones((7, 1))]), slice(None), slice(None))
+             for side in ("left", "right")]
+    out = chart_step(*sides, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], np.eye(4)), cells=1)
+    assert isinstance(out[0], np.ndarray)
+    assert len(made) == 4
 
 
 def test_chart_step_gradients_ignore_rows_written_after_its_reads():
-    # a step reads its pairs again from the stores in backward; the stores
-    # are append-once, so blocks written after its reads change nothing
+    # a step reads its pairs again from its pass's arrays in backward; a pass
+    # writes each row once, and rows written after the step's block, or never
+    # read by it, change nothing
     rng = np.random.default_rng(12)
     d, hidden, cells, pairs = 4, 5, 2, 6
     shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
-    weights = tuple(Tensor(rng.normal(size=shape) * 0.4, requires_grad=True)
-                    for shape in shapes)
-    rows = [Tensor(rng.normal(size=(pairs, d + 1)), requires_grad=True) for _ in range(2)]
-    later = Tensor(rng.normal(size=(3, d + 1)), requires_grad=True)
+    weights = tuple(rng.normal(size=shape) * 0.4 for shape in shapes)
+    rows = [rng.normal(size=(pairs, d + 1)) for _ in range(2)]
+    later = rng.normal(size=(3, d + 1))
     keep = dropout_mask(rng, (pairs, hidden), 0.3)
     probe = rng.normal(size=(cells, d + 1))
 
     def gradients(write_later: bool) -> list:
-        leaves = rows + [later] + list(weights)
-        ad.zero_grads(leaves)
-        stores = [ad.Store(pairs + 3, d + 1) for _ in rows]
-        for store, block in zip(stores, rows):
-            store.write(mul(block, 1.0), slice(0, pairs))
+        arrays = [np.zeros((pairs + 3, d + 1)) for _ in rows]
+        for array, block in zip(arrays, rows):
+            array[:pairs] = block
         # an index read and a read in two parts, as the outside pass's
-        left = stores[0].read(np.array([5, 0, 3, 1, 4, 2]))
-        right = stores[1].read(((slice(0, 3), np.array([2, 0, 1])),
-                                (slice(3, 6), np.array([4, 5, 3]))))
-        out, _ = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3)
+        left = (arrays[0], np.array([5, 0, 3, 1, 4, 2]), slice(None))
+        right = (arrays[1], ((slice(0, 3), np.array([2, 0, 1])),
+                             (slice(3, 6), np.array([4, 5, 3]))), slice(None))
+        out, _, vjp = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3)
         if write_later:
-            for store in stores:
-                store.write(mul(later, 2.0), slice(pairs, pairs + 3))
-        backward(tensor_sum(mul(out, probe)))
-        assert later.grad is None
-        return [leaf.grad for leaf in rows + list(weights)]
+            for array in arrays:
+                array[pairs:] = 2.0 * later
+        grads = [np.zeros(array.shape) for array in arrays]
+        step = vjp(probe, *grads)
+        assert not any(grad[pairs:].any() for grad in grads)
+        return grads + list(step[1:])
 
     for got, want in zip(gradients(True), gradients(False)):
         assert np.array_equal(got, want)
+
+
+def test_chart_step_gives_a_row_both_sides_read_both_gradients():
+    # an inside step reads left and right children from one array: a row that
+    # is the right child of one pair and the left child of another takes the
+    # sum of both terms, right before left
+    rng = np.random.default_rng(13)
+    d, hidden = 3, 4
+    weights = tuple(Tensor(rng.normal(size=shape) * 0.5, requires_grad=True)
+                    for shape in ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d)))
+    shared = rng.normal(size=(3, d + 1))
+    lefts, rights = np.array([0, 1]), np.array([1, 2])
+    probe = rng.normal(size=(1, d + 1))
+    out, _, vjp = chart_step((shared, lefts, slice(None)), (shared, rights, slice(None)),
+                             tuple(w.data for w in weights), cells=1)
+    grad = np.zeros(shared.shape)
+    vjp(probe, grad, grad)
+    # the same step on two separate copies of the rows, as a node
+    left, right = (Tensor(shared.copy(), requires_grad=True) for _ in range(2))
+    node = step_node(left, right, weights, lefts, rights, cells=1)
+    assert np.array_equal(node.data, out)
+    backward(tensor_sum(mul(node, probe)))
+    assert np.array_equal(grad, right.grad + left.grad)
+    assert grad[1].any() and left.grad[1].any() and right.grad[1].any()
 
 
 def test_padded_lstm_padding_gets_no_gradient():

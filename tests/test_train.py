@@ -8,9 +8,11 @@ import weakref
 import numpy as np
 import pytest
 
+from mmgi.chart import run_chart
 from mmgi.errors import ChartError, DataValidationError, TrainingError
 from mmgi.optim import Adam
-from mmgi.inference import build_vocab, corpus_pair_matrix, heldout_sent_f1, parse_corpus
+from mmgi.inference import (build_vocab, corpus_pair_matrix, heldout_sent_f1, parse_corpus,
+                            parse_example)
 from mmgi.synth import SynthConfig, generate_synthetic
 from mmgi.train import train, usable_examples
 
@@ -163,6 +165,42 @@ def test_mixed_feature_dims_fail_before_training():
         train(_cfg(epochs=1), corpus[:2], heldout=corpus[2:])
     with pytest.raises(DataValidationError, match=f"example {corpus[3].id}: clip"):
         train(_cfg(epochs=1), corpus)
+
+
+def _model_of_other_dims(examples, **dims):
+    """A model of `dims` (d_s or d_v) and what it needs to chart `examples`."""
+    from mmgi.params import build_params
+    cfg = _cfg(**dims).resolved()
+    vocab = build_vocab(examples)
+    params = build_params(cfg, len(vocab), np.random.default_rng(0))
+    return params, cfg, vocab, corpus_pair_matrix(examples)
+
+
+@pytest.mark.parametrize("dims", [{"d_s": 4}, {"d_v": 9}], ids=["clip", "region"])
+def test_parse_corpus_names_the_example_whose_feature_dims_do_not_fit(dims):
+    corpus = _corpus(count=3)
+    params, cfg, vocab, pair = _model_of_other_dims(corpus, **dims)
+    kind = "clip" if "d_s" in dims else "region"
+    with pytest.raises(DataValidationError, match=f"^example {corpus[0].id}: {kind} features"):
+        parse_corpus(corpus, params, cfg, vocab, pair)
+
+
+def test_parse_example_with_scores_names_the_example_whose_feature_dims_do_not_fit():
+    corpus = _corpus(count=3)
+    params, cfg, vocab, pair = _model_of_other_dims(corpus, d_s=4)
+    vocab_index = {t: i for i, t in enumerate(vocab)}
+    with pytest.raises(DataValidationError, match=f"^example {corpus[1].id}: clip features "
+                                                  "have dim 5, the model expects 4$"):
+        parse_example(corpus[1], params, cfg, vocab_index, pair, with_scores=True)
+
+
+def test_run_chart_names_the_example_whose_feature_dims_do_not_fit():
+    corpus = _corpus(count=3)
+    params, cfg, vocab, pair = _model_of_other_dims(corpus, d_s=4)
+    vocab_index = {t: i for i, t in enumerate(vocab)}
+    with pytest.raises(DataValidationError, match=f"^example {corpus[0].id}: clip features"):
+        run_chart(corpus, params, cfg, vocab_index, pair, training=True,
+                  rng=np.random.default_rng(0))
 
 
 def test_checkpoint_written(tmp_path):
