@@ -32,7 +32,7 @@ lengths = chart.lengths
 n = lengths[0]
 print("tokens:", example.tokens)
 print(f"one chart for {len(chart)} sentences of lengths {lengths}: "
-      f"{chart.h_in.shape[0]} cells = sum of n(n+1)/2, stored length by length in "
+      f"{chart.inside.shape[0]} cells = sum of n(n+1)/2, stored length by length in "
       f"{len(chart.split_in) + 1} blocks shared by the sentences")
 
 dump = chart_dump(chart)

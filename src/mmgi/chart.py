@@ -22,8 +22,8 @@ lengths (see `_Plan`). Each pass is one autodiff node: its vjp runs the
 steps' vjps in reverse order (Eisner, "Inside-Outside and Forward-Backward
 Algorithms Are Just Backprop", 2016), each reading its pairs again from the
 pass arrays instead of keeping a copy, and summing their gradients into one
-gradient array the vjp owns. The chart's read-outs `h_in`, `s_in`, `h_out`
-and `s_out` are column views of the two pass outputs. Work that involves
+gradient array the vjp owns. The chart is those two nodes (see `Chart`);
+its readers index the pass arrays' columns directly. Work that involves
 one sentence's own image or speech (region attention, pair scores, pitch
 pooling, word-to-clip attention) runs on per-sentence blocks padded to a
 common size, with a -inf mask where padding would otherwise be attended
@@ -99,9 +99,9 @@ class BatchContext:
     lengths: tuple[int, ...]        # n per sentence
     token_ids: np.ndarray | None    # (sum n,)
     word_rows: Tensor | None        # (sum n, d_w) embedding rows
-    clip_rows: Tensor               # (sum T, d_s) constants
+    clip_rows: np.ndarray           # (sum T, d_s), read-only
     clip_counts: tuple[int, ...]    # T per sentence
-    region_rows: Tensor             # (B*M, d_v) constants, zero rows as padding
+    region_rows: np.ndarray         # (B*M, d_v), read-only, zero rows as padding
     region_counts: np.ndarray       # (B,) regions kept per image
     v_proj: Tensor | None = None    # (B, M, d) projected region features
     region_mask: np.ndarray | None = None   # (B, M): 0 for a region, -inf for padding
@@ -360,40 +360,29 @@ def _dropout_masks(plan: _Plan, hidden: int, rate: float,
 
 @dataclass
 class Chart:
-    """Inside and outside charts of a batch of sentences, stored length-major.
+    """Inside and outside charts of a batch of sentences: the two pass nodes.
 
-    Row ``row(i, j, b)`` of ``h_in``/``s_in``/``h_out``/``s_out`` holds span
-    (i, j) of sentence b; the spans of one length of all sentences form one
-    block. ``split_in[l]`` holds that block's (cells, l-1) decomposition
-    scores, column k-i for split point k, as a constant: decoding reads it,
-    and no gradient flows through it. ``h_in`` and ``s_in`` are column views
-    of ``inside``, the inside pass's node, which the outside pass reads
-    siblings from; ``h_out`` and ``s_out`` are those of the outside pass's.
-    The outside fields stay None until the outside pass runs. ``len(chart)``
-    is the number of sentences.
+    ``inside`` and ``outside`` each hold (spans, d + 1) rows, length-major:
+    row ``plan.row(i, j, b)`` holds span (i, j) of sentence b, the spans of
+    one length of all sentences form one block, and a row is the span's
+    vector (columns ``[:-1]``) then its score (column ``-1``). The outside
+    pass reads siblings from ``inside``; ``outside`` stays None until that
+    pass runs. ``split_in[l]`` holds block l's (cells, l-1) decomposition
+    scores, column k-i for split point k, as a read-only array: decoding
+    reads it, and no gradient flows through it. ``len(chart)`` is the
+    number of sentences.
     """
 
     lengths: tuple[int, ...]
     ids: list[str]                  # example id per sentence
-    h_in: Tensor | None = None      # (spans, d)
-    s_in: Tensor | None = None      # (spans,)
+    plan: _Plan = field(repr=False)
+    inside: Tensor | None = field(default=None, repr=False)
+    outside: Tensor | None = field(default=None, repr=False)
     split_in: dict = field(default_factory=dict)
-    h_out: Tensor | None = None
-    s_out: Tensor | None = None
     outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
-    plan: _Plan | None = field(default=None, repr=False)
-    inside: Tensor | None = field(default=None, repr=False)   # (spans, d + 1): h | s
-
-    def __post_init__(self):
-        if self.plan is None:
-            self.plan = _plan(tuple(self.lengths))
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def row(self, i, j, sentence=0):
-        """Storage row of span (i, j) of a sentence; elementwise on arrays."""
-        return self.plan.row(i, j, sentence)
 
     def spans(self, sentence: int = 0) -> list[tuple[int, int]]:
         """Every span of one sentence, in storage order."""
@@ -409,9 +398,9 @@ class Chart:
         splits = {}
         for length in range(2, n + 1):
             first = plan.offsets[length, sentence] - plan.block_start[length]
-            splits[length] = self.split_in[length].data[first:first + n - length + 1]
-        spans = self.s_in.data if len(self) == 1 else \
-            self.s_in.data[plan.sentence_rows(sentence)]
+            splits[length] = self.split_in[length][first:first + n - length + 1]
+        spans = self.inside.data[:, -1] if len(self) == 1 else \
+            self.inside.data[plan.sentence_rows(sentence), -1]
         return splits, spans
 
 
@@ -462,7 +451,7 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
         token_ids = np.array(ids, dtype=np.intp)
         word_rows = ad.gather_rows(params["word_embeddings"], token_ids)
 
-    clip_rows = ad.constant(np.concatenate([ex.speech.clip_features for ex in examples]))
+    clip_rows = np.concatenate([ex.speech.clip_features for ex in examples])
 
     ids = [ex.id for ex in examples]
     tracks = [ex.speech for ex in examples]
@@ -480,11 +469,12 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
     features = np.zeros((count, most, examples[0].regions.features.shape[1]))
     for b, ex in enumerate(examples):
         features[b, :keep[b]] = ex.regions.features[:keep[b]]
-    region_rows = ad.constant(features.reshape(count * most, -1))
+    region_rows = features.reshape(count * most, -1)
+    _freeze(clip_rows, region_rows)
     region_mask = None
     if np.any(keep != most):
         region_mask = np.where(np.arange(most) < keep[:, None], 0.0, -np.inf)
-    v_proj = project_regions(region_rows.data, params["vision_projection"],
+    v_proj = project_regions(region_rows, params["vision_projection"],
                              (count, most, cfg.d))
     region_sum = pair_sub = None
     if cfg.use_visual:
@@ -529,7 +519,7 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
     `nn.normalize_clips`).
     """
     if cfg.mode == "textless":
-        return normalize_clips(ctx.clip_rows.data, params["clip_projection"])
+        return normalize_clips(ctx.clip_rows, params["clip_projection"])
     for ex_id, n, clips in zip(ctx.ids, ctx.lengths, ctx.clip_counts):
         if n != clips:
             raise AlignmentError(
@@ -539,7 +529,7 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
     plan = ctx.plan
     weights = tuple(params[name] for name in ("clip_projection", "word_projection",
                                               "attn_q", "attn_k", "attn_v"))
-    return attend_clips(ctx.word_rows, ctx.clip_rows.data, weights,
+    return attend_clips(ctx.word_rows, ctx.clip_rows, weights,
                         blocks=(len(plan.lengths), plan.n_max), pad=plan.pad.get(1),
                         unpad=plan.unpad.get(1), mask=plan.position_mask)
 
@@ -553,16 +543,6 @@ def _first_nonfinite(scores: np.ndarray) -> tuple[int, int] | None:
         return None
     cell, column = np.argwhere(~np.isfinite(scores))[0]
     return int(cell), int(column)
-
-
-def _columns(rows: Tensor, cols) -> Tensor:
-    """Columns `cols` of a pass's rows, as a view."""
-    def vjp(g):
-        grad = np.zeros(rows.data.shape)
-        grad[:, cols] = g
-        return (grad,)
-
-    return ad._from_op(rows.data[:, cols], (rows,), vjp)
 
 
 def _sum_into(totals: list, terms) -> None:
@@ -655,7 +635,8 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
                 f"example {ctx.ids[plan.span_sentence[row]]}: non-finite inside score "
                 f"at span ({start}, {start + length - 1}), split k={start + bad[1]}"
             )
-        split_in[length] = ad.constant(scores)
+        _freeze(scores)
+        split_in[length] = scores
         steps.append(vjp)
         if visual and length < plan.n_max:
             add_children(length)
@@ -673,10 +654,9 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         return ((g_spans[:positions, :d],) + (tuple(g_regions) if visual else ())
                 + tuple(g_steps[pitch is None:]))
 
-    rows = ad._from_op(spans, inputs, vjp)
-    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=_columns(rows, slice(0, d)),
-                 s_in=_columns(rows, d), split_in=split_in, outside_masks=outside_masks,
-                 plan=plan, inside=rows)
+    return Chart(lengths=ctx.lengths, ids=ctx.ids, plan=plan,
+                 inside=ad._from_op(spans, inputs, vjp), split_in=split_in,
+                 outside_masks=outside_masks)
 
 
 def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
@@ -746,8 +726,7 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
             _sum_into(g_steps, step_vjp(g_outside[rows], g_outside, g_inside))
         return (g_inside, g_outside[plan.root_rows, :d].sum(axis=0)) + tuple(g_steps[1:])
 
-    rows = ad._from_op(outside, inputs, vjp)
-    chart.h_out, chart.s_out = _columns(rows, slice(0, d)), _columns(rows, d)
+    chart.outside = ad._from_op(outside, inputs, vjp)
     return chart
 
 
@@ -759,15 +738,16 @@ def span_marginal(chart: Chart, i, j, sentence=0) -> np.ndarray:
     DegenerateChartError naming its example. The contrastive loss's node
     differentiates the marginals.
     """
-    root = chart.s_in.data[chart.plan.root_rows[sentence]]
+    inside = chart.inside.data
+    root = inside[chart.plan.root_rows[sentence], -1]
     small = np.flatnonzero(np.abs(root) < ROOT_EPS)
     if small.size:
         raise DegenerateChartError(
             f"example {chart.ids[np.ravel(sentence)[small[0]]]}: root inside score "
             f"{np.ravel(root)[small[0]]:.3e} too small to normalize"
         )
-    rows = chart.row(i, j, sentence)
-    return chart.s_in.data[rows] * chart.s_out.data[rows] / root
+    rows = chart.plan.row(i, j, sentence)
+    return inside[rows, -1] * chart.outside.data[rows, -1] / root
 
 
 def run_chart(examples: ExampleBundle | list[ExampleBundle],
@@ -789,11 +769,11 @@ def chart_dump(chart: Chart, sentence: int = 0) -> dict:
     rows = chart.plan.sentence_rows(sentence)
     keys = [f"{i},{j}" for i, j in spans]
     doc: dict = {"n": chart.lengths[sentence],
-                 "s_in": dict(zip(keys, chart.s_in.data[rows].tolist())),
+                 "s_in": dict(zip(keys, chart.inside.data[rows, -1].tolist())),
                  "s_out": {}, "q": {}, "argmax_k": {}}
-    if chart.s_out is not None:
+    if chart.outside is not None:
         starts, ends = np.array(spans).T
-        doc["s_out"] = dict(zip(keys, chart.s_out.data[rows].tolist()))
+        doc["s_out"] = dict(zip(keys, chart.outside.data[rows, -1].tolist()))
         doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends, sentence).tolist()))
     splits, _ = chart.split_tables(sentence)
     for length, scores in splits.items():

@@ -3,9 +3,11 @@
 Each objective is computed per sentence and averaged over the batch, as one
 graph node for the whole batch with a hand-written backward: per-sentence
 sums and means are products with constant (B, rows) averaging matrices, and
-a backward keeps only what its gradient reads. The contrastive node reads
-the span scores and differentiates the span marginals itself, and the
-weighted total is one more node.
+a backward keeps only what its gradient reads. The chart objectives take the
+chart's pass nodes as parents, reading vector columns and the score column
+of their (spans, d + 1) rows (see `Chart`), and return one gradient array
+per pass. The contrastive node reads the span scores and differentiates the
+span marginals itself, and the weighted total is one more node.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ class LossReport:
     l_cl: float
     l_rep: float
     total: float
-    alpha1: float
-    alpha2: float
-
-    @classmethod
-    def build(cls, l_rec: float, l_cl: float, l_rep: float,
-              alpha1: float, alpha2: float) -> "LossReport":
-        return cls(l_rec, l_cl, l_rep, l_rec + alpha1 * l_cl + alpha2 * l_rep,
-                   alpha1, alpha2)
 
 
 def _segment_matrix(counts, stride: int | None = None, mean: bool = True) -> np.ndarray:
@@ -83,9 +77,9 @@ def reconstruction_loss(chart: Chart, ctx: BatchContext,
     """
     if ctx.token_ids is None:
         raise ValueError("reconstruction loss requires tokens (full setting)")
-    h_out, w_proj, w_emb = chart.h_out, params["word_projection"], params["word_embeddings"]
+    outside, w_proj, w_emb = chart.outside, params["word_projection"], params["word_embeddings"]
     tokens, count = ctx.token_ids, len(ctx.lengths)
-    terminals = h_out.data[:tokens.size]   # terminals lead the storage
+    terminals = outside.data[:tokens.size, :-1]   # terminals lead the storage
     hidden = terminals @ w_proj.data.T
     log_probs = _log_softmax(hidden @ w_emb.data.T)
     mean = _segment_matrix(ctx.lengths)
@@ -94,11 +88,11 @@ def reconstruction_loss(chart: Chart, ctx: BatchContext,
     def vjp(g):
         g_logits = _log_softmax_vjp(log_probs, tokens, mean.T @ np.full(count, -g / count))
         g_hidden = g_logits @ w_emb.data
-        g_h_out = np.zeros_like(h_out.data)
-        g_h_out[:tokens.size] = g_hidden @ w_proj.data
-        return g_h_out, g_hidden.T @ terminals, g_logits.T @ hidden
+        g_outside = np.zeros(outside.data.shape)
+        g_outside[:tokens.size, :-1] = g_hidden @ w_proj.data
+        return g_outside, g_hidden.T @ terminals, g_logits.T @ hidden
 
-    return ad._from_op(loss, (h_out, w_proj, w_emb), vjp)
+    return ad._from_op(loss, (outside, w_proj, w_emb), vjp)
 
 
 def _sample_negatives(sizes: np.ndarray, rng: np.random.Generator):
@@ -165,15 +159,14 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
 
     Returns the batch-mean loss tensor plus per-example values.
     """
-    plan, h_in, h_out, v_proj = chart.plan, chart.h_in, chart.h_out, ctx.v_proj
-    s_in, s_out = chart.s_in, chart.s_out
+    plan, inside, outside, v_proj = chart.plan, chart.inside.data, chart.outside, ctx.v_proj
     count, owner = len(ctx.lengths), plan.position_owner
     sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
     if sampled is not None:
-        rows = chart.row(plan.long_start, plan.long_end, plan.long_owner)
+        rows = plan.row(plan.long_start, plan.long_end, plan.long_owner)
         roots = plan.root_rows[plan.long_owner]
         marginals = span_marginal(chart, plan.long_start, plan.long_end, plan.long_owner)
-        sims, span_best = _best_region(h_in.data[rows] + h_out.data[rows], ctx)
+        sims, span_best = _best_region(inside[rows, :-1] + outside.data[rows, :-1], ctx)
         rel = sims * marginals.reshape(-1, 1)
         pos_rows, neg_rows, neg_images, hinge_owner = sampled
         positives = rel[pos_rows, hinge_owner]
@@ -183,7 +176,7 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
         hinges = np.maximum(neg_span, 0.0) + np.maximum(neg_img, 0.0)
         span_term = np.eye(count)[:, hinge_owner] @ hinges
 
-    word_sims, word_best = _best_region(h_in.data[:owner.size], ctx)
+    word_sims, word_best = _best_region(inside[:owner.size, :-1], ctx)
     log_probs = _log_softmax(word_sims)
     sums = _segment_matrix(ctx.lengths, mean=False)
     word = sums @ log_probs[np.arange(owner.size), owner]
@@ -192,32 +185,32 @@ def contrastive_loss(chart: Chart, ctx: BatchContext, margin: float,
     def vjp(g):
         g_example = np.full(count, g / count)
         g_word = _log_softmax_vjp(log_probs, owner, sums.T @ -g_example)
-        g_h_in = np.zeros_like(h_in.data)
-        g_h_in[:owner.size], g_v = _best_region_vjp(h_in.data[:owner.size], word_best,
-                                                    g_word, v_proj.data)
+        g_inside = np.zeros(inside.shape)
+        g_inside[:owner.size, :-1], g_v = _best_region_vjp(inside[:owner.size, :-1], word_best,
+                                                           g_word, v_proj.data)
         if sampled is None:
-            return g_h_in, g_v
+            return g_inside, g_v
         g_rel = np.zeros(span_best.shape)
         g_neg_span, g_neg_img = (g_example[hinge_owner] * on for on in active)
         np.add.at(g_rel, (neg_rows, hinge_owner), g_neg_span)
         np.add.at(g_rel, (pos_rows, neg_images), g_neg_img)
         np.add.at(g_rel, (pos_rows, hinge_owner), -(g_neg_span + g_neg_img))
-        g_vecs, g_regions = _best_region_vjp(h_in.data[rows] + h_out.data[rows], span_best,
-                                             g_rel * marginals.reshape(-1, 1), v_proj.data)
-        g_h_in[rows] += g_vecs
-        g_h_out = np.zeros_like(h_out.data)
-        g_h_out[rows] = g_vecs
-        # the marginals s_in[rows] * s_out[rows] / s_in[roots]
+        g_vecs, g_regions = _best_region_vjp(inside[rows, :-1] + outside.data[rows, :-1],
+                                             span_best, g_rel * marginals.reshape(-1, 1),
+                                             v_proj.data)
+        g_inside[rows, :-1] += g_vecs
+        g_outside = np.zeros(outside.data.shape)
+        g_outside[rows, :-1] = g_vecs
+        # the marginals s_in[rows] * s_out[rows] / s_in[roots], s the score column
         g_marginals = (g_rel * sims).sum(axis=1)
-        inside, outside, root = s_in.data[rows], s_out.data[rows], s_in.data[roots]
-        g_s_in = np.bincount(roots, -g_marginals * (inside * outside) / (root * root),
-                             minlength=s_in.data.size)
-        g_s_in[rows] += g_marginals / root * outside
-        g_s_out = np.zeros_like(s_out.data)
-        g_s_out[rows] = g_marginals / root * inside
-        return g_h_in, g_v + g_regions, g_h_out, g_s_in, g_s_out
+        s_in, s_out, root = inside[rows, -1], outside.data[rows, -1], inside[roots, -1]
+        g_inside[:, -1] = np.bincount(roots, -g_marginals * (s_in * s_out) / (root * root),
+                                      minlength=inside.shape[0])
+        g_inside[rows, -1] += g_marginals / root * s_out
+        g_outside[rows, -1] = g_marginals / root * s_in
+        return g_inside, g_v + g_regions, g_outside
 
-    parents = (h_in, v_proj) if sampled is None else (h_in, v_proj, h_out, s_in, s_out)
+    parents = (chart.inside, v_proj) + (() if sampled is None else (outside,))
     return ad._from_op(per_example.mean(), parents, vjp), per_example.tolist()
 
 
@@ -245,7 +238,7 @@ def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
     global term. Each term lies in [0, 2]; averaged over the batch.
     """
     w_speech, w_vision = params["align_proj_speech"], params["align_proj_vision"]
-    clips, regions, count = ctx.clip_rows.data, ctx.region_rows.data, len(ctx.region_counts)
+    clips, regions, count = ctx.clip_rows, ctx.region_rows, len(ctx.region_counts)
     speech = clips @ w_speech.data
     clip_mean = _segment_matrix(ctx.clip_counts)
     region_mean = _segment_matrix(ctx.region_counts, regions.shape[0] // count)
@@ -286,6 +279,6 @@ def batch_loss(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
     total = ad._from_op((rec.data + cfg.alpha1 * contrastive.data) + cfg.alpha2 * rep.data,
                         (rec, contrastive, rep),
                         lambda g: (g, cfg.alpha1 * g, cfg.alpha2 * g))
-    report = LossReport.build(float(rec.data), float(contrastive.data),
-                              float(rep.data), cfg.alpha1, cfg.alpha2)
+    report = LossReport(float(rec.data), float(contrastive.data), float(rep.data),
+                        float(total.data))
     return total, report

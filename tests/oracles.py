@@ -15,6 +15,7 @@ that their gradients come from elementary vector-Jacobian products.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -537,6 +538,42 @@ def composite_context(examples, ctx, params, cfg) -> dict:
 # values bit for bit and the same gradients up to the order of their sums.
 
 
+@dataclass
+class ColumnChart:
+    """A chart as the node-by-node passes build it: the span vectors and
+    scores of each pass as tensors of their own, (spans, d) and (spans,),
+    rows as in `mmgi.chart.Chart`; `split_in[l]` is block l's score tensor."""
+
+    lengths: tuple
+    ids: list
+    plan: object
+    h_in: Tensor
+    s_in: Tensor
+    split_in: dict = field(default_factory=dict)
+    outside_masks: dict | None = None
+    h_out: Tensor | None = None
+    s_out: Tensor | None = None
+
+
+def column_chart(chart: Chart) -> ColumnChart:
+    """The columns of a fused chart's pass nodes as selections of them."""
+    columns = {}
+    for side, rows in (("in", chart.inside), ("out", chart.outside)):
+        columns[f"h_{side}"] = select(rows, (slice(None), slice(0, -1)))
+        columns[f"s_{side}"] = select(rows, (slice(None), -1))
+    return ColumnChart(chart.lengths, chart.ids, chart.plan, **columns)
+
+
+def pass_chart(chart: ColumnChart) -> Chart:
+    """A `mmgi.chart.Chart` whose pass nodes join the columns of `chart`:
+    how the library's losses read a node-by-node chart."""
+    passes = {side: concat([getattr(chart, f"h_{side}"),
+                            reshape(getattr(chart, f"s_{side}"), (-1, 1))], axis=1)
+              for side in ("in", "out")}
+    return Chart(lengths=chart.lengths, ids=chart.ids, plan=chart.plan,
+                 inside=passes["in"], outside=passes["out"])
+
+
 def visual_span_feature(h_in, v_proj, region_sum, mask=None):
     """Attention-pooled region feature: (u, attention weights over the regions).
 
@@ -643,8 +680,8 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         s_blocks.append(s)
         if length < plan.n_max:
             add_child_block(h, length)
-    return Chart(lengths=ctx.lengths, ids=ctx.ids, h_in=concat(h_blocks), s_in=concat(s_blocks),
-                 split_in=split_in, outside_masks=outside_masks, plan=plan)
+    return ColumnChart(ctx.lengths, ctx.ids, plan, h_in=concat(h_blocks), s_in=concat(s_blocks),
+                       split_in=split_in, outside_masks=outside_masks)
 
 
 def part_rows(parts) -> np.ndarray:
@@ -658,7 +695,7 @@ def part_rows(parts) -> np.ndarray:
 def composite_outside_pass(chart, ctx, params, cfg, training=False):
     plan = chart.plan
     masks = chart.outside_masks if training else None
-    count = len(chart)
+    count = len(chart.lengths)
     h_blocks = [mul(params["root_outside_bias"], np.ones((count, 1)))]   # distance 0 first
     s_blocks = [ad.constant(np.zeros(count))]
     # each span row's place among the cells in step order
@@ -1025,13 +1062,13 @@ def naive_sample_negatives(sizes, rng):
 # `mmgi.losses` as it was before each objective became one node: every
 # product, selection, max and softmax its own node. The fused objectives
 # must give the same values bit for bit and the same gradients up to the
-# order of their sums.
+# order of their sums. They read a `ColumnChart` (see `column_chart`).
 
 
 def composite_span_marginal(chart, i, j, sentence):
     """`mmgi.chart.span_marginal` as three gathers, a product and a quotient."""
     root = ad.gather_rows(chart.s_in, chart.plan.root_rows[sentence])
-    rows = chart.row(i, j, sentence)
+    rows = chart.plan.row(i, j, sentence)
     return div(mul(ad.gather_rows(chart.s_in, rows), ad.gather_rows(chart.s_out, rows)), root)
 
 
@@ -1062,7 +1099,7 @@ def contrastive_loss(chart, ctx, margin, rng):
     sampled = _sample_negatives(plan.long_sizes, rng) if plan.long_owner.size else None
     if sampled is not None:
         starts, ends, owner = plan.long_start, plan.long_end, plan.long_owner
-        vecs = ad.gather_rows(add(chart.h_in, chart.h_out), chart.row(starts, ends, owner))
+        vecs = ad.gather_rows(add(chart.h_in, chart.h_out), plan.row(starts, ends, owner))
         marginals = composite_span_marginal(chart, starts, ends, owner)
         rel = mul(best_region(vecs), reshape(marginals, (-1, 1)))
         pos_rows, neg_rows, neg_images, hinge_owner = sampled
@@ -1111,8 +1148,8 @@ def composite_batch_loss(chart, ctx, params, cfg, rng):
     contrastive, _ = contrastive_loss(chart, ctx, cfg.margin, rng)
     rep = representation_loss(ctx, params, cfg)
     total = add(add(rec, mul(cfg.alpha1, contrastive)), mul(cfg.alpha2, rep))
-    report = LossReport.build(float(rec.data), float(contrastive.data),
-                              float(rep.data), cfg.alpha1, cfg.alpha2)
+    report = LossReport(float(rec.data), float(contrastive.data), float(rep.data),
+                        float(total.data))
     return total, report
 
 

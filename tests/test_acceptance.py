@@ -66,12 +66,13 @@ def test_criterion_2_chart_oracle():
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 key = (i, j)
-                row = chart.row(i, j)
+                inside = chart.inside.data[chart.plan.row(i, j)]
+                outside = chart.outside.data[chart.plan.row(i, j)]
                 for got, want in (
-                    (chart.h_in.data[row], oracle["h_in"][key]),
-                    (chart.h_out.data[row], oracle["h_out"][key]),
-                    (np.asarray(chart.s_in.data[row]), oracle["s_in"][key]),
-                    (np.asarray(chart.s_out.data[row]), oracle["s_out"][key]),
+                    (inside[:-1], oracle["h_in"][key]),
+                    (outside[:-1], oracle["h_out"][key]),
+                    (inside[-1], oracle["s_in"][key]),
+                    (outside[-1], oracle["s_out"][key]),
                 ):
                     gap = np.max(np.abs(got - want))
                     worst = max(worst, float(gap))
@@ -159,15 +160,10 @@ def test_criterion_5_fusion_reduction():
                              PairRelevanceMatrix(np.zeros((5, 5))))
         cfg_off = tiny_config(use_visual=False, use_pitch=False, use_voice=False)
         plain, _ = run_chart(bundle, params, cfg_off, vocab_index, None)
-        for key in fused.spans():
-            row = fused.row(*key)
-            assert np.array_equal(fused.h_in.data[row], plain.h_in.data[row])
-            assert np.array_equal(fused.s_in.data[row], plain.s_in.data[row])
-            assert np.array_equal(fused.h_out.data[row], plain.h_out.data[row])
-            assert np.array_equal(fused.s_out.data[row], plain.s_out.data[row])
+        assert np.array_equal(fused.inside.data, plain.inside.data)
+        assert np.array_equal(fused.outside.data, plain.outside.data)
         for length in fused.split_in:
-            assert np.array_equal(fused.split_in[length].data,
-                                  plain.split_in[length].data)
+            assert np.array_equal(fused.split_in[length], plain.split_in[length])
     _report(5, "fusion terms are additive-only (5 seeds, bit-for-bit)")
 
 

@@ -27,9 +27,10 @@ from mmgi.nn import chart_step, lstm_forward
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index, with_clip, with_f0
-from .oracles import (add, composite_context, composite_inside_pass, composite_outside_pass,
-                      loop_plan, matmul, mul, naive_chart, naive_mlp, np_sigmoid, part_rows,
-                      per_clip, reshape, scalar_pitch_index, scalar_unit_box,
+from .oracles import (ColumnChart, add, composite_context, composite_inside_pass,
+                      composite_outside_pass, loop_plan, matmul, mul, naive_chart, naive_mlp,
+                      np_sigmoid, part_rows, pass_chart, per_clip, reshape,
+                      scalar_pitch_index, scalar_unit_box,
                       scalar_vad_aggregate, select, softmax, split_dropout_masks, tensor_sum,
                       transpose, visual_span_feature)
 from .test_features import PAIRWISE_CLIP
@@ -219,16 +220,13 @@ def test_voice_activity_score_range_and_monotonicity():
 
 def _assert_sentence_matches_oracle(chart, sentence, oracle):
     """Every cell of one sentence of a chart equals the naive recursion's."""
+    inside, outside = chart.inside.data, chart.outside.data
     for key in chart.spans(sentence):
-        row = chart.row(*key, sentence)
-        assert np.allclose(chart.h_in.data[row], oracle["h_in"][key],
-                           atol=1e-8, rtol=1e-8), ("h_in", sentence, key)
-        assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
-                           atol=1e-8, rtol=1e-8), ("s_in", sentence, key)
-        assert np.allclose(chart.h_out.data[row], oracle["h_out"][key],
-                           atol=1e-8, rtol=1e-8), ("h_out", sentence, key)
-        assert np.allclose(float(chart.s_out.data[row]), oracle["s_out"][key],
-                           atol=1e-8, rtol=1e-8), ("s_out", sentence, key)
+        row = chart.plan.row(*key, sentence)
+        for name, got in (("h_in", inside[row, :-1]), ("s_in", inside[row, -1]),
+                          ("h_out", outside[row, :-1]), ("s_out", outside[row, -1])):
+            assert np.allclose(got, oracle[name][key], atol=1e-8, rtol=1e-8), \
+                (name, sentence, key)
         if chart.lengths[sentence] >= 2:
             assert np.allclose(float(span_marginal(chart, *key, sentence)),
                                oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", sentence, key)
@@ -266,10 +264,9 @@ def test_chart_matches_naive_oracle_textless():
     oracle = naive_chart(bundle, {k: p.data for k, p in params.items()},
                          cfg, pair.values, None)
     for key in chart.spans():
-        row = chart.row(*key)
-        assert np.allclose(float(chart.s_in.data[row]), oracle["s_in"][key],
-                           atol=1e-8)
-        assert np.allclose(chart.h_out.data[row], oracle["h_out"][key], atol=1e-8)
+        row = chart.plan.row(*key)
+        assert np.allclose(chart.inside.data[row, -1], oracle["s_in"][key], atol=1e-8)
+        assert np.allclose(chart.outside.data[row, :-1], oracle["h_out"][key], atol=1e-8)
 
 
 @given(shapes=st.lists(st.tuples(st.integers(2, 8), st.integers(1, 4)),
@@ -312,40 +309,39 @@ def test_inside_two_tokens_single_split():
     cfg, bundle, vocab_index, params, pair = _setup(31, 2)
     ctx = build_context(bundle, params, cfg, vocab_index, pair)
     chart = inside_pass(ctx, params, cfg)
-    assert np.allclose(softmax(chart.split_in[2].data[0]).data, [1.0])
+    assert np.allclose(softmax(chart.split_in[2][0]).data, [1.0])
     # recompute h_{1,2} directly: fused children through the composition MLP
     pooled = ctx.pitch_seq.data[0, 0:2].mean(axis=0)
-    terminals = select(chart.h_in, slice(0, 2))
+    terminals = select(chart.inside, (slice(0, 2), slice(0, -1)))
     u, _ = visual_span_feature(terminals, select(ctx.v_proj, 0), select(ctx.region_sum, 0))
     left = terminals.data[0] + cfg.gamma * u.data[0] + cfg.lam * pooled
     right = terminals.data[1] + cfg.gamma * u.data[1] + cfg.lam * pooled
     expect = naive_mlp(left, right, params["compose_in_w1"].data,
                        params["compose_in_b1"].data, params["compose_in_w2"].data,
                        params["compose_in_b2"].data)
-    assert np.allclose(chart.h_in.data[chart.row(1, 2)], expect, atol=1e-12)
+    assert np.allclose(chart.inside.data[chart.plan.row(1, 2), :-1], expect, atol=1e-12)
 
 
 def test_chart_shape_invariants():
     cfg, bundle, vocab_index, params, pair = _setup(32, 4)
     chart, _ = run_chart(bundle, params, cfg, vocab_index, pair)
-    assert chart.h_in.shape[0] == 4 * 5 // 2
-    assert chart.h_out.shape[0] == 4 * 5 // 2
-    assert chart.split_in[4].data[0].shape == (3,)
+    assert chart.inside.shape == chart.outside.shape == (4 * 5 // 2, cfg.d + 1)
+    assert chart.split_in[4][0].shape == (3,)
     for scores in chart.split_in.values():
-        for row in scores.data:
+        for row in scores:
             assert abs(softmax(Tensor(row)).data.sum() - 1.0) <= 1e-12
 
 
 def test_outside_two_tokens_context_formula():
     cfg, bundle, vocab_index, params, pair = _setup(33, 2)
     chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
-    expect = naive_mlp(params["root_outside_bias"].data, chart.h_in.data[chart.row(2, 2)],
+    inside, outside, row = chart.inside.data, chart.outside.data, chart.plan.row
+    expect = naive_mlp(params["root_outside_bias"].data, inside[row(2, 2), :-1],
                        params["compose_out_w1"].data, params["compose_out_b1"].data,
                        params["compose_out_w2"].data, params["compose_out_b2"].data)
-    assert np.allclose(chart.h_out.data[chart.row(1, 1)], expect, atol=1e-12)
-    assert float(chart.s_out.data[chart.row(1, 2)]) == 0.0
-    assert np.array_equal(chart.h_out.data[chart.row(1, 2)],
-                          params["root_outside_bias"].data)
+    assert np.allclose(outside[row(1, 1), :-1], expect, atol=1e-12)
+    assert outside[row(1, 2), -1] == 0.0
+    assert np.array_equal(outside[row(1, 2), :-1], params["root_outside_bias"].data)
 
 
 def test_span_marginal_contract():
@@ -362,7 +358,7 @@ def test_span_marginal_contract():
         assert q == pytest.approx(dump["s_in"][key] * dump["s_out"][key] / root,
                                   abs=1e-12)
 
-    chart.s_in.data[chart.row(1, 3)] = 0.0
+    chart.inside.data[chart.plan.row(1, 3), -1] = 0.0
     with pytest.raises(DegenerateChartError):
         span_marginal(chart, 1, 2)
 
@@ -374,7 +370,7 @@ def test_degenerate_root_score_names_its_example():
     bundles, vocab_index, params, pair = _mixed_batch(73, [(4, 2), (3, 1), (5, 3), (2, 2)],
                                                       cfg)
     chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair)
-    chart.s_in.data[chart.plan.root_rows[2]] = 0.0
+    chart.inside.data[chart.plan.root_rows[2], -1] = 0.0
     message = r"^example m2: root inside score 0\.000e\+00 too small to normalize$"
     with pytest.raises(DegenerateChartError, match=message):
         batch_loss(chart, ctx, params, cfg, np.random.default_rng(0))
@@ -395,20 +391,15 @@ def test_fusion_terms_are_additive_only():
 
     cfg_off = tiny_config(use_visual=False, use_pitch=False, use_voice=False)
     plain, _ = run_chart(bundle, params, cfg_off, vocab_index, None)
-    for key in fused.spans():
-        row = fused.row(*key)
-        assert np.array_equal(fused.h_in.data[row], plain.h_in.data[row]), key
-        assert np.array_equal(fused.s_in.data[row], plain.s_in.data[row]), key
-        assert np.array_equal(fused.h_out.data[row], plain.h_out.data[row]), key
-        assert np.array_equal(fused.s_out.data[row], plain.s_out.data[row]), key
+    assert np.array_equal(fused.inside.data, plain.inside.data)
+    assert np.array_equal(fused.outside.data, plain.outside.data)
 
 
 def test_chart_deterministic_given_inputs():
     cfg, bundle, vocab_index, params, pair = _setup(37, 3)
     a, _ = run_chart(bundle, params, cfg, vocab_index, pair)
     b, _ = run_chart(bundle, params, cfg, vocab_index, pair)
-    for key in a.spans():
-        assert np.array_equal(a.h_in.data[a.row(*key)], b.h_in.data[b.row(*key)])
+    assert np.array_equal(a.inside.data, b.inside.data)
 
 
 
@@ -464,7 +455,9 @@ def _step(passes, bundles, params, cfg, vocab_index, pair, seed):
     rng = np.random.default_rng(seed)
     chart = inside(ctx, params, cfg, training=True, rng=rng)
     outside(chart, ctx, params, cfg, training=True)
-    total, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(seed + 1))
+    # the losses read a node-by-node chart through pass nodes that join its columns
+    read = pass_chart(chart) if isinstance(chart, ColumnChart) else chart
+    total, _ = batch_loss(read, ctx, params, cfg, np.random.default_rng(seed + 1))
     ad.zero_grads(params.values())
     ad.backward(total)
     return chart, total, {name: p.grad for name, p in params.items()}
@@ -509,15 +502,18 @@ def test_fused_passes_equal_the_node_by_node_passes(shapes, modalities, with_pai
     # textless training leaves the outside rows of single positions at zero;
     # the node-by-node pass computes them
     skipped = (fused.plan.span_start == fused.plan.span_end) & textless
-    for name in ("h_in", "s_in", "h_out", "s_out"):
-        got, expect = getattr(fused, name).data, getattr(ref, name).data
+    inside, outside = fused.inside.data, fused.outside.data
+    columns = {"h_in": inside[:, :-1], "s_in": inside[:, -1],
+               "h_out": outside[:, :-1], "s_out": outside[:, -1]}
+    for name, got in columns.items():
+        expect = getattr(ref, name).data
         if name in ("h_out", "s_out"):
             assert not got[skipped].any(), name
             got, expect = got[~skipped], expect[~skipped]
         assert np.array_equal(got, expect), name
     assert list(fused.split_in) == list(ref.split_in)
     for length, scores in ref.split_in.items():
-        assert np.array_equal(fused.split_in[length].data, scores.data), length
+        assert np.array_equal(fused.split_in[length], scores.data), length
     assert fused_total.data == ref_total.data
     # the same gradients, summed in another order; no gradient equals a zero
     # one (a textless batch of n = 2 builds no outside step)
@@ -543,10 +539,9 @@ def test_textless_training_reads_no_outside_row_of_a_single_position(monkeypatch
         chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
                                rng=rng)
         single = chart.plan.span_start == chart.plan.span_end
-        assert not chart.h_out.data[single].any() and not chart.s_out.data[single].any()
+        assert not chart.outside.data[single].any()
         if poison:
-            chart.h_out.data[single] = np.nan
-            chart.s_out.data[single] = np.nan
+            chart.outside.data[single] = np.nan
         total, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(65))
         ad.zero_grads(params.values())
         ad.backward(total)
@@ -642,8 +637,8 @@ def test_step_graph_stays_under_its_node_budget(monkeypatch):
 @pytest.mark.parametrize("mode", ["full", "textless"])
 def test_every_node_a_training_step_builds_is_reachable_from_its_loss(monkeypatch, mode,
                                                                       use_visual, dropout):
-    # a node no loss reads is work for nothing: every column view, pass and
-    # context node must lead to the loss
+    # a node no loss reads is work for nothing: every pass and context node
+    # must lead to the loss
     cfg = tiny_config(mode=mode, use_visual=use_visual, dropout=dropout, batch=6)
     bundles, vocab_index, params, pair = _mixed_batch(66, BUDGET_SHAPES[:6], cfg)
     built = []
@@ -742,7 +737,7 @@ def test_step_graph_is_freed_by_reference_counting_alone(monkeypatch):
         loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
         ad.backward(loss)
         monkeypatch.undo()
-        passes = (chart.inside, chart.h_out._parents[0])
+        passes = (chart.inside, chart.outside)
         pass_rows = [weakref.ref(node.data) for node in passes]
         assert all(ref() is not None for ref in made)
         del chart, ctx, loss, passes
@@ -754,8 +749,8 @@ def test_step_graph_is_freed_by_reference_counting_alone(monkeypatch):
 
 @pytest.mark.parametrize("textless", [False, True])
 def test_each_chart_pass_is_one_node_whatever_the_length(monkeypatch, textless):
-    # the steps are numpy functions that build no node: the terminals, one
-    # node per pass and the chart's four column views, at every length
+    # the steps are numpy functions that build no node: the terminals and one
+    # node per pass, at every length
     cfg = tiny_config(dropout=0.1, mode="textless" if textless else "full")
     built, steps = {}, []
 
@@ -776,10 +771,8 @@ def test_each_chart_pass_is_one_node_whatever_the_length(monkeypatch, textless):
         monkeypatch.undo()
         assert all(node.requires_grad for node in nodes)
         assert not any(isinstance(step, Tensor) for step in steps)
-        inside, outside = chart.inside, chart.h_out._parents[0]
-        assert [node for node in nodes if node._parents and node._parents[0] is inside] \
-            == [chart.h_in, chart.s_in, outside]
-        assert chart.s_out._parents == (outside,)
+        inside, outside = chart.inside, chart.outside
+        assert nodes[1:] == [inside, outside]
         weights = tuple(params[name] for name in ("compose_in_w1", "compose_in_b1",
                                                   "compose_in_w2", "compose_in_b2",
                                                   "bilinear_inside"))
@@ -787,7 +780,7 @@ def test_each_chart_pass_is_one_node_whatever_the_length(monkeypatch, textless):
             + (() if ctx.pitch_seq is None else (ctx.pitch_seq,))
         assert inside._parents == (nodes[0],) + context + weights
         assert outside._parents[:2] == (inside, params["root_outside_bias"])
-    assert len(built[3]) == len(built[7]) == 7
+    assert len(built[3]) == len(built[7]) == 3
 
 
 def test_a_second_backward_over_a_step_gives_the_same_gradients():
@@ -928,11 +921,11 @@ def test_batch_chart_equals_per_sentence_charts():
         alone, _ = run_chart(bundle, params, cfg, vocab_index, pair, training=True,
                              rng=single_rng)
         for i, j in alone.spans():
-            got, want = chart.row(i, j, b), alone.row(i, j)
-            for field in ("h_in", "s_in", "h_out", "s_out"):
-                assert np.allclose(getattr(chart, field).data[got],
-                                   getattr(alone, field).data[want],
-                                   atol=1e-12, rtol=1e-12), (b, i, j, field)
+            got, want = chart.plan.row(i, j, b), alone.plan.row(i, j)
+            for name in ("inside", "outside"):
+                assert np.allclose(getattr(chart, name).data[got],
+                                   getattr(alone, name).data[want],
+                                   atol=1e-12, rtol=1e-12), (b, i, j, name)
         splits, _ = chart.split_tables(b)
         want_splits, _ = alone.split_tables()
         assert splits.keys() == want_splits.keys()
@@ -997,8 +990,16 @@ def test_split_tables_of_one_sentence_are_views_of_the_chart():
     assert list(splits) == [2, 3, 4, 5]
     for length, block in splits.items():
         assert block.shape == (6 - length, length - 1)
-        assert np.shares_memory(block, chart.split_in[length].data)
-    assert spans.shape == (15,) and np.shares_memory(spans, chart.s_in.data)
+        assert np.shares_memory(block, chart.split_in[length])
+    assert spans.shape == (15,) and np.shares_memory(spans, chart.inside.data)
+
+
+def test_split_scores_and_context_rows_are_read_only_arrays():
+    # no gradient flows through them: plain arrays that no reader can change
+    cfg, bundle, vocab_index, params, pair = _setup(55, 4)
+    chart, ctx = run_chart(bundle, params, cfg, vocab_index, pair)
+    for array in (ctx.clip_rows, ctx.region_rows, *chart.split_in.values()):
+        assert type(array) is np.ndarray and not array.flags.writeable
 
 
 def test_graph_nodes_of_a_step_do_not_grow_with_batch_size(monkeypatch):
@@ -1129,12 +1130,12 @@ def test_kept_features_chart_as_fresh_ones(shapes, textless, seed):
                 for name in ("region_sum", "pitch_seq", "v_proj"):
                     assert np.array_equal(getattr(ctx, name).data,
                                           getattr(expect, name).data), name
-                for name in ("h_in", "s_in", "h_out", "s_out"):
+                for name in ("inside", "outside"):
                     assert np.array_equal(getattr(chart, name).data,
                                           getattr(expect_chart, name).data), name
                 assert chart.split_in.keys() == expect_chart.split_in.keys()
                 for length, scores in chart.split_in.items():
-                    assert np.array_equal(scores.data, expect_chart.split_in[length].data)
+                    assert np.array_equal(scores, expect_chart.split_in[length])
     assert not any(value is not None for ex in fresh for value in _kept_features(ex))
 
 

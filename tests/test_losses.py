@@ -6,19 +6,20 @@ import numpy as np
 import pytest
 
 from mmgi.autodiff import Tensor, backward
-from mmgi.chart import BatchContext, Chart, run_chart, span_marginal
+from mmgi.chart import BatchContext, Chart, run_chart, sentence_plan, span_marginal
 from mmgi.features import PairRelevanceMatrix
-from mmgi.losses import (LossReport, _sample_negatives, batch_loss, contrastive_loss,
-                         reconstruction_loss, representation_loss)
+from mmgi.losses import (_sample_negatives, batch_loss, contrastive_loss, reconstruction_loss,
+                         representation_loss)
 from mmgi.params import build_params
 
 from .conftest import random_bundle, tiny_config, tiny_vocab_index
-from .oracles import composite_batch_loss, naive_sample_negatives
+from .oracles import column_chart, composite_batch_loss, naive_sample_negatives
 from .oracles import contrastive_loss as composite_contrastive_loss
 
 
 def _identity_params(v, d):
-    """Embeddings and projections set to identities so logits are h_out itself."""
+    """Embeddings and projections set to identities so logits are the outside
+    vectors themselves."""
     return {
         "word_embeddings": Tensor(np.eye(v, d)),
         "word_projection": Tensor(np.eye(d, d)),
@@ -27,12 +28,13 @@ def _identity_params(v, d):
 
 def _fake_chart_ctx(h_rows, token_ids):
     n = len(token_ids)
-    # the terminal rows lead the chart
-    chart = Chart(lengths=(n,), ids=["fake"], h_out=Tensor(h_rows))
+    # the terminal rows lead the chart; a zero score column follows the vectors
+    outside = Tensor(np.hstack([h_rows, np.zeros((n, 1))]))
+    chart = Chart(lengths=(n,), ids=["fake"], plan=sentence_plan(n), outside=outside)
     ctx = BatchContext(
         ids=["fake"], lengths=(n,), token_ids=np.array(token_ids), word_rows=None,
-        clip_rows=Tensor(np.zeros((n, 2))), clip_counts=(n,),
-        region_rows=Tensor(np.zeros((1, 2))), region_counts=np.array([1]))
+        clip_rows=np.zeros((n, 2)), clip_counts=(n,), region_rows=np.zeros((1, 2)),
+        region_counts=np.array([1]))
     return chart, ctx
 
 
@@ -92,12 +94,12 @@ def test_contrastive_two_span_two_image_manual_expansion():
     margin = cfg.margin
     expect_total = 0.0
     vp = list(ctx.v_proj.data)
+    vectors = chart.inside.data[:, :-1] + chart.outside.data[:, :-1]
     for e in range(2):
         other = 1 - e
-        vec = chart.h_in.data[chart.row(1, 2, e)] + chart.h_out.data[chart.row(1, 2, e)]
+        vec = vectors[chart.plan.row(1, 2, e)]
         q = float(span_marginal(chart, 1, 2, e))
-        other_vec = chart.h_in.data[chart.row(1, 2, other)] \
-            + chart.h_out.data[chart.row(1, 2, other)]
+        other_vec = vectors[chart.plan.row(1, 2, other)]
         other_q = float(span_marginal(chart, 1, 2, other))
         pos = (vp[e] @ vec).max() * q
         neg_span = (vp[e] @ other_vec).max() * other_q  # other span, this image
@@ -105,7 +107,7 @@ def test_contrastive_two_span_two_image_manual_expansion():
         l_span = max(0.0, neg_span - pos + margin) + max(0.0, neg_img - pos + margin)
         l_word = 0.0
         for i in (1, 2):
-            term = chart.h_in.data[chart.row(i, i, e)]
+            term = chart.inside.data[chart.plan.row(i, i, e), :-1]
             sims = np.array([(vp[f] @ term).max() for f in range(2)])
             l_word += -(sims[e] - np.log(np.exp(sims - sims.max()).sum())
                         - sims.max())
@@ -165,7 +167,7 @@ def _ctx_for_repr(clips, words, regions):
     return BatchContext(
         ids=["repr"], lengths=(n,), token_ids=np.zeros(n, dtype=np.intp),
         word_rows=Tensor(words) if words is not None else None,
-        clip_rows=Tensor(clips), clip_counts=(n,), region_rows=Tensor(regions),
+        clip_rows=clips, clip_counts=(n,), region_rows=regions,
         region_counts=np.array([regions.shape[0]]))
 
 
@@ -233,8 +235,13 @@ def test_representation_terms_bounded(seed):
 
 
 def test_loss_report_identity():
-    report = LossReport.build(1.25, 3.5, 0.75, 0.5, 0.25)
-    assert report.total == 1.25 + 0.5 * 3.5 + 0.25 * 0.75
+    # the report's total is the root's value: rec + alpha1 * cl + alpha2 * rep,
+    # summed left to right, under weights that differ from the defaults
+    cfg, params, (chart, ctx), _ = _two_example_batch(seed=7, n=3)
+    cfg = dataclasses.replace(cfg, alpha1=0.75, alpha2=0.25)
+    total, report = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    assert report.total == float(total.data)
+    assert report.total == report.l_rec + 0.75 * report.l_cl + 0.25 * report.l_rep
 
 
 def test_batch_loss_matches_report_exactly():
@@ -296,10 +303,11 @@ LOSS_CASES = {
 
 
 def _loss_with_leaf_inputs(loss_fn, cfg, params, chart, ctx):
-    """`loss_fn`'s total and report over copies of the chart's and the
-    context's tensors as leaves, with the gradient of each leaf and parameter."""
+    """`loss_fn`'s total and report over copies of the chart's pass arrays and
+    the context's tensors as leaves, with the gradient of each leaf and
+    parameter."""
     fields = {name: Tensor(getattr(chart, name).data.copy(), requires_grad=True)
-              for name in ("h_in", "s_in", "h_out", "s_out")}
+              for name in ("inside", "outside")}
     leaf_chart = Chart(lengths=chart.lengths, ids=chart.ids, plan=chart.plan, **fields)
     inputs = {"v_proj": Tensor(ctx.v_proj.data.copy(), requires_grad=True)}
     if ctx.word_rows is not None:
@@ -324,12 +332,13 @@ def test_fused_loss_matches_the_composite(case):
     fused_total, fused_report, fused_grads = _loss_with_leaf_inputs(
         batch_loss, cfg, params, chart, ctx)
     ref_total, ref_report, ref_grads = _loss_with_leaf_inputs(
-        composite_batch_loss, cfg, params, chart, ctx)
+        lambda chart, *args: composite_batch_loss(column_chart(chart), *args),
+        cfg, params, chart, ctx)
     assert fused_total.data == ref_total.data
     assert fused_report == ref_report
-    fused_examples, ref_examples = (
-        loss_fn(chart, ctx, cfg.margin, np.random.default_rng(32))[1]
-        for loss_fn in (contrastive_loss, composite_contrastive_loss))
+    fused_examples = contrastive_loss(chart, ctx, cfg.margin, np.random.default_rng(32))[1]
+    ref_examples = composite_contrastive_loss(column_chart(chart), ctx, cfg.margin,
+                                              np.random.default_rng(32))[1]
     assert fused_examples == ref_examples
     for name, expect in ref_grads.items():
         got = fused_grads[name]

@@ -104,7 +104,7 @@ def test_degenerate_root_score_aborts_with_example_id(monkeypatch):
 
     def zero_one_root(*args, **kwargs):
         chart, ctx = run_chart(*args, **kwargs)
-        chart.s_in.data[chart.plan.root_rows[2]] = 0.0
+        chart.inside.data[chart.plan.root_rows[2], -1] = 0.0
         zeroed.append(ctx.ids[2])
         return chart, ctx
 
