@@ -13,9 +13,10 @@ distance (all spans at one distance to the root): it runs the compose MLP's
 hidden layer, the bilinear score and the split softmax pooling over (K, d)
 blocks of pairs, and the MLP's second layer once per pooled span
 (`chart_step`); `span_features` gives what a parent reads of a block of
-child spans. Their forward expressions are those of elementary ops, in the
-same order, so the composite of those ops (see the test oracles) gives the
-same values bit for bit.
+child spans. A step contracts instead of multiplying and summing (row-wise
+`np.vecdot` scores, a stacked matmul for the split pooling), and the
+composite of elementary ops in the test oracles takes the same contractions
+in the same order, so it gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -204,10 +205,12 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
 
     A pair's score is, in this order, the bilinear score plus the pair term
     (the left row's pair columns dotted with the right row's attention) plus
-    its `voice` term plus both rows' scores. Each cell's softmax over them
-    pools the MLP's hidden layers, which the second layer maps once per cell,
-    and the scores. In training, the boolean mask `keep` drops hidden units
-    and the kept ones are scaled by 1 / (1 - `rate`).
+    its `voice` term plus both rows' scores; both dots are `np.vecdot`s. Each
+    cell's softmax over them pools the MLP's hidden layers, by a (1, pairs)
+    matmul, which the second layer maps once per cell, and the scores, by a
+    `np.vecdot`. In training, the boolean mask `keep` drops hidden units and
+    the kept ones are scaled by 1 / (1 - `rate`). `grad` leaves the forward as
+    it is.
 
     The vjp, `vjp(g, left_grad, right_grad)`, adds the pair rows' gradients
     into `left_grad` and `right_grad`, arrays shaped like the ones read (the
@@ -221,10 +224,9 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
     w1, b1, w2, b2, w_bil = weights
     d = w_bil.shape[0]
     scale = None if keep is None else 1.0 / (1.0 - rate)
-    pooled = windows = spread = None
+    pooled = windows = None
     if pitch is not None:
-        spread = np.broadcast_to(pool, (pitch.shape[0],) + pool.shape)
-        pooled = lam * (spread @ pitch)
+        pooled = lam * (pool @ pitch)
         windows = pooled.shape[:2]
 
     def pairs() -> tuple[np.ndarray, ...]:
@@ -232,8 +234,9 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         left_rows, right_rows = _take(left), _take(right)
         x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
         if pooled is not None:
-            shift = np.repeat(pooled.reshape(-1, d)[pool_rows], x.shape[0] // cells, axis=0)
-            x, y = x + shift, y + shift
+            shift = pooled.reshape(-1, d)[pool_rows][:, None, :]
+            x = (x.reshape(cells, -1, d) + shift).reshape(-1, d)
+            y = (y.reshape(cells, -1, d) + shift).reshape(-1, d)
         return left_rows, right_rows, x, y
 
     left_rows, right_rows, x, y = pairs()
@@ -242,9 +245,9 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
     tanh += b1
     np.tanh(tanh, out=tanh)
     projected = x @ w_bil
-    scores = (projected * y).sum(axis=1)
+    scores = np.vecdot(projected, y)
     if regions:
-        scores = scores + (left_rows[:, :regions] * right_rows[:, d + 1:]).sum(axis=1)
+        scores = scores + np.vecdot(left_rows[:, :regions], right_rows[:, d + 1:])
     if voice is not None:
         scores = scores + voice
     scores = ((scores + left_rows[:, regions + d]) + right_rows[:, d]).reshape(cells, -1)
@@ -255,11 +258,11 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         masked = tanh if keep is None else (tanh * keep) * scale
         return masked.reshape(softmax.shape + (-1,))
 
-    pooled_hidden = (softmax[:, :, None] * hidden()).sum(axis=1)
+    pooled_hidden = (softmax[:, None, :] @ hidden())[:, 0]
     out = np.empty((cells, d + 1))
     out[:, :-1] = pooled_hidden @ w2
     out[:, :-1] += b2
-    out[:, -1] = (scores * softmax).sum(axis=1)
+    out[:, -1] = np.vecdot(scores, softmax)
     if not grad:
         return out, scores, None
 
@@ -268,7 +271,7 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         g_vector, g_score = g[:, :-1], g[:, -1:]
         g_pooled = g_vector @ w2.T
         # b2 adds the same term to every pair of a cell, which the softmax cancels
-        g_softmax = np.einsum("csh,ch->cs", hidden(), g_pooled) + g_score * scores
+        g_softmax = (hidden() @ g_pooled[:, :, None])[:, :, 0] + g_score * scores
         g_scores = (g_score * softmax
                     + (g_softmax - (g_softmax * softmax).sum(axis=1, keepdims=True))
                     * softmax).ravel()
@@ -304,7 +307,7 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         if pitch is not None:
             g_windows = np.zeros((windows[0] * windows[1], d))
             g_windows[pool_rows] = (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
-            g_pitch = np.swapaxes(spread, 1, 2) @ (lam * g_windows.reshape(windows + (d,)))
+            g_pitch = pool.T @ (lam * g_windows.reshape(windows + (d,)))
         return (g_pitch, g_w1, g_pre.sum(axis=0), pooled_hidden.T @ g_vector,
                 g_vector.sum(axis=0), x.T @ g_bilinear)
 

@@ -180,17 +180,34 @@ def matmul(a, b) -> Tensor:
 
 
 def bmm(a, b) -> Tensor:
-    """Batched matrix product over a shared leading axis: (B, n, k) @ (B, k, m)."""
+    """Batched matrix product over a shared leading axis: (B, n, k) @ (B, k, m),
+    or (n, k) @ (B, k, m) with one left matrix for every batch entry."""
     a, b = astensor(a), astensor(b)
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"bmm needs (B, n, k) @ (B, k, m), got {a.shape} @ {b.shape}")
+    shared = a.data.ndim == 2
+    if (a.data.ndim not in (2, 3) or b.data.ndim != 3
+            or not shared and a.data.shape[0] != b.data.shape[0]):
+        raise ShapeError(f"bmm needs (B, n, k) or (n, k) @ (B, k, m), "
+                         f"got {a.shape} @ {b.shape}")
     try:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"bmm shape mismatch: {a.shape} @ {b.shape}") from exc
 
     def vjp(g):
-        return g @ b.data.transpose(0, 2, 1), a.data.transpose(0, 2, 1) @ g
+        g_a = g @ b.data.transpose(0, 2, 1)
+        return (g_a.sum(axis=0) if shared else g_a), np.swapaxes(a.data, -1, -2) @ g
+
+    return ad._from_op(data, (a, b), vjp)
+
+
+def vecdot(a, b) -> Tensor:
+    """Dot products of two same-shape stacks of vectors along their last axis."""
+    a, b = astensor(a), astensor(b)
+    data = np.vecdot(a.data, b.data)
+
+    def vjp(g):
+        g = g[..., None]
+        return g * b.data, g * a.data
 
     return ad._from_op(data, (a, b), vjp)
 
@@ -380,15 +397,16 @@ def composite_mlp_compose(left, right, w1, b1, w2, b2, keep=None):
 
 
 def composite_bilinear_score(left, w, right):
-    return tensor_sum(mul(matmul(left, w), right), axis=1)
+    return vecdot(matmul(left, w), right)
 
 
 def composite_softmax_pool(scores, vectors):
     cells, count = scores.data.shape
+    width = vectors.data.shape[1]
     weights = softmax(scores, axis=1)
-    stacked = reshape(vectors, (cells, count, vectors.data.shape[1]))
-    pooled = tensor_sum(mul(reshape(weights, (cells, count, 1)), stacked), axis=1)
-    return pooled, tensor_sum(mul(scores, weights), axis=1)
+    stacked = reshape(vectors, (cells, count, width))
+    pooled = reshape(bmm(reshape(weights, (cells, 1, count)), stacked), (cells, width))
+    return pooled, vecdot(scores, weights)
 
 
 def composite_lstm(inputs, w_x, w_h, b):
@@ -415,7 +433,7 @@ def bilinear_score(left, w, right):
     """Row-wise ``left[k] @ w @ right[k]`` of two (K, d) blocks, as one node:
     the scoring block of the node-by-node chart passes below."""
     projected = left.data @ w.data
-    data = (projected * right.data).sum(axis=1)
+    data = np.vecdot(projected, right.data)
 
     def vjp(g):
         g = g[:, None]
@@ -436,8 +454,8 @@ def softmax_pool(scores, vectors):
     e = np.exp(shifted)
     weights = e / e.sum(axis=1, keepdims=True)
     stacked = vectors.data.reshape(cells, count, vectors.data.shape[1])
-    pooled = (weights.reshape(cells, count, 1) * stacked).sum(axis=1)
-    expected = (scores.data * weights).sum(axis=1)
+    pooled = (weights.reshape(cells, 1, count) @ stacked)[:, 0]
+    expected = np.vecdot(scores.data, weights)
 
     def through_softmax(g_weights):
         return (g_weights - (g_weights * weights).sum(axis=1, keepdims=True)) * weights
@@ -620,7 +638,6 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         inside_masks, outside_masks = split_dropout_masks(
             plan, params["compose_in_w1"].data.shape[1], cfg.dropout, rng)
     gamma, lam = cfg.gamma, cfg.lam
-    count = len(ctx.lengths)
     h_blocks = [terminals]
     s_blocks = [ad.constant(np.zeros(terminals.data.shape[0]))]
     child_blocks = []   # span vectors plus their region feature
@@ -651,8 +668,7 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         left = ad.gather_rows(children, left_rows)
         right = ad.gather_rows(children, right_rows)
         if ctx.pitch_seq is not None:
-            pool = np.broadcast_to(plan.pool[length], (count,) + plan.pool[length].shape)
-            pooled = mul(lam, bmm(pool, ctx.pitch_seq))
+            pooled = mul(lam, bmm(plan.pool[length], ctx.pitch_seq))
             pooled = ad.gather_rows(reshape(pooled, (-1, pooled.data.shape[2])),
                                     np.repeat(block_rows, length - 1))
             left = add(left, pooled)
@@ -664,9 +680,8 @@ def composite_inside_pass(ctx, params, cfg, training=False, rng=None):
         )
         scores = bilinear_score(left, params["bilinear_inside"], right)
         if pair_blocks:
-            scores = add(scores, tensor_sum(
-                mul(ad.gather_rows(concat(pair_blocks), left_rows),
-                    ad.gather_rows(concat(att_blocks), right_rows)), axis=1))
+            scores = add(scores, vecdot(ad.gather_rows(concat(pair_blocks), left_rows),
+                                        ad.gather_rows(concat(att_blocks), right_rows)))
         if voice is not None:
             scores = add(scores, np.repeat(voice[block], splits))
         span_scores = concat(s_blocks)

@@ -13,7 +13,7 @@ from mmgi.errors import ShapeError
 
 from .oracles import (add, bmm, concat, div, fd_gradient, log_softmax, matmul, mul, neg,
                       relu, reshape, select, sigmoid, softmax, sqrt, stack, sub, take_pairs,
-                      tanh, tensor_max, tensor_mean, tensor_sum, transpose)
+                      tanh, tensor_max, tensor_mean, tensor_sum, transpose, vecdot)
 
 RTOL = 1e-4
 
@@ -83,6 +83,8 @@ OPS = {
     "transpose": (lambda t: transpose(t["a"]), {"a": (3, 4)}),
     "transpose_3d": (lambda t: transpose(t["a"]), {"a": (2, 3, 4)}),
     "bmm": (lambda t: bmm(t["a"], t["b"]), {"a": (2, 3, 4), "b": (2, 4, 5)}),
+    "bmm_shared_left": (lambda t: bmm(t["a"], t["b"]), {"a": (3, 4), "b": (2, 4, 5)}),
+    "vecdot": (lambda t: vecdot(t["a"], t["b"]), {"a": (3, 4), "b": (3, 4)}),
     "select_time_step": (lambda t: select(t["a"], (slice(None), 1)), {"a": (2, 3, 4)}),
     "select_last_axis": (lambda t: select(t["a"], (slice(None), slice(2, 5))),
                          {"a": (3, 6)}),

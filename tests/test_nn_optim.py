@@ -320,6 +320,37 @@ def test_chart_step_gives_a_row_both_sides_read_both_gradients():
     assert grad[1].any() and left.grad[1].any() and right.grad[1].any()
 
 
+@pytest.mark.parametrize("regions", [0, 3])
+@pytest.mark.parametrize("with_pitch", [False, True])
+@pytest.mark.parametrize("with_voice", [False, True])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_parsing_and_training_share_one_chart_step_forward(regions, with_pitch, with_voice,
+                                                           rate):
+    # a parse calls the step with grad=False and training with grad=True: the
+    # vjp changes nothing of what the forward computes
+    rng = np.random.default_rng(14)
+    d, hidden, cells, pairs, batch, steps = 4, 5, 3, 12, 2, 6
+    shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
+    weights = tuple(rng.normal(size=shape) * 0.4 for shape in shapes)
+    left = (rng.normal(size=(pairs, regions + d + 1)), slice(None), slice(None))
+    right = (rng.normal(size=(pairs, d + 1 + regions)), slice(None), slice(None))
+    kw = {"cells": cells, "regions": regions}
+    if rate:
+        kw.update(keep=dropout_mask(rng, (pairs, hidden), rate), rate=rate)
+    if with_voice:
+        kw["voice"] = rng.normal(size=pairs)
+    if with_pitch:
+        pool = rng.random(size=(2, steps))
+        kw.update(pitch=rng.normal(size=(batch, steps, d)), lam=0.7,
+                  pool=pool / pool.sum(axis=1, keepdims=True), pool_rows=np.array([3, 0, 2]))
+    parse_out, parse_scores, none = chart_step(left, right, weights, grad=False, **kw)
+    train_out, train_scores, vjp = chart_step(left, right, weights, grad=True, **kw)
+    assert none is None and vjp is not None
+    assert np.array_equal(parse_out, train_out)
+    assert np.array_equal(parse_scores, train_scores)
+    assert parse_scores.shape == (cells, pairs // cells)
+
+
 def test_padded_lstm_padding_gets_no_gradient():
     _, _, arrays, _ = FUSED["lstm_padded_batch"]
     tensors = _tensors(arrays, ())
