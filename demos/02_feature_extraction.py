@@ -4,14 +4,13 @@
 Boxes are normalized to the unit square; object-category co-occurrence
 across a corpus becomes the pair relevance matrix; f0 frames become embedding
 rows (average voiced pitch, clamped to 50..500 Hz); VAD frames become
-per-clip voice/non-voice durations. The per-clip features are computed for a
-whole batch of speech tracks at once.
+per-clip voice/non-voice durations. Each speech track computes a feature for
+all of its clips at once, at its first use, and keeps it.
 """
 
 import numpy as np
 
-from mmgi.features import (RegionSet, SpeechTrack, build_pair_matrix,
-                           pitch_indices, vad_aggregate)
+from mmgi.features import RegionSet, SpeechTrack, build_pair_matrix
 from mmgi.synth import SynthConfig, generate_synthetic
 
 print("-- bounding boxes --")
@@ -33,12 +32,12 @@ clips = [[219.4, 219.8], [600.0], [0.0, 0.0], [0.0, 140.0, 150.0]]
 track = SpeechTrack(clips=[(0.01 * t, 0.01 * (t + 1)) for t in range(len(clips))],
                     clip_features=np.zeros((len(clips), 1)), f0_frames=clips,
                     vad_frames=[[f > 0 for f in frames] for frames in clips])
-for frames, row in zip(clips, pitch_indices([track])[0]):
+for frames, row in zip(clips, track.pitch_rows("demo")):
     print(f"f0 frames {frames} -> embedding row {row}")
 
 print("\n-- voice activity on a synthetic example --")
 example = generate_synthetic(SynthConfig(sentence_count=1, seed=3))[0]
-voice, nonvoice = (times[0] for times in vad_aggregate([example.speech], [example.id]))
+voice, nonvoice = example.speech.voice_times(example.id)
 print("tokens:  ", example.tokens)
 print("voiced s:", np.round(voice, 2))
 print("pauses s:", np.round(nonvoice, 2))

@@ -28,7 +28,7 @@ pair = corpus_pair_matrix(corpus)
 params = build_params(cfg, len(vocab), np.random.default_rng(0))
 
 chart, ctx = run_chart(corpus[:3], params, cfg, vocab_index, pair)
-lengths = chart.lengths
+lengths = chart.plan.lengths
 n = lengths[0]
 print("tokens:", example.tokens)
 print(f"one chart for {len(chart)} sentences of lengths {lengths}: "

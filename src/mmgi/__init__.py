@@ -9,8 +9,7 @@ from .config import RunConfig, load_config
 from .corpus import ExampleBundle, load_corpus, save_corpus
 from .decode import cky_decode
 from .errors import MMGIError
-from .features import (PairRelevanceMatrix, RegionSet, SpeechTrack,
-                       build_pair_matrix, vad_aggregate)
+from .features import PairRelevanceMatrix, RegionSet, SpeechTrack, build_pair_matrix
 from .inference import parse_corpus, parse_example
 from .metrics import align_clips, bracketing_f1, scf1, tiou
 from .synth import SynthConfig, generate_synthetic
@@ -26,7 +25,7 @@ __all__ = [
     "cky_decode",
     "MMGIError",
     "PairRelevanceMatrix", "RegionSet", "SpeechTrack",
-    "build_pair_matrix", "vad_aggregate",
+    "build_pair_matrix",
     "parse_corpus", "parse_example",
     "align_clips", "bracketing_f1", "scf1", "tiou",
     "SynthConfig", "generate_synthetic",

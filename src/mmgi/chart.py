@@ -56,7 +56,7 @@ from .config import RunConfig
 from .corpus import ExampleBundle
 from .errors import (AlignmentError, ChartError, DataValidationError,
                      DegenerateChartError)
-from .features import PairRelevanceMatrix, pitch_indices
+from .features import PairRelevanceMatrix
 from .nn import (add_box_embedding, attend_clips, chart_step, dropout_mask, lstm_forward,
                  normalize_clips, project_regions, span_features)
 
@@ -92,23 +92,23 @@ class BatchContext:
 
     Position fields concatenate the sentences in batch order. Region fields
     are padded per image to the batch's largest region count M; pitch and
-    voice fields are padded per sentence to its largest clip count T.
+    voice fields are padded per sentence to the batch's n_max, since every
+    position is one clip (`build_context` checks it).
     """
 
     ids: list[str]
     lengths: tuple[int, ...]        # n per sentence
     token_ids: np.ndarray | None    # (sum n,)
     word_rows: Tensor | None        # (sum n, d_w) embedding rows
-    clip_rows: np.ndarray           # (sum T, d_s), read-only
-    clip_counts: tuple[int, ...]    # T per sentence
+    clip_rows: np.ndarray           # (sum n, d_s), read-only
     region_rows: np.ndarray         # (B*M, d_v), read-only, zero rows as padding
     region_counts: np.ndarray       # (B,) regions kept per image
     v_proj: Tensor | None = None    # (B, M, d) projected region features
     region_mask: np.ndarray | None = None   # (B, M): 0 for a region, -inf for padding
     region_sum: Tensor | None = None        # (B, M, d) v_proj + bbox embeds; None = fusion off
     pair_sub: np.ndarray | None = None      # (B, M, M) pair relevance within each image
-    pitch_seq: Tensor | None = None         # (B, T, d)
-    voice: np.ndarray | None = None         # (B, T, T) voice_activity_table per sentence
+    pitch_seq: Tensor | None = None         # (B, n_max, d)
+    voice: np.ndarray | None = None         # (B, n_max, n_max) voice_activity_table
     plan: _Plan = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -373,7 +373,6 @@ class Chart:
     number of sentences.
     """
 
-    lengths: tuple[int, ...]
     ids: list[str]                  # example id per sentence
     plan: _Plan = field(repr=False)
     inside: Tensor | None = field(default=None, repr=False)
@@ -382,19 +381,13 @@ class Chart:
     outside_masks: dict | None = None   # dropout masks the inside pass drew for outside
 
     def __len__(self) -> int:
-        return len(self.lengths)
-
-    def spans(self, sentence: int = 0) -> list[tuple[int, int]]:
-        """Every span of one sentence, in storage order."""
-        n = self.lengths[sentence]
-        return [(i, i + length - 1) for length in range(1, n + 1)
-                for i in range(1, n - length + 2)]
+        return len(self.plan.lengths)
 
     def split_tables(self, sentence: int = 0) -> tuple[dict, np.ndarray]:
         """One sentence's decomposition scores {l: (n-l+1, l-1)} and its
         (n(n+1)/2,) span scores in storage order, as views of the chart's
         arrays (the span scores are a copy in a batch of several)."""
-        plan, n = self.plan, self.lengths[sentence]
+        plan, n = self.plan, self.plan.lengths[sentence]
         splits = {}
         for length in range(2, n + 1):
             first = plan.offsets[length, sentence] - plan.block_start[length]
@@ -425,9 +418,11 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
                   pair_matrix: PairRelevanceMatrix | None) -> BatchContext:
     """Project the raw modalities of one example or a batch once; regions are
     capped at roi_count. The parameter-free features are the ones each
-    bundle keeps from its first use (see `features`), padded. Features of
-    dims the model cannot consume fail here, naming the example (see
-    `check_dims`): every chart, parse and training step starts here."""
+    bundle keeps from its first use (see `features`), padded here, in one
+    loop over the examples. Features of dims the model cannot consume, an
+    unknown token and, in the full setting, a token count other than the
+    clip count fail here, naming the example (see `check_dims`): every
+    chart, parse and training step starts here."""
     if isinstance(examples, ExampleBundle):
         examples = [examples]
     check_dims(cfg, examples)
@@ -448,27 +443,37 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
                 raise DataValidationError(
                     f"example {ex.id}: token {exc.args[0]!r} outside the vocabulary"
                 ) from exc
+            if len(ex.tokens) != ex.speech.count:
+                raise AlignmentError(
+                    f"example {ex.id}: full setting requires one clip per token, "
+                    f"got {len(ex.tokens)} tokens vs {ex.speech.count} clips"
+                )
         token_ids = np.array(ids, dtype=np.intp)
         word_rows = ad.gather_rows(params["word_embeddings"], token_ids)
 
-    clip_rows = np.concatenate([ex.speech.clip_features for ex in examples])
-
     ids = [ex.id for ex in examples]
-    tracks = [ex.speech for ex in examples]
-    clip_counts = tuple(track.count for track in tracks)
-    count, most_clips = len(examples), max(clip_counts)
-    pitch_rows = pitch_indices(tracks, ids) if cfg.use_pitch else None
-    voice = None
-    if cfg.use_voice:
-        voice = np.zeros((count, most_clips, most_clips))
-        for b, (ex_id, track) in enumerate(zip(ids, tracks)):
-            voice[b, :track.count, :track.count] = track.voice_table(ex_id)
-
+    clip_rows = np.concatenate([ex.speech.clip_features for ex in examples])
+    count, clips = len(examples), max(ex.speech.count for ex in examples)
     keep = np.array([min(ex.regions.count, cfg.roi_count) for ex in examples])
     most = int(keep.max())
+    # the kept features, zero after each example's clips and regions
     features = np.zeros((count, most, examples[0].regions.features.shape[1]))
+    pitch_rows = np.zeros((count, clips), dtype=np.intp) if cfg.use_pitch else None
+    voice = np.zeros((count, clips, clips)) if cfg.use_voice else None
+    units = np.zeros((count, most, 4)) if cfg.use_visual else None
+    pair_sub = None if units is None or pair_matrix is None else np.zeros((count, most, most))
     for b, ex in enumerate(examples):
-        features[b, :keep[b]] = ex.regions.features[:keep[b]]
+        t, m = ex.speech.count, keep[b]
+        features[b, :m] = ex.regions.features[:m]
+        if pitch_rows is not None:
+            pitch_rows[b, :t] = ex.speech.pitch_rows(ex.id)
+        if voice is not None:
+            voice[b, :t, :t] = ex.speech.voice_table(ex.id)
+        if units is not None:
+            units[b, :m] = ex.regions.unit_boxes(ex.id, m)
+        if pair_sub is not None:
+            pair_sub[b, :m, :m] = ex.regions.pair_submatrix(pair_matrix)[:m, :m]
+
     region_rows = features.reshape(count * most, -1)
     _freeze(clip_rows, region_rows)
     region_mask = None
@@ -476,28 +481,20 @@ def build_context(examples: ExampleBundle | list[ExampleBundle],
         region_mask = np.where(np.arange(most) < keep[:, None], 0.0, -np.inf)
     v_proj = project_regions(region_rows, params["vision_projection"],
                              (count, most, cfg.d))
-    region_sum = pair_sub = None
-    if cfg.use_visual:
-        units = np.zeros((count, most, 4))
-        for b, ex in enumerate(examples):
-            units[b, :keep[b]] = ex.regions.unit_boxes(ex.id, keep[b])
+    region_sum = None
+    if units is not None:
         region_sum = add_box_embedding(v_proj, units.reshape(count * most, 4),
                                        params["bbox_embed_w"], params["bbox_embed_b"])
-        if pair_matrix is not None:
-            pair_sub = np.zeros((count, most, most))
-            for b, ex in enumerate(examples):
-                pair_sub[b, :keep[b], :keep[b]] = \
-                    ex.regions.pair_submatrix(pair_matrix)[:keep[b], :keep[b]]
 
     pitch_seq = None
-    if cfg.use_pitch:
+    if pitch_rows is not None:
         rows = ad.gather_rows(params["pitch_embedding"], pitch_rows)
         pitch_seq = lstm_forward(rows, params["pitch_lstm_wx"], params["pitch_lstm_wh"],
                                  params["pitch_lstm_b"])
 
     return BatchContext(
         ids=ids, lengths=lengths, token_ids=token_ids,
-        word_rows=word_rows, clip_rows=clip_rows, clip_counts=clip_counts,
+        word_rows=word_rows, clip_rows=clip_rows,
         region_rows=region_rows, region_counts=keep, v_proj=v_proj,
         region_mask=region_mask, region_sum=region_sum, pair_sub=pair_sub,
         pitch_seq=pitch_seq, voice=voice,
@@ -520,12 +517,6 @@ def init_terminals(ctx: BatchContext, params: dict[str, Tensor],
     """
     if cfg.mode == "textless":
         return normalize_clips(ctx.clip_rows, params["clip_projection"])
-    for ex_id, n, clips in zip(ctx.ids, ctx.lengths, ctx.clip_counts):
-        if n != clips:
-            raise AlignmentError(
-                f"example {ex_id}: full setting requires one clip per token, "
-                f"got {n} tokens vs {clips} clips"
-            )
     plan = ctx.plan
     weights = tuple(params[name] for name in ("clip_projection", "word_projection",
                                               "attn_q", "attn_k", "attn_v"))
@@ -654,7 +645,7 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
         return ((g_spans[:positions, :d],) + (tuple(g_regions) if visual else ())
                 + tuple(g_steps[pitch is None:]))
 
-    return Chart(lengths=ctx.lengths, ids=ctx.ids, plan=plan,
+    return Chart(ids=ctx.ids, plan=plan,
                  inside=ad._from_op(spans, inputs, vjp), split_in=split_in,
                  outside_masks=outside_masks)
 
@@ -765,14 +756,14 @@ def run_chart(examples: ExampleBundle | list[ExampleBundle],
 
 def chart_dump(chart: Chart, sentence: int = 0) -> dict:
     """JSON-friendly dump of one sentence's scores, marginals, and argmax splits."""
-    spans = chart.spans(sentence)
-    rows = chart.plan.sentence_rows(sentence)
-    keys = [f"{i},{j}" for i, j in spans]
-    doc: dict = {"n": chart.lengths[sentence],
+    plan = chart.plan
+    rows = plan.sentence_rows(sentence)
+    starts, ends = plan.span_start[rows], plan.span_end[rows]
+    keys = [f"{i},{j}" for i, j in zip(starts.tolist(), ends.tolist())]
+    doc: dict = {"n": plan.lengths[sentence],
                  "s_in": dict(zip(keys, chart.inside.data[rows, -1].tolist())),
                  "s_out": {}, "q": {}, "argmax_k": {}}
     if chart.outside is not None:
-        starts, ends = np.array(spans).T
         doc["s_out"] = dict(zip(keys, chart.outside.data[rows, -1].tolist()))
         doc["q"] = dict(zip(keys, span_marginal(chart, starts, ends, sentence).tolist()))
     splits, _ = chart.split_tables(sentence)

@@ -20,7 +20,8 @@ def cky_decode(split_scores: dict, span_scores: np.ndarray, n: int) -> tuple[Tre
     terminals. A decomposition score already folds in both children's span
     scores; subtracting them leaves the local score of the node alone, so
     tree totals are sums of local scores. Ties prefer the larger split point,
-    so an all-tied table decodes to the fully left-branching tree.
+    so an all-tied table decodes to the fully left-branching tree. Tables
+    that do not match n (a missing length, a wrong shape) raise ValueError.
 
     All spans of one length are decoded together, each candidate adding
     ``local + best(left) + best(right)`` in that order, so totals are the
@@ -37,6 +38,9 @@ def cky_decode(split_scores: dict, span_scores: np.ndarray, n: int) -> tuple[Tre
     back = np.zeros(spans.size, dtype=np.intp)
     for length in range(2, n + 1):
         (left, right), _ = plan.inside[length]
+        if length not in split_scores:
+            raise ValueError(f"no split scores of length {length}; {n} leaves need "
+                             f"lengths 2..{n}")
         scores = np.asarray(split_scores[length], dtype=np.float64)
         if scores.shape != (n - length + 1, length - 1):
             raise ValueError(f"length {length}: split scores have shape {scores.shape}, "

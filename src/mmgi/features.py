@@ -12,8 +12,7 @@ first use, one track or image at a time, and kept on its `SpeechTrack` or
 `RegionSet` for every later step and parse; loading a corpus computes none of
 them. A bundle's raw inputs must therefore not change after its first use; a
 track's f0 and VAD frames are flat read-only arrays, so they cannot.
-The batch functions `pitch_indices` and `vad_aggregate` pad the kept
-per-track values.
+`chart.build_context` pads the kept values of a batch's examples.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ __all__ = [
     "SpeechTrack",
     "PairRelevanceMatrix",
     "build_pair_matrix",
-    "pitch_indices",
-    "vad_aggregate",
     "voice_activity_table",
 ]
 
@@ -317,34 +314,6 @@ def _packed(clips: Sequence[Sequence], dtype) -> tuple[np.ndarray, np.ndarray]:
     counts = np.fromiter(map(len, clips), dtype=np.intp, count=len(clips))
     frames = np.fromiter(chain.from_iterable(clips), dtype=dtype, count=int(counts.sum()))
     return _frozen(frames), _frozen(counts)
-
-
-def _padded(per_track: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-clip values of a batch of tracks -> (B, T_max), zero after each
-    track's end."""
-    counts = np.array([values.size for values in per_track])
-    out = np.zeros((len(per_track), int(counts.max())), dtype=per_track[0].dtype)
-    out[np.arange(out.shape[1]) < counts[:, None]] = np.concatenate(per_track)
-    return out
-
-
-def pitch_indices(tracks: Sequence[SpeechTrack],
-                  owners: Sequence[str] | None = None) -> np.ndarray:
-    """(B, T_max) embedding rows of every clip of a batch of tracks
-    (`SpeechTrack.pitch_rows`), padded with the unvoiced row after each
-    track's end."""
-    owners = ["?"] * len(tracks) if owners is None else owners
-    return _padded([track.pitch_rows(owner) for track, owner in zip(tracks, owners)])
-
-
-def vad_aggregate(tracks: Sequence[SpeechTrack], owners: Sequence[str] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T_max) voice and non-voice time of every clip of a batch of tracks
-    (`SpeechTrack.voice_times`), in seconds at each track's frame period, zero
-    after each track's end."""
-    owners = ["?"] * len(tracks) if owners is None else owners
-    times = [track.voice_times(owner) for track, owner in zip(tracks, owners)]
-    return _padded([voice for voice, _ in times]), _padded([nonvoice for _, nonvoice in times])
 
 
 def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:

@@ -240,7 +240,7 @@ def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
     w_speech, w_vision = params["align_proj_speech"], params["align_proj_vision"]
     clips, regions, count = ctx.clip_rows, ctx.region_rows, len(ctx.region_counts)
     speech = clips @ w_speech.data
-    clip_mean = _segment_matrix(ctx.clip_counts)
+    clip_mean = _segment_matrix(ctx.lengths)
     region_mean = _segment_matrix(ctx.region_counts, regions.shape[0] // count)
     cos, cos_vjp = _cosine_rows(clip_mean @ speech, region_mean @ (regions @ w_vision.data))
     terms = 1.0 - cos

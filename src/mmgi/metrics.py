@@ -43,22 +43,33 @@ def bracketing_f1(pred_trees: list[Tree], gold_trees: list[Tree],
         raise DataValidationError(
             f"{len(pred_trees)} predictions vs {len(gold_trees)} references"
         )
-    if mode not in ("corpus", "sentence"):
-        raise ValueError(f"mode must be corpus|sentence, got {mode!r}")
-    pooled = np.zeros(3, dtype=np.int64)
-    per_sentence = []
+    return _reduce(_tree_counts(pred_trees, gold_trees), mode)
+
+
+def _tree_counts(pred_trees: list[Tree], gold_trees: list[Tree]):
     for idx, (pred, gold) in enumerate(zip(pred_trees, gold_trees)):
         if leaf_count(pred) != leaf_count(gold):
             raise DataValidationError(
                 f"sentence {idx}: predicted tree has {leaf_count(pred)} leaves, "
                 f"reference has {leaf_count(gold)}"
             )
-        counts = _pair_counts(bracket_set(pred), bracket_set(gold))
-        pooled += counts
-        per_sentence.append(f1_from_counts(*counts))
+        yield _pair_counts(bracket_set(pred), bracket_set(gold))
+
+
+def _reduce(counts, mode: str) -> float:
+    """F1 of per-sentence (TP, FP, FN) counts, which are read only once the
+    mode is known to be valid: `corpus` pools them before the F1, `sentence`
+    averages per-sentence F1. No sentences at all score 1 either way."""
+    if mode not in ("corpus", "sentence"):
+        raise ValueError(f"mode must be corpus|sentence, got {mode!r}")
+    pooled = np.zeros(3, dtype=np.int64)
+    per_sentence = []
+    for sentence in counts:
+        pooled += sentence
+        per_sentence.append(f1_from_counts(*sentence))
     if mode == "corpus":
         return f1_from_counts(*(int(c) for c in pooled))
-    return float(np.mean(per_sentence))
+    return float(np.mean(per_sentence)) if per_sentence else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +141,4 @@ def scf1_counts(pred_tree: Tree, pred_clips: list[Interval],
 def scf1(pairs: list[tuple[Tree, list[Interval], Tree, list[Interval]]],
          threshold: float, mode: str = "corpus") -> float:
     """Corpus or sentence SCF1 over (pred_tree, pred_clips, gold_tree, gold_clips)."""
-    if mode not in ("corpus", "sentence"):
-        raise ValueError(f"mode must be corpus|sentence, got {mode!r}")
-    pooled = np.zeros(3, dtype=np.int64)
-    per_sentence = []
-    for pred_tree, pred_clips, gold_tree, gold_clips in pairs:
-        counts = scf1_counts(pred_tree, pred_clips, gold_tree, gold_clips, threshold)
-        pooled += counts
-        per_sentence.append(f1_from_counts(*counts))
-    if mode == "corpus":
-        return f1_from_counts(*(int(c) for c in pooled))
-    return float(np.mean(per_sentence)) if per_sentence else 1.0
+    return _reduce((scf1_counts(*pair, threshold) for pair in pairs), mode)

@@ -579,7 +579,7 @@ def column_chart(chart: Chart) -> ColumnChart:
     for side, rows in (("in", chart.inside), ("out", chart.outside)):
         columns[f"h_{side}"] = select(rows, (slice(None), slice(0, -1)))
         columns[f"s_{side}"] = select(rows, (slice(None), -1))
-    return ColumnChart(chart.lengths, chart.ids, chart.plan, **columns)
+    return ColumnChart(chart.plan.lengths, chart.ids, chart.plan, **columns)
 
 
 def pass_chart(chart: ColumnChart) -> Chart:
@@ -588,7 +588,7 @@ def pass_chart(chart: ColumnChart) -> Chart:
     passes = {side: concat([getattr(chart, f"h_{side}"),
                             reshape(getattr(chart, f"s_{side}"), (-1, 1))], axis=1)
               for side in ("in", "out")}
-    return Chart(lengths=chart.lengths, ids=chart.ids, plan=chart.plan,
+    return Chart(ids=chart.ids, plan=chart.plan,
                  inside=passes["in"], outside=passes["out"])
 
 
@@ -1146,7 +1146,7 @@ def representation_loss(ctx, params, cfg):
     vision = matmul(ctx.region_rows, params["align_proj_vision"])
     stride = ctx.region_rows.data.shape[0] // len(ctx.region_counts)
     global_term = sub(1.0, _cosine_rows(
-        matmul(_segment_matrix(ctx.clip_counts), speech),
+        matmul(_segment_matrix(ctx.lengths), speech),
         matmul(_segment_matrix(ctx.region_counts, stride), vision)))
     if cfg.mode == "textless" or ctx.word_rows is None:
         return tensor_mean(global_term)

@@ -19,7 +19,7 @@ from mmgi.chart import (OUTSIDE_PART, _dropout_masks, _Plan, _prefix, build_cont
 from mmgi.decode import cky_decode
 from mmgi.errors import (AlignmentError, ChartError, DataValidationError,
                          DegenerateChartError)
-from mmgi.features import PairRelevanceMatrix, voice_activity_table
+from mmgi.features import UNVOICED_INDEX, PairRelevanceMatrix, voice_activity_table
 from mmgi.gradcheck import grad_check
 from mmgi.inference import parse_example
 from mmgi.losses import batch_loss
@@ -89,12 +89,12 @@ def test_terminals_textless_unit_norm():
 
 
 def test_terminals_length_mismatch_rejected():
-    cfg, bundle, vocab_index, params, pair = _setup(3, 3)
+    cfg, bundle, vocab_index, params, pair = _setup(3, 3, ex_id="short")
     bundle.tokens = bundle.tokens[:2]
     vocab_index = tiny_vocab_index([bundle])
-    ctx = build_context(bundle, params, cfg, vocab_index, pair)
-    with pytest.raises(AlignmentError):
-        init_terminals(ctx, params, cfg)
+    with pytest.raises(AlignmentError, match="example short: full setting requires one clip "
+                                             "per token, got 2 tokens vs 3 clips"):
+        build_context(bundle, params, cfg, vocab_index, pair)
 
 
 # (config overrides, (n, region count) per sentence, with a pair matrix)
@@ -221,13 +221,13 @@ def test_voice_activity_score_range_and_monotonicity():
 def _assert_sentence_matches_oracle(chart, sentence, oracle):
     """Every cell of one sentence of a chart equals the naive recursion's."""
     inside, outside = chart.inside.data, chart.outside.data
-    for key in chart.spans(sentence):
+    for key in oracle["s_in"]:
         row = chart.plan.row(*key, sentence)
         for name, got in (("h_in", inside[row, :-1]), ("s_in", inside[row, -1]),
                           ("h_out", outside[row, :-1]), ("s_out", outside[row, -1])):
             assert np.allclose(got, oracle[name][key], atol=1e-8, rtol=1e-8), \
                 (name, sentence, key)
-        if chart.lengths[sentence] >= 2:
+        if chart.plan.lengths[sentence] >= 2:
             assert np.allclose(float(span_marginal(chart, *key, sentence)),
                                oracle["q"][key], atol=1e-8, rtol=1e-8), ("q", sentence, key)
 
@@ -263,7 +263,7 @@ def test_chart_matches_naive_oracle_textless():
     chart, _ = run_chart(bundle, params, cfg, None, pair)
     oracle = naive_chart(bundle, {k: p.data for k, p in params.items()},
                          cfg, pair.values, None)
-    for key in chart.spans():
+    for key in oracle["s_in"]:
         row = chart.plan.row(*key)
         assert np.allclose(chart.inside.data[row, -1], oracle["s_in"][key], atol=1e-8)
         assert np.allclose(chart.outside.data[row, :-1], oracle["h_out"][key], atol=1e-8)
@@ -920,7 +920,7 @@ def test_batch_chart_equals_per_sentence_charts():
     for b, bundle in enumerate(bundles):
         alone, _ = run_chart(bundle, params, cfg, vocab_index, pair, training=True,
                              rng=single_rng)
-        for i, j in alone.spans():
+        for i, j in zip(alone.plan.span_start.tolist(), alone.plan.span_end.tolist()):
             got, want = chart.plan.row(i, j, b), alone.plan.row(i, j)
             for name in ("inside", "outside"):
                 assert np.allclose(getattr(chart, name).data[got],
@@ -1067,12 +1067,14 @@ def test_batch_context_features_match_per_clip_oracles():
     rng = np.random.default_rng(47)
     bundles = [random_bundle(rng, n, cfg, regions=regions, ex_id=f"c{k}")
                for k, (n, regions) in enumerate([(3, 2), (6, 4), (2, 1), (5, 3)])]
+    # an all-unvoiced clip takes the unvoiced row, as the padding does
+    bundles[2].speech = with_clip(bundles[2].speech, 1, [0.0, 0.0], [False, False])
     vocab_index = tiny_vocab_index(bundles)
     params = build_params(cfg, len(vocab_index), np.random.default_rng(48))
     ctx = build_context(bundles, params, cfg, vocab_index, None)
     clips = max(ex.speech.count for ex in bundles)
     assert ctx.voice.shape == (len(bundles), clips, clips)
-    rows = np.zeros((len(bundles), clips), dtype=int)
+    rows = np.full((len(bundles), clips), UNVOICED_INDEX)
     units = np.zeros((len(bundles), 4, 4))
     for b, ex in enumerate(bundles):
         count = ex.speech.count
@@ -1084,6 +1086,7 @@ def test_batch_context_features_match_per_clip_oracles():
         width, height = ex.regions.image_size
         units[b, :ex.regions.count] = [scalar_unit_box(box, width, height)
                                        for box in ex.regions.bboxes]
+    assert rows[2, 1:].tolist() == [UNVOICED_INDEX] * (clips - 1)
     pitch = lstm_forward(ad.gather_rows(params["pitch_embedding"], rows),
                          params["pitch_lstm_wx"], params["pitch_lstm_wh"],
                          params["pitch_lstm_b"])

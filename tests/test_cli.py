@@ -206,6 +206,20 @@ def test_eval_matches_library_fixture(tmp_path, capsys):
     assert report["sent_f1"] == 0.5
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("mode", ["f1", "scf1"])
+def test_eval_on_empty_files_prints_json(tmp_path, capsys, mode):
+    for name in ("pred.txt", "gold.txt"):
+        (tmp_path / name).write_text("")
+    assert main(["eval", "--pred", str(tmp_path / "pred.txt"),
+                 "--gold", str(tmp_path / "gold.txt"), "--mode", mode]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject)
+    assert list(report.values()) == [1.0, 1.0]
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

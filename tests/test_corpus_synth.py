@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mmgi.corpus import load_corpus, save_corpus
 from mmgi.errors import AlignmentError, DataValidationError, GenerationError
-from mmgi.features import RegionSet, pitch_indices, vad_aggregate
+from mmgi.features import RegionSet
 from mmgi.metrics import bracketing_f1
 from mmgi.synth import (SynthConfig, generate_synthetic, lexicon_slices,
                         right_chain_grammar)
@@ -460,17 +460,16 @@ def test_synth_flat_config_gives_allvoiced_constant_pitch():
     examples = _small_synth(pause_seconds=0.0, f0_slope=0.0, f0_reset=0.0,
                             f0_jitter=0.0)
     for ex in examples:
-        voice, nonvoice = vad_aggregate([ex.speech])
+        voice, nonvoice = ex.speech.voice_times(ex.id)
         assert np.all(nonvoice == 0.0)
-        rows = pitch_indices([ex.speech])
-        assert len(set(rows[0].tolist())) == 1  # constant f0 everywhere
+        assert len(set(ex.speech.pitch_rows(ex.id).tolist())) == 1  # constant f0 everywhere
 
 
 def test_synth_pauses_only_at_shallow_constituent_ends():
     examples = _small_synth(sentence_count=40, pause_depth=1)
     saw_pause = False
     for ex in examples:
-        nonvoice = vad_aggregate([ex.speech])[1][0]
+        _, nonvoice = ex.speech.voice_times(ex.id)
         tree = ex.gold_tree()
         spans = tree_spans(tree)
         depths = {}
@@ -540,7 +539,7 @@ def test_synth_nonterminating_grammar_raises():
 
 def test_synth_clip_times_quantized_to_frames():
     for ex in _small_synth():
-        voice, nonvoice = (times[0] for times in vad_aggregate([ex.speech]))
+        voice, nonvoice = ex.speech.voice_times(ex.id)
         for t, (start, end) in enumerate(ex.speech.clips):
             frames = ex.speech.vad_counts[t]
             assert end - start == pytest.approx(frames * 0.01, abs=1e-9)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from mmgi.features import voice_activity_table
 from mmgi.errors import DataValidationError
-from mmgi.features import (F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_matrix,
-                           pitch_indices, vad_aggregate)
+from mmgi.features import F0_MAX, F0_MIN, RegionSet, SpeechTrack, build_pair_matrix
 
 from .conftest import random_bundle, tiny_config, with_clip
 from .oracles import (scalar_pair_matrix, scalar_pitch_index, scalar_unit_box,
@@ -153,8 +152,8 @@ def _f0_track(f0_frames):
 
 
 def _pitch_row(frames):
-    """The embedding row of one clip, through the batch function."""
-    return int(pitch_indices([_f0_track([frames])])[0, 0])
+    """The embedding row of one clip."""
+    return int(_f0_track([frames]).pitch_rows()[0])
 
 
 def test_pitch_index_worked_example():
@@ -179,16 +178,10 @@ def test_pitch_index_ignores_unvoiced_frames_in_average():
 
 
 def test_pitch_negative_f0_rejected():
-    tracks = [_f0_track([[100.0]]), _f0_track([[100.0], [100.0, -5.0]])]
+    track = _f0_track([[100.0], [100.0, -5.0]])
     with pytest.raises(DataValidationError,
                        match=r"example b: clip 1 has a negative f0 value -5.0"):
-        pitch_indices(tracks, ["a", "b"])
-
-
-def test_pitch_indices_pad_with_the_unvoiced_row():
-    rows = pitch_indices([_f0_track([[219.4, 219.8]]),
-                          _f0_track([[600.0], [0.0], [10.0]])])
-    assert rows.tolist() == [[171, 0, 0], [451, 0, 1]]
+        track.pitch_rows("b")
 
 
 @given(st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=30))
@@ -222,21 +215,15 @@ _clip = st.one_of(
 @example([[PAIRWISE_CLIP, HALF_CLIP], [[0.0]]], 0.01)
 @settings(max_examples=150, deadline=None)
 def test_batched_clip_features_equal_the_scalar_oracle(batch, period):
-    tracks = [_track([[v > 0 for v in frames] for frames in clips], period, clips)
-              for clips in batch]
-    rows = pitch_indices(tracks)
-    voice, nonvoice = vad_aggregate(tracks)
-    table = voice_activity_table(voice, nonvoice)
-    width = max(len(clips) for clips in batch)
-    assert rows.shape == voice.shape == nonvoice.shape == (len(batch), width)
-    for b, (clips, track) in enumerate(zip(batch, tracks)):
-        count = len(clips)
-        assert rows[b, :count].tolist() == [scalar_pitch_index(f) for f in clips]
+    # each track computes every clip's values at once
+    for clips in batch:
+        track = _track([[v > 0 for v in frames] for frames in clips], period, clips)
+        assert track.pitch_rows().tolist() == [scalar_pitch_index(f) for f in clips]
         expect_voice, expect_nonvoice = scalar_vad_aggregate(track)
-        assert np.array_equal(voice[b, :count], expect_voice)
-        assert np.array_equal(nonvoice[b, :count], expect_nonvoice)
-        assert not rows[b, count:].any() and not voice[b, count:].any()
-        assert np.array_equal(table[b, :count, :count],
+        voice, nonvoice = track.voice_times()
+        assert np.array_equal(voice, expect_voice)
+        assert np.array_equal(nonvoice, expect_nonvoice)
+        assert np.array_equal(track.voice_table(),
                               voice_activity_table(expect_voice, expect_nonvoice))
 
 
@@ -250,30 +237,30 @@ def test_pairwise_clip_takes_np_mean_rounding():
 
 
 def test_vad_aggregate_all_voiced():
-    voice, nonvoice = vad_aggregate([_track([[True] * 50])])
-    assert voice[0, 0] == pytest.approx(0.5)
-    assert nonvoice[0, 0] == pytest.approx(0.0)
+    voice, nonvoice = _track([[True] * 50]).voice_times()
+    assert voice[0] == pytest.approx(0.5)
+    assert nonvoice[0] == pytest.approx(0.0)
 
 
 def test_vad_aggregate_mixed():
-    voice, nonvoice = vad_aggregate([_track([[True] * 30 + [False] * 20])])
-    assert voice[0, 0] == pytest.approx(0.3)
-    assert nonvoice[0, 0] == pytest.approx(0.2)
+    voice, nonvoice = _track([[True] * 30 + [False] * 20]).voice_times()
+    assert voice[0] == pytest.approx(0.3)
+    assert nonvoice[0] == pytest.approx(0.2)
 
 
 def test_vad_zero_frames_rejected():
     track = with_clip(_track([[True], [True]]), 1, vad=[])
     with pytest.raises(DataValidationError, match="example a: clip 1 has zero VAD frames"):
-        vad_aggregate([_track([[True]]), track], ["b", "a"])
+        track.voice_table("a")
 
 
 @given(st.lists(st.lists(st.booleans(), min_size=1, max_size=40),
                 min_size=1, max_size=6))
 @settings(max_examples=80, deadline=None)
 def test_vad_conserves_clip_duration(vad_frames):
-    voice, nonvoice = vad_aggregate([_track(vad_frames)])
+    voice, nonvoice = _track(vad_frames).voice_times()
     for t, frames in enumerate(vad_frames):
-        assert voice[0, t] + nonvoice[0, t] == pytest.approx(0.01 * len(frames))
+        assert voice[t] + nonvoice[t] == pytest.approx(0.01 * len(frames))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ def _fake_chart_ctx(h_rows, token_ids):
     n = len(token_ids)
     # the terminal rows lead the chart; a zero score column follows the vectors
     outside = Tensor(np.hstack([h_rows, np.zeros((n, 1))]))
-    chart = Chart(lengths=(n,), ids=["fake"], plan=sentence_plan(n), outside=outside)
+    chart = Chart(ids=["fake"], plan=sentence_plan(n), outside=outside)
     ctx = BatchContext(
         ids=["fake"], lengths=(n,), token_ids=np.array(token_ids), word_rows=None,
-        clip_rows=np.zeros((n, 2)), clip_counts=(n,), region_rows=np.zeros((1, 2)),
+        clip_rows=np.zeros((n, 2)), region_rows=np.zeros((1, 2)),
         region_counts=np.array([1]))
     return chart, ctx
 
@@ -167,7 +167,7 @@ def _ctx_for_repr(clips, words, regions):
     return BatchContext(
         ids=["repr"], lengths=(n,), token_ids=np.zeros(n, dtype=np.intp),
         word_rows=Tensor(words) if words is not None else None,
-        clip_rows=clips, clip_counts=(n,), region_rows=regions,
+        clip_rows=clips, region_rows=regions,
         region_counts=np.array([regions.shape[0]]))
 
 
@@ -308,7 +308,7 @@ def _loss_with_leaf_inputs(loss_fn, cfg, params, chart, ctx):
     parameter."""
     fields = {name: Tensor(getattr(chart, name).data.copy(), requires_grad=True)
               for name in ("inside", "outside")}
-    leaf_chart = Chart(lengths=chart.lengths, ids=chart.ids, plan=chart.plan, **fields)
+    leaf_chart = Chart(ids=chart.ids, plan=chart.plan, **fields)
     inputs = {"v_proj": Tensor(ctx.v_proj.data.copy(), requires_grad=True)}
     if ctx.word_rows is not None:
         inputs["word_rows"] = Tensor(ctx.word_rows.data.copy(), requires_grad=True)

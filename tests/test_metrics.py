@@ -60,6 +60,12 @@ def test_f1_sentence_empty_vs_empty_scores_one():
     assert bracketing_f1([1], [1], "corpus") == 1.0
 
 
+@pytest.mark.parametrize("mode", ["corpus", "sentence"])
+def test_no_sentences_score_one(mode):
+    assert bracketing_f1([], [], mode) == 1.0
+    assert scf1([], 0.5, mode) == 1.0
+
+
 def test_f1_mismatched_lengths_rejected():
     with pytest.raises(DataValidationError):
         bracketing_f1([RB3], [right_branching(4)])

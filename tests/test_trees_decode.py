@@ -125,6 +125,8 @@ def test_cky_rejects_tables_of_the_wrong_shape():
         cky_decode(bad, spans, 4)
     with pytest.raises(ValueError, match=r"\(9,\).*\(10,\)"):
         cky_decode(splits, spans[:-1], 4)
+    with pytest.raises(ValueError, match=r"no split scores of length 2; 3 leaves"):
+        cky_decode({}, np.zeros(6), 3)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
