@@ -51,18 +51,9 @@ def constant(x) -> Tensor:
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    for parent in parents:
-        if parent.requires_grad:
-            out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
-            return out
-    out.requires_grad = False
-    out._parents = ()
-    out._vjp = None
+    out = Tensor(data)
+    if any(parent.requires_grad for parent in parents):
+        out.requires_grad, out._parents, out._vjp = True, parents, vjp
     return out
 
 
@@ -96,37 +87,24 @@ def backward(root: Tensor) -> None:
         else:
             topo.append(node)
 
-    # Gradient arrays this sweep allocated, by id: only these are summed into
-    # in place. An array a vjp returned may be shared (a vjp may hand its own
-    # `g` on, as the test oracles' `add` does to both parents) or a read-only
-    # view, so it is never written to.
-    owned: set[int] = set()
+    # A later gradient is summed into a new array, never into the stored one:
+    # an array a vjp returned may be shared (a vjp may hand its own `g` on, as
+    # the test oracles' `add` does to both parents) or a read-only view. A
+    # view is copied when first stored, so a leaf's `.grad` owns its memory.
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
         grads = node._vjp(node.grad)
         if node is not root:
-            owned.discard(id(node.grad))
             node.grad = None
         for parent, grad in zip(node._parents, grads):
-            if grad is not None and parent.requires_grad:
-                _accumulate(parent, grad, owned)
-
-
-def _accumulate(tensor: Tensor, grad: np.ndarray, owned: set[int]) -> None:
-    if tensor.grad is None:
-        if grad.base is None:
-            tensor.grad = grad
-        else:
-            tensor.grad = grad.copy()
-            owned.add(id(tensor.grad))
-    elif id(tensor.grad) in owned:
-        tensor.grad += grad
-    else:
-        tensor.grad = tensor.grad + grad
-        if isinstance(tensor.grad, np.ndarray):   # not a numpy scalar
-            owned.add(id(tensor.grad))
+            if grad is None or not parent.requires_grad:
+                continue
+            if parent.grad is not None:
+                parent.grad = parent.grad + grad
+            else:
+                parent.grad = grad if grad.base is None else grad.copy()
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

@@ -12,7 +12,7 @@ from .config import RunConfig, load_config
 from .corpus import load_corpus, save_corpus
 from .errors import MMGIError
 from .features import PairRelevanceMatrix
-from .inference import parse_example
+from .inference import parse_corpus, parse_example
 from .metrics import bracketing_f1, scf1
 from .params import load_checkpoint
 from .synth import SynthConfig, default_grammar, generate_synthetic, right_chain_grammar
@@ -75,24 +75,19 @@ def cmd_parse(args) -> int:
     cfg = cfg.resolved()
     corpus = load_corpus(args.corpus, mode=cfg.mode)
     pair = PairRelevanceMatrix(pair_values) if pair_values is not None else None
-    vocab_index = {t: i for i, t in enumerate(vocab)} if vocab else None
-    trees = []
-    dumps = []
-    for ex in corpus:
-        if args.scores:
-            tree, dump = parse_example(ex, params, cfg, vocab_index, pair,
-                                       with_scores=True)
-            dump["id"] = ex.id
-            dumps.append(dump)
-        else:
-            tree = parse_example(ex, params, cfg, vocab_index, pair)
-        trees.append(tree)
+    if args.scores:
+        vocab_index = {t: i for i, t in enumerate(vocab)} if vocab else None
+        scored = [parse_example(ex, params, cfg, vocab_index, pair, with_scores=True)
+                  for ex in corpus]
+        trees = [tree for tree, _ in scored]
+    else:
+        trees = parse_corpus(corpus, params, cfg, vocab, pair)
     _write_trees(Path(args.out), [ex.id for ex in corpus], trees,
                  [_leaf_strings(ex, cfg.mode) for ex in corpus])
     if args.scores:
         with Path(args.scores).open("w") as fh:
-            for dump in dumps:
-                fh.write(json.dumps(dump) + "\n")
+            for ex, (_, dump) in zip(corpus, scored):
+                fh.write(json.dumps({**dump, "id": ex.id}) + "\n")
     return 0
 
 

@@ -319,20 +319,19 @@ def _packed(clips: Sequence[Sequence], dtype) -> tuple[np.ndarray, np.ndarray]:
 def voice_activity_table(voice_time: np.ndarray, nonvoice_time: np.ndarray) -> np.ndarray:
     """Speech-rhythm density of every span (i, j) of one sentence, at [i-1, j-1].
 
-    Span (i, j) ranges over clips i..j-1 and is penalized for its longest
-    internal pause relative to its mean voiced time; a single position has
-    an empty range and scores 0. Always in (-1, 0) otherwise. Entries below
-    the diagonal are 0 and unused. Leading axes are a batch: (B, T) clip
-    times give (B, T, T) tables, one per sentence.
+    Takes the (T,) voiced and non-voiced times of one track's clips and
+    gives a (T, T) table. Span (i, j) ranges over clips i..j-1 and is
+    penalized for its longest internal pause relative to its mean voiced
+    time; a single position has an empty range and scores 0. Always in
+    (-1, 0) otherwise. Entries below the diagonal are 0 and unused.
     """
-    n = voice_time.shape[-1]
+    n = voice_time.shape[0]
     first, end = np.indices((n, n))     # span (first + 1, end + 1) covers clips first..end-1
-    pauses = np.where(end >= first, nonvoice_time[..., None, :], -np.inf)
+    pauses = np.where(end >= first, nonvoice_time, -np.inf)
     longest = np.full(pauses.shape, -np.inf)
-    longest[..., 1:] = np.maximum.accumulate(pauses, axis=-1)[..., :-1]
-    voiced = np.cumsum(voice_time, axis=-1)
-    voiced = np.concatenate([np.zeros(voiced.shape[:-1] + (1,)), voiced], axis=-1)
+    longest[:, 1:] = np.maximum.accumulate(pauses, axis=1)[:, :-1]
+    voiced = np.concatenate([[0.0], np.cumsum(voice_time)])
     clips = end - first
-    mean_voice = (voiced[..., end] - voiced[..., first]) / np.maximum(clips, 1)
+    mean_voice = (voiced[end] - voiced[first]) / np.maximum(clips, 1)
     ratio = np.where(clips > 0, longest / (mean_voice + 1e-6), 0.0)
     return np.where(clips > 0, -1.0 / (1.0 + np.exp(-ratio)), 0.0)

@@ -249,8 +249,7 @@ def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
     if full:
         words, w_text = ctx.word_rows, params["align_proj_text"]
         word_cos, word_vjp = _cosine_rows(speech, words.data @ w_text.data)
-        length_mean = _segment_matrix(ctx.lengths)
-        terms = length_mean @ (1.0 - word_cos) + terms
+        terms = clip_mean @ (1.0 - word_cos) + terms
         parents += (words, w_text)
 
     def vjp(g):
@@ -259,7 +258,7 @@ def representation_loss(ctx: BatchContext, params: dict[str, Tensor],
         g_speech = clip_mean.T @ g_speech
         text_grads = ()
         if full:
-            g_word_speech, g_text = word_vjp(length_mean.T @ g_terms)
+            g_word_speech, g_text = word_vjp(clip_mean.T @ g_terms)
             g_speech = g_speech + g_word_speech
             text_grads = (g_text @ w_text.data.T, words.data.T @ g_text)
         return (clips.T @ g_speech, regions.T @ (region_mean.T @ g_vision)) + text_grads

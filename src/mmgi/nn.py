@@ -47,12 +47,6 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-a, a, size=shape)
 
 
-def _linear_vjp(x: np.ndarray, w: np.ndarray, g: np.ndarray,
-                need_x: bool, need_w: bool) -> tuple:
-    """Gradients of ``x @ w`` for a (K, d) `x`: (dx, dw), None where not needed."""
-    return (g @ w.T if need_x else None), (x.T @ g if need_w else None)
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, shifted by its max."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -291,18 +285,16 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         g_y += g_pre @ w1[d:].T
         # right before left: a row both sides read sums its two terms in this
         # order, the order the sweep reached separate gather nodes in
-        if right_grad is not None:
-            g_right = np.empty(right_rows.shape)
-            g_right[:, :d], g_right[:, d] = g_y, g_scores
-            if regions:
-                g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
-            _add_at(right_grad, right, g_right)
-        if left_grad is not None:
-            g_left = np.empty(left_rows.shape)
-            g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
-            if regions:
-                g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
-            _add_at(left_grad, left, g_left)
+        g_right = np.empty(right_rows.shape)
+        g_right[:, :d], g_right[:, d] = g_y, g_scores
+        if regions:
+            g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
+        _add_at(right_grad, right, g_right)
+        g_left = np.empty(left_rows.shape)
+        g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
+        if regions:
+            g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
+        _add_at(left_grad, left, g_left)
         g_pitch = None
         if pitch is not None:
             g_windows = np.zeros((windows[0] * windows[1], d))
@@ -420,12 +412,9 @@ def lstm_forward(inputs: Tensor, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             g_h = g_gates @ w_h.data.T
             g_c = g_c * s[:, d:2 * d]
         g_z = g_z.reshape(batch * steps, 4 * d)
-        g_x, g_wx = _linear_vjp(x, w_x.data, g_z, inputs.requires_grad, w_x.requires_grad)
-        g_wh = None
-        if w_h.requires_grad:
-            h_prev = np.concatenate([np.zeros((batch, 1, d)), hidden[:, :-1]], axis=1)
-            g_wh = h_prev.reshape(batch * steps, d).T @ g_z
-        return (None if g_x is None else g_x.reshape(shape)), g_wx, g_wh, g_z.sum(axis=0)
+        h_prev = np.concatenate([np.zeros((batch, 1, d)), hidden[:, :-1]], axis=1)
+        return ((g_z @ w_x.data.T).reshape(shape), x.T @ g_z,
+                h_prev.reshape(batch * steps, d).T @ g_z, g_z.sum(axis=0))
 
     return ad._from_op(hidden, (inputs, w_x, w_h, b), vjp)
 

@@ -177,7 +177,7 @@ def test_gradient_of_a_tensor_used_twice():
     x = np.array([1.0, -2.0, 3.0])
     assert np.array_equal(_grads(lambda x: tensor_sum(add(x, x)), x=x)["x"], [2.0, 2.0, 2.0])
     assert np.array_equal(_grads(lambda x: tensor_sum(mul(x, x)), x=x)["x"], 2 * x)
-    # three uses: the third contribution is added in place into the second's sum
+    # three uses: the third contribution is added to the sum of the first two
     got = _grads(lambda x: tensor_sum(add(add(x, x), mul(x, 2.0))), x=x)["x"]
     assert np.array_equal(got, [4.0, 4.0, 4.0])
 

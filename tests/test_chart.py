@@ -659,6 +659,38 @@ def test_every_node_a_training_step_builds_is_reachable_from_its_loss(monkeypatc
 
 
 @pytest.mark.parametrize("mode", ["full", "textless"])
+def test_backward_never_writes_an_array_a_vjp_returned(monkeypatch, mode):
+    # a vjp may hand its own `g` on or return an array it keeps, so the sweep
+    # sums each later gradient into a new array: every array a vjp returned
+    # reads the same after backward, and each parameter's gradient is an
+    # array of its own
+    cfg = tiny_config(mode=mode, dropout=0.3, batch=6)
+    bundles, vocab_index, params, pair = _mixed_batch(66, BUDGET_SHAPES[:6], cfg)
+    returned = []
+    original = ad._from_op
+
+    def recorded(data, parents, vjp):
+        def snapshot(g):
+            grads = vjp(g)
+            returned.extend((grad, grad.copy()) for grad in grads
+                            if isinstance(grad, np.ndarray))
+            return grads
+
+        return original(data, parents, snapshot)
+
+    monkeypatch.setattr(ad, "_from_op", recorded)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    monkeypatch.undo()
+    ad.backward(loss)
+    written = [k for k, (grad, kept) in enumerate(returned) if not np.array_equal(grad, kept)]
+    assert returned and not written, written
+    for name, p in params.items():
+        assert p.grad.flags.writeable and p.grad.base is None, name
+
+
+@pytest.mark.parametrize("mode", ["full", "textless"])
 def test_context_builds_at_most_six_nodes_that_need_a_gradient(monkeypatch, mode):
     # the word and pitch lookups, the pitch LSTM, the region projection, its
     # sum with the box embeddings and the terminals; elementary ops built 24
