@@ -8,9 +8,11 @@ whole inside or outside pass is one such node, whose vjp sweeps its own
 steps in reverse. The engine itself holds only what those nodes share:
 :func:`backward`, which runs a single reverse sweep from a scalar root and
 accumulates ``.grad`` arrays on every tensor that requires gradients, and
-the row gather :func:`gather_rows`. Everything is 64-bit and deterministic:
-no op introduces randomness, and reductions use numpy's fixed evaluation
-order.
+the row gather :func:`gather_rows`. Everything is 64-bit, and no op
+introduces randomness. Results repeat bit for bit only at one BLAS thread
+count, on one CPU and one numpy version: the summation order of a product
+can change with any of them (between 1 and 2 threads, the gradient of
+`vision_projection` in a train-plant step differs in its last bits).
 """
 
 from __future__ import annotations

@@ -13,16 +13,17 @@ l-1 splits in every sentence, so the inside pass composes, scores and
 normalizes the spans of one length of all sentences together. Every span at
 distance r = n - l from its root has exactly r outside contexts, so the
 outside pass takes one step per distance. Each step runs the same fused
-numpy function, `nn.chart_step`: an inside step pairs left with right
-children, an outside step parents with siblings. It writes its rows once
-into its pass's (spans, d + 1) array, at the span rows of its cells, and
-later steps read the left children, the right children, the parents and the
-siblings from those arrays by index arrays that depend only on the sentence
-lengths (see `_Plan`). Each pass is one autodiff node: its vjp runs the
-steps' vjps in reverse order (Eisner, "Inside-Outside and Forward-Backward
-Algorithms Are Just Backprop", 2016), each reading its pairs again from the
-pass arrays instead of keeping a copy, and summing their gradients into one
-gradient array the vjp owns. The chart is those two nodes (see `Chart`);
+numpy function, `nn.chart_step`, on the pair rows its pass gathers: an
+inside step pairs left with right children, an outside step parents with
+siblings. It writes its rows once into its pass's (spans, d + 1) array, at
+the span rows of its cells, and later steps gather the left children, the
+right children, the parents and the siblings from those arrays by index
+arrays that depend only on the sentence lengths (see `_Plan`). Each pass is
+one autodiff node: its vjp runs the steps' vjps in reverse order (Eisner,
+"Inside-Outside and Forward-Backward Algorithms Are Just Backprop", 2016),
+gathering each step's pairs again from the pass arrays instead of keeping a
+copy, and summing the gradients the steps return into one gradient array
+the vjp owns. The chart is those two nodes (see `Chart`);
 its readers index the pass arrays' columns directly. Work that involves
 one sentence's own image or speech (region attention, pair scores, pitch
 pooling, word-to-clip attention) runs on per-sentence blocks padded to a
@@ -240,8 +241,8 @@ class _Plan:
         # (span, context) pairs of every outside cell, by distance r to the
         # root: contexts k < i first, then k > j, each ascending. Per
         # distance, the span rows of its cells in step order, the parents'
-        # and the siblings' rows as two parts each: the contexts before the
-        # span, then after it (a row can be a parent before one span and
+        # and the siblings' rows, each with its two parts: the contexts before
+        # the span, then after it (a row can be a parent before one span and
         # after another, but not twice on one side), and the number of cells
         sent, i, j = (np.repeat(a, cell_r) for a in (cell_sent, cell_start, cell_end))
         t = np.arange(sent.size) - np.repeat(np.cumsum(cell_r) - cell_r, cell_r)
@@ -303,19 +304,28 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def _parts(early: np.ndarray, *rows: np.ndarray) -> tuple:
-    """Each of `rows` as two parts (at, index) of a read (see `nn._take`),
-    where the mask `early` holds and where it does not; they share the two
-    masks."""
+    """Each of `rows`, the index array a step reads a side's pairs by, with
+    its two parts (at, index) for `_scatter`, where the mask `early` holds
+    and where it does not; the sides share the two masks."""
     masks = early, ~early
     parts = tuple(tuple((at, index[at]) for at in masks) for index in rows)
-    _freeze(*masks, *(index for side in parts for _, index in side))
-    return parts
+    _freeze(*masks, *rows, *(index for side in parts for _, index in side))
+    return tuple(zip(rows, parts))
 
 
-def _prefix(parts: tuple, size: int) -> tuple:
-    """Parts of a read that read the first `size` rows of what `parts` read,
-    as views."""
-    return tuple((at[:size], index[:np.count_nonzero(at[:size])]) for at, index in parts)
+def _prefix(side: tuple, size: int) -> tuple:
+    """The index array and the parts of a side's first `size` pairs, as views."""
+    rows, parts = side
+    return rows[:size], tuple((at[:size], index[:np.count_nonzero(at[:size])])
+                              for at, index in parts)
+
+
+def _scatter(grad: np.ndarray, parts: tuple, g: np.ndarray) -> None:
+    """Add `g`, the gradient of a side's rows, into `grad` part by part: a
+    fancy-index `+=` keeps one term of a repeated row, and only the two parts
+    together may repeat one."""
+    for at, index in parts:
+        grad[index] += g[at]
 
 
 def _pieces(array: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -610,14 +620,15 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
     for length in range(2, plan.n_max + 1):
         (lefts, rights), block_rows = plan.inside[length]
         block = slice(plan.block_start[length], plan.block_start[length + 1])
+        shift = None
+        if pitch is not None:
+            # each cell's mean pitch state over its positions
+            shift = (cfg.lam * (plan.pool[length] @ pitch)).reshape(-1, d)[block_rows]
         spans[block], scores, vjp = chart_step(
-            (children, lefts, left_cols), (children, rights, right_cols),
+            children[lefts, left_cols], children[rights, right_cols],
             tuple(w.data for w in weights), cells=block.stop - block.start,
             keep=None if inside_masks is None else inside_masks[length], rate=cfg.dropout,
-            regions=regions,
-            voice=None if voice is None else np.repeat(voice[block], length - 1),
-            pitch=pitch, pool=plan.pool[length], pool_rows=block_rows, lam=cfg.lam,
-            grad=grad)
+            voice=None if voice is None else voice[block], shift=shift, grad=grad)
         bad = _first_nonfinite(scores)
         if bad is not None:
             row = block.start + bad[0]
@@ -633,15 +644,34 @@ def inside_pass(ctx: BatchContext, params: dict[str, Tensor], cfg: RunConfig,
             add_children(length)
 
     def vjp(g):
+        # each length's gradients are freed before the next length's vjp runs
         g_spans = g.copy()
         g_children = g_spans if children is spans else np.zeros(children.shape)
         g_regions, g_steps = [None, None], [None] * 6   # v_proj, region_sum; pitch, weights
         for length in range(plan.n_max, 0, -1):
             block = slice(plan.block_start[length], plan.block_start[length + 1])
             if length <= len(features):
-                _sum_into(g_regions, features[length - 1](g_children[block], g_spans[block]))
+                g_rows, *g_features = features[length - 1](g_children[block])
+                g_spans[block] += g_rows
+                _sum_into(g_regions, g_features)
+                del g_rows, g_features
             if length > 1:
-                _sum_into(g_steps, steps[length - 2](g_spans[block], g_children, g_children))
+                # the step's rows are read again: each row of `children` is
+                # written once, before any step reads it. Right before left: a
+                # row both sides read sums its terms in the order the sweep
+                # reached separate gather nodes in; no side names a row twice
+                (lefts, rights), block_rows = plan.inside[length]
+                g_left, g_right, g_shift, *g_weights = steps[length - 2](
+                    g_spans[block], children[lefts, left_cols], children[rights, right_cols])
+                g_children[rights, right_cols] += g_right
+                g_children[lefts, left_cols] += g_left
+                if g_shift is not None:
+                    pool = plan.pool[length]
+                    g_windows = np.zeros((count * pool.shape[0], d))
+                    g_windows[block_rows] = g_shift
+                    g_shift = pool.T @ (cfg.lam * g_windows.reshape(count, -1, d))
+                _sum_into(g_steps, [g_shift] + g_weights)
+                del g_left, g_right, g_weights
         return ((g_spans[:positions, :d],) + (tuple(g_regions) if visual else ())
                 + tuple(g_steps[pitch is None:]))
 
@@ -693,9 +723,10 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
             parents, siblings = _prefix(parents, cells * r), _prefix(siblings, cells * r)
         if not cells:
             continue
+        # one fancy read per side; each row is written once, before any step
+        # reads it, so the vjp reads these rows again
         step, scores, vjp = chart_step(
-            (outside, parents, slice(None)), (inside, siblings, slice(None)),
-            tuple(w.data for w in weights), cells=cells,
+            outside[parents[0]], inside[siblings[0]], tuple(w.data for w in weights), cells=cells,
             keep=None if masks is None else masks[r][:cells * r], rate=cfg.dropout, grad=grad)
         rows = plan.out_rows[r][:cells]
         bad = _first_nonfinite(scores)
@@ -707,15 +738,20 @@ def outside_pass(chart: Chart, ctx: BatchContext, params: dict[str, Tensor],
                 f"context {bad[1]}"
             )
         outside[rows] = step
-        steps.append((rows, vjp))
+        steps.append((rows, parents, siblings, vjp))
 
     def vjp(g):
         g_outside = g.copy()
         g_inside = np.zeros(inside.shape)
-        g_steps = [None] * 6   # no pitch; the weights
-        for rows, step_vjp in reversed(steps):
-            _sum_into(g_steps, step_vjp(g_outside[rows], g_outside, g_inside))
-        return (g_inside, g_outside[plan.root_rows, :d].sum(axis=0)) + tuple(g_steps[1:])
+        g_steps = [None] * 5
+        for rows, parents, siblings, step_vjp in reversed(steps):
+            g_parents, g_siblings, _, *g_weights = step_vjp(
+                g_outside[rows], outside[parents[0]], inside[siblings[0]])
+            _scatter(g_inside, siblings[1], g_siblings)
+            _scatter(g_outside, parents[1], g_parents)
+            _sum_into(g_steps, g_weights)
+            del g_parents, g_siblings, g_weights
+        return (g_inside, g_outside[plan.root_rows, :d].sum(axis=0)) + tuple(g_steps)
 
     chart.outside = ad._from_op(outside, inputs, vjp)
     return chart

@@ -99,6 +99,8 @@ def _read_tree_file(path: str) -> dict[str, tuple]:
         if "\t" not in line:
             raise MMGIError(f"{path}:{line_no}: expected '<id>\\t<tree>'")
         ex_id, text = line.split("\t", 1)
+        if ex_id in out:
+            raise MMGIError(f"{path}:{line_no}: id {ex_id!r} repeats an earlier line")
         out[ex_id] = parse_sexpr(text)
     return out
 

@@ -6,17 +6,18 @@ vector-Jacobian product: the region projection, the bounding-box embedding
 added to it (`project_regions`, `add_box_embedding`), the terminals
 (`attend_clips` in the full setting, `normalize_clips` in the textless one)
 and the pitch LSTM over a (B, T, d) batch (`lstm_forward`). The chart's ops
-are plain numpy functions that return their output and, when asked, their
-vjp: the chart pass that calls them is the node (see `chart`). One chart
-step serves each inside length (all spans of one length) and each outside
-distance (all spans at one distance to the root): it runs the compose MLP's
-hidden layer, the bilinear score and the split softmax pooling over (K, d)
-blocks of pairs, and the MLP's second layer once per pooled span
-(`chart_step`); `span_features` gives what a parent reads of a block of
-child spans. A step contracts instead of multiplying and summing (row-wise
-`np.vecdot` scores, a stacked matmul for the split pooling), and the
-composite of elementary ops in the test oracles takes the same contractions
-in the same order, so it gives the same values bit for bit.
+are plain numpy functions of the rows they are given that return their
+output and, when asked, their vjp, which returns fresh gradients: the chart
+pass that gathers their rows and sums those gradients is the node (see
+`chart`). One chart step serves each inside length (all spans of one
+length) and each outside distance (all spans at one distance to the root):
+it runs the compose MLP's hidden layer, the bilinear score and the split
+softmax pooling over (K, d) blocks of pairs, and the MLP's second layer once
+per pooled span (`chart_step`); `span_features` gives what a parent reads of
+a block of child spans. A step contracts instead of multiplying and summing
+(row-wise `np.vecdot` scores, a stacked matmul for the split pooling), and
+the composite of elementary ops in the test oracles takes the same
+contractions in the same order, so it gives the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -149,91 +150,53 @@ def normalize_clips(clips: np.ndarray, w: Tensor) -> Tensor:
     return ad._from_op(unit, (w,), vjp)
 
 
-def _take(read: tuple) -> np.ndarray:
-    """The rows a read (array, rows, cols) names: a view for a slice, else a
-    new array. `rows` is a slice, an index array or a tuple of parts (at,
-    index): rows `at` (a slice, an index array or a boolean mask) of the
-    result are the array's rows `index`."""
-    array, rows, cols = read
-    if not isinstance(rows, tuple):
-        return array[rows, cols]
-    out = np.empty((sum(len(index) for _, index in rows),) + array[0, cols].shape)
-    for at, index in rows:
-        out[at] = array[index, cols]
-    return out
-
-
-def _add_at(grad: np.ndarray, read: tuple, g: np.ndarray) -> None:
-    """Add `g`, the gradient of the rows `read` names, into `grad`, an array
-    shaped like the one read. An index array or a part names no row twice:
-    a fancy-index `+=` keeps one term of a repeated row. Different parts may
-    name the same rows."""
-    _, rows, cols = read
-    if isinstance(rows, tuple):
-        for at, index in rows:
-            grad[index, cols] += g[at]
-    else:
-        grad[rows, cols] += g
-
-
-def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, cells: int,
-               keep: np.ndarray | None = None, rate: float = 0.0, regions: int = 0,
-               voice: np.ndarray | None = None, pitch: np.ndarray | None = None,
-               pool: np.ndarray | None = None, pool_rows: np.ndarray | None = None,
-               lam: float = 0.0, grad: bool = True):
+def chart_step(left_rows: np.ndarray, right_rows: np.ndarray,
+               weights: tuple[np.ndarray, ...], *, cells: int, keep: np.ndarray | None = None,
+               rate: float = 0.0, voice: np.ndarray | None = None,
+               shift: np.ndarray | None = None, grad: bool = True):
     """One inside or outside step on numpy arrays: ((cells, d + 1) rows of
     pooled vector and expected score, (cells, pairs per cell) pair scores,
     and the step's vjp, None unless `grad`).
 
     An inside step pairs the left and right children of each split of the
     spans of one length; an outside step pairs the parent and sibling of
-    each context of the spans at one distance to the root. `left` and
-    `right` are reads (array, rows, cols) of the K pairs, cell by cell (see
-    `_take`). A left row is, with `regions` M > 0, its attention through the
-    pair matrix (M), then its vector and score; a right row is its vector,
-    its score and, with M > 0, its attention (M). `weights` are the compose
-    MLP's (w1, b1, w2, b2) and the bilinear matrix. With `pitch` (B, T, d),
-    both vectors gain `lam` times the mean pitch state over the cell's
-    positions: for cell c, row `pool_rows[c]` of the (B, windows) means that
-    the (windows, T) averaging matrix `pool` gives.
+    each context of the spans at one distance to the root. `left_rows` and
+    `right_rows` hold the K pairs' rows, cell by cell. A left row is, with M
+    regions, its attention through the pair matrix (M), then its vector and
+    score; a right row is its vector, its score and its attention (M). M is
+    read from the row widths. `weights` are the compose MLP's (w1, b1, w2, b2)
+    and the bilinear matrix. Both vectors of a cell's pairs gain the cell's
+    (cells, d) `shift` row.
 
     A pair's score is, in this order, the bilinear score plus the pair term
     (the left row's pair columns dotted with the right row's attention) plus
-    its `voice` term plus both rows' scores; both dots are `np.vecdot`s. Each
-    cell's softmax over them pools the MLP's hidden layers, by a (1, pairs)
-    matmul, which the second layer maps once per cell, and the scores, by a
-    `np.vecdot`. In training, the boolean mask `keep` drops hidden units and
-    the kept ones are scaled by 1 / (1 - `rate`). `grad` leaves the forward as
-    it is.
+    its cell's `voice` term (cells,) plus both rows' scores; both dots are
+    `np.vecdot`s. Each cell's softmax over them pools the MLP's hidden
+    layers, by a (1, pairs) matmul, which the second layer maps once per
+    cell, and the scores, by a `np.vecdot`. In training, the boolean mask
+    `keep` drops hidden units and the kept ones are scaled by 1 / (1 -
+    `rate`). `grad` leaves the forward as it is.
 
-    The vjp, `vjp(g, left_grad, right_grad)`, adds the pair rows' gradients
-    into `left_grad` and `right_grad`, arrays shaped like the ones read (the
-    same array when both sides read one), right before left, and returns
-    the gradients of `pitch` (None without it) and of the weights. It keeps
-    the unmasked hidden layer, the bilinear projection of the left vectors,
-    the softmax and the small per-window pitch means, but no copy of the
-    pairs' rows: it reads them again, so the rows it names must not change
-    before it runs.
+    The vjp, `vjp(g, left_rows, right_rows)`, takes the rows the forward
+    took, which it keeps no copy of, and returns the gradients of the left
+    and the right rows, of `shift` (None without it) and of the weights. It
+    keeps the unmasked hidden layer, the bilinear projection of the left
+    vectors and the softmax.
     """
     w1, b1, w2, b2, w_bil = weights
     d = w_bil.shape[0]
+    regions = left_rows.shape[1] - d - 1
     scale = None if keep is None else 1.0 / (1.0 - rate)
-    pooled = windows = None
-    if pitch is not None:
-        pooled = lam * (pool @ pitch)
-        windows = pooled.shape[:2]
 
-    def pairs() -> tuple[np.ndarray, ...]:
-        """The left and right rows and the pairs' (pitch-shifted) vectors."""
-        left_rows, right_rows = _take(left), _take(right)
+    def vectors(left_rows, right_rows) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs' (shifted) left and right vectors."""
         x, y = left_rows[:, regions:regions + d], right_rows[:, :d]
-        if pooled is not None:
-            shift = pooled.reshape(-1, d)[pool_rows][:, None, :]
-            x = (x.reshape(cells, -1, d) + shift).reshape(-1, d)
-            y = (y.reshape(cells, -1, d) + shift).reshape(-1, d)
-        return left_rows, right_rows, x, y
+        if shift is not None:
+            x = (x.reshape(cells, -1, d) + shift[:, None, :]).reshape(-1, d)
+            y = (y.reshape(cells, -1, d) + shift[:, None, :]).reshape(-1, d)
+        return x, y
 
-    left_rows, right_rows, x, y = pairs()
+    x, y = vectors(left_rows, right_rows)
     tanh = x @ w1[:d]
     tanh += y @ w1[d:]
     tanh += b1
@@ -242,9 +205,11 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
     scores = np.vecdot(projected, y)
     if regions:
         scores = scores + np.vecdot(left_rows[:, :regions], right_rows[:, d + 1:])
+    scores = scores.reshape(cells, -1)
     if voice is not None:
-        scores = scores + voice
-    scores = ((scores + left_rows[:, regions + d]) + right_rows[:, d]).reshape(cells, -1)
+        scores = scores + voice[:, None]
+    scores = ((scores + left_rows[:, regions + d].reshape(cells, -1))
+              + right_rows[:, d].reshape(cells, -1))
     softmax = _softmax(scores)
 
     def hidden() -> np.ndarray:
@@ -260,8 +225,8 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
     if not grad:
         return out, scores, None
 
-    def vjp(g, left_grad, right_grad):
-        left_rows, right_rows, x, y = pairs()
+    def vjp(g, left_rows, right_rows):
+        x, y = vectors(left_rows, right_rows)
         g_vector, g_score = g[:, :-1], g[:, -1:]
         g_pooled = g_vector @ w2.T
         # b2 adds the same term to every pair of a cell, which the softmax cancels
@@ -283,25 +248,16 @@ def chart_step(left: tuple, right: tuple, weights: tuple[np.ndarray, ...], *, ce
         g_x += g_pre @ w1[:d].T
         g_y = g_scores[:, None] * projected
         g_y += g_pre @ w1[d:].T
-        # right before left: a row both sides read sums its two terms in this
-        # order, the order the sweep reached separate gather nodes in
+        g_left = np.empty(left_rows.shape)
+        g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
         g_right = np.empty(right_rows.shape)
         g_right[:, :d], g_right[:, d] = g_y, g_scores
         if regions:
-            g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
-        _add_at(right_grad, right, g_right)
-        g_left = np.empty(left_rows.shape)
-        g_left[:, regions:regions + d], g_left[:, regions + d] = g_x, g_scores
-        if regions:
             g_left[:, :regions] = g_scores[:, None] * right_rows[:, d + 1:]
-        _add_at(left_grad, left, g_left)
-        g_pitch = None
-        if pitch is not None:
-            g_windows = np.zeros((windows[0] * windows[1], d))
-            g_windows[pool_rows] = (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
-            g_pitch = pool.T @ (lam * g_windows.reshape(windows + (d,)))
-        return (g_pitch, g_w1, g_pre.sum(axis=0), pooled_hidden.T @ g_vector,
-                g_vector.sum(axis=0), x.T @ g_bilinear)
+            g_right[:, d + 1:] = g_scores[:, None] * left_rows[:, :regions]
+        g_shift = None if shift is None else (g_x + g_y).reshape(cells, -1, d).sum(axis=1)
+        return (g_left, g_right, g_shift, g_w1, g_pre.sum(axis=0),
+                pooled_hidden.T @ g_vector, g_vector.sum(axis=0), x.T @ g_bilinear)
 
     return out, scores, vjp
 
@@ -322,9 +278,8 @@ def span_features(rows: np.ndarray, v_proj: np.ndarray, region_sum: np.ndarray, 
     feature) and the span score; given the (B, M, M) `pair` matrices, the
     attention through the pair matrix comes first and the attention last,
     so the left and the right child of a pair each read one contiguous
-    range of columns (see `chart_step`). The vjp, `vjp(g, rows_grad)`, adds
-    the rows' gradient into `rows_grad` and returns those of `v_proj` and
-    `region_sum`.
+    range of columns (see `chart_step`). The vjp, `vjp(g)`, returns the
+    gradients of `rows`, `v_proj` and `region_sum`.
     """
     d = rows.shape[1] - 1
     h = rows[:, :d]
@@ -345,17 +300,18 @@ def span_features(rows: np.ndarray, v_proj: np.ndarray, region_sum: np.ndarray, 
     if not grad:
         return out, None
 
-    def vjp(g, rows_grad):
+    def vjp(g):
         g_u = _unpad_vjp(gamma * g[:, lead:lead + d], unpad, blocks)
         g_att = g_u @ np.swapaxes(region_sum, -1, -2)
         if pair is not None:
             g_att = g_att + _unpad_vjp(g[:, lead + d + 1:], unpad, blocks) \
                 + _unpad_vjp(g[:, :lead], unpad, blocks) @ np.swapaxes(pair, -1, -2)
         g_logits = (g_att - (g_att * att).sum(axis=-1, keepdims=True)) * att
+        g_rows = np.empty(rows.shape)
         # padding rows are dropped, so they get no gradient: read the real ones
-        rows_grad[:, :d] += _unpad(g_logits @ v_proj, unpad) + g[:, lead:lead + d]
-        rows_grad[:, d] += g[:, lead + d]
-        return np.swapaxes(g_logits, -1, -2) @ hp, np.swapaxes(att, -1, -2) @ g_u
+        g_rows[:, :d] = _unpad(g_logits @ v_proj, unpad) + g[:, lead:lead + d]
+        g_rows[:, d] = g[:, lead + d]
+        return g_rows, np.swapaxes(g_logits, -1, -2) @ hp, np.swapaxes(att, -1, -2) @ g_u
 
     return out, vjp
 

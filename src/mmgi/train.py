@@ -40,7 +40,10 @@ def train(cfg: RunConfig, examples: list[ExampleBundle],
           heldout: list[ExampleBundle] | None = None,
           out_dir: str | Path | None = None,
           quiet: bool = True) -> TrainResult:
-    """Adam on the total loss; deterministic for a fixed (config, corpus, seed).
+    """Adam on the total loss; deterministic for a fixed (config, corpus, seed)
+    at one BLAS thread count, on one CPU and one numpy version (between 1 and
+    2 threads, `vision_projection`'s gradient differs in its last bits, and
+    so do later epochs).
 
     Sentences longer than `max_text_length` or shorter than two positions are
     skipped. Emits one metrics record per epoch with the loss components and,

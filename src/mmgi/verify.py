@@ -106,13 +106,12 @@ def verification_suite(seed: int = 0, probes_per_tensor: int = 4) -> dict[str, f
     def outside_step() -> Tensor:
         """The step as a node of its own, reading every row of each side."""
         sides = (step["parents"], step["siblings"])
-        out, _, vjp = chart_step(*((t.data, slice(None), slice(None)) for t in sides),
-                                 tuple(w.data for w in weights), cells=cells, keep=keep,
-                                 rate=0.3)
+        out, _, vjp = chart_step(*(t.data for t in sides), tuple(w.data for w in weights),
+                                 cells=cells, keep=keep, rate=0.3)
 
         def node_vjp(g):
-            rows = [np.zeros((pairs, d + 1)) for _ in sides]
-            return (*rows, *vjp(g, *rows)[1:])
+            g_parents, g_siblings, _, *g_weights = vjp(g, *(t.data for t in sides))
+            return (g_parents, g_siblings, *g_weights)
 
         return ad._from_op(out, sides + weights, node_vjp)
 

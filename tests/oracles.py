@@ -475,16 +475,15 @@ def softmax_pool(scores, vectors):
             ad._from_op(expected, (scores,), expected_vjp))
 
 
-def step_node(left, right, weights, left_rows=slice(None), right_rows=slice(None), **kw):
-    """`mmgi.nn.chart_step` on the rows `left_rows` and `right_rows` of the
-    tensors `left` and `right`, as a node of its own: how the tests take
-    gradients of one step, which the chart passes run as numpy functions."""
-    reads = ((left.data, left_rows, slice(None)), (right.data, right_rows, slice(None)))
-    out, _, vjp = chart_step(*reads, tuple(w.data for w in weights), **kw)
+def step_node(left, right, weights, **kw):
+    """`mmgi.nn.chart_step` on the rows of the tensors `left` and `right`, as
+    a node of its own: how the tests take gradients of one step, which the
+    chart passes run as numpy functions."""
+    out, _, vjp = chart_step(left.data, right.data, tuple(w.data for w in weights), **kw)
 
     def node_vjp(g):
-        grads = [np.zeros(left.data.shape), np.zeros(right.data.shape)]
-        return (*grads, *vjp(g, *grads)[1:])
+        g_left, g_right, _, *g_weights = vjp(g, left.data, right.data)
+        return (g_left, g_right, *g_weights)
 
     return ad._from_op(out, (left, right) + tuple(weights), node_vjp)
 
@@ -718,8 +717,8 @@ def composite_outside_pass(chart, ctx, params, cfg, training=False):
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
     for r in range(1, plan.n_max):
-        parents, siblings, cells = plan.outside[r]
-        parent_rows, sibling_rows = place[part_rows(parents)], part_rows(siblings)
+        (parents, _), (sibling_rows, _), cells = plan.outside[r]
+        parent_rows = place[parents]
         parent = ad.gather_rows(concat(h_blocks), parent_rows)
         sibling = ad.gather_rows(chart.h_in, sibling_rows)
         hidden = composite_mlp_hidden(
@@ -1030,8 +1029,8 @@ def loop_plan(lengths) -> dict:
         parent = offsets[p_end - p_start + 1, sent] + p_start - 1
         sibling = offsets[s_end - s_start + 1, sent] + s_start - 1
         early, late = before, ~before
-        outside[r] = (((early, parent[early]), (late, parent[late])),
-                      ((early, sibling[early]), (late, sibling[late])),
+        outside[r] = ((parent, ((early, parent[early]), (late, parent[late]))),
+                      (sibling, ((early, sibling[early]), (late, sibling[late]))),
                       cell_sent.size)
         outside_lead[r] = (r + 1) * np.count_nonzero(n > r + 1)
     plan.update(out_rows=out_rows, outside=outside, outside_lead=outside_lead)

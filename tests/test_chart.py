@@ -815,6 +815,79 @@ def test_each_chart_pass_is_one_node_whatever_the_length(monkeypatch, textless):
     assert len(built[3]) == len(built[7]) == 3
 
 
+@pytest.mark.parametrize("textless", [False, True])
+def test_each_step_vjp_reads_the_rows_its_forward_read(monkeypatch, textless):
+    # a step keeps no copy of its pairs' rows: its pass reads them again for
+    # the vjp, from arrays whose rows it writes once. Rows written after a
+    # step's forward (longer lengths, farther distances) change nothing the
+    # vjp reads, and a row no outside step reads gets no gradient from it
+    cfg = tiny_config(dropout=0.3, mode="textless" if textless else "full")
+    bundles, vocab_index, params, pair = _mixed_batch(63, [(5, 2), (3, 1), (6, 3), (2, 2)],
+                                                      cfg)
+    forward, backward = {}, {}
+
+    def recorded_step(left_rows, right_rows, *args, **kwargs):
+        k = len(forward)
+        forward[k] = (left_rows.copy(), right_rows.copy())
+        out, scores, vjp = chart_step(left_rows, right_rows, *args, **kwargs)
+
+        def recorded_vjp(g, left_rows, right_rows):
+            backward[k] = (left_rows.copy(), right_rows.copy())
+            return vjp(g, left_rows, right_rows)
+
+        return out, scores, recorded_vjp
+
+    monkeypatch.setattr("mmgi.chart.chart_step", recorded_step)
+    chart, ctx = run_chart(bundles, params, cfg, vocab_index, pair, training=True,
+                           rng=np.random.default_rng(0))
+    loss, _ = batch_loss(chart, ctx, params, cfg, np.random.default_rng(1))
+    ad.backward(loss)
+    assert backward.keys() == forward.keys()
+    for k, rows in forward.items():
+        for got, read in zip(backward[k], rows):
+            assert np.array_equal(got, read), k
+
+    plan = chart.plan
+    siblings = [side if not textless else _prefix(side, plan.outside_lead[r] * r)
+                for r, (_, side, _) in plan.outside.items()]
+    read = np.unique(np.concatenate([rows for rows, _ in siblings]))
+    unread = np.setdiff1d(np.arange(plan.block_start[-1]), read)
+    assert unread.size >= len(bundles)     # the roots at least
+    g_inside = chart.outside._vjp(np.random.default_rng(2).normal(size=chart.outside.shape))[0]
+    assert not g_inside[unread].any()
+    assert g_inside[read].any(axis=1).all()
+
+
+def test_a_row_both_sides_of_an_inside_step_read_takes_both_gradients(monkeypatch):
+    # an inside step reads its left and right children from one array: a row
+    # that is the right child of one pair and the left child of another takes
+    # the sum of both terms, right before left. In n = 3, position 2 is the
+    # right child of split (1, 1) + (2, 2) and the left child of (2, 2) + (3, 3)
+    cfg, bundle, vocab_index, params, pair = _setup(
+        45, 3, tiny_config(mode="textless", use_visual=False, use_pitch=False,
+                           use_voice=False))
+    returned = []
+
+    def recorded_step(*args, **kwargs):
+        out, scores, vjp = chart_step(*args, **kwargs)
+        return out, scores, lambda *vjp_args: returned.append(vjp(*vjp_args)) or returned[-1]
+
+    monkeypatch.setattr("mmgi.chart.chart_step", recorded_step)
+    ctx = build_context(bundle, params, cfg, None, pair)
+    chart = inside_pass(ctx, params, cfg)
+    plan, d = chart.plan, cfg.d
+    assert plan.inside[2][0][0].tolist() == [0, 1] and plan.inside[2][0][1].tolist() == [1, 2]
+    # a gradient on the length-2 spans only: the length-3 step passes zeros on
+    g = np.zeros(chart.inside.shape)
+    g[plan.block_start[2]:plan.block_start[3]] = np.random.default_rng(3).normal(size=(2, d + 1))
+    g_terminals = chart.inside._vjp(g)[0]
+    g_left, g_right = returned[-1][:2]    # the length-2 step's, swept last
+    assert np.array_equal(g_terminals[1], g_right[0, :d] + g_left[1, :d])
+    assert np.array_equal(g_terminals[0], g_left[0, :d])
+    assert np.array_equal(g_terminals[2], g_right[1, :d])
+    assert g_right[0, :d].all() and g_left[1, :d].all()
+
+
 def test_a_second_backward_over_a_step_gives_the_same_gradients():
     # the passes' vjps sum into arrays of their own and change nothing they
     # keep, so a second sweep over the same graph gives the same gradients
@@ -865,31 +938,31 @@ def test_loss_graph_stays_under_its_budget(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @example(lengths=[12] * 4)
 def test_plan_gather_parts_name_each_row_once(lengths):
-    # a store gather adds each index array's or part's gradient with one
-    # fancy-index `+=`, which keeps one term of a repeated row
+    # a pass adds a step's pair gradients with one fancy-index `+=` per index
+    # array or part, which keeps one term of a repeated row
     plan = _Plan(tuple(lengths))
     for children, _ in plan.inside.values():
         for index in children:
             assert np.unique(index).size == index.size
-    steps = [side for parents, siblings, _ in plan.outside.values()
+    sides = [side for parents, siblings, _ in plan.outside.values()
              for side in (parents, siblings)]
-    # the parts textless training reads: the first cells * r pairs of each side
+    # the sides textless training reads: the first cells * r pairs of each
     for r, cells in plan.outside_lead.items():
         for full in plan.outside[r][:2]:
             lead = _prefix(full, cells * r)
-            assert sum(index.size for _, index in lead) == cells * r
-            assert np.array_equal(part_rows(lead), part_rows(full)[:cells * r])
-            steps.append(lead)
-    for parts in steps:
-        size = sum(index.size for _, index in parts)
-        read = np.concatenate([np.arange(size)[at] for at, _ in parts])
-        assert np.array_equal(np.sort(read), np.arange(size))   # each row read once
+            assert np.array_equal(lead[0], full[0][:cells * r])
+            sides.append(lead)
+    for rows, parts in sides:
+        # the parts scatter to the rows the side reads, each pair once
+        read = np.concatenate([np.arange(rows.size)[at] for at, _ in parts])
+        assert np.array_equal(np.sort(read), np.arange(rows.size))
+        assert np.array_equal(part_rows(parts), rows)
         for _, index in parts:
             assert np.unique(index).size == index.size
     # joined, the contexts before a span and those after it can repeat a
     # parent: span (1, 1) of n = 2 has parent (1, 2) after it, (2, 2) before
     if max(lengths) >= 2:
-        parents = [part_rows(parents) for parents, *_ in plan.outside.values()]
+        parents = [parents for (parents, _), *_ in plan.outside.values()]
         assert any(np.unique(rows).size < rows.size for rows in parents)
 
 

@@ -206,6 +206,20 @@ def test_eval_matches_library_fixture(tmp_path, capsys):
     assert report["sent_f1"] == 0.5
 
 
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_eval_rejects_a_repeated_id(tmp_path, capsys, side):
+    # a repeated id would keep only its last tree: here the second tree of a
+    # would score 1.0 against a gold file holding a once
+    files = {"pred": "a\t((x y) z)\n", "gold": "a\t(x (y z))\n"}
+    files[side] += "a\t(x (y z))\n"
+    for name, text in files.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    assert main(["eval", "--pred", str(tmp_path / "pred.txt"),
+                 "--gold", str(tmp_path / "gold.txt")]) == 1
+    err = capsys.readouterr().err
+    assert f"{tmp_path / f'{side}.txt'}:2: id 'a' repeats an earlier line" in err
+
+
 def _reject(constant):
     raise ValueError(f"{constant} is not JSON")
 

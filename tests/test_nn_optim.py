@@ -17,7 +17,7 @@ from mmgi.autodiff import Tensor, backward
 from mmgi.config import RunConfig, config_hash
 from mmgi.errors import CheckpointError
 from mmgi.gradcheck import grad_check
-from mmgi.nn import chart_step, dropout_mask, glorot_uniform, lstm_forward
+from mmgi.nn import chart_step, dropout_mask, glorot_uniform, lstm_forward, span_features
 from mmgi.optim import Adam
 from mmgi.params import (PITCH_VOCAB, TEXT_ONLY, build_params, load_checkpoint,
                          save_checkpoint)
@@ -255,69 +255,10 @@ def test_fused_ops_build_one_node_each(monkeypatch):
     fused(*_tensors(arrays, ()).values())
     # a chart step is a numpy function: the pass that runs it is the node
     mlp = FUSED["mlp_rows"][2]
-    sides = [(np.hstack([mlp[side], np.ones((7, 1))]), slice(None), slice(None))
-             for side in ("left", "right")]
+    sides = [np.hstack([mlp[side], np.ones((7, 1))]) for side in ("left", "right")]
     out = chart_step(*sides, (mlp["w1"], mlp["b1"], mlp["w2"], mlp["b2"], np.eye(4)), cells=1)
     assert isinstance(out[0], np.ndarray)
     assert len(made) == 4
-
-
-def test_chart_step_gradients_ignore_rows_written_after_its_reads():
-    # a step reads its pairs again from its pass's arrays in backward; a pass
-    # writes each row once, and rows written after the step's block, or never
-    # read by it, change nothing
-    rng = np.random.default_rng(12)
-    d, hidden, cells, pairs = 4, 5, 2, 6
-    shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
-    weights = tuple(rng.normal(size=shape) * 0.4 for shape in shapes)
-    rows = [rng.normal(size=(pairs, d + 1)) for _ in range(2)]
-    later = rng.normal(size=(3, d + 1))
-    keep = dropout_mask(rng, (pairs, hidden), 0.3)
-    probe = rng.normal(size=(cells, d + 1))
-
-    def gradients(write_later: bool) -> list:
-        arrays = [np.zeros((pairs + 3, d + 1)) for _ in rows]
-        for array, block in zip(arrays, rows):
-            array[:pairs] = block
-        # an index read and a read in two parts, as the outside pass's
-        left = (arrays[0], np.array([5, 0, 3, 1, 4, 2]), slice(None))
-        right = (arrays[1], ((slice(0, 3), np.array([2, 0, 1])),
-                             (slice(3, 6), np.array([4, 5, 3]))), slice(None))
-        out, _, vjp = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3)
-        if write_later:
-            for array in arrays:
-                array[pairs:] = 2.0 * later
-        grads = [np.zeros(array.shape) for array in arrays]
-        step = vjp(probe, *grads)
-        assert not any(grad[pairs:].any() for grad in grads)
-        return grads + list(step[1:])
-
-    for got, want in zip(gradients(True), gradients(False)):
-        assert np.array_equal(got, want)
-
-
-def test_chart_step_gives_a_row_both_sides_read_both_gradients():
-    # an inside step reads left and right children from one array: a row that
-    # is the right child of one pair and the left child of another takes the
-    # sum of both terms, right before left
-    rng = np.random.default_rng(13)
-    d, hidden = 3, 4
-    weights = tuple(Tensor(rng.normal(size=shape) * 0.5, requires_grad=True)
-                    for shape in ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d)))
-    shared = rng.normal(size=(3, d + 1))
-    lefts, rights = np.array([0, 1]), np.array([1, 2])
-    probe = rng.normal(size=(1, d + 1))
-    out, _, vjp = chart_step((shared, lefts, slice(None)), (shared, rights, slice(None)),
-                             tuple(w.data for w in weights), cells=1)
-    grad = np.zeros(shared.shape)
-    vjp(probe, grad, grad)
-    # the same step on two separate copies of the rows, as a node
-    left, right = (Tensor(shared.copy(), requires_grad=True) for _ in range(2))
-    node = step_node(left, right, weights, lefts, rights, cells=1)
-    assert np.array_equal(node.data, out)
-    backward(tensor_sum(mul(node, probe)))
-    assert np.array_equal(grad, right.grad + left.grad)
-    assert grad[1].any() and left.grad[1].any() and right.grad[1].any()
 
 
 @pytest.mark.parametrize("regions", [0, 3])
@@ -329,26 +270,66 @@ def test_parsing_and_training_share_one_chart_step_forward(regions, with_pitch, 
     # a parse calls the step with grad=False and training with grad=True: the
     # vjp changes nothing of what the forward computes
     rng = np.random.default_rng(14)
-    d, hidden, cells, pairs, batch, steps = 4, 5, 3, 12, 2, 6
+    d, hidden, cells, pairs = 4, 5, 3, 12
     shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
     weights = tuple(rng.normal(size=shape) * 0.4 for shape in shapes)
-    left = (rng.normal(size=(pairs, regions + d + 1)), slice(None), slice(None))
-    right = (rng.normal(size=(pairs, d + 1 + regions)), slice(None), slice(None))
-    kw = {"cells": cells, "regions": regions}
+    left = rng.normal(size=(pairs, regions + d + 1))
+    right = rng.normal(size=(pairs, d + 1 + regions))
+    kw = {"cells": cells}
     if rate:
         kw.update(keep=dropout_mask(rng, (pairs, hidden), rate), rate=rate)
     if with_voice:
-        kw["voice"] = rng.normal(size=pairs)
+        kw["voice"] = rng.normal(size=cells)
     if with_pitch:
-        pool = rng.random(size=(2, steps))
-        kw.update(pitch=rng.normal(size=(batch, steps, d)), lam=0.7,
-                  pool=pool / pool.sum(axis=1, keepdims=True), pool_rows=np.array([3, 0, 2]))
+        kw["shift"] = rng.normal(size=(cells, d))
     parse_out, parse_scores, none = chart_step(left, right, weights, grad=False, **kw)
     train_out, train_scores, vjp = chart_step(left, right, weights, grad=True, **kw)
     assert none is None and vjp is not None
     assert np.array_equal(parse_out, train_out)
     assert np.array_equal(parse_scores, train_scores)
     assert parse_scores.shape == (cells, pairs // cells)
+
+
+def test_chart_step_and_span_features_write_no_array_passed_to_them():
+    # the passes own every pair read and gradient sum: a step and a span's
+    # features return fresh gradients and leave every array passed to them
+    # as it was, in the forward and in the vjp, with the pitch shift, voice,
+    # regions and dropout on
+    rng = np.random.default_rng(15)
+    d, hidden, cells, pairs, regions = 4, 5, 3, 12, 3
+    shapes = ((2 * d, hidden), (hidden,), (hidden, d), (d,), (d, d))
+    weights = tuple(rng.normal(size=shape) * 0.4 for shape in shapes)
+    left = rng.normal(size=(pairs, regions + d + 1))
+    right = rng.normal(size=(pairs, d + 1 + regions))
+    keep = dropout_mask(rng, (pairs, hidden), 0.3)
+    voice, shift = rng.normal(size=cells), rng.normal(size=(cells, d))
+    g_step = rng.normal(size=(cells, d + 1))
+    # two sentences of 3 and 2 spans, padded to 3; the second image pads a region
+    rows = rng.normal(size=(5, d + 1))
+    v_proj, region_sum = rng.normal(size=(2, regions, d)), rng.normal(size=(2, regions, d))
+    pad, unpad = np.array([[0, 1, 2], [3, 4, 4]]), np.arange(5)
+    mask = np.array([[0.0] * regions, [0.0] * (regions - 1) + [-np.inf]])
+    pair = rng.normal(size=(2, regions, regions))
+    g_rows = rng.normal(size=(5, d + 1 + 2 * regions))
+    passed = (left, right, *weights, keep, voice, shift, g_step,
+              rows, v_proj, region_sum, pad, unpad, mask, pair, g_rows)
+    before = [array.copy() for array in passed]
+
+    def unchanged() -> bool:
+        return all(np.array_equal(a, b) for a, b in zip(passed, before))
+
+    _, _, step_vjp = chart_step(left, right, weights, cells=cells, keep=keep, rate=0.3,
+                                voice=voice, shift=shift)
+    features, features_vjp = span_features(rows, v_proj, region_sum, gamma=0.5, blocks=(2, 3),
+                                           pad=pad, unpad=unpad, mask=mask, pair=pair)
+    assert features.shape == g_rows.shape and unchanged()
+    step_grads = step_vjp(g_step, left, right)
+    features_grads = features_vjp(g_rows)
+    assert unchanged()
+    assert [g.shape for g in step_grads] == [left.shape, right.shape, shift.shape] + [
+        w.shape for w in weights]
+    assert [g.shape for g in features_grads] == [rows.shape, v_proj.shape, region_sum.shape]
+    assert not any(np.shares_memory(g, a) for g in step_grads + features_grads for a in passed)
 
 
 def test_padded_lstm_padding_gets_no_gradient():
